@@ -8,8 +8,6 @@ pooled and per-ethnicity gender gaps side by side.
 
 import argparse
 
-import numpy as np
-
 from faceaudit.calibration import calibrate
 from faceaudit.cohort import aggregate_profiles, build_cohort
 from faceaudit.metrics import GroupSpec, group_rates, individual_rates, one_axis_deltas
@@ -25,7 +23,7 @@ def run(seed: int) -> None:
     cohort = build_cohort(result.records, result.attributes)
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
-    labels = np.array([p.is_genuine for p in trials.pairs])
+    labels = trials.genuine
     op = calibrate(scores[labels], scores[~labels], "eer")
     rates, _ = individual_rates(trials, scores, op.tau)
     profiles = aggregate_profiles(cohort, schema)

@@ -30,7 +30,7 @@ def run(seeds: int, n_identities: int) -> None:
         cohort = build_cohort(result.records, result.attributes)
         trials = generate_trials(cohort, TrialPolicy(), seed=seed)
         scores = score_trials(cohort, trials)
-        labels = np.array([p.is_genuine for p in trials.pairs])
+        labels = trials.genuine
         op = calibrate(scores[labels], scores[~labels], "eer")
         rates, _ = individual_rates(trials, scores, op.tau)
         profiles = aggregate_profiles(cohort, schema)

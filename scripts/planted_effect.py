@@ -8,8 +8,6 @@ blur row should dominate; everything else should sit near zero.
 
 import argparse
 
-import numpy as np
-
 from faceaudit.calibration import calibrate
 from faceaudit.cohort import aggregate_profiles, build_cohort
 from faceaudit.explain import explanatory_report
@@ -34,7 +32,7 @@ def run(seed: int, strength: float, n_per_group: int) -> None:
     cohort = build_cohort(result.records, result.attributes)
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
-    labels = np.array([p.is_genuine for p in trials.pairs])
+    labels = trials.genuine
     op = calibrate(scores[labels], scores[~labels], "eer")
     rates, _ = individual_rates(trials, scores, op.tau)
     profiles = aggregate_profiles(cohort, schema)

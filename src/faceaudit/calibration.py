@@ -30,11 +30,6 @@ class OperatingPoint:
     frr: float
     policy: str
 
-    @property
-    def eer(self) -> float:
-        """Midpoint of the two rates; equals both at an exact crossing."""
-        return 0.5 * (self.far + self.frr)
-
 
 @dataclass(frozen=True)
 class RocCurve:

@@ -32,19 +32,19 @@ from faceaudit.cohort import aggregate_profiles, load_cohort, read_attributes
 from faceaudit.errors import DataError, NumericalError
 from faceaudit.pipeline import (
     AuditOptions,
+    AuditResults,
     audit_cohort,
     profiles_from_rows,
     run_audit,
-    score_parallel,
 )
 from faceaudit.report import dump_payload, emit_bundle, render_from_file
 from faceaudit.schema import default_schema, load_schema
 from faceaudit.synth import config_from_dict, generate, write_synth
 from faceaudit.trials import (
     TrialPolicy,
-    TrialSet,
     generate_trials,
     read_trials_csv,
+    score_trials,
     write_trials_csv,
 )
 
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", parents=[common], help="score pairs with cosine similarity")
     p.add_argument("--embeddings", required=True, metavar="PATH")
     p.add_argument("--pairs", required=True, metavar="PATH")
-    p.add_argument("--workers", type=int, default=1, metavar="N")
 
     p = sub.add_parser("calibrate", parents=[common], help="pick operating thresholds")
     p.add_argument("--scores", required=True, metavar="PATH")
@@ -134,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-all", parents=[common], help="full pipeline from a config")
     p.add_argument("--config", required=True, metavar="PATH", help="pipeline config JSON")
-    p.add_argument("--workers", type=int, default=1, metavar="N")
 
     return parser
 
@@ -205,13 +203,8 @@ def _cmd_score(args) -> int:
     out = _require_out(args)
     cohort = load_cohort(args.embeddings, None, default_schema())
     identity_of = {rec.image_id: rec.identity_id for rec in cohort.records.values()}
-    pairs, _ = read_trials_csv(args.pairs, identity_of)
-    trials = TrialSet(
-        pairs=tuple(pairs),
-        rng_seed=args.seed if args.seed is not None else 0,
-        policy=TrialPolicy(),
-    )
-    scores = score_parallel(cohort, trials, args.workers)
+    trials, _ = read_trials_csv(args.pairs, identity_of)
+    scores = score_trials(cohort, trials)
     write_trials_csv(out, trials, scores)
     print(f"scored pairs: {len(scores)}")
     print(f"scores file: {out}")
@@ -219,17 +212,17 @@ def _cmd_score(args) -> int:
 
 
 def _split_scores(path):
-    pairs, scores = read_trials_csv(path)
+    trials, scores = read_trials_csv(path)
     if np.isnan(scores).any():
         raise DataError(f"{path}: contains unscored pairs; run score first")
-    labels = np.array([p.is_genuine for p in pairs])
+    labels = trials.genuine
     if labels.all() or not labels.any():
         raise DataError(f"{path}: needs both genuine and impostor pairs")
-    return pairs, scores, labels
+    return scores, labels
 
 
 def _cmd_calibrate(args) -> int:
-    _, scores, labels = _split_scores(args.scores)
+    scores, labels = _split_scores(args.scores)
     points = [
         calibrate(scores[labels], scores[~labels], policy) for policy in _policies(args)
     ]
@@ -254,36 +247,30 @@ def _audit_like(args, explain: bool) -> int:
     if args.embeddings:
         cohort = load_cohort(args.embeddings, args.attributes, schema)
         identity_of = {rec.image_id: rec.identity_id for rec in cohort.records.values()}
-        pairs, scores = read_trials_csv(args.scores, identity_of)
+        trials, scores = read_trials_csv(args.scores, identity_of)
         profiles = aggregate_profiles(cohort, schema)
     else:
-        pairs, scores = read_trials_csv(args.scores)
-        identity_of = {}
-        for pair in pairs:
-            identity_of[pair.probe_image_id] = pair.probe_identity
-            identity_of[pair.reference_image_id] = pair.reference_identity
+        trials, scores = read_trials_csv(args.scores)
         rows = {r.image_id: r.values for r in read_attributes(args.attributes, schema)}
-        profiles = profiles_from_rows(rows, identity_of, schema)
+        profiles = profiles_from_rows(rows, trials.identity_of(), schema)
     if np.isnan(scores).any():
         raise DataError(f"{args.scores}: contains unscored pairs; run score first")
-    trials = TrialSet(
-        pairs=tuple(pairs),
-        rng_seed=args.seed if args.seed is not None else 0,
-        policy=TrialPolicy(),
-    )
     options = AuditOptions(
         policies=_policies(args),
         group_by=_group_by(args),
         explain=explain,
         standardize=args.standardize,
     )
-    results = run_audit(trials, scores, profiles, schema, options)
+    seed = args.seed if args.seed is not None else 0
+    return _finish(outdir, run_audit(trials, scores, profiles, schema, options, seed))
+
+
+def _finish(outdir: Path, results: AuditResults) -> int:
+    """Write the report bundle and print one summary line per policy."""
     written = emit_bundle(outdir, results)
     for analysis in results.analyses:
         op = analysis.operating_point
-        print(
-            f"{op.policy}: tau={op.tau:.6f} far={op.far:.6f} frr={op.frr:.6f}"
-        )
+        print(f"{op.policy}: tau={op.tau:.6f} far={op.far:.6f} frr={op.frr:.6f}")
     print(f"report: {written['report']}")
     return 0
 
@@ -312,6 +299,11 @@ def _cmd_run_all(args) -> int:
     unknown = set(data) - {"synth", "trials", "audit"}
     if unknown:
         raise DataError(f"{args.config}: unknown config sections: {sorted(unknown)}")
+    audit_cfg = data.get("audit", {})
+    for key in ("policies", "group_by"):
+        value = audit_cfg.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise DataError(f"{args.config}: audit.{key} must be a list of strings")
 
     config = config_from_dict(data["synth"])
     if args.seed is not None:
@@ -328,10 +320,9 @@ def _cmd_run_all(args) -> int:
         positive_mode=trials_cfg.get("positive_mode", "all_pairs_capped"),
     )
     trials = generate_trials(cohort, policy, config.seed)
-    scores = score_parallel(cohort, trials, args.workers)
+    scores = score_trials(cohort, trials)
     write_trials_csv(outdir / "trials.csv", trials, scores)
 
-    audit_cfg = data.get("audit", {})
     options = AuditOptions(
         policies=(
             _policies(args)
@@ -349,13 +340,7 @@ def _cmd_run_all(args) -> int:
     )
     for policy_text in options.policies:
         parse_policy(policy_text)
-    results = audit_cohort(cohort, trials, scores, schema, options)
-    written = emit_bundle(outdir, results)
-    for analysis in results.analyses:
-        op = analysis.operating_point
-        print(f"{op.policy}: tau={op.tau:.6f} far={op.far:.6f} frr={op.frr:.6f}")
-    print(f"report: {written['report']}")
-    return 0
+    return _finish(outdir, audit_cohort(cohort, trials, scores, schema, options, config.seed))
 
 
 _DISPATCH = {

@@ -22,8 +22,6 @@ from faceaudit.schema import AttributeSchema
 from faceaudit.stats import kruskal_wallis
 from faceaudit.trials import TrialSet
 
-SIGNIFICANCE_LEVELS = (0.1, 0.05, 0.01)
-
 
 @dataclass(frozen=True)
 class IndividualRates:
@@ -48,35 +46,29 @@ def individual_rates(
     """
     if len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
-    genuine_total: dict[str, int] = {}
-    genuine_reject: dict[str, int] = {}
-    impostor_total: dict[str, int] = {}
-    impostor_accept: dict[str, int] = {}
-    for pair, score in zip(trials.pairs, scores):
-        ident = pair.probe_identity
-        if pair.is_genuine:
-            genuine_total[ident] = genuine_total.get(ident, 0) + 1
-            if not score > tau:
-                genuine_reject[ident] = genuine_reject.get(ident, 0) + 1
-        else:
-            impostor_total[ident] = impostor_total.get(ident, 0) + 1
-            if score > tau:
-                impostor_accept[ident] = impostor_accept.get(ident, 0) + 1
+    probe = trials.probe_codes
+    genuine = trials.genuine
+    accepted = np.asarray(scores) > tau
+
+    def count(mask: np.ndarray) -> list[int]:
+        return np.bincount(probe[mask], minlength=len(trials.identities)).tolist()
+
+    n_gen, n_imp = count(genuine), count(~genuine)
+    rejected_gen, accepted_imp = count(genuine & ~accepted), count(~genuine & accepted)
     rates = []
     excluded = []
-    for ident in sorted(set(genuine_total) | set(impostor_total)):
-        n_gen = genuine_total.get(ident, 0)
-        n_imp = impostor_total.get(ident, 0)
-        if n_gen == 0 or n_imp == 0:
-            excluded.append(ident)
+    for code, ident in enumerate(trials.identities):
+        if n_gen[code] == 0 or n_imp[code] == 0:
+            if n_gen[code] or n_imp[code]:
+                excluded.append(ident)
             continue
         rates.append(
             IndividualRates(
                 identity_id=ident,
-                far=impostor_accept.get(ident, 0) / n_imp,
-                frr=genuine_reject.get(ident, 0) / n_gen,
-                n_genuine=n_gen,
-                n_impostor=n_imp,
+                far=accepted_imp[code] / n_imp[code],
+                frr=rejected_gen[code] / n_gen[code],
+                n_genuine=n_gen[code],
+                n_impostor=n_imp[code],
             )
         )
     return rates, tuple(excluded)
@@ -303,8 +295,3 @@ def kruskal_pairwise(samples: dict[str, np.ndarray]) -> PairwiseTests:
             h_values[i, j] = h_values[j, i] = h
             p_values[i, j] = p_values[j, i] = p
     return PairwiseTests(labels=labels, h_values=h_values, p_values=p_values)
-
-
-def significance(p: float) -> tuple[float, ...]:
-    """The conventional alpha levels this p-value clears, largest first."""
-    return tuple(alpha for alpha in SIGNIFICANCE_LEVELS if p < alpha)

@@ -1,14 +1,11 @@
 """Orchestration: wire cohort, trials, calibration, metrics, and explain
 into one audit result object that the report layer can render.
 
-Every step here is deterministic given (inputs, seed); scoring may be
-split across workers but each pair's score depends only on its own two
-vectors, so the worker count never changes the output.
+Every step here is deterministic given (inputs, seed).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +27,7 @@ from faceaudit.metrics import (
     one_axis_deltas,
 )
 from faceaudit.schema import AttributeSchema
-from faceaudit.trials import TrialSet, score_trials
+from faceaudit.trials import TrialSet
 
 _METRICS = ("far", "frr")
 
@@ -90,29 +87,6 @@ class AuditResults:
     notes: dict[str, str] = field(default_factory=dict)
 
 
-def score_parallel(cohort: Cohort, trials: TrialSet, workers: int = 1) -> np.ndarray:
-    """Score pairs, optionally fanning chunks out to a thread pool.
-
-    Results are reassembled in pair order, so any worker count produces
-    the identical array.
-    """
-    if workers <= 1 or len(trials.pairs) < 2 * workers:
-        return score_trials(cohort, trials)
-    bounds = np.linspace(0, len(trials.pairs), workers + 1).astype(int)
-    slices = [
-        TrialSet(
-            pairs=trials.pairs[bounds[i] : bounds[i + 1]],
-            rng_seed=trials.rng_seed,
-            policy=trials.policy,
-        )
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda s: score_trials(cohort, s), slices))
-    return np.concatenate(parts)
-
-
 def profiles_from_rows(
     rows_by_image: dict[str, dict[str, float]],
     identity_of: dict[str, str],
@@ -142,16 +116,18 @@ def run_audit(
     profiles: list[AttributeProfile],
     schema: AttributeSchema,
     options: AuditOptions,
+    seed: int = 0,
 ) -> AuditResults:
     """Calibrate per policy, then compute group rates, gaps, tests, and
-    (optionally) the explanatory analyses."""
+    (optionally) the explanatory analyses.  ``seed`` is the trial
+    generator seed, recorded in the results."""
     if len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
     if not np.isfinite(scores).all():
         raise DataError("audit requires fully scored trials (no missing scores)")
     spec = GroupSpec(attributes=tuple(options.group_by))
     spec.validate(schema)
-    labels = np.array([p.is_genuine for p in trials.pairs])
+    labels = trials.genuine
     genuine = scores[labels]
     impostor = scores[~labels]
     encoding = EncodingConfig(
@@ -215,9 +191,9 @@ def run_audit(
         )
     return AuditResults(
         tool_version=__version__,
-        seed=trials.rng_seed,
+        seed=seed,
         group_by=tuple(options.group_by),
-        n_identities=len({p.probe_identity for p in trials.pairs}),
+        n_identities=len(np.unique(trials.probe_codes)),
         n_genuine=int(labels.sum()),
         n_impostor=int((~labels).sum()),
         excluded_identities=excluded,
@@ -234,7 +210,8 @@ def audit_cohort(
     scores: np.ndarray,
     schema: AttributeSchema,
     options: AuditOptions,
+    seed: int = 0,
 ) -> AuditResults:
     """Convenience wrapper when embeddings and attributes are in memory."""
     profiles = aggregate_profiles(cohort, schema)
-    return run_audit(trials, scores, profiles, schema, options)
+    return run_audit(trials, scores, profiles, schema, options, seed)

@@ -115,13 +115,7 @@ class AttributeSchema:
         for v in self.variables:
             if v.name == name:
                 return v
-        raise KeyError(name)
-
-    def family_sizes(self) -> dict[str, int]:
-        sizes: dict[str, int] = {}
-        for v in self.variables:
-            sizes[v.family] = sizes.get(v.family, 0) + 1
-        return sizes
+        raise SchemaError(f"unknown attribute {name!r}")
 
     def level_index(self, name: str, level: str) -> int:
         var = self.variable(name)

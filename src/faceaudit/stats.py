@@ -146,19 +146,6 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     raise NumericalError(f"incomplete gamma continued fraction failed for a={a}, x={x}")
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) for a > 0, x >= 0."""
-    if not a > 0.0:
-        raise NumericalError(f"reg_lower_gamma requires a > 0, got {a}")
-    if x < 0.0:
-        raise NumericalError(f"reg_lower_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
 def chi_square_sf(x: float, dof: int) -> float:
     """P(X >= x) for a chi-square variable with `dof` degrees of freedom."""
     if dof < 1:

@@ -5,13 +5,20 @@ Each identity contributes genuine (same-identity) and impostor
 four images yields all 6 unordered genuine pairs and 50 impostor pairs.
 Scores are cosine similarities in [-1, 1]; a pair is accepted when the
 score is strictly greater than the decision threshold.
+
+Trials are columnar: a ``TrialSet`` is an image table plus an integer
+array of (probe, reference) image rows, one row per trial.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,24 +27,6 @@ from faceaudit.cohort import Cohort
 from faceaudit.errors import DataError, TrialError
 
 _POSITIVE_MODES = ("all_pairs_capped", "sample")
-
-
-@dataclass(frozen=True)
-class TrialPair:
-    probe_image_id: str
-    reference_image_id: str
-    probe_identity: str
-    reference_identity: str
-
-    def __post_init__(self):
-        if self.is_genuine and self.probe_image_id == self.reference_image_id:
-            raise TrialError(
-                f"genuine pair cannot reuse image {self.probe_image_id!r} on both sides"
-            )
-
-    @property
-    def is_genuine(self) -> bool:
-        return self.probe_identity == self.reference_identity
 
 
 @dataclass(frozen=True)
@@ -67,81 +56,119 @@ class TrialPolicy:
             raise TrialError("positive_mode='sample' requires an explicit positive count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialSet:
-    pairs: tuple[TrialPair, ...]
-    rng_seed: int
-    policy: TrialPolicy
+    """Trials as rows of an image table.
+
+    ``image_ids`` lists the images identity by identity, identities in
+    sorted order; ``identity_codes[i]`` indexes ``identities`` with the
+    identity of image ``i``.  Trial ``k`` compares the images in rows
+    ``pairs[k] = (probe, reference)``; it is genuine when both images
+    share an identity.
+    """
+
+    image_ids: tuple[str, ...]
+    identity_codes: np.ndarray  # int, one per image
+    identities: tuple[str, ...]  # sorted
+    pairs: np.ndarray  # int, shape (n_pairs, 2)
     skipped_identities: tuple[str, ...] = field(default=())
+
+    @classmethod
+    def from_image_pairs(
+        cls, pairs: Sequence[tuple[str, str]], identity_of: Mapping[str, str]
+    ) -> TrialSet:
+        """Trials over the images ``pairs`` name, labelled by ``identity_of``."""
+        images: dict[str, list[str]] = {}
+        for image in sorted({image for pair in pairs for image in pair}):
+            images.setdefault(identity_of[image], []).append(image)
+        image_ids, codes, identities = _image_table(images)
+        row_of = {image: row for row, image in enumerate(image_ids)}
+        rows = array("q", (row_of[image] for pair in pairs for image in pair))
+        return cls(image_ids, codes, identities, np.array(rows, dtype=np.intp).reshape(-1, 2))
+
+    @cached_property
+    def genuine(self) -> np.ndarray:
+        """Boolean mask aligned with ``pairs``: True for same-identity trials."""
+        codes = self.identity_codes[self.pairs]
+        return codes[:, 0] == codes[:, 1]
+
+    @property
+    def probe_codes(self) -> np.ndarray:
+        """Identity code of each trial's probe image."""
+        return self.identity_codes[self.pairs[:, 0]]
 
     @property
     def n_genuine(self) -> int:
-        return sum(1 for p in self.pairs if p.is_genuine)
+        return int(self.genuine.sum())
 
     @property
     def n_impostor(self) -> int:
         return len(self.pairs) - self.n_genuine
 
-    def by_identity(self) -> dict[str, list[TrialPair]]:
-        """Pairs grouped by probe identity, insertion order preserved."""
-        out: dict[str, list[TrialPair]] = {}
-        for pair in self.pairs:
-            out.setdefault(pair.probe_identity, []).append(pair)
-        return out
+    def identity_of(self) -> dict[str, str]:
+        """Image id to identity name, for every image in the table."""
+        return {
+            image: self.identities[code]
+            for image, code in zip(self.image_ids, self.identity_codes.tolist())
+        }
 
 
-def _genuine_pairs(identity: str, image_ids, policy: TrialPolicy, rng) -> list[TrialPair]:
-    ids = list(image_ids)
+def _image_table(
+    images_by_identity: Mapping[str, Sequence[str]],
+) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
+    """(image ids, identity code per image, identity names), identities sorted."""
+    identities = tuple(sorted(images_by_identity))
+    image_ids = tuple(image for ident in identities for image in images_by_identity[ident])
+    sizes = [len(images_by_identity[ident]) for ident in identities]
+    return image_ids, np.repeat(np.arange(len(identities), dtype=np.intp), sizes), identities
+
+
+def _genuine_pairs(start: int, n_own: int, policy: TrialPolicy, rng) -> list[tuple[int, int]]:
+    """Genuine pairs among the ``n_own`` image rows beginning at ``start``."""
     all_pairs = [
-        TrialPair(ids[i], ids[j], identity, identity)
-        for i in range(len(ids))
-        for j in range(i + 1, len(ids))
+        (start + i, start + j) for i in range(n_own) for j in range(i + 1, n_own)
     ]
     cap = policy.positives_per_identity
     if policy.positive_mode == "sample":
-        k = min(cap, len(all_pairs))
-        chosen = rng.choice(len(all_pairs), size=k, replace=False)
-        return [all_pairs[i] for i in sorted(chosen)]
-    if cap is None or len(all_pairs) <= cap:
+        cap = min(cap, len(all_pairs))
+    elif cap is None or len(all_pairs) <= cap:
         return all_pairs
     chosen = rng.choice(len(all_pairs), size=cap, replace=False)
     return [all_pairs[i] for i in sorted(chosen)]
 
 
 def _impostor_pairs(
-    identity: str,
-    image_ids,
-    other_images: list[tuple[str, str]],
-    policy: TrialPolicy,
-    rng,
-) -> list[TrialPair]:
+    identity: str, start: int, n_own: int, n_images: int, policy: TrialPolicy, rng
+) -> list[tuple[int, int]]:
     """Draw distinct cross-identity pairs by rejection sampling.
 
     Each draw picks one of this identity's images uniformly and one
     image of any other identity uniformly; duplicates of an already
-    drawn (probe, reference) pair are rejected and redrawn.
+    drawn (probe, reference) pair are rejected and redrawn.  The
+    identity's own rows are ``start .. start + n_own - 1``; the second
+    draw indexes the remaining rows and skips over that block.
     """
     need = policy.negatives_per_identity
     if need == 0:
         return []
-    n_own = len(image_ids)
-    n_other = len(other_images)
+    n_other = n_images - n_own
     if n_own * n_other < need:
         raise TrialError(
             f"identity {identity!r}: only {n_own * n_other} distinct impostor pairs "
             f"available, policy requires {need}"
         )
-    own = list(image_ids)
-    seen: set[tuple[str, str]] = set()
-    pairs: list[TrialPair] = []
+    seen: set[int] = set()
+    pairs: list[tuple[int, int]] = []
     while len(pairs) < need:
-        probe = own[rng.integers(n_own)]
-        ref_image, ref_identity = other_images[rng.integers(n_other)]
-        key = (probe, ref_image)
+        probe = start + int(rng.integers(n_own))
+        reference = int(rng.integers(n_other))
+        if reference >= start:
+            reference += n_own
+        key = probe * n_images + reference
         if key in seen:
             continue
         seen.add(key)
-        pairs.append(TrialPair(probe, ref_image, identity, ref_identity))
+        pairs.append((probe, reference))
     return pairs
 
 
@@ -149,39 +176,35 @@ def generate_trials(cohort: Cohort, policy: TrialPolicy, seed: int) -> TrialSet:
     """Build the full trial list, iterating identities in sorted order.
 
     Identities with fewer than two images cannot form genuine pairs and
-    are skipped with a warning.  The same (cohort, policy, seed) triple
-    always yields the same pair list.
+    are skipped with a warning; their images still serve as impostor
+    references.  The same (cohort, policy, seed) triple always yields
+    the same pair list.
     """
-    eligible = {k: v for k, v in cohort.identities.items() if len(v) >= 2}
-    skipped = tuple(sorted(set(cohort.identities) - set(eligible)))
+    skipped = tuple(sorted(k for k, v in cohort.identities.items() if len(v) < 2))
     for identity in skipped:
         warnings.warn(f"identity {identity!r} has fewer than two images; skipped", stacklevel=2)
-    if len(eligible) < 2:
+    if len(cohort.identities) - len(skipped) < 2:
         raise DataError("need at least two identities with two or more images each")
 
-    all_images = [
-        (image_id, identity)
-        for identity in sorted(cohort.identities)
-        for image_id in cohort.identities[identity]
-    ]
+    image_ids, codes, identities = _image_table(cohort.identities)
     rng = np.random.Generator(np.random.PCG64(seed))
-    pairs: list[TrialPair] = []
-    for identity in sorted(eligible):
-        image_ids = eligible[identity]
-        pairs.extend(_genuine_pairs(identity, image_ids, policy, rng))
-        others = [(img, ident) for img, ident in all_images if ident != identity]
-        pairs.extend(_impostor_pairs(identity, image_ids, others, policy, rng))
-    return TrialSet(pairs=tuple(pairs), rng_seed=seed, policy=policy, skipped_identities=skipped)
-
-
-def cosine_score(u: np.ndarray, v: np.ndarray) -> float:
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DataError("cannot score a zero-norm embedding")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    rows = array("q")  # (probe, reference) image rows, flattened
+    start = 0
+    for identity in identities:
+        n_own = len(cohort.identities[identity])
+        if n_own >= 2:
+            for pair in _genuine_pairs(start, n_own, policy, rng):
+                rows.extend(pair)
+            for pair in _impostor_pairs(identity, start, n_own, len(image_ids), policy, rng):
+                rows.extend(pair)
+        start += n_own
+    return TrialSet(
+        image_ids=image_ids,
+        identity_codes=codes,
+        identities=identities,
+        pairs=np.array(rows, dtype=np.intp).reshape(-1, 2),
+        skipped_identities=skipped,
+    )
 
 
 def score_trials(cohort: Cohort, trials: TrialSet, chunk_size: int = 4096) -> np.ndarray:
@@ -190,31 +213,29 @@ def score_trials(cohort: Cohort, trials: TrialSet, chunk_size: int = 4096) -> np
     Scoring is chunked for memory; each score depends only on its own
     two vectors, so the chunk size never changes the result.
     """
-    pairs = trials.pairs
-    scores = np.empty(len(pairs), dtype=np.float64)
-    for start in range(0, len(pairs), chunk_size):
-        block = pairs[start : start + chunk_size]
-        probes = np.stack([cohort.vector(p.probe_image_id) for p in block]).astype(np.float64)
-        refs = np.stack([cohort.vector(p.reference_image_id) for p in block]).astype(np.float64)
-        pn = np.linalg.norm(probes, axis=1)
-        rn = np.linalg.norm(refs, axis=1)
-        for offset in (np.flatnonzero(pn == 0.0), np.flatnonzero(rn == 0.0)):
-            if offset.size:
-                bad = block[int(offset[0])]
-                which = bad.probe_image_id if pn[offset[0]] == 0 else bad.reference_image_id
-                raise DataError(f"cannot score zero-norm embedding {which!r}")
-        scores[start : start + len(block)] = np.clip(
-            np.einsum("ij,ij->i", probes, refs) / (pn * rn), -1.0, 1.0
+    vectors = np.array(
+        [cohort.vector(image_id) for image_id in trials.image_ids], dtype=np.float64
+    ).reshape(len(trials.image_ids), cohort.dim)
+    norms = np.linalg.norm(vectors, axis=1)
+    used = trials.pairs.ravel()
+    zero = np.flatnonzero(norms[used] == 0.0)
+    if zero.size:
+        which = trials.image_ids[used[zero[0]]]
+        raise DataError(f"cannot score zero-norm embedding {which!r}")
+    scores = np.empty(len(trials.pairs), dtype=np.float64)
+    for start in range(0, len(trials.pairs), chunk_size):
+        probe, reference = trials.pairs[start : start + chunk_size].T
+        scores[start : start + len(probe)] = np.clip(
+            np.einsum("ij,ij->i", vectors[probe], vectors[reference])
+            / (norms[probe] * norms[reference]),
+            -1.0,
+            1.0,
         )
     return scores
 
 
-def decide(score: float, tau: float) -> bool:
-    """Accept the pair as a match when the score strictly exceeds tau."""
-    return score > tau
-
-
 _CSV_HEADER = ["probe_image_id", "reference_image_id", "label", "score"]
+_LABELS = {True: "genuine", False: "impostor"}
 
 
 def write_trials_csv(
@@ -223,21 +244,20 @@ def write_trials_csv(
     """Export pairs as delimited text; the score cell is empty when unscored."""
     if scores is not None and len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
+    # Rows are produced lazily, so no per-row Python objects pile up.
+    probes = map(trials.image_ids.__getitem__, trials.pairs[:, 0])
+    references = map(trials.image_ids.__getitem__, trials.pairs[:, 1])
+    labels = map(_LABELS.__getitem__, trials.genuine.tolist())
+    cells = repeat("") if scores is None else map(repr, map(float, scores))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
-        for i, pair in enumerate(trials.pairs):
-            writer.writerow(
-                [
-                    pair.probe_image_id,
-                    pair.reference_image_id,
-                    "genuine" if pair.is_genuine else "impostor",
-                    "" if scores is None else repr(float(scores[i])),
-                ]
-            )
+        writer.writerows(zip(probes, references, labels, cells))
 
 
-def _identities_from_labels(rows: list[tuple[str, str, str]]) -> dict[str, str]:
+def _identities_from_labels(
+    pairs: list[tuple[str, str]], stated_genuine: list[bool]
+) -> dict[str, str]:
     """Recover an image-to-identity map from genuine-pair connectivity.
 
     Genuine pairs link images of one identity; connected components of
@@ -255,10 +275,10 @@ def _identities_from_labels(rows: list[tuple[str, str, str]]) -> dict[str, str]:
             parent[x], x = root, parent[x]
         return root
 
-    for probe, reference, label in rows:
+    for (probe, reference), genuine in zip(pairs, stated_genuine):
         for image in (probe, reference):
             parent.setdefault(image, image)
-        if label == "genuine":
+        if genuine:
             ra, rb = find(probe), find(reference)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
@@ -267,8 +287,8 @@ def _identities_from_labels(rows: list[tuple[str, str, str]]) -> dict[str, str]:
 
 def read_trials_csv(
     path: str | Path, identity_of: dict[str, str] | None = None
-) -> tuple[list[TrialPair], np.ndarray]:
-    """Read pairs back; returns (pairs, scores), unscored cells as NaN.
+) -> tuple[TrialSet, np.ndarray]:
+    """Read pairs back; returns (trials, scores), unscored cells as NaN.
 
     The file format carries no identity column.  When ``identity_of``
     is given it supplies the labels (and the stated genuine/impostor
@@ -284,7 +304,8 @@ def read_trials_csv(
             raise DataError(f"{path}: empty trial file") from None
         if header != _CSV_HEADER:
             raise DataError(f"{path}: unrecognised trial file header {header!r}")
-        rows: list[tuple[str, str, str]] = []
+        pairs: list[tuple[str, str]] = []
+        stated_genuine: list[bool] = []
         scores: list[float] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -293,22 +314,27 @@ def read_trials_csv(
                 raise DataError(f"{path}:{lineno}: expected 4 cells, got {len(row)}")
             if row[2] not in ("genuine", "impostor"):
                 raise DataError(f"{path}:{lineno}: bad label {row[2]!r}")
-            rows.append((row[0], row[1], row[2]))
+            pairs.append((row[0], row[1]))
+            stated_genuine.append(row[2] == "genuine")
             try:
                 scores.append(float(row[3]) if row[3].strip() else float("nan"))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad score {row[3]!r}") from None
-    mapping = identity_of if identity_of is not None else _identities_from_labels(rows)
-    pairs = []
-    for i, (probe, reference, label) in enumerate(rows, start=2):
+    if identity_of is None:
+        mapping = _identities_from_labels(pairs, stated_genuine)
+    else:
+        mapping = identity_of
+    for i, ((probe, reference), stated) in enumerate(zip(pairs, stated_genuine), start=2):
         try:
             probe_ident = mapping[probe]
             ref_ident = mapping[reference]
         except KeyError as exc:
             raise DataError(f"{path}: unknown image_id {exc} in row {i}") from None
         if identity_of is not None:
-            stated = label == "genuine"
             if stated != (probe_ident == ref_ident):
                 raise DataError(f"{path}: row {i} label contradicts the identity map")
-        pairs.append(TrialPair(probe, reference, probe_ident, ref_ident))
-    return pairs, np.asarray(scores, dtype=np.float64)
+        if probe == reference:
+            raise DataError(
+                f"{path}: row {i}: genuine pair cannot reuse image {probe!r} on both sides"
+            )
+    return TrialSet.from_image_pairs(pairs, mapping), np.asarray(scores, dtype=np.float64)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faceaudit.calibration import OperatingPoint, calibrate, parse_policy, sweep_rates
+from faceaudit.calibration import calibrate, parse_policy, sweep_rates
 from faceaudit.errors import DataError
 
 
@@ -99,12 +99,10 @@ class TestCalibrateEer:
         assert op.tau == pytest.approx(0.5)
         assert op.far == pytest.approx(1 / 3)
         assert op.frr == pytest.approx(1 / 3)
-        assert op.eer == pytest.approx(1 / 3)
 
     def test_fully_separated(self):
         op = calibrate(np.array([0.8, 0.9]), np.array([0.1, 0.2]), "eer")
         assert op.far == 0.0 and op.frr == 0.0
-        assert op.eer == 0.0
 
     def test_all_scores_equal(self):
         # any threshold >= 0.5 rejects everything, below accepts everything;
@@ -179,9 +177,3 @@ class TestCalibrateFarTarget:
         op = calibrate(np.array([0.9, 0.8]), np.array([0.1, 0.2]), "far@0.01")
         assert op.policy == "far@0.01"
         assert calibrate(np.array([0.9, 0.8]), np.array([0.1, 0.2]), "eer").policy == "eer"
-
-
-class TestOperatingPoint:
-    def test_eer_midpoint(self):
-        op = OperatingPoint(tau=0.5, far=0.2, frr=0.3, policy="eer")
-        assert op.eer == pytest.approx(0.25)

@@ -21,15 +21,19 @@ from faceaudit.metrics import (
     individual_rates,
     kruskal_pairwise,
     one_axis_deltas,
-    significance,
     table_grid,
 )
+from faceaudit.report import GLYPH_POLICY, _glyphs_for
 from faceaudit.schema import default_schema
-from faceaudit.trials import TrialPair, TrialPolicy, TrialSet
+from faceaudit.trials import TrialSet
 
 
 def _trial_set(pairs):
-    return TrialSet(pairs=tuple(pairs), rng_seed=0, policy=TrialPolicy())
+    """Trials from (probe image, reference image, probe identity, reference identity)."""
+    identity_of = {}
+    for probe, ref, probe_ident, ref_ident in pairs:
+        identity_of[probe], identity_of[ref] = probe_ident, ref_ident
+    return TrialSet.from_image_pairs([pair[:2] for pair in pairs], identity_of)
 
 
 def _profile(identity, gender=None, ethnicity=None, **extra):
@@ -44,12 +48,12 @@ def _profile(identity, gender=None, ethnicity=None, **extra):
 class TestIndividualRates:
     def test_hand_counted(self):
         pairs = [
-            TrialPair("a0", "a1", "a", "a"),  # genuine, score 0.9 > 0.5: accept
-            TrialPair("a0", "a2", "a", "a"),  # genuine, score 0.3 <= 0.5: reject
-            TrialPair("a0", "b0", "a", "b"),  # impostor, score 0.7 > 0.5: accept
-            TrialPair("a1", "b1", "a", "b"),  # impostor, score 0.2: reject
-            TrialPair("b0", "b1", "b", "b"),  # genuine, score 0.6: accept
-            TrialPair("b0", "a0", "b", "a"),  # impostor, score 0.5: reject (strict)
+            ("a0", "a1", "a", "a"),  # genuine, score 0.9 > 0.5: accept
+            ("a0", "a2", "a", "a"),  # genuine, score 0.3 <= 0.5: reject
+            ("a0", "b0", "a", "b"),  # impostor, score 0.7 > 0.5: accept
+            ("a1", "b1", "a", "b"),  # impostor, score 0.2: reject
+            ("b0", "b1", "b", "b"),  # genuine, score 0.6: accept
+            ("b0", "a0", "b", "a"),  # impostor, score 0.5: reject (strict)
         ]
         scores = np.array([0.9, 0.3, 0.7, 0.2, 0.6, 0.5])
         rates, excluded = individual_rates(_trial_set(pairs), scores, tau=0.5)
@@ -64,10 +68,10 @@ class TestIndividualRates:
     def test_counts_by_probe_identity(self):
         # the impostor trial belongs to the probe side's identity
         pairs = [
-            TrialPair("a0", "a1", "a", "a"),
-            TrialPair("a0", "b0", "a", "b"),
-            TrialPair("b0", "b1", "b", "b"),
-            TrialPair("b0", "a1", "b", "a"),
+            ("a0", "a1", "a", "a"),
+            ("a0", "b0", "a", "b"),
+            ("b0", "b1", "b", "b"),
+            ("b0", "a1", "b", "a"),
         ]
         scores = np.array([0.9, 0.9, 0.9, 0.1])
         rates, _ = individual_rates(_trial_set(pairs), scores, tau=0.5)
@@ -77,10 +81,10 @@ class TestIndividualRates:
 
     def test_missing_side_excluded(self):
         pairs = [
-            TrialPair("a0", "a1", "a", "a"),  # a has only genuine
-            TrialPair("b0", "a0", "b", "a"),  # b has only impostor
-            TrialPair("c0", "c1", "c", "c"),
-            TrialPair("c0", "a0", "c", "a"),
+            ("a0", "a1", "a", "a"),  # a has only genuine
+            ("b0", "a0", "b", "a"),  # b has only impostor
+            ("c0", "c1", "c", "c"),
+            ("c0", "a0", "c", "a"),
         ]
         scores = np.array([0.9, 0.1, 0.9, 0.1])
         rates, excluded = individual_rates(_trial_set(pairs), scores, tau=0.5)
@@ -93,21 +97,22 @@ class TestIndividualRates:
         identities = [f"p{i}" for i in range(6)]
         for ident in identities:
             for k in range(4):
-                pairs.append(TrialPair(f"{ident}_0", f"{ident}_{k + 1}", ident, ident))
+                pairs.append((f"{ident}_0", f"{ident}_{k + 1}", ident, ident))
             for k in range(9):
                 other = identities[(identities.index(ident) + 1 + k % 5) % 6]
-                pairs.append(TrialPair(f"{ident}_0", f"{other}_x{k}", ident, other))
+                pairs.append((f"{ident}_0", f"{other}_x{k}", ident, other))
         scores = rng.uniform(-1, 1, size=len(pairs))
         tau = 0.1
         rates, _ = individual_rates(_trial_set(pairs), scores, tau)
         for r in rates:
-            gen = [s for p, s in zip(pairs, scores) if p.probe_identity == r.identity_id and p.is_genuine]
-            imp = [s for p, s in zip(pairs, scores) if p.probe_identity == r.identity_id and not p.is_genuine]
+            own = [(p, s) for p, s in zip(pairs, scores) if p[2] == r.identity_id]
+            gen = [s for p, s in own if p[3] == p[2]]
+            imp = [s for p, s in own if p[3] != p[2]]
             assert r.frr == pytest.approx(sum(1 for s in gen if s <= tau) / len(gen))
             assert r.far == pytest.approx(sum(1 for s in imp if s > tau) / len(imp))
 
     def test_length_mismatch_rejected(self):
-        pairs = [TrialPair("a0", "a1", "a", "a")]
+        pairs = [("a0", "a1", "a", "a")]
         with pytest.raises(DataError):
             individual_rates(_trial_set(pairs), np.zeros(3), tau=0.5)
 
@@ -383,12 +388,13 @@ class TestKruskalPairwise:
 
 
 class TestSignificance:
+    # The report's glyph table is the one list of significance levels.
     def test_levels_cleared(self):
-        assert significance(0.2) == ()
-        assert significance(0.07) == (0.1,)
-        assert significance(0.03) == (0.1, 0.05)
-        assert significance(0.005) == (0.1, 0.05, 0.01)
+        assert [alpha for alpha, _ in GLYPH_POLICY] == [0.05, 0.01]
+        assert _glyphs_for(0.2, GLYPH_POLICY) == ""
+        assert _glyphs_for(0.03, GLYPH_POLICY) == "o"
+        assert _glyphs_for(0.005, GLYPH_POLICY) == "o\\"
 
     def test_boundary_is_strict(self):
-        assert significance(0.05) == (0.1,)
-        assert significance(0.01) == (0.1, 0.05)
+        assert _glyphs_for(0.05, GLYPH_POLICY) == ""
+        assert _glyphs_for(0.01, GLYPH_POLICY) == "o"

@@ -1,5 +1,7 @@
 """Tests for the attribute schema: defaults, validation, JSON round-trip."""
 
+from collections import Counter
+
 import pytest
 
 from faceaudit.errors import SchemaError
@@ -19,7 +21,7 @@ class TestDefaultSchema:
         assert len(default_schema().variables) == 20
 
     def test_family_sizes(self):
-        sizes = default_schema().family_sizes()
+        sizes = Counter(v.family for v in default_schema().variables)
         assert sizes == {
             "protected": 3,
             "facial_hair": 3,
@@ -46,7 +48,7 @@ class TestDefaultSchema:
         assert schema.variable("ethnicity").levels == ("asian", "black", "caucasian")
 
     def test_variable_lookup_missing(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SchemaError, match="not_a_variable"):
             default_schema().variable("not_a_variable")
 
 

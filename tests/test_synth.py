@@ -39,8 +39,8 @@ def _mean_rates(config, policy="eer", seed=0):
         cohort, TrialPolicy(negatives_per_identity=20), seed=seed
     )
     scores = score_trials(cohort, trials)
-    genuine = scores[[p.is_genuine for p in trials.pairs]]
-    impostor = scores[[not p.is_genuine for p in trials.pairs]]
+    genuine = scores[trials.genuine]
+    impostor = scores[~trials.genuine]
     return calibrate(genuine, impostor, policy)
 
 

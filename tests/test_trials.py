@@ -1,7 +1,5 @@
 """Tests for trial-pair generation, scoring, decisions, and CSV round-trips."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +7,10 @@ from hypothesis import strategies as st
 
 from faceaudit.cohort import EmbeddingRecord, build_cohort
 from faceaudit.errors import DataError, TrialError
+from faceaudit.metrics import individual_rates
 from faceaudit.trials import (
-    TrialPair,
     TrialPolicy,
     TrialSet,
-    cosine_score,
-    decide,
     generate_trials,
     read_trials_csv,
     score_trials,
@@ -32,18 +28,113 @@ def _cohort(n_identities=8, images_each=4, dim=16, seed=0):
     return build_cohort(records)
 
 
+def _image_pairs(trials):
+    """(probe image id, reference image id) per trial."""
+    ids = trials.image_ids
+    return [(ids[p], ids[r]) for p, r in trials.pairs.tolist()]
+
+
+def _by_identity(trials):
+    """Probe identity -> [(probe id, reference id, genuine, reference identity)]."""
+    identity_of = trials.identity_of()
+    out = {}
+    for (probe, ref), genuine in zip(_image_pairs(trials), trials.genuine.tolist()):
+        out.setdefault(identity_of[probe], []).append(
+            (probe, ref, genuine, identity_of[ref])
+        )
+    return out
+
+
+def _pair_score(u, v):
+    """score_trials on one genuine pair whose images hold vectors u and v."""
+    records = [EmbeddingRecord("a_0", "a", np.asarray(u)), EmbeddingRecord("a_1", "a", np.asarray(v))]
+    trials = TrialSet.from_image_pairs([("a_0", "a_1")], {"a_0": "a", "a_1": "a"})
+    return float(score_trials(build_cohort(records), trials)[0])
+
+
+def _reference_pairs(cohort, policy, seed):
+    """The pair list of the original string-based sampler.
+
+    For each identity it rebuilds the list of every other identity's
+    image ids and rejection-samples (probe, reference) id pairs from it,
+    drawing from the generator in the same order as ``generate_trials``.
+    """
+    all_images = [
+        (image, ident) for ident in sorted(cohort.identities) for image in cohort.identities[ident]
+    ]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = []
+    for identity in sorted(cohort.identities):
+        ids = list(cohort.identities[identity])
+        if len(ids) < 2:
+            continue
+        genuine = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+        cap = policy.positives_per_identity
+        if policy.positive_mode == "sample" or (cap is not None and len(genuine) > cap):
+            chosen = rng.choice(len(genuine), size=min(cap, len(genuine)), replace=False)
+            genuine = [genuine[i] for i in sorted(chosen)]
+        out.extend(genuine)
+        if policy.negatives_per_identity == 0:
+            continue
+        others = [image for image, ident in all_images if ident != identity]
+        seen = set()
+        while len(seen) < policy.negatives_per_identity:
+            pair = (ids[rng.integers(len(ids))], others[rng.integers(len(others))])
+            if pair not in seen:
+                seen.add(pair)
+                out.append(pair)
+    return out
+
+
+def _uneven_cohort():
+    """Identities with 1 to 7 images, two of them lone, in no size order."""
+    rng = np.random.default_rng(11)
+    sizes = {"ann": 3, "bob": 1, "cat": 7, "dan": 2, "eve": 5, "fay": 1, "gus": 4, "hal": 2, "ivy": 6}
+    records = [
+        EmbeddingRecord(f"{name}_{k}", name, rng.normal(size=8).astype(np.float32))
+        for name, size in sizes.items()
+        for k in range(size)
+    ]
+    return build_cohort(records)
+
+
 class TestTrialPair:
     def test_genuine_flag(self):
-        assert TrialPair("a", "b", "x", "x").is_genuine
-        assert not TrialPair("a", "b", "x", "y").is_genuine
+        identity_of = {"a": "x", "b": "x", "c": "y"}
+        trials = TrialSet.from_image_pairs([("a", "b"), ("a", "c"), ("c", "b")], identity_of)
+        assert trials.genuine.tolist() == [True, False, False]
+        assert (trials.n_genuine, trials.n_impostor) == (1, 2)
 
-    def test_genuine_self_pair_rejected(self):
-        with pytest.raises(TrialError):
-            TrialPair("a", "a", "x", "x")
+    def test_genuine_self_pair_rejected(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "probe_image_id,reference_image_id,label,score\n"
+            "a_0,a_1,genuine,0.9\n"
+            "a_0,a_0,genuine,1.0\n",
+            encoding="utf-8",
+        )
+        for identity_of in (None, {"a_0": "a", "a_1": "a"}):
+            with pytest.raises(DataError, match="cannot reuse image 'a_0'"):
+                read_trials_csv(path, identity_of)
 
-    def test_impostor_same_image_allowed(self):
-        # distinct identities can in principle share an image id across files
-        TrialPair("a", "a", "x", "y")
+
+class TestReferenceSampler:
+    @pytest.mark.filterwarnings("ignore:identity .* has fewer than two images")
+    @pytest.mark.parametrize("uneven", [False, True], ids=["uniform", "uneven"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            TrialPolicy(),
+            TrialPolicy(positives_per_identity=2, positive_mode="sample"),
+            TrialPolicy(negatives_per_identity=0),
+        ],
+        ids=["default", "sample", "no-negatives"],
+    )
+    def test_same_pairs_as_string_sampler(self, policy, seed, uneven):
+        cohort = _uneven_cohort() if uneven else _cohort(n_identities=6, images_each=4)
+        trials = generate_trials(cohort, policy, seed=seed)
+        assert _image_pairs(trials) == _reference_pairs(cohort, policy, seed)
 
 
 class TestTrialPolicy:
@@ -73,33 +164,35 @@ class TestGenuinePairs:
     def test_four_images_give_six_pairs(self):
         cohort = _cohort(n_identities=8, images_each=4)
         trials = generate_trials(cohort, TrialPolicy(negatives_per_identity=0), seed=0)
-        per_identity = trials.by_identity()
+        per_identity = _by_identity(trials)
+        assert len(per_identity) == 8
         for identity, pairs in per_identity.items():
             assert len(pairs) == 6
-            assert all(p.is_genuine for p in pairs)
+            assert all(genuine for _, _, genuine, _ in pairs)
             # C(4,2) pairs, all distinct, never an image against itself
-            keys = {(p.probe_image_id, p.reference_image_id) for p in pairs}
+            keys = {(probe, ref) for probe, ref, _, _ in pairs}
             assert len(keys) == 6
+            assert all(probe != ref for probe, ref in keys)
 
     def test_two_images_give_one_pair(self):
         cohort = _cohort(n_identities=4, images_each=2)
         trials = generate_trials(cohort, TrialPolicy(negatives_per_identity=0), seed=0)
-        for pairs in trials.by_identity().values():
+        for pairs in _by_identity(trials).values():
             assert len(pairs) == 1
 
     def test_cap_subsamples_when_exceeded(self):
         cohort = _cohort(n_identities=3, images_each=6)  # C(6,2) = 15 > 6
         trials = generate_trials(cohort, TrialPolicy(negatives_per_identity=0), seed=0)
-        for pairs in trials.by_identity().values():
+        for pairs in _by_identity(trials).values():
             assert len(pairs) == 6
-            keys = {(p.probe_image_id, p.reference_image_id) for p in pairs}
+            keys = {(probe, ref) for probe, ref, _, _ in pairs}
             assert len(keys) == 6
 
     def test_uncapped_keeps_everything(self):
         cohort = _cohort(n_identities=3, images_each=6)
         policy = TrialPolicy(positives_per_identity=None, negatives_per_identity=0)
         trials = generate_trials(cohort, policy, seed=0)
-        for pairs in trials.by_identity().values():
+        for pairs in _by_identity(trials).values():
             assert len(pairs) == 15
 
     def test_sample_mode_draws_exactly(self):
@@ -108,7 +201,7 @@ class TestGenuinePairs:
             positives_per_identity=4, negatives_per_identity=0, positive_mode="sample"
         )
         trials = generate_trials(cohort, policy, seed=0)
-        for pairs in trials.by_identity().values():
+        for pairs in _by_identity(trials).values():
             assert len(pairs) == 4
 
 
@@ -116,14 +209,13 @@ class TestImpostorPairs:
     def test_fifty_distinct_cross_identity(self):
         cohort = _cohort(n_identities=8, images_each=4)
         trials = generate_trials(cohort, TrialPolicy(), seed=0)
-        for identity, pairs in trials.by_identity().items():
-            impostors = [p for p in pairs if not p.is_genuine]
+        for identity, pairs in _by_identity(trials).items():
+            impostors = [pair for pair in pairs if not pair[2]]
             assert len(impostors) == 50
-            keys = {(p.probe_image_id, p.reference_image_id) for p in impostors}
+            keys = {(probe, ref) for probe, ref, _, _ in impostors}
             assert len(keys) == 50
-            for p in impostors:
-                assert p.probe_identity == identity
-                assert p.reference_identity != identity
+            for _, _, _, ref_identity in impostors:
+                assert ref_identity != identity
 
     def test_unattainable_count_rejected(self):
         # 3 identities x 4 images: 4 * 8 = 32 distinct impostor pairs < 50
@@ -143,19 +235,19 @@ class TestGenerateTrials:
         cohort = _cohort()
         a = generate_trials(cohort, TrialPolicy(), seed=7)
         b = generate_trials(cohort, TrialPolicy(), seed=7)
-        assert a.pairs == b.pairs
+        assert np.array_equal(a.pairs, b.pairs)
 
     def test_seed_changes_impostors(self):
         cohort = _cohort()
         a = generate_trials(cohort, TrialPolicy(), seed=0)
         b = generate_trials(cohort, TrialPolicy(), seed=1)
-        assert a.pairs != b.pairs
+        assert not np.array_equal(a.pairs, b.pairs)
 
     def test_genuine_pairs_stable_across_seeds_when_uncapped(self):
         cohort = _cohort(images_each=3)  # C(3,2) = 3 <= 6, no subsampling
         a = generate_trials(cohort, TrialPolicy(negatives_per_identity=0), seed=0)
         b = generate_trials(cohort, TrialPolicy(negatives_per_identity=0), seed=99)
-        assert a.pairs == b.pairs
+        assert np.array_equal(a.pairs, b.pairs)
 
     def test_single_image_identity_skipped_with_warning(self):
         rng = np.random.default_rng(0)
@@ -171,10 +263,9 @@ class TestGenerateTrials:
                 cohort, TrialPolicy(negatives_per_identity=8), seed=0
             )
         assert trials.skipped_identities == ("lone",)
-        assert "lone" not in trials.by_identity()
-        # skipped images may still serve as impostor references
-        refs = {p.reference_image_id for p in trials.pairs if not p.is_genuine}
-        assert isinstance(refs, set)
+        assert "lone" not in _by_identity(trials)
+        # skipped images stay in the table and may serve as impostor references
+        assert "lone_0" in trials.image_ids
 
     def test_too_few_eligible_identities_rejected(self):
         rng = np.random.default_rng(0)
@@ -198,27 +289,29 @@ class TestGenerateTrials:
 
 class TestCosineScore:
     def test_frozen_value(self):
-        got = cosine_score(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
+        got = _pair_score([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         assert got == pytest.approx(0.9746318461970762, abs=1e-12)
 
     def test_identical_vectors(self):
-        v = np.array([0.3, -0.4, 0.5])
-        assert cosine_score(v, v) == pytest.approx(1.0)
+        v = [0.3, -0.4, 0.5]
+        assert _pair_score(v, v) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert _pair_score([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_opposite(self):
         v = np.array([1.0, 2.0])
-        assert cosine_score(v, -v) == pytest.approx(-1.0)
+        assert _pair_score(v, -v) == pytest.approx(-1.0)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DataError):
-            cosine_score(np.zeros(3), np.ones(3))
+            _pair_score(np.zeros(3), np.ones(3))
 
+    # Vectors are stored as float32, so the scale is a power of two: it
+    # then scales every stored component exactly.
     @given(
         st.lists(st.floats(-10, 10), min_size=3, max_size=3),
-        st.floats(0.1, 100.0),
+        st.integers(-3, 6).map(lambda k: 2.0**k),
     )
     @settings(max_examples=50, deadline=None)
     def test_scale_invariance(self, xs, scale):
@@ -226,12 +319,12 @@ class TestCosineScore:
         if np.linalg.norm(u) < 1e-6:
             return
         v = np.array([0.5, -1.0, 2.0])
-        assert cosine_score(scale * u, v) == pytest.approx(cosine_score(u, v), abs=1e-9)
+        assert _pair_score(scale * u, v) == pytest.approx(_pair_score(u, v), abs=1e-9)
 
     def test_result_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            s = cosine_score(rng.normal(size=5), rng.normal(size=5))
+            s = _pair_score(rng.normal(size=5), rng.normal(size=5))
             assert -1.0 <= s <= 1.0
 
 
@@ -240,10 +333,10 @@ class TestScoreTrials:
         cohort = _cohort(n_identities=5, images_each=4)
         trials = generate_trials(cohort, TrialPolicy(), seed=0)
         scores = score_trials(cohort, trials)
-        for pair, score in zip(trials.pairs[:40], scores[:40]):
-            want = cosine_score(
-                cohort.vector(pair.probe_image_id), cohort.vector(pair.reference_image_id)
-            )
+        for (probe, ref), score in zip(_image_pairs(trials)[:40], scores[:40]):
+            u = cohort.vector(probe).astype(np.float64)
+            v = cohort.vector(ref).astype(np.float64)
+            want = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
             assert score == pytest.approx(want, abs=1e-12)
 
     def test_chunk_size_is_invisible(self):
@@ -267,16 +360,25 @@ class TestScoreTrials:
             score_trials(cohort, trials)
 
 
+def _accepted(score, tau):
+    """Whether individual_rates counts a trial scored ``score`` as a match at ``tau``."""
+    identity_of = {"a_0": "a", "a_1": "a", "b_0": "b"}
+    trials = TrialSet.from_image_pairs([("a_0", "a_1"), ("a_0", "b_0")], identity_of)
+    (rates,), _ = individual_rates(trials, np.array([score, score]), tau)
+    assert rates.far == 1.0 - rates.frr  # the genuine and the impostor trial agree
+    return rates.far == 1.0
+
+
 class TestDecide:
     def test_above_threshold_accepts(self):
-        assert decide(0.8, 0.5) is True
+        assert _accepted(0.8, 0.5) is True
 
     def test_equal_rejects(self):
-        assert decide(0.5, 0.5) is False
+        assert _accepted(0.5, 0.5) is False
 
     def test_negative_scores(self):
-        assert decide(-0.2, -0.3) is True
-        assert decide(-0.3, -0.2) is False
+        assert _accepted(-0.2, -0.3) is True
+        assert _accepted(-0.3, -0.2) is False
 
 
 class TestTrialCsv:
@@ -287,8 +389,9 @@ class TestTrialCsv:
         path = tmp_path / "trials.csv"
         write_trials_csv(path, trials, scores)
         identity_of = {r.image_id: r.identity_id for r in cohort.records.values()}
-        pairs, loaded = read_trials_csv(path, identity_of)
-        assert pairs == list(trials.pairs)
+        got, loaded = read_trials_csv(path, identity_of)
+        assert _image_pairs(got) == _image_pairs(trials)
+        np.testing.assert_array_equal(got.genuine, trials.genuine)
         np.testing.assert_array_equal(loaded, scores)
 
     def test_unscored_round_trip(self, tmp_path):
@@ -297,8 +400,11 @@ class TestTrialCsv:
         path = tmp_path / "pairs.csv"
         write_trials_csv(path, trials)
         identity_of = {r.image_id: r.identity_id for r in cohort.records.values()}
-        pairs, scores = read_trials_csv(path, identity_of)
-        assert pairs == list(trials.pairs)
+        got, scores = read_trials_csv(path, identity_of)
+        assert _image_pairs(got) == _image_pairs(trials)
+        assert got.identity_of() == {
+            image: identity_of[image] for image in got.image_ids
+        }
         assert np.isnan(scores).all()
 
     def test_header_and_columns(self, tmp_path):
@@ -316,17 +422,16 @@ class TestTrialCsv:
         scores = score_trials(cohort, trials)
         path = tmp_path / "trials.csv"
         write_trials_csv(path, trials, scores)
-        pairs, _ = read_trials_csv(path)  # no identity map: reconstruct
-        for got, want in zip(pairs, trials.pairs):
-            assert got.probe_image_id == want.probe_image_id
-            assert got.reference_image_id == want.reference_image_id
-            assert got.is_genuine == want.is_genuine
+        got, _ = read_trials_csv(path)  # no identity map: reconstruct
+        assert _image_pairs(got) == _image_pairs(trials)
+        np.testing.assert_array_equal(got.genuine, trials.genuine)
         # grouping matches up to renaming: same partition of probe images
+        want_of, got_of = trials.identity_of(), got.identity_of()
         want_groups = {}
         got_groups = {}
-        for got, want in zip(pairs, trials.pairs):
-            want_groups.setdefault(want.probe_identity, set()).add(want.probe_image_id)
-            got_groups.setdefault(got.probe_identity, set()).add(got.probe_image_id)
+        for probe, _ in _image_pairs(trials):
+            want_groups.setdefault(want_of[probe], set()).add(probe)
+            got_groups.setdefault(got_of[probe], set()).add(probe)
         assert sorted(want_groups.values(), key=sorted) == sorted(
             got_groups.values(), key=sorted
         )
