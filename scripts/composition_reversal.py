@@ -8,9 +8,15 @@ pooled and per-ethnicity gender gaps side by side.
 
 import argparse
 
-from faceaudit.calibration import calibrate
+from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cohort import aggregate_profiles, build_cohort
-from faceaudit.metrics import GroupSpec, group_rates, individual_rates, one_axis_deltas
+from faceaudit.metrics import (
+    GroupSpec,
+    group_membership,
+    group_rates,
+    individual_rates,
+    one_axis_deltas,
+)
 from faceaudit.schema import default_schema
 from faceaudit.synth import generate, simpson_config
 from faceaudit.trials import TrialPolicy, generate_trials, score_trials
@@ -24,10 +30,11 @@ def run(seed: int) -> None:
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
     labels = trials.genuine
-    op = calibrate(scores[labels], scores[~labels], "eer")
+    op = calibrate(sweep_rates(scores[labels], scores[~labels]), "eer")
     rates, _ = individual_rates(trials, scores, op.tau)
     profiles = aggregate_profiles(cohort, schema)
-    groups, _ = group_rates(rates, profiles, GroupSpec(("gender", "ethnicity")), schema)
+    membership = group_membership(profiles, GroupSpec(("gender", "ethnicity")), schema)
+    groups = group_rates(rates, membership)
 
     print(f"seed {seed}: tau={op.tau:.4f} far={op.far:.4f} frr={op.frr:.4f}")
     print(f"{'comparison':<28}{'delta FAR (man - woman)':>26}")

@@ -10,9 +10,9 @@ import argparse
 
 import numpy as np
 
-from faceaudit.calibration import calibrate
+from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cohort import aggregate_profiles, build_cohort
-from faceaudit.explain import explanatory_report
+from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import individual_rates
 from faceaudit.schema import default_schema
 from faceaudit.synth import SynthConfig, generate
@@ -31,10 +31,10 @@ def run(seeds: int, n_identities: int) -> None:
         trials = generate_trials(cohort, TrialPolicy(), seed=seed)
         scores = score_trials(cohort, trials)
         labels = trials.genuine
-        op = calibrate(scores[labels], scores[~labels], "eer")
+        op = calibrate(sweep_rates(scores[labels], scores[~labels]), "eer")
         rates, _ = individual_rates(trials, scores, op.tau)
         profiles = aggregate_profiles(cohort, schema)
-        report = explanatory_report(profiles, rates, schema, "far", op)
+        report = explanatory_report(*build_design(profiles, schema), rates, "far", op)
         if report.regression is None:
             print(f"seed {seed}: constant response, skipped")
             continue

@@ -8,9 +8,9 @@ blur row should dominate; everything else should sit near zero.
 
 import argparse
 
-from faceaudit.calibration import calibrate
+from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cohort import aggregate_profiles, build_cohort
-from faceaudit.explain import explanatory_report
+from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import individual_rates
 from faceaudit.schema import default_schema
 from faceaudit.synth import AttributeEffect, SynthConfig, generate
@@ -33,10 +33,10 @@ def run(seed: int, strength: float, n_per_group: int) -> None:
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
     labels = trials.genuine
-    op = calibrate(scores[labels], scores[~labels], "eer")
+    op = calibrate(sweep_rates(scores[labels], scores[~labels]), "eer")
     rates, _ = individual_rates(trials, scores, op.tau)
     profiles = aggregate_profiles(cohort, schema)
-    report = explanatory_report(profiles, rates, schema, "far", op)
+    report = explanatory_report(*build_design(profiles, schema), rates, "far", op)
 
     print(
         f"seed {seed}: planted blur->far strength {strength}, "

@@ -74,15 +74,15 @@ def parse_policy(text: str) -> tuple[str, float | None]:
     raise DataError(f"unknown threshold policy {text!r}; expected 'eer' or 'far@<rate>'")
 
 
-def calibrate(genuine: np.ndarray, impostor: np.ndarray, policy: str) -> OperatingPoint:
-    """Pick the operating threshold for a policy.
+def calibrate(curve: RocCurve, policy: str) -> OperatingPoint:
+    """Pick the operating threshold for a policy on a swept curve.
 
     ``eer`` selects the candidate minimising |FAR - FRR|, taking the
     lowest threshold on ties.  ``far@t`` selects the smallest threshold
-    whose FAR does not exceed the target.
+    whose FAR does not exceed the target.  One ``sweep_rates`` curve
+    serves any number of policies.
     """
     kind, target = parse_policy(policy)
-    curve = sweep_rates(genuine, impostor)
     if kind == "eer":
         idx = int(np.argmin(np.abs(curve.far - curve.frr)))
     else:

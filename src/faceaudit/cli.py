@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from faceaudit import __version__
-from faceaudit.calibration import calibrate, parse_policy
+from faceaudit.calibration import calibrate, parse_policy, sweep_rates
 from faceaudit.cohort import aggregate_profiles, load_cohort, read_attributes
 from faceaudit.errors import DataError, NumericalError
 from faceaudit.pipeline import (
@@ -223,9 +223,8 @@ def _split_scores(path):
 
 def _cmd_calibrate(args) -> int:
     scores, labels = _split_scores(args.scores)
-    points = [
-        calibrate(scores[labels], scores[~labels], policy) for policy in _policies(args)
-    ]
+    curve = sweep_rates(scores[labels], scores[~labels])
+    points = [calibrate(curve, policy) for policy in _policies(args)]
     payload = {
         "operating_points": [
             {"policy": op.policy, "tau": op.tau, "far": op.far, "frr": op.frr}
@@ -283,22 +282,34 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_TRIALS_KEYS = {"positives_per_identity", "negatives_per_identity", "positive_mode"}
+# trials key -> (accepted JSON value types, what the message asks for)
+_TRIALS_TYPES = {
+    "positives_per_identity": ((int, type(None)), "an integer or null"),
+    "negatives_per_identity": ((int,), "an integer"),
+    "positive_mode": ((str,), "a string"),
+}
 _AUDIT_KEYS = {"policies", "group_by", "explain", "standardize", "reference_levels"}
 
 
 def _cmd_run_all(args) -> int:
     outdir = _require_out(args)
     data = _read_json(args.config)
-    if "synth" not in data:
+    if not isinstance(data, dict) or "synth" not in data:
         raise DataError(f"{args.config}: run-all config needs a 'synth' section")
-    for section, keys in (("trials", _TRIALS_KEYS), ("audit", _AUDIT_KEYS)):
+    for section, keys in (("trials", set(_TRIALS_TYPES)), ("audit", _AUDIT_KEYS)):
+        if not isinstance(data.get(section, {}), dict):
+            raise DataError(f"{args.config}: {section} must be a JSON object")
         unknown = set(data.get(section, {})) - keys
         if unknown:
             raise DataError(f"{args.config}: unknown {section} keys: {sorted(unknown)}")
     unknown = set(data) - {"synth", "trials", "audit"}
     if unknown:
         raise DataError(f"{args.config}: unknown config sections: {sorted(unknown)}")
+    trials_cfg = data.get("trials", {})
+    for key, value in trials_cfg.items():
+        types, expected = _TRIALS_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise DataError(f"{args.config}: trials.{key} must be {expected}")
     audit_cfg = data.get("audit", {})
     for key in ("policies", "group_by"):
         value = audit_cfg.get(key, [])
@@ -313,7 +324,6 @@ def _cmd_run_all(args) -> int:
     artifact_paths = write_synth(outdir / "data", result, schema)
 
     cohort = load_cohort(artifact_paths["embeddings"], artifact_paths["attributes"], schema)
-    trials_cfg = data.get("trials", {})
     policy = TrialPolicy(
         positives_per_identity=trials_cfg.get("positives_per_identity", 6),
         negatives_per_identity=trials_cfg.get("negatives_per_identity", 50),

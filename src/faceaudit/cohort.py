@@ -320,7 +320,10 @@ def aggregate_rows(
         if not present:
             continue
         if var.is_continuous:
-            values[var.name] = float(np.mean(present))
+            # Rounding can put the mean of near-equal values just outside
+            # them, so it is clamped to the values' range.
+            mean = float(np.mean(present))
+            values[var.name] = min(max(mean, min(present)), max(present))
         elif var.kind == "boolean":
             ones = sum(1 for v in present if v == 1.0)
             # exact tie resolves to 1

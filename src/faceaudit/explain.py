@@ -203,19 +203,18 @@ class ExplanatoryReport:
 
 
 def explanatory_report(
-    profiles: list[AttributeProfile],
+    design: DesignMatrix,
+    incomplete: tuple[str, ...],
     rates: list[IndividualRates],
-    schema: AttributeSchema,
     metric: str,
     operating_point: OperatingPoint,
-    config: EncodingConfig | None = None,
 ) -> ExplanatoryReport:
-    """End-to-end: encode profiles, align rates, correlate, regress."""
-    if metric not in ("far", "frr"):
-        raise DataError(f"metric must be 'far' or 'frr', got {metric!r}")
-    with_rates = {r.identity_id for r in rates}
-    usable = [p for p in profiles if p.identity_id in with_rates]
-    design, incomplete = build_design(usable, schema, config)
+    """Align rates to a built design, then correlate and regress.
+
+    ``design`` and ``incomplete`` are what ``build_design`` returns for
+    the profiles of the rated identities.  The design does not depend
+    on the threshold, so one build serves every operating point.
+    """
     y = response_vector(design, rates, metric)
     correlations = run_correlations(design, y)
     if correlations.constant_response:

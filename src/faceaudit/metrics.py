@@ -74,6 +74,19 @@ def individual_rates(
     return rates, tuple(excluded)
 
 
+def rated_identities(trials: TrialSet) -> tuple[str, ...]:
+    """The identities ``individual_rates`` rates, at any threshold.
+
+    An identity is rated when it has both genuine and impostor trials;
+    trial counts alone decide that, never the threshold.
+    """
+    probe, genuine = trials.probe_codes, trials.genuine
+    has_genuine = np.bincount(probe[genuine], minlength=len(trials.identities)) > 0
+    has_impostor = np.bincount(probe[~genuine], minlength=len(trials.identities)) > 0
+    rated = (has_genuine & has_impostor).tolist()
+    return tuple(ident for ident, ok in zip(trials.identities, rated) if ok)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Which attributes partition the cohort into demographic groups."""
@@ -113,11 +126,6 @@ class Group:
     @property
     def is_union(self) -> bool:
         return any(level is None for level in self.levels)
-
-    def matches(self, concrete_levels: tuple[str, ...]) -> bool:
-        return all(
-            want is None or want == have for want, have in zip(self.levels, concrete_levels)
-        )
 
 
 def table_grid(spec: GroupSpec, schema: AttributeSchema) -> list[Group]:
@@ -171,37 +179,72 @@ class GroupRates:
         return self.n_members == 0
 
 
-def group_rates(
-    rates: list[IndividualRates],
-    profiles: list[AttributeProfile],
-    spec: GroupSpec,
-    schema: AttributeSchema,
-) -> tuple[list[GroupRates], tuple[str, ...]]:
-    """Mean rates for every grid cell, plus the unassigned identity ids.
+@dataclass(frozen=True)
+class GroupMembership:
+    """Every grid cell paired with its member identity ids, sorted.
 
-    Individuals without rates (excluded upstream) simply never appear in
-    a group; individuals missing a grouping attribute are reported.
+    Membership depends only on the profiles, so one instance serves
+    ``group_rates`` at every threshold.
+    """
+
+    cells: tuple[tuple[Group, tuple[str, ...]], ...]
+    unassigned: tuple[str, ...]
+
+
+def group_membership(
+    profiles: list[AttributeProfile], spec: GroupSpec, schema: AttributeSchema
+) -> GroupMembership:
+    """Bucket each assigned identity under the cells that contain it.
+
+    An identity with levels (l1, ..., lk) belongs to the 2^k cells that
+    keep or union (``None``) each level, so one pass over the identities
+    fills the whole grid.  Identities missing a grouping attribute are
+    reported as unassigned.
     """
     assigned, unassigned = assign_levels(profiles, spec, schema)
+    grid = table_grid(spec, schema)
+    buckets: dict[tuple[str | None, ...], list[str]] = {group.levels: [] for group in grid}
+    for identity in sorted(assigned):
+        for key in itertools.product(*((level, None) for level in assigned[identity])):
+            members = buckets.get(key)
+            if members is not None:
+                members.append(identity)
+    return GroupMembership(
+        cells=tuple((group, tuple(buckets[group.levels])) for group in grid),
+        unassigned=unassigned,
+    )
+
+
+def group_rates(
+    rates: list[IndividualRates], membership: GroupMembership
+) -> list[GroupRates]:
+    """Mean rates for every grid cell over its members that have rates.
+
+    Individuals without rates (excluded upstream) simply never appear in
+    a group.  Means run over the members in sorted identity order.
+    """
+    position = {r.identity_id: i for i, r in enumerate(rates)}
+    far = np.array([r.far for r in rates], dtype=np.float64)
+    frr = np.array([r.frr for r in rates], dtype=np.float64)
     out = []
-    for group in table_grid(spec, schema):
-        members = [r for r in rates if r.identity_id in assigned and group.matches(assigned[r.identity_id])]
-        members.sort(key=lambda r: r.identity_id)
+    for group, ids in membership.cells:
+        members = tuple(i for i in ids if i in position)
         if members:
-            far = float(np.mean([m.far for m in members]))
-            frr = float(np.mean([m.frr for m in members]))
+            rows = [position[i] for i in members]
+            cell_far = float(np.mean(far[rows]))
+            cell_frr = float(np.mean(frr[rows]))
         else:
-            far = frr = math.nan
+            cell_far = cell_frr = math.nan
         out.append(
             GroupRates(
                 group=group,
-                far=far,
-                frr=frr,
+                far=cell_far,
+                frr=cell_frr,
                 n_members=len(members),
-                member_ids=tuple(m.identity_id for m in members),
+                member_ids=members,
             )
         )
-    return out, unassigned
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
 """Orchestration: wire cohort, trials, calibration, metrics, and explain
 into one audit result object that the report layer can render.
 
+An audit does its threshold-free work once: one sweep of the pooled
+scores serves every threshold policy, group membership is assigned
+once, and the explanatory design is built once.  Each policy then
+computes only what depends on its threshold.
+
 Every step here is deterministic given (inputs, seed).
 """
 
@@ -11,20 +16,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from faceaudit import __version__
-from faceaudit.calibration import OperatingPoint, calibrate
+from faceaudit.calibration import OperatingPoint, calibrate, sweep_rates
 from faceaudit.cohort import AttributeProfile, Cohort, aggregate_profiles, aggregate_rows
 from faceaudit.errors import DataError
-from faceaudit.explain import EncodingConfig, ExplanatoryReport, explanatory_report
+from faceaudit.explain import EncodingConfig, ExplanatoryReport, build_design, explanatory_report
 from faceaudit.metrics import (
     FairnessDelta,
     GroupRates,
     GroupSpec,
     PairwiseTests,
     extreme_delta,
+    group_membership,
     group_rates,
     individual_rates,
     kruskal_pairwise,
     one_axis_deltas,
+    rated_identities,
 )
 from faceaudit.schema import AttributeSchema
 from faceaudit.trials import TrialSet
@@ -120,7 +127,9 @@ def run_audit(
 ) -> AuditResults:
     """Calibrate per policy, then compute group rates, gaps, tests, and
     (optionally) the explanatory analyses.  ``seed`` is the trial
-    generator seed, recorded in the results."""
+    generator seed, recorded in the results.  The explanatory design is
+    built over the rated identities, who are the same at every
+    threshold."""
     if len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
     if not np.isfinite(scores).all():
@@ -128,19 +137,27 @@ def run_audit(
     spec = GroupSpec(attributes=tuple(options.group_by))
     spec.validate(schema)
     labels = trials.genuine
-    genuine = scores[labels]
-    impostor = scores[~labels]
-    encoding = EncodingConfig(
-        reference_levels=dict(options.reference_levels), standardize=options.standardize
-    )
+    curve = sweep_rates(scores[labels], scores[~labels])
+    membership = group_membership(profiles, spec, schema)
+    design = design_error = None
+    if options.explain:
+        encoding = EncodingConfig(
+            reference_levels=dict(options.reference_levels), standardize=options.standardize
+        )
+        rated = set(rated_identities(trials))
+        try:
+            design = build_design(
+                [p for p in profiles if p.identity_id in rated], schema, encoding
+            )
+        except DataError as exc:
+            design_error = str(exc)
 
     analyses = []
     excluded: tuple[str, ...] = ()
-    unassigned: tuple[str, ...] = ()
     for policy in options.policies:
-        op = calibrate(genuine, impostor, policy)
+        op = calibrate(curve, policy)
         rates, excluded = individual_rates(trials, scores, op.tau)
-        groups, unassigned = group_rates(rates, profiles, spec, schema)
+        groups = group_rates(rates, membership)
 
         skipped: dict[str, str] = {}
         try:
@@ -173,10 +190,11 @@ def run_audit(
         explain: dict[str, ExplanatoryReport] = {}
         if options.explain:
             for metric in _METRICS:
+                if design_error is not None:
+                    skipped[f"explain_{metric}"] = design_error
+                    continue
                 try:
-                    explain[metric] = explanatory_report(
-                        profiles, rates, schema, metric, op, encoding
-                    )
+                    explain[metric] = explanatory_report(*design, rates, metric, op)
                 except DataError as exc:
                     skipped[f"explain_{metric}"] = str(exc)
         analyses.append(
@@ -197,7 +215,7 @@ def run_audit(
         n_genuine=int(labels.sum()),
         n_impostor=int((~labels).sum()),
         excluded_identities=excluded,
-        unassigned_identities=unassigned,
+        unassigned_identities=membership.unassigned,
         skipped_identities=trials.skipped_identities,
         analyses=tuple(analyses),
         notes={"multiple_comparison_correction": "none"},

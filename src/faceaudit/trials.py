@@ -18,7 +18,7 @@ from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +285,14 @@ def _identities_from_labels(
     return {image: find(image) for image in parent}
 
 
+def _line_of(path: str | Path, index: int) -> int:
+    """File line of trial row ``index``, counted as ``read_trials_csv``
+    counts lines.  The file is read again, so only error paths pay."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = (lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        return next(islice(lines, index + 1, None))  # + 1 skips the header
+
+
 def read_trials_csv(
     path: str | Path, identity_of: dict[str, str] | None = None
 ) -> tuple[TrialSet, np.ndarray]:
@@ -324,17 +332,20 @@ def read_trials_csv(
         mapping = _identities_from_labels(pairs, stated_genuine)
     else:
         mapping = identity_of
-    for i, ((probe, reference), stated) in enumerate(zip(pairs, stated_genuine), start=2):
+    for i, ((probe, reference), stated) in enumerate(zip(pairs, stated_genuine)):
         try:
             probe_ident = mapping[probe]
             ref_ident = mapping[reference]
         except KeyError as exc:
-            raise DataError(f"{path}: unknown image_id {exc} in row {i}") from None
+            raise DataError(f"{path}:{_line_of(path, i)}: unknown image_id {exc}") from None
         if identity_of is not None:
             if stated != (probe_ident == ref_ident):
-                raise DataError(f"{path}: row {i} label contradicts the identity map")
+                raise DataError(
+                    f"{path}:{_line_of(path, i)}: label contradicts the identity map"
+                )
         if probe == reference:
             raise DataError(
-                f"{path}: row {i}: genuine pair cannot reuse image {probe!r} on both sides"
+                f"{path}:{_line_of(path, i)}: genuine pair cannot reuse image "
+                f"{probe!r} on both sides"
             )
     return TrialSet.from_image_pairs(pairs, mapping), np.asarray(scores, dtype=np.float64)

@@ -15,7 +15,7 @@ import pytest
 from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cli import main
 from faceaudit.cohort import aggregate_profiles, build_cohort
-from faceaudit.explain import explanatory_report
+from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import (
     Group,
     GroupRates,
@@ -57,7 +57,7 @@ def _audited_far_rates(config, trial_seed=0, negatives=50):
     )
     scores = score_trials(cohort, trials)
     labels = trials.genuine
-    op = calibrate(scores[labels], scores[~labels], "eer")
+    op = calibrate(sweep_rates(scores[labels], scores[~labels]), "eer")
     rates, _ = individual_rates(trials, scores, op.tau)
     profiles = aggregate_profiles(cohort, schema)
     return rates, profiles, op
@@ -89,7 +89,7 @@ def test_criterion_02_calibration_recount_oracle():
         far_count = sum(1 for s in impostor if s > tau)
         frr_count = sum(1 for s in genuine if s <= tau)
         exact = exact and far == far_count / 600 and frr == frr_count / 400
-    op = calibrate(genuine, impostor, "eer")
+    op = calibrate(curve, "eer")
     bound = 1.0 / min(len(genuine), len(impostor))
     ok = exact and abs(op.far - op.frr) <= bound
     _verdict(
@@ -201,7 +201,7 @@ def test_criterion_06_type_one_error_calibration():
             identities_per_group={("man", "asian"): 120}, dim=32, seed=seed
         )
         rates, profiles, op = _audited_far_rates(config, trial_seed=seed)
-        report = explanatory_report(profiles, rates, schema, "far", op)
+        report = explanatory_report(*build_design(profiles, schema), rates, "far", op)
         fit = report.regression
         if fit is None:
             continue
@@ -269,7 +269,7 @@ def test_criterion_08_planted_effect_recovery():
             attribute_effects=(AttributeEffect("blur", "far", 0.25),),
         )
         rates, profiles, op = _audited_far_rates(config, trial_seed=seed)
-        report = explanatory_report(profiles, rates, schema, "far", op)
+        report = explanatory_report(*build_design(profiles, schema), rates, "far", op)
         entry = report.correlations.entry("blur")
         fit = report.regression
         coef = fit.coefficient("blur")

@@ -95,19 +95,19 @@ class TestCalibrateEer:
         # tau = 0.5 accepts impostor 0.6 (far 1/3) and rejects genuine 0.5 (frr 1/3)
         genuine = np.array([0.9, 0.7, 0.5])
         impostor = np.array([0.6, 0.4, 0.2])
-        op = calibrate(genuine, impostor, "eer")
+        op = calibrate(sweep_rates(genuine, impostor), "eer")
         assert op.tau == pytest.approx(0.5)
         assert op.far == pytest.approx(1 / 3)
         assert op.frr == pytest.approx(1 / 3)
 
     def test_fully_separated(self):
-        op = calibrate(np.array([0.8, 0.9]), np.array([0.1, 0.2]), "eer")
+        op = calibrate(sweep_rates(np.array([0.8, 0.9]), np.array([0.1, 0.2])), "eer")
         assert op.far == 0.0 and op.frr == 0.0
 
     def test_all_scores_equal(self):
         # any threshold >= 0.5 rejects everything, below accepts everything;
         # |far - frr| is 1 at every candidate, lowest threshold wins
-        op = calibrate(np.array([0.5, 0.5]), np.array([0.5, 0.5]), "eer")
+        op = calibrate(sweep_rates(np.array([0.5, 0.5]), np.array([0.5, 0.5])), "eer")
         assert op.tau == pytest.approx(-0.5)
         assert op.far == 1.0 and op.frr == 0.0
 
@@ -116,7 +116,7 @@ class TestCalibrateEer:
         impostor = np.array([0.3, 0.7])
         curve = sweep_rates(genuine, impostor)
         gaps = np.abs(curve.far - curve.frr)
-        op = calibrate(genuine, impostor, "eer")
+        op = calibrate(curve, "eer")
         best = gaps.min()
         ties = curve.thresholds[gaps == best]
         assert op.tau == pytest.approx(ties.min())
@@ -128,19 +128,19 @@ class TestCalibrateEer:
         # heavy ties can jump past the crossing, so distinctness matters
         k = len(pooled) // 2
         gen, imp = pooled[:k], pooled[k:]
-        op = calibrate(np.array(gen), np.array(imp), "eer")
+        op = calibrate(sweep_rates(np.array(gen), np.array(imp)), "eer")
         assert abs(op.far - op.frr) <= 1.0 / min(len(gen), len(imp)) + 1e-12
 
     @given(score_lists, score_lists)
     @settings(max_examples=40, deadline=None)
     def test_monotone_transform_invariance(self, gen, imp):
         # rates at the chosen point are invariant under increasing maps
-        op_raw = calibrate(np.array(gen), np.array(imp), "eer")
+        op_raw = calibrate(sweep_rates(np.array(gen), np.array(imp)), "eer")
 
         def warp(x):
             return np.tanh(1.7 * np.asarray(x)) + 0.1 * np.asarray(x)
 
-        op_warp = calibrate(warp(gen), warp(imp), "eer")
+        op_warp = calibrate(sweep_rates(warp(gen), warp(imp)), "eer")
         assert op_warp.far == pytest.approx(op_raw.far, abs=1e-12)
         assert op_warp.frr == pytest.approx(op_raw.frr, abs=1e-12)
 
@@ -149,7 +149,7 @@ class TestCalibrateFarTarget:
     def test_small_example(self):
         genuine = np.array([0.9, 0.7, 0.5])
         impostor = np.array([0.6, 0.4, 0.2])
-        op = calibrate(genuine, impostor, "far@0.34")
+        op = calibrate(sweep_rates(genuine, impostor), "far@0.34")
         assert op.far <= 0.34
         # the next lower candidate must overshoot the target
         curve = sweep_rates(genuine, impostor)
@@ -159,14 +159,15 @@ class TestCalibrateFarTarget:
 
     def test_zero_target_reaches_zero(self):
         rng = np.random.default_rng(2)
-        op = calibrate(rng.normal(0.5, 0.1, 30), rng.normal(0.0, 0.1, 30), "far@0.0")
+        curve = sweep_rates(rng.normal(0.5, 0.1, 30), rng.normal(0.0, 0.1, 30))
+        op = calibrate(curve, "far@0.0")
         assert op.far == 0.0
 
     @given(score_lists, score_lists, st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.5]))
     @settings(max_examples=40, deadline=None)
     def test_target_respected_and_tight(self, gen, imp, target):
         policy = f"far@{target}"
-        op = calibrate(np.array(gen), np.array(imp), policy)
+        op = calibrate(sweep_rates(np.array(gen), np.array(imp)), policy)
         assert op.far <= target
         # tightness: every strictly smaller candidate threshold violates the target
         curve = sweep_rates(np.array(gen), np.array(imp))
@@ -174,6 +175,6 @@ class TestCalibrateFarTarget:
         assert (smaller > target).all()
 
     def test_policy_recorded(self):
-        op = calibrate(np.array([0.9, 0.8]), np.array([0.1, 0.2]), "far@0.01")
-        assert op.policy == "far@0.01"
-        assert calibrate(np.array([0.9, 0.8]), np.array([0.1, 0.2]), "eer").policy == "eer"
+        curve = sweep_rates(np.array([0.9, 0.8]), np.array([0.1, 0.2]))
+        assert calibrate(curve, "far@0.01").policy == "far@0.01"
+        assert calibrate(curve, "eer").policy == "eer"

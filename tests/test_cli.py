@@ -214,6 +214,41 @@ class TestDataErrors:
         assert err.count("\n") == 1 and f"audit.{key}" in err
 
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("negatives_per_identity", "5"),
+            ("negatives_per_identity", 5.0),
+            ("positives_per_identity", True),
+            ("positive_mode", 1),
+        ],
+    )
+    def test_run_all_mistyped_trials_value_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "synth": {"identities_per_group": {"man,asian": 4, "woman,asian": 4}},
+                    "trials": {key: value},
+                }
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["run-all", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"trials.{key}" in err
+        assert not out.exists()  # rejected before any work
+
+
+    @pytest.mark.parametrize("config", [[], {"synth": {}, "trials": 5}])
+    def test_run_all_config_shape_rejected(self, tmp_path, capsys, config):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run-all", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+
 class TestNumericalErrors:
     def test_rank_deficiency_exits_three(self, tmp_path, capsys):
         # cells differing in both protected attributes make the gender and

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from faceaudit.cohort import AttributeProfile
+from conftest import scored_trials, small_config, synth_cohort
+from faceaudit.cohort import AttributeProfile, aggregate_profiles
 from faceaudit.errors import DataError, RankDeficiencyError, SchemaError
 from faceaudit.explain import (
     EncodingConfig,
@@ -16,6 +17,7 @@ from faceaudit.explain import (
 )
 from faceaudit.calibration import OperatingPoint
 from faceaudit.metrics import IndividualRates
+from faceaudit.pipeline import AuditOptions, run_audit
 from faceaudit.schema import default_schema
 from faceaudit.stats import DesignMatrix
 
@@ -283,7 +285,7 @@ class TestExplanatoryReport:
         profiles = random_profiles(120, seed=17)
         rates = rates_for(profiles, lambda v: 0.05 + 0.4 * v["blur"], seed=19)
         op = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
-        report = explanatory_report(profiles, rates, SCHEMA, "far", op)
+        report = explanatory_report(*build_design(profiles, SCHEMA), rates, "far", op)
         assert report.metric == "far"
         assert report.n_cases == 120
         assert report.operating_point is op
@@ -295,11 +297,18 @@ class TestExplanatoryReport:
         assert report.regression.p_value("blur") < 0.01
 
     def test_only_rated_profiles_enter(self):
-        profiles = random_profiles(40)
-        rates = rates_for(profiles[:30], lambda v: 0.3)
-        op = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
-        report = explanatory_report(profiles, rates, SCHEMA, "frr", op)
-        assert report.n_cases == 30
+        # the audit builds the design over rated identities only: complete
+        # profiles of identities without trials stay out of it
+        config = small_config(
+            identities_per_group={("man", "asian"): 14, ("woman", "asian"): 14}
+        )
+        cohort, _ = synth_cohort(config)
+        trials, scores = scored_trials(cohort)
+        profiles = aggregate_profiles(cohort, SCHEMA) + random_profiles(12)
+        options = AuditOptions(policies=("eer", "far@0.01"), explain=True)
+        results = run_audit(trials, scores, profiles, SCHEMA, options)
+        for analysis in results.analyses:
+            assert analysis.explain["frr"].n_cases == 28
 
     def test_constant_response_skips_regression(self):
         profiles = random_profiles(40)
@@ -308,7 +317,7 @@ class TestExplanatoryReport:
             for p in profiles
         ]
         op = OperatingPoint(tau=0.4, far=0.0, frr=0.0, policy="far@0.001")
-        report = explanatory_report(profiles, rates, SCHEMA, "far", op)
+        report = explanatory_report(*build_design(profiles, SCHEMA), rates, "far", op)
         assert report.correlations.constant_response
         assert report.regression is None
 
@@ -319,10 +328,11 @@ class TestExplanatoryReport:
             IndividualRates("gap", 0.1, 0.1, 6, 50)
         ]
         op = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
-        report = explanatory_report(profiles + [gappy], rates, SCHEMA, "far", op)
+        design, incomplete = build_design(profiles + [gappy], SCHEMA)
+        report = explanatory_report(design, incomplete, rates, "far", op)
         assert report.incomplete_identities == ("gap",)
 
     def test_bad_metric_rejected(self):
         op = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
         with pytest.raises(DataError):
-            explanatory_report([], [], SCHEMA, "tpr", op)
+            explanatory_report(*build_design(random_profiles(30), SCHEMA), [], "tpr", op)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faceaudit.cohort import AttributeProfile
 from faceaudit.errors import DataError, SchemaError
@@ -17,10 +19,12 @@ from faceaudit.metrics import (
     assign_levels,
     extreme_delta,
     fairness_delta,
+    group_membership,
     group_rates,
     individual_rates,
     kruskal_pairwise,
     one_axis_deltas,
+    rated_identities,
     table_grid,
 )
 from faceaudit.report import GLYPH_POLICY, _glyphs_for
@@ -91,6 +95,21 @@ class TestIndividualRates:
         assert excluded == ("a", "b")
         assert [r.identity_id for r in rates] == ["c"]
 
+    @pytest.mark.parametrize("tau", [-2.0, 0.1, 0.5, 0.9, 2.0])
+    def test_rated_set_is_threshold_free(self, tau):
+        pairs = [
+            ("a0", "a1", "a", "a"),  # a has only genuine
+            ("b0", "a0", "b", "a"),  # b has only impostor
+            ("c0", "c1", "c", "c"),
+            ("c0", "a0", "c", "a"),
+            ("d0", "d1", "d", "d"),
+            ("d0", "c1", "d", "c"),
+        ]
+        trials = _trial_set(pairs)
+        rates, _ = individual_rates(trials, np.array([0.9, 0.1, 0.9, 0.1, 0.3, 0.7]), tau)
+        assert rated_identities(trials) == ("c", "d")
+        assert tuple(r.identity_id for r in rates) == ("c", "d")
+
     def test_recount_against_brute_force(self):
         rng = np.random.default_rng(0)
         pairs = []
@@ -153,10 +172,19 @@ class TestGroupGrid:
         assert sum(1 for g in grid if g.is_union) == 2 + 3 + 1  # row, column, grand
 
     def test_matches(self):
-        g = Group(("gender", "ethnicity"), ("man", None))
-        assert g.matches(("man", "asian"))
-        assert g.matches(("man", "black"))
-        assert not g.matches(("woman", "asian"))
+        profiles = [
+            _profile("a", gender="man", ethnicity="asian"),
+            _profile("b", gender="man", ethnicity="black"),
+            _profile("c", gender="woman", ethnicity="asian"),
+        ]
+        membership = group_membership(
+            profiles, GroupSpec(("gender", "ethnicity")), default_schema()
+        )
+        members = {group.levels: ids for group, ids in membership.cells}
+        assert members[("man", None)] == ("a", "b")
+        assert members[("man", "asian")] == ("a",)
+        assert members[(None, "asian")] == ("a", "c")
+        assert members[(None, None)] == ("a", "b", "c")
 
     def test_level_slot_count_checked(self):
         with pytest.raises(DataError):
@@ -182,7 +210,95 @@ class TestAssignLevels:
         assert assigned == {"a": ("1",)}
 
 
+# Discrete default-schema variables: two categorical, two boolean.
+_GROUPABLE = ("gender", "ethnicity", "eyes_occluded", "mouth_occluded")
+
+
+def _brute_force_group_rates(rates, profiles, spec, schema):
+    """(group, far, frr, member ids) per cell, testing every rated identity
+    against every cell level by level."""
+    assigned, _ = assign_levels(profiles, spec, schema)
+    out = []
+    for group in table_grid(spec, schema):
+        members = sorted(
+            (
+                r
+                for r in rates
+                if r.identity_id in assigned
+                and all(
+                    want is None or want == have
+                    for want, have in zip(group.levels, assigned[r.identity_id])
+                )
+            ),
+            key=lambda r: r.identity_id,
+        )
+        if members:
+            far = float(np.mean([m.far for m in members]))
+            frr = float(np.mean([m.frr for m in members]))
+        else:
+            far = frr = math.nan
+        out.append((group, far, frr, tuple(m.identity_id for m in members)))
+    return out
+
+
+@st.composite
+def _grouping_cases(draw):
+    """Profiles over 1-3 grouping attributes, some missing one (unassigned);
+    rates for a subset of them (the rest excluded) plus unprofiled ids."""
+    schema = default_schema()
+    attributes = tuple(
+        draw(st.lists(st.sampled_from(_GROUPABLE), min_size=1, max_size=3, unique=True))
+    )
+    profiles, rates = [], []
+    unit = st.floats(0.0, 1.0)
+    for i in range(draw(st.integers(0, 14))):
+        identity = f"id{i:02d}"
+        values = {}
+        for name in attributes:
+            n_levels = len(schema.variable(name).discrete_levels())
+            level = draw(st.none() | st.integers(0, n_levels - 1))
+            if level is not None:
+                values[name] = float(level)
+        profiles.append(AttributeProfile(identity, values, {}))
+        if draw(st.booleans()):
+            rates.append(IndividualRates(identity, draw(unit), draw(unit), 6, 50))
+    for i in range(draw(st.integers(0, 2))):
+        rates.append(IndividualRates(f"ghost{i}", draw(unit), draw(unit), 6, 50))
+    return attributes, profiles, draw(st.permutations(rates))
+
+
+class TestGroupMembership:
+    @given(_grouping_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, case):
+        attributes, profiles, rates = case
+        schema = default_schema()
+        spec = GroupSpec(attributes)
+        membership = group_membership(profiles, spec, schema)
+        assert membership.unassigned == assign_levels(profiles, spec, schema)[1]
+        got = group_rates(rates, membership)
+        want = _brute_force_group_rates(rates, profiles, spec, schema)
+        assert len(got) == len(want)
+        for cell, (group, far, frr, ids) in zip(got, want):
+            assert cell.group == group
+            assert cell.member_ids == ids and cell.n_members == len(ids)
+            # same values in the same order: the means agree to the bit
+            assert cell.far.hex() == far.hex() and cell.frr.hex() == frr.hex()
+
+    def test_cells_follow_the_grid(self):
+        spec = GroupSpec(("gender", "eyes_occluded"))
+        membership = group_membership([], spec, default_schema())
+        assert [g for g, _ in membership.cells] == table_grid(spec, default_schema())
+        assert all(ids == () for _, ids in membership.cells)
+
+
 class TestGroupRates:
+    @staticmethod
+    def _grouped(rates, profiles):
+        spec = GroupSpec(("gender", "ethnicity"))
+        membership = group_membership(profiles, spec, default_schema())
+        return group_rates(rates, membership), membership.unassigned
+
     def _rates(self):
         return [
             IndividualRates("a", far=0.10, frr=0.20, n_genuine=5, n_impostor=10),
@@ -198,9 +314,7 @@ class TestGroupRates:
         ]
 
     def test_macro_mean_recount(self):
-        groups, unassigned = group_rates(
-            self._rates(), self._profiles(), GroupSpec(("gender", "ethnicity")), default_schema()
-        )
+        groups, unassigned = self._grouped(self._rates(), self._profiles())
         assert unassigned == ()
         by_label = {g.group.label: g for g in groups}
         cell = by_label["man,asian"]
@@ -210,18 +324,14 @@ class TestGroupRates:
         assert cell.member_ids == ("a", "b")
 
     def test_union_rows_pool_members(self):
-        groups, _ = group_rates(
-            self._rates(), self._profiles(), GroupSpec(("gender", "ethnicity")), default_schema()
-        )
+        groups, _ = self._grouped(self._rates(), self._profiles())
         by_label = {g.group.label: g for g in groups}
         assert by_label["man,all"].n_members == 2
         assert by_label["all,all"].n_members == 3
         assert by_label["all,all"].far == pytest.approx((0.10 + 0.30 + 0.50) / 3)
 
     def test_empty_cell_is_nan(self):
-        groups, _ = group_rates(
-            self._rates(), self._profiles(), GroupSpec(("gender", "ethnicity")), default_schema()
-        )
+        groups, _ = self._grouped(self._rates(), self._profiles())
         by_label = {g.group.label: g for g in groups}
         empty = by_label["woman,asian"]
         assert empty.is_empty
@@ -230,16 +340,12 @@ class TestGroupRates:
     def test_unassigned_reported(self):
         profiles = self._profiles() + [_profile("d")]  # no attributes at all
         rates = self._rates() + [IndividualRates("d", 0.1, 0.1, 2, 2)]
-        _, unassigned = group_rates(
-            rates, profiles, GroupSpec(("gender", "ethnicity")), default_schema()
-        )
+        _, unassigned = self._grouped(rates, profiles)
         assert unassigned == ("d",)
 
     def test_rated_but_unprofiled_identity_never_appears(self):
         rates = self._rates() + [IndividualRates("ghost", 0.9, 0.9, 2, 2)]
-        groups, unassigned = group_rates(
-            rates, self._profiles(), GroupSpec(("gender", "ethnicity")), default_schema()
-        )
+        groups, unassigned = self._grouped(rates, self._profiles())
         assert unassigned == ()
         assert all("ghost" not in g.member_ids for g in groups)
 

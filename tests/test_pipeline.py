@@ -1,13 +1,22 @@
 """Tests for audit orchestration: options, profiles, result shape."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import scored_trials, small_config, synth_cohort
+from faceaudit.cohort import aggregate_profiles
 from faceaudit.errors import DataError
 from faceaudit.pipeline import AuditOptions, audit_cohort, profiles_from_rows, run_audit
+from faceaudit.report import dump_payload, to_payload
 from faceaudit.schema import default_schema
-from faceaudit.trials import TrialPolicy
+from faceaudit.trials import TrialPolicy, TrialSet
+
+# The operating points of the benchmark's explain workload.
+BENCH_POLICIES = (
+    "eer", "far@0.1", "far@0.05", "far@0.02", "far@0.01", "far@0.005", "far@0.002", "far@0.001"
+)
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +170,82 @@ class TestRunAudit:
             assert a.n_members == b.n_members
             if not a.is_empty:
                 assert a.far == pytest.approx(b.far, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def mixed_audit():
+    """Trials and profiles with every kind of identity the audit sets apart:
+    one excluded (genuine trials only), one unassigned and incomplete (no
+    ethnicity), one incomplete (no blur), one skipped (a single image)."""
+    config = small_config(
+        identities_per_group={
+            ("man", "asian"): 8,
+            ("woman", "black"): 8,
+            ("man", "caucasian"): 8,
+            ("woman", "asian"): 8,
+        }
+    )
+    cohort, _ = synth_cohort(config)
+    lone = next(iter(cohort.identities))
+    cohort.identities[lone] = cohort.identities[lone][:1]
+    with pytest.warns(UserWarning, match="fewer than two images"):
+        trials, scores = scored_trials(cohort)
+    excluded = trials.identities[3]
+    keep = trials.genuine | (trials.probe_codes != 3)
+    trials = TrialSet(
+        trials.image_ids,
+        trials.identity_codes,
+        trials.identities,
+        trials.pairs[keep],
+        trials.skipped_identities,
+    )
+    profiles = aggregate_profiles(cohort, default_schema())
+    del profiles[5].values["ethnicity"]
+    del profiles[6].values["blur"]
+    return trials, scores[keep], profiles, excluded
+
+
+class TestHoistedState:
+    def test_policy_alone_equals_policy_among_many(self, mixed_audit):
+        trials, scores, profiles, _ = mixed_audit
+        schema = default_schema()
+        options = AuditOptions(policies=tuple(reversed(BENCH_POLICIES)), explain=True)
+        together = to_payload(run_audit(trials, scores, profiles, schema, options))
+        by_policy = {a["operating_point"]["policy"]: a for a in together["analyses"]}
+        for policy in BENCH_POLICIES:
+            one = dataclasses.replace(options, policies=(policy,))
+            alone = to_payload(run_audit(trials, scores, profiles, schema, one))
+            assert dump_payload(alone["analyses"][0]) == dump_payload(by_policy[policy])
+            assert alone["exclusions"] == together["exclusions"]
+
+    def test_set_apart_identities_reported(self, mixed_audit):
+        trials, scores, profiles, excluded = mixed_audit
+        options = AuditOptions(policies=BENCH_POLICIES, explain=True)
+        results = run_audit(trials, scores, profiles, default_schema(), options)
+        assert results.excluded_identities == (excluded,)
+        assert results.unassigned_identities == (profiles[5].identity_id,)
+        assert len(results.skipped_identities) == 1
+        incomplete = tuple(sorted(p.identity_id for p in profiles[5:7]))
+        for analysis in results.analyses:
+            report = analysis.explain["far"]
+            assert report.incomplete_identities == incomplete
+            # the excluded and the skipped identities have no rates
+            assert report.n_cases == len(profiles) - 4
+
+    def test_design_failure_reaches_every_policy(self):
+        config = small_config(
+            identities_per_group={("man", "asian"): 4, ("woman", "asian"): 4}
+        )
+        cohort, _ = synth_cohort(config)
+        trials, scores = scored_trials(
+            cohort, policy=TrialPolicy(negatives_per_identity=20)
+        )
+        options = AuditOptions(policies=("eer", "far@0.1", "far@0.01"), explain=True)
+        results = audit_cohort(cohort, trials, scores, default_schema(), options)
+        messages = {
+            (a.skipped_analyses["explain_far"], a.skipped_analyses["explain_frr"])
+            for a in results.analyses
+        }
+        assert len(messages) == 1
+        (far_message, frr_message), = messages
+        assert far_message == frr_message and "complete cases" in far_message

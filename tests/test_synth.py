@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from faceaudit.calibration import calibrate
+from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cohort import aggregate_profiles, build_cohort, load_cohort
 from faceaudit.errors import DataError, SchemaError
 from faceaudit.schema import default_schema, load_schema
@@ -41,7 +41,7 @@ def _mean_rates(config, policy="eer", seed=0):
     scores = score_trials(cohort, trials)
     genuine = scores[trials.genuine]
     impostor = scores[~trials.genuine]
-    return calibrate(genuine, impostor, policy)
+    return calibrate(sweep_rates(genuine, impostor), policy)
 
 
 class TestConfigValidation:

@@ -456,6 +456,29 @@ class TestTrialCsv:
         with pytest.raises(DataError):
             read_trials_csv(path, {"a_0": "a"})
 
+    @pytest.mark.parametrize(
+        "row, identity_of, reason",
+        [
+            ("a_0,c_0,impostor,0.1", {"a_0": "a", "a_1": "a", "b_0": "b"}, "unknown image_id"),
+            ("a_0,a_1,impostor,0.9", {"a_0": "a", "a_1": "a", "b_0": "b"}, "contradicts"),
+            ("a_1,a_1,genuine,1.0", None, "cannot reuse image 'a_1'"),
+        ],
+        ids=["unknown-image", "label-contradiction", "same-image"],
+    )
+    def test_identity_errors_name_the_file_line(self, tmp_path, row, identity_of, reason):
+        # the bad row is on line 5, after two blank lines
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "probe_image_id,reference_image_id,label,score\n"
+            "a_0,a_1,genuine,0.9\n\n\n"
+            f"{row}\n"
+            "a_0,b_0,impostor,0.1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=reason) as info:
+            read_trials_csv(path, identity_of)
+        assert str(info.value).startswith(f"{path}:5: ")
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "trials.csv"
         path.write_text("who,with,what,how\n", encoding="utf-8")
