@@ -22,6 +22,8 @@ import argparse
 import dataclasses
 import json
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from faceaudit import __version__
 from faceaudit.calibration import calibrate, parse_policy, sweep_rates
 from faceaudit.cohort import aggregate_profiles, load_cohort, read_attributes
-from faceaudit.errors import DataError, NumericalError
+from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.pipeline import (
     AuditOptions,
     AuditResults,
@@ -39,7 +41,7 @@ from faceaudit.pipeline import (
 )
 from faceaudit.report import dump_payload, emit_bundle, render_from_file
 from faceaudit.schema import default_schema, load_schema
-from faceaudit.synth import config_from_dict, generate, write_synth
+from faceaudit.synth import SynthConfig, generate, write_synth
 from faceaudit.trials import (
     TrialPolicy,
     generate_trials,
@@ -167,10 +169,78 @@ def _read_json(path: str | Path) -> dict:
         raise DataError(f"{path}: malformed JSON: {exc}") from exc
 
 
+# annotation -> (accepted JSON value types, what a message asks for)
+_JSON_SCALARS = {
+    str: (str, "a string"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+}
+
+
+def _expect(ok: bool, path: str, expected: str, value) -> None:
+    if not ok:
+        raise DataError(f"{path} must be {expected}, got {json.dumps(value)}")
+
+
+def _typed(hint, value, path: str):
+    """``value`` checked against the annotation ``hint`` and converted to it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return None if value is None else _typed(inner, value, path)
+    if dataclasses.is_dataclass(hint):
+        return _from_json(hint, value, path)
+    if origin is tuple:  # tuple[X, ...]
+        _expect(isinstance(value, list), path, "a list", value)
+        return tuple(_typed(args[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    if origin is dict:  # tuple keys are written "level,level"
+        _expect(isinstance(value, dict), path, "a JSON object", value)
+        key_hint, value_hint = args
+        split = key_hint is not str
+        return {
+            tuple(key.split(",")) if split else key: _typed(value_hint, item, f"{path}[{key!r}]")
+            for key, item in value.items()
+        }
+    accepted, expected = _JSON_SCALARS[hint]
+    ok = isinstance(value, accepted) and isinstance(value, bool) == (hint is bool)
+    _expect(ok, path, expected, value)
+    return hint(value)
+
+
+def _from_json(cls, data, where: str, **defaults):
+    """Build the dataclass ``cls`` from a JSON object; the field
+    annotations are the schema.
+
+    ``defaults`` replace the dataclass defaults of absent keys.  Every
+    error names the failing key path under ``where``.  The classes'
+    own validation messages begin with the field name, so they are
+    prefixed with ``where`` too.
+    """
+    _expect(isinstance(data, dict), where, "a JSON object", data)
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
+    if unknown:
+        raise DataError(f"{where}.{unknown[0]} is not a known key")
+    values = defaults  # a fresh dict on every call
+    for f in fields:
+        if f.name in data:
+            values[f.name] = _typed(hints[f.name], data[f.name], f"{where}.{f.name}")
+        elif f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
+            raise DataError(f"{where}.{f.name} is required")
+    try:
+        return cls(**values)
+    except DataError as exc:
+        raise DataError(f"{where}.{exc}") from None
+
+
 def _cmd_synth(args) -> int:
     outdir = _require_out(args)
     data = _read_json(args.config)
-    config = config_from_dict(data.get("synth", data) if isinstance(data, dict) else data)
+    if isinstance(data, dict):
+        data = data.get("synth", data)
+    config = _from_json(SynthConfig, data, "synth")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     schema = _load_schema(args)
@@ -282,74 +352,42 @@ def _cmd_report(args) -> int:
     return 0
 
 
-# trials key -> (accepted JSON value types, what the message asks for)
-_TRIALS_TYPES = {
-    "positives_per_identity": ((int, type(None)), "an integer or null"),
-    "negatives_per_identity": ((int,), "an integer"),
-    "positive_mode": ((str,), "a string"),
-}
-_AUDIT_KEYS = {"policies", "group_by", "explain", "standardize", "reference_levels"}
-
-
 def _cmd_run_all(args) -> int:
     outdir = _require_out(args)
     data = _read_json(args.config)
     if not isinstance(data, dict) or "synth" not in data:
         raise DataError(f"{args.config}: run-all config needs a 'synth' section")
-    for section, keys in (("trials", set(_TRIALS_TYPES)), ("audit", _AUDIT_KEYS)):
-        if not isinstance(data.get(section, {}), dict):
-            raise DataError(f"{args.config}: {section} must be a JSON object")
-        unknown = set(data.get(section, {})) - keys
-        if unknown:
-            raise DataError(f"{args.config}: unknown {section} keys: {sorted(unknown)}")
     unknown = set(data) - {"synth", "trials", "audit"}
     if unknown:
         raise DataError(f"{args.config}: unknown config sections: {sorted(unknown)}")
-    trials_cfg = data.get("trials", {})
-    for key, value in trials_cfg.items():
-        types, expected = _TRIALS_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise DataError(f"{args.config}: trials.{key} must be {expected}")
-    audit_cfg = data.get("audit", {})
-    for key in ("policies", "group_by"):
-        value = audit_cfg.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise DataError(f"{args.config}: audit.{key} must be a list of strings")
-
-    config = config_from_dict(data["synth"])
+    config = _from_json(SynthConfig, data["synth"], "synth")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    policy = _from_json(TrialPolicy, data.get("trials", {}), "trials")
+    options = _from_json(
+        AuditOptions,
+        data.get("audit", {}),
+        "audit",
+        explain=True,
+        group_by=config.group_attributes,
+    )
+    if args.threshold_policy:
+        options = dataclasses.replace(options, policies=_policies(args))
+    if args.group_by:
+        options = dataclasses.replace(options, group_by=_group_by(args))
     schema = _load_schema(args)
+    for name, level in options.reference_levels.items():
+        try:
+            schema.level_index(name, level)
+        except SchemaError as exc:
+            raise DataError(f"audit.reference_levels[{name!r}]: {exc}") from None
+
     result = generate(config, schema)
     artifact_paths = write_synth(outdir / "data", result, schema)
-
     cohort = load_cohort(artifact_paths["embeddings"], artifact_paths["attributes"], schema)
-    policy = TrialPolicy(
-        positives_per_identity=trials_cfg.get("positives_per_identity", 6),
-        negatives_per_identity=trials_cfg.get("negatives_per_identity", 50),
-        positive_mode=trials_cfg.get("positive_mode", "all_pairs_capped"),
-    )
     trials = generate_trials(cohort, policy, config.seed)
     scores = score_trials(cohort, trials)
     write_trials_csv(outdir / "trials.csv", trials, scores)
-
-    options = AuditOptions(
-        policies=(
-            _policies(args)
-            if args.threshold_policy
-            else tuple(audit_cfg.get("policies", ("eer",)))
-        ),
-        group_by=(
-            _group_by(args)
-            if args.group_by
-            else tuple(audit_cfg.get("group_by", config.group_attributes))
-        ),
-        explain=bool(audit_cfg.get("explain", True)),
-        standardize=bool(audit_cfg.get("standardize", False)),
-        reference_levels=dict(audit_cfg.get("reference_levels", {})),
-    )
-    for policy_text in options.policies:
-        parse_policy(policy_text)
     return _finish(outdir, audit_cohort(cohort, trials, scores, schema, options, config.seed))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from faceaudit import __version__
-from faceaudit.calibration import OperatingPoint, calibrate, sweep_rates
+from faceaudit.calibration import OperatingPoint, calibrate, parse_policy, sweep_rates
 from faceaudit.cohort import AttributeProfile, Cohort, aggregate_profiles, aggregate_rows
 from faceaudit.errors import DataError
 from faceaudit.explain import EncodingConfig, ExplanatoryReport, build_design, explanatory_report
@@ -51,9 +51,14 @@ class AuditOptions:
 
     def __post_init__(self):
         if not self.policies:
-            raise DataError("at least one threshold policy is required")
+            raise DataError("policies must name at least one threshold policy")
         if len(set(self.policies)) != len(self.policies):
-            raise DataError("threshold policies must be distinct")
+            raise DataError("policies must be distinct")
+        for policy in self.policies:
+            try:
+                parse_policy(policy)
+            except DataError as exc:
+                raise DataError(f"policies: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ class AttributeEffect:
 
     def __post_init__(self):
         if self.target not in ("far", "frr"):
-            raise DataError(f"effect target must be 'far' or 'frr', got {self.target!r}")
+            raise DataError(f"target must be 'far' or 'frr', got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,24 @@ class SynthConfig:
         if not self.identities_per_group:
             raise DataError("identities_per_group must name at least one cell")
         if self.images_per_identity < 2:
-            raise DataError("need at least two images per identity")
+            raise DataError("images_per_identity must be at least 2")
         if self.dim < 2:
-            raise DataError("embedding dimension must be at least 2")
+            raise DataError("dim must be at least 2")
         if not 0.0 < self.base_margin < 1.0:
             raise DataError("base_margin must lie strictly inside (0, 1)")
         if self.noise_scale <= 0.0:
             raise DataError("noise_scale must be positive")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
         for cell, count in self.identities_per_group.items():
             if len(cell) != len(self.group_attributes):
-                raise DataError(f"cell {cell!r} does not match group_attributes")
+                raise DataError(
+                    f"identities_per_group cell {cell!r} does not match group_attributes"
+                )
             if count < 1:
-                raise DataError(f"cell {cell!r} must hold at least one identity")
+                raise DataError(
+                    f"identities_per_group cell {cell!r} must hold at least one identity"
+                )
 
     def validate_schema(self, schema: AttributeSchema) -> None:
         for name in self.group_attributes:
@@ -242,78 +248,6 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
     }
     return SynthResult(
         records=tuple(records), attributes=tuple(attributes), ground_truth=ground_truth
-    )
-
-
-def config_to_dict(config: SynthConfig) -> dict:
-    """JSON-friendly mirror of a SynthConfig; cells join levels with commas."""
-    return {
-        "identities_per_group": {
-            ",".join(cell): n for cell, n in sorted(config.identities_per_group.items())
-        },
-        "group_attributes": list(config.group_attributes),
-        "images_per_identity": config.images_per_identity,
-        "dim": config.dim,
-        "base_margin": config.base_margin,
-        "noise_scale": config.noise_scale,
-        "group_margin_shift": {
-            ",".join(cell): s for cell, s in sorted(config.group_margin_shift.items())
-        },
-        "group_noise_shift": {
-            ",".join(cell): s for cell, s in sorted(config.group_noise_shift.items())
-        },
-        "attribute_effects": [
-            {"variable": e.variable, "target": e.target, "strength": e.strength}
-            for e in config.attribute_effects
-        ],
-        "seed": config.seed,
-    }
-
-
-def config_from_dict(data: dict) -> SynthConfig:
-    if "identities_per_group" not in data:
-        raise DataError("synth config needs an identities_per_group mapping")
-    known = {
-        "identities_per_group",
-        "group_attributes",
-        "images_per_identity",
-        "dim",
-        "base_margin",
-        "noise_scale",
-        "group_margin_shift",
-        "group_noise_shift",
-        "attribute_effects",
-        "seed",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise DataError(f"unknown synth config keys: {sorted(unknown)}")
-    defaults = SynthConfig.__dataclass_fields__
-
-    def cells(key):
-        return {
-            tuple(label.split(",")): value for label, value in data.get(key, {}).items()
-        }
-
-    effects = tuple(
-        AttributeEffect(e["variable"], e["target"], float(e["strength"]))
-        for e in data.get("attribute_effects", [])
-    )
-    return SynthConfig(
-        identities_per_group={c: int(n) for c, n in cells("identities_per_group").items()},
-        group_attributes=tuple(
-            data.get("group_attributes", defaults["group_attributes"].default)
-        ),
-        images_per_identity=int(
-            data.get("images_per_identity", defaults["images_per_identity"].default)
-        ),
-        dim=int(data.get("dim", defaults["dim"].default)),
-        base_margin=float(data.get("base_margin", defaults["base_margin"].default)),
-        noise_scale=float(data.get("noise_scale", defaults["noise_scale"].default)),
-        group_margin_shift={c: float(s) for c, s in cells("group_margin_shift").items()},
-        group_noise_shift={c: float(s) for c, s in cells("group_noise_shift").items()},
-        attribute_effects=effects,
-        seed=int(data.get("seed", 0)),
     )
 
 

@@ -1,8 +1,10 @@
 """Tests for the command-line interface: exit codes, pipelines, determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +249,134 @@ class TestDataErrors:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["run-all", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+
+_CELLS = {"man,asian": 4, "woman,asian": 4}
+
+# (id, section, that section's JSON, key path the one-line message names).
+# A synth section is run bare through ``synth`` and under "synth" through
+# ``run-all``; an audit section goes beside a valid synth section.  Mistyped
+# trials values are covered by test_run_all_mistyped_trials_value_rejected.
+_MALFORMED = [
+    (
+        "effect-without-target",
+        "synth",
+        {
+            "identities_per_group": _CELLS,
+            "attribute_effects": [{"variable": "blur", "strength": 0.2}],
+        },
+        "synth.attribute_effects[0].target",
+    ),
+    ("negative-seed", "synth", {"identities_per_group": _CELLS, "seed": -1}, "synth.seed"),
+    (
+        "cells-as-list",
+        "synth",
+        {"identities_per_group": [["man", "asian", 4]]},
+        "synth.identities_per_group",
+    ),
+    (
+        "cell-count-string",
+        "synth",
+        {"identities_per_group": {"man,asian": "many"}},
+        "synth.identities_per_group['man,asian']",
+    ),
+    ("dim-fraction", "synth", {"identities_per_group": _CELLS, "dim": 16.9}, "synth.dim"),
+    (
+        "margin-string",
+        "synth",
+        {"identities_per_group": _CELLS, "base_margin": "0.3"},
+        "synth.base_margin",
+    ),
+    ("bool-as-int", "synth", {"identities_per_group": _CELLS, "seed": True}, "synth.seed"),
+    (
+        "group-attributes-string",
+        "synth",
+        {"identities_per_group": _CELLS, "group_attributes": "gender,ethnicity"},
+        "synth.group_attributes",
+    ),
+    (
+        "group-attributes-nested-list",
+        "synth",
+        {"identities_per_group": _CELLS, "group_attributes": [["gender", "ethnicity"]]},
+        "synth.group_attributes[0]",
+    ),
+    ("missing-cells", "synth", {"dim": 32}, "synth.identities_per_group"),
+    ("unknown-key", "synth", {"identities_per_group": _CELLS, "colour": "red"}, "synth.colour"),
+    ("explain-string", "audit", {"explain": "false"}, "audit.explain"),
+    (
+        "reference-levels-list",
+        "audit",
+        {"reference_levels": ["ethnicity", "black"]},
+        "audit.reference_levels",
+    ),
+    (
+        "reference-level-number",
+        "audit",
+        {"reference_levels": {"ethnicity": 3}},
+        "audit.reference_levels['ethnicity']",
+    ),
+    (
+        "reference-level-unknown",
+        "audit",
+        {"reference_levels": {"ethnicity": "martian"}},
+        "audit.reference_levels['ethnicity']",
+    ),
+    (
+        "reference-variable-unknown",
+        "audit",
+        {"reference_levels": {"planet": "mars"}},
+        "audit.reference_levels['planet']",
+    ),
+    (
+        "reference-variable-continuous",
+        "audit",
+        {"reference_levels": {"blur": "high"}},
+        "audit.reference_levels['blur']",
+    ),
+    ("policy-out-of-range", "audit", {"policies": ["eer", "far@2"]}, "audit.policies"),
+]
+
+
+def _malformed_cases():
+    for case_id, section, body, path in _MALFORMED:
+        if section == "synth":
+            yield pytest.param("synth", body, path, id=f"synth-{case_id}")
+            config = {"synth": body}
+        else:
+            config = {"synth": {"identities_per_group": _CELLS}, section: body}
+        yield pytest.param("run-all", config, path, id=f"run-all-{case_id}")
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command, config, path", list(_malformed_cases()))
+    def test_one_line_exit_2(self, tmp_path, capsys, command, config, path):
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"faceaudit {command}: ")
+        assert path in err
+        assert not out.exists()  # rejected before any work
+
+
+def _readme_json_blocks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    return [pytest.param(block, id=f"block{i}") for i, block in enumerate(blocks)]
+
+
+class TestReadme:
+    """Every ```json block in README is a run-all config that runs."""
+
+    def test_has_json_blocks(self):
+        assert len(_readme_json_blocks()) >= 2
+
+    @pytest.mark.parametrize("block", _readme_json_blocks())
+    def test_json_block_runs(self, tmp_path, block):
+        config = tmp_path / "pipeline.json"
+        config.write_text(block, encoding="utf-8")
+        assert main(["run-all", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestNumericalErrors:

@@ -44,6 +44,11 @@ class TestAuditOptions:
         with pytest.raises(DataError):
             AuditOptions(policies=("eer", "eer"))
 
+    @pytest.mark.parametrize("policy", ["far@2", "frr@0.1", "far@x"])
+    def test_malformed_policy_rejected(self, policy):
+        with pytest.raises(DataError, match="^policies: "):
+            AuditOptions(policies=("eer", policy))
+
 
 class TestProfilesFromRows:
     def test_groups_by_identity(self):

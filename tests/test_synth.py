@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from faceaudit.calibration import calibrate, sweep_rates
+from faceaudit.cli import main
 from faceaudit.cohort import aggregate_profiles, build_cohort, load_cohort
 from faceaudit.errors import DataError, SchemaError
 from faceaudit.schema import default_schema, load_schema
 from faceaudit.synth import (
     AttributeEffect,
     SynthConfig,
-    config_from_dict,
-    config_to_dict,
     generate,
     simpson_config,
     write_synth,
@@ -66,6 +65,10 @@ class TestConfigValidation:
     def test_nonpositive_noise_rejected(self):
         with pytest.raises(DataError):
             _two_cell_config(noise_scale=0.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be non-negative"):
+            _two_cell_config(seed=-1)
 
     def test_cell_arity_checked(self):
         with pytest.raises(DataError):
@@ -211,36 +214,75 @@ class TestGenerate:
         assert np.corrcoef(exposure, noise)[0, 1] > 0.99
 
 
+# Sets every SynthConfig key; integers stand in for two float fields.
+_EVERY_KEY = {
+    "identities_per_group": {"man,asian": 7, "woman,caucasian": 5},
+    "group_attributes": ["gender", "ethnicity"],
+    "images_per_identity": 3,
+    "dim": 24,
+    "base_margin": 0.25,
+    "noise_scale": 1,
+    "group_margin_shift": {"man,asian": -0.1},
+    "group_noise_shift": {"woman,caucasian": 0.2},
+    "attribute_effects": [
+        {"variable": "blur", "target": "far", "strength": 0.25},
+        {"variable": "exposure", "target": "frr", "strength": 1},
+    ],
+    "seed": 11,
+}
+
+
+def _synth_truth(tmp_path, config, name="synth"):
+    """ground_truth.json bytes of ``faceaudit synth --config`` on ``config``."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / name
+    assert main(["synth", "--config", str(path), "--out", str(out)]) == 0
+    return (out / "ground_truth.json").read_bytes()
+
+
 class TestConfigDict:
-    def test_round_trip(self):
-        config = _two_cell_config(
-            n=7,
-            seed=11,
+    """``synth --config`` maps each JSON key onto its SynthConfig field."""
+
+    def test_round_trip(self, tmp_path):
+        config = SynthConfig(
+            identities_per_group={("man", "asian"): 7, ("woman", "caucasian"): 5},
+            group_attributes=("gender", "ethnicity"),
+            images_per_identity=3,
+            dim=24,
+            base_margin=0.25,
+            noise_scale=1.0,
             group_margin_shift={("man", "asian"): -0.1},
             group_noise_shift={("woman", "caucasian"): 0.2},
-            attribute_effects=(AttributeEffect("blur", "far", 0.25),),
+            attribute_effects=(
+                AttributeEffect("blur", "far", 0.25),
+                AttributeEffect("exposure", "frr", 1.0),
+            ),
+            seed=11,
         )
-        assert config_from_dict(config_to_dict(config)) == config
+        truth = json.loads(_synth_truth(tmp_path, _EVERY_KEY))
+        assert truth == json.loads(json.dumps(generate(config).ground_truth))
+        # integers given for float fields are read as floats
+        assert isinstance(truth["noise_scale"], float)
+        assert isinstance(truth["effects"][1]["strength"], float)
 
-    def test_json_serialisable(self):
-        config = _two_cell_config()
-        text = json.dumps(config_to_dict(config))
-        assert config_from_dict(json.loads(text)) == config
+    def test_json_serialisable(self, tmp_path):
+        # a bare synth object and one under a "synth" key read the same
+        bare = _synth_truth(tmp_path, _EVERY_KEY, "bare")
+        assert _synth_truth(tmp_path, {"synth": _EVERY_KEY}, "wrapped") == bare
 
-    def test_defaults_fill_in(self):
-        config = config_from_dict({"identities_per_group": {"man,asian": 5, "woman,black": 5}})
-        assert config.dim == 64
-        assert config.base_margin == 0.30
-        assert config.noise_scale == 1.20
-        assert config.images_per_identity == 4
-
-    def test_missing_cells_rejected(self):
-        with pytest.raises(DataError):
-            config_from_dict({"dim": 32})
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(DataError):
-            config_from_dict({"identities_per_group": {"man,asian": 5}, "colour": "red"})
+    def test_defaults_fill_in(self, tmp_path):
+        truth = json.loads(
+            _synth_truth(tmp_path, {"identities_per_group": {"man,asian": 5, "woman,black": 5}})
+        )
+        assert truth["dim"] == 64
+        assert truth["base_margin"] == 0.30
+        assert truth["noise_scale"] == 1.20
+        assert truth["images_per_identity"] == 4
+        assert truth["group_attributes"] == ["gender", "ethnicity"]
+        assert truth["margin_shift"] == truth["noise_shift"] == {}
+        assert truth["effects"] == []
+        assert truth["seed"] == 0
 
 
 class TestSimpsonConfig:
