@@ -32,6 +32,7 @@ from faceaudit import __version__
 from faceaudit.calibration import calibrate, parse_policy, sweep_rates
 from faceaudit.cohort import aggregate_profiles, load_cohort, read_attributes
 from faceaudit.errors import DataError, NumericalError, SchemaError
+from faceaudit.metrics import GroupSpec
 from faceaudit.pipeline import (
     AuditOptions,
     AuditResults,
@@ -320,8 +321,8 @@ def _audit_like(args, explain: bool) -> int:
         profiles = aggregate_profiles(cohort, schema)
     else:
         trials, scores = read_trials_csv(args.scores)
-        rows = {r.image_id: r.values for r in read_attributes(args.attributes, schema)}
-        profiles = profiles_from_rows(rows, trials.identity_of(), schema)
+        table = read_attributes(args.attributes, schema)
+        profiles = profiles_from_rows(table, trials, schema)
     if np.isnan(scores).any():
         raise DataError(f"{args.scores}: contains unscored pairs; run score first")
     options = AuditOptions(
@@ -381,6 +382,10 @@ def _cmd_run_all(args) -> int:
             schema.level_index(name, level)
         except SchemaError as exc:
             raise DataError(f"audit.reference_levels[{name!r}]: {exc}") from None
+    try:
+        GroupSpec(attributes=options.group_by).validate(schema)
+    except DataError as exc:
+        raise DataError(f"{'--group-by' if args.group_by else 'audit.group_by'}: {exc}") from None
 
     result = generate(config, schema)
     artifact_paths = write_synth(outdir / "data", result, schema)

@@ -11,17 +11,27 @@ Embeddings, tabular: delimited text, one row per record:
 ``image_id, identity_id, v0, ..., v{dim-1}`` (no header).
 
 Attributes: delimited text with a header row ``image_id`` followed by
-schema variable names; an empty cell means the value is missing.
-Categorical cells may hold either the level name or its index.
+schema variable names, each at most once, in any order; an empty cell
+means the value is missing.  Categorical cells may hold either the
+level name or its index.  In memory the rows form one
+``AttributeTable`` with its columns in schema order.
+
+Profiles: each identity aggregates its images' rows in sorted image-id
+order, so neither the row nor the column order of the file changes a
+profile; continuous means are ``np.mean`` of the present values.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import operator
 import struct
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat, tee
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -49,12 +59,23 @@ class EmbeddingRecord:
             raise DataError(f"embedding for {self.image_id!r} contains non-finite values")
 
 
-@dataclass(frozen=True)
-class ImageAttributes:
-    """Per-image attribute values; absent keys are missing values."""
+@dataclass(frozen=True, eq=False)
+class AttributeTable:
+    """Per-image attribute values, one row per image.
 
-    image_id: str
-    values: dict[str, float]
+    ``values[i, j]`` holds schema variable ``j`` of image ``image_ids[i]``;
+    NaN marks a missing value.
+    """
+
+    image_ids: tuple[str, ...]
+    values: np.ndarray  # float64, shape (n_images, n_vars), schema order
+
+    def rows(self, image_ids: Sequence[str]) -> np.ndarray:
+        """Row of each of ``image_ids`` in this table; -1 where it has none."""
+        row_of = dict(zip(self.image_ids, range(len(self.image_ids))))
+        return np.fromiter(
+            map(row_of.get, image_ids, repeat(-1)), dtype=np.intp, count=len(image_ids)
+        )
 
 
 @dataclass(frozen=True)
@@ -77,18 +98,10 @@ class Cohort:
     """Immutable in-memory cohort; safe to share across readers."""
 
     records: dict[str, EmbeddingRecord]  # by image_id
-    images: dict[str, ImageAttributes]  # by image_id
+    images: AttributeTable  # rows of the attributed images
     identities: dict[str, tuple[str, ...]]  # identity -> image_ids, sorted
     dim: int
     unattributed: tuple[str, ...] = field(default=())  # embeddings lacking attribute rows
-
-    @property
-    def n_images(self) -> int:
-        return len(self.records)
-
-    @property
-    def n_identities(self) -> int:
-        return len(self.identities)
 
     def vector(self, image_id: str) -> np.ndarray:
         return self.records[image_id].vector
@@ -172,7 +185,7 @@ def load_embeddings(path: str | Path) -> list[EmbeddingRecord]:
     return read_embeddings_text(path)
 
 
-def _parse_cell(var: Variable, raw: str, schema: AttributeSchema) -> float:
+def _parse_cell(var: Variable, raw: str) -> float:
     raw = raw.strip()
     if var.kind == "categorical" and raw in var.levels:
         return float(var.levels.index(raw))
@@ -184,7 +197,56 @@ def _parse_cell(var: Variable, raw: str, schema: AttributeSchema) -> float:
     return value
 
 
-def read_attributes(path: str | Path, schema: AttributeSchema) -> list[ImageAttributes]:
+def _parse_column(var: Variable, cells: Sequence[str]) -> tuple[np.ndarray, bool]:
+    """A column's values, NaN for empty cells, and whether every cell
+    passes ``_parse_cell``."""
+    cells = list(map(str.strip, cells))
+    lookup = {"": math.nan}  # empty cells are missing; level names map to their index
+    for index, level in enumerate(var.levels):
+        lookup.setdefault(level, float(index))
+    try:
+        values = np.fromiter(
+            map(float, map(lookup.get, cells, cells)), dtype=np.float64, count=len(cells)
+        )
+    except ValueError:  # a cell that is no number
+        return np.full(len(cells), np.nan), False
+    lo, hi = var.bounds()
+    ok = np.isfinite(values) & (lo <= values) & (values <= hi)
+    if not var.is_continuous:
+        ok &= values == np.trunc(values)
+    empty = np.fromiter(map(operator.not_, cells), dtype=bool, count=len(cells))
+    return values, bool((ok | empty).all())
+
+
+def _raise_first_fault(
+    path: str | Path, header: list[str], raw: list[list[str]], schema: AttributeSchema
+) -> NoReturn:
+    """Raise the first fault of an attribute file's rows, checked row by row."""
+    seen: set[str] = set()
+    for lineno, row in enumerate(raw, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+        if row[0] in seen:
+            raise DataError(f"{path}:{lineno}: duplicate image_id {row[0]!r}")
+        seen.add(row[0])
+        for col, cell in zip(header[1:], row[1:]):
+            if not cell.strip():
+                continue
+            try:
+                _parse_cell(schema.variable(col), cell)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}:{lineno}: image {row[0]!r}: {exc}") from None
+    raise AssertionError("no faulty row in the attribute file")
+
+
+def read_attributes(path: str | Path, schema: AttributeSchema) -> AttributeTable:
+    """Read an attribute file into a table, parsing it column by column.
+
+    When the file has faults, it is checked again row by row, so the
+    one reported is the first a row-by-row reader meets.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -194,56 +256,49 @@ def read_attributes(path: str | Path, schema: AttributeSchema) -> list[ImageAttr
         if not header or header[0] != "image_id":
             raise DataError(f"{path}: first attribute column must be image_id")
         known = set(schema.names())
-        for col in header[1:]:
+        for i, col in enumerate(header[1:], start=1):
             if col not in known:
                 raise SchemaError(f"{path}: unknown attribute column {col!r}")
-        rows = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            image_id = row[0]
-            if image_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate image_id {image_id!r}")
-            seen.add(image_id)
-            values: dict[str, float] = {}
-            for col, raw in zip(header[1:], row[1:]):
-                if raw.strip() == "":
-                    continue
-                var = schema.variable(col)
-                try:
-                    values[col] = _parse_cell(var, raw, schema)
-                except SchemaError as exc:
-                    raise SchemaError(f"{path}:{lineno}: image {image_id!r}: {exc}") from None
-            rows.append(ImageAttributes(image_id=image_id, values=values))
-    return rows
-
-
-def write_attributes(path: str | Path, rows, schema: AttributeSchema) -> None:
+            if col in header[1:i]:
+                raise DataError(f"{path}: duplicate attribute column {col!r}")
+        raw = list(reader)
+    rows = list(filter(None, raw))
+    columns = list(zip(*rows)) or [()] * len(header)
+    image_ids = columns[0]
+    ok = set(map(len, rows)) <= {len(header)} and len(set(image_ids)) == len(image_ids)
+    values = np.full((len(image_ids), len(schema.variables)), np.nan)
     names = schema.names()
+    for col, cells in zip(header[1:], columns[1:]):
+        if not ok:
+            break
+        values[:, names.index(col)], ok = _parse_column(schema.variable(col), cells)
+    if not ok:
+        _raise_first_fault(path, header, raw, schema)
+    # Fresh copies of the ids: once the cells parsed beside them are
+    # freed, the memory they held can go back to the system.
+    image_ids = tuple(image.encode().decode() for image in image_ids)
+    return AttributeTable(image_ids=image_ids, values=values)
+
+
+def _cells(var: Variable, column: np.ndarray):
+    """A column's cells as the attribute file holds them, made lazily."""
+    if var.is_continuous:
+        keys, texts = tee(map(float.__repr__, column))
+        return map({"nan": ""}.get, keys, texts)  # a missing value is an empty cell
+    labels = (*(var.levels if var.kind == "categorical" else ("0", "1")), "")
+    codes = np.where(np.isnan(column), len(labels) - 1, column).astype(np.intp)
+    return map(labels.__getitem__, codes.tolist())
+
+
+def write_attributes(path: str | Path, table: AttributeTable, schema: AttributeSchema) -> None:
+    columns = [_cells(var, column) for var, column in zip(schema.variables, table.values.T)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["image_id", *names])
-        for row in rows:
-            cells = [row.image_id]
-            for name in names:
-                if name not in row.values:
-                    cells.append("")
-                    continue
-                var = schema.variable(name)
-                value = row.values[name]
-                if var.kind == "categorical":
-                    cells.append(var.levels[int(value)])
-                elif var.kind == "boolean":
-                    cells.append(str(int(value)))
-                else:
-                    cells.append(repr(float(value)))
-            writer.writerow(cells)
+        writer.writerow(["image_id", *schema.names()])
+        writer.writerows(zip(table.image_ids, *columns))
 
 
-def build_cohort(records, attribute_rows=()) -> Cohort:
+def build_cohort(records, attributes: AttributeTable | None = None) -> Cohort:
     """Assemble and validate a cohort from in-memory pieces.
 
     Every attribute row must reference a known embedding; embeddings
@@ -263,21 +318,23 @@ def build_cohort(records, attribute_rows=()) -> Cohort:
             raise DataError(f"duplicate image_id {rec.image_id!r} among embeddings")
         by_image[rec.image_id] = rec
 
-    images: dict[str, ImageAttributes] = {}
-    for row in attribute_rows:
-        if row.image_id not in by_image:
-            raise DataError(f"attribute row for {row.image_id!r} has no matching embedding")
-        if row.image_id in images:
-            raise DataError(f"duplicate attribute row for {row.image_id!r}")
-        images[row.image_id] = row
+    if attributes is None:
+        attributes = AttributeTable(image_ids=(), values=np.empty((0, 0)))
+    attributed: set[str] = set()
+    for image_id in attributes.image_ids:
+        if image_id not in by_image:
+            raise DataError(f"attribute row for {image_id!r} has no matching embedding")
+        if image_id in attributed:
+            raise DataError(f"duplicate attribute row for {image_id!r}")
+        attributed.add(image_id)
 
     identities: dict[str, list[str]] = {}
     for rec in by_image.values():
         identities.setdefault(rec.identity_id, []).append(rec.image_id)
-    unattributed = tuple(sorted(set(by_image) - set(images)))
+    unattributed = tuple(sorted(set(by_image) - attributed))
     return Cohort(
         records=by_image,
-        images=images,
+        images=attributes,
         identities={k: tuple(sorted(v)) for k, v in sorted(identities.items())},
         dim=dim,
         unattributed=unattributed,
@@ -297,54 +354,92 @@ def load_cohort(
     records = load_embeddings(embedding_path)
     if not records:
         raise DataError(f"{embedding_path}: no embedding records")
-    rows = [] if attribute_path is None else read_attributes(attribute_path, schema)
-    return build_cohort(records, rows)
+    table = None if attribute_path is None else read_attributes(attribute_path, schema)
+    return build_cohort(records, table)
 
 
-def aggregate_rows(
-    rows: list[dict[str, float]], schema: AttributeSchema
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Collapse per-image value dicts into one (values, coverage) pair.
+def aggregate_table(
+    table: AttributeTable,
+    image_ids: Sequence[str],
+    codes: np.ndarray,
+    n_groups: int,
+    schema: AttributeSchema,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse the table rows of ``image_ids`` into one row per group.
 
-    Continuous variables take the mean of present values, booleans the
+    ``codes[i]`` is the group of ``image_ids[i]`` and must not decrease,
+    so each group's images are contiguous; they are aggregated in the
+    order given.  Images without a table row are skipped.  Continuous
+    variables take the ``np.mean`` of the present values, booleans the
     mode with ties resolving to 1, categoricals the mode with ties
     resolving to the lowest level index.
+
+    Returns (values, coverage, rows): NaN values where a group has no
+    present value, the present fraction of each group's rows (0 for a
+    group without rows), and each group's row count.
     """
-    if not rows:
-        raise DataError("cannot aggregate zero attribute rows")
-    values: dict[str, float] = {}
-    coverage: dict[str, float] = {}
-    for var in schema.variables:
-        present = [row[var.name] for row in rows if var.name in row]
-        coverage[var.name] = len(present) / len(rows)
-        if not present:
-            continue
+    found = table.rows(image_ids)
+    have = found >= 0
+    data = table.values[found[have]].reshape(-1, len(schema.variables))
+    codes = np.asarray(codes, dtype=np.intp)[have]
+    n_rows = np.bincount(codes, minlength=n_groups)
+    out = np.full((n_groups, data.shape[1]), np.nan)
+    coverage = np.empty_like(out)
+    for j, var in enumerate(schema.variables):
+        present = ~np.isnan(data[:, j])
+        column, group = data[present, j], codes[present]
+        counts = np.bincount(group, minlength=n_groups)
+        coverage[:, j] = counts / np.maximum(n_rows, 1)
         if var.is_continuous:
-            # Rounding can put the mean of near-equal values just outside
-            # them, so it is clamped to the values' range.
-            mean = float(np.mean(present))
-            values[var.name] = min(max(mean, min(present)), max(present))
-        elif var.kind == "boolean":
-            ones = sum(1 for v in present if v == 1.0)
-            # exact tie resolves to 1
-            values[var.name] = 1.0 if 2 * ones >= len(present) else 0.0
+            # Groups with k values form a C-contiguous (m, k) block, whose
+            # mean(axis=1) sums each row as np.mean sums one group.
+            starts = np.cumsum(counts) - counts
+            for size in np.unique(counts[counts > 0]).tolist():
+                which = np.flatnonzero(counts == size)
+                block = column[starts[which, None] + np.arange(size)]
+                # Rounding can put the mean of near-equal values just
+                # outside them, so it is clamped to the values' range.
+                mean = np.maximum(block.mean(axis=1), block.min(axis=1))
+                out[which, j] = np.minimum(mean, block.max(axis=1))
+            continue
+        if var.kind == "boolean":
+            ones = np.bincount(group, weights=column == 1.0, minlength=n_groups)
+            out[:, j] = 2 * ones >= counts
         else:
-            counts = Counter(present)
-            best = max(counts.values())
-            values[var.name] = float(min(v for v, c in counts.items() if c == best))
-    return values, coverage
+            n_levels = len(var.levels)
+            tally = np.bincount(
+                group * n_levels + column.astype(np.intp), minlength=n_groups * n_levels
+            )
+            out[:, j] = tally.reshape(n_groups, n_levels).argmax(axis=1)
+        out[counts == 0, j] = np.nan
+    return out, coverage, n_rows
+
+
+def build_profiles(
+    identities: Sequence[str], values: np.ndarray, coverage: np.ndarray, schema: AttributeSchema
+) -> list[AttributeProfile]:
+    """One profile per identity from ``aggregate_table`` rows."""
+    names = schema.names()
+    return [
+        AttributeProfile(
+            identity_id=identity,
+            values={name: v for name, v in zip(names, row) if not math.isnan(v)},
+            coverage=dict(zip(names, cov)),
+        )
+        for identity, row, cov in zip(identities, values.tolist(), coverage.tolist())
+    ]
 
 
 def aggregate_profiles(cohort: Cohort, schema: AttributeSchema) -> list[AttributeProfile]:
-    """One profile per identity; missing per-image values are skipped."""
-    profiles = []
-    for identity_id, image_ids in cohort.identities.items():
-        rows = [cohort.images[i].values for i in image_ids if i in cohort.images]
-        if rows:
-            values, coverage = aggregate_rows(rows, schema)
-            scale = len(rows) / len(image_ids)
-            coverage = {k: v * scale for k, v in coverage.items()}
-        else:
-            values, coverage = {}, {name: 0.0 for name in schema.names()}
-        profiles.append(AttributeProfile(identity_id=identity_id, values=values, coverage=coverage))
-    return profiles
+    """One profile per identity; missing per-image values are skipped.
+
+    Coverage counts every image of the identity, attributed or not.
+    """
+    sizes = np.array([len(images) for images in cohort.identities.values()])
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    ordered = [image for images in cohort.identities.values() for image in images]
+    values, coverage, n_rows = aggregate_table(
+        cohort.images, ordered, codes, len(sizes), schema
+    )
+    coverage *= (n_rows / sizes)[:, None]
+    return build_profiles(list(cohort.identities), values, coverage, schema)

@@ -17,7 +17,14 @@ import numpy as np
 
 from faceaudit import __version__
 from faceaudit.calibration import OperatingPoint, calibrate, parse_policy, sweep_rates
-from faceaudit.cohort import AttributeProfile, Cohort, aggregate_profiles, aggregate_rows
+from faceaudit.cohort import (
+    AttributeProfile,
+    AttributeTable,
+    Cohort,
+    aggregate_profiles,
+    aggregate_table,
+    build_profiles,
+)
 from faceaudit.errors import DataError
 from faceaudit.explain import EncodingConfig, ExplanatoryReport, build_design, explanatory_report
 from faceaudit.metrics import (
@@ -100,26 +107,22 @@ class AuditResults:
 
 
 def profiles_from_rows(
-    rows_by_image: dict[str, dict[str, float]],
-    identity_of: dict[str, str],
-    schema: AttributeSchema,
+    table: AttributeTable, trials: TrialSet, schema: AttributeSchema
 ) -> list[AttributeProfile]:
-    """Aggregate per-image attribute dicts into per-identity profiles.
+    """Aggregate per-image attribute rows into per-identity profiles.
 
     Used when auditing precomputed scores without embeddings; the
-    identity map then comes from the trial file itself.
+    identities then come from the trial file itself.  Each identity
+    aggregates the rows of its images in the trial image table's
+    (sorted) order; identities none of whose images has a row get no
+    profile, and rows of images outside the trials are ignored.
     """
-    grouped: dict[str, list[dict[str, float]]] = {}
-    for image_id, values in rows_by_image.items():
-        if image_id in identity_of:
-            grouped.setdefault(identity_of[image_id], []).append(values)
-    profiles = []
-    for identity_id in sorted(grouped):
-        values, coverage = aggregate_rows(grouped[identity_id], schema)
-        profiles.append(
-            AttributeProfile(identity_id=identity_id, values=values, coverage=coverage)
-        )
-    return profiles
+    values, coverage, n_rows = aggregate_table(
+        table, trials.image_ids, trials.identity_codes, len(trials.identities), schema
+    )
+    keep = np.flatnonzero(n_rows)
+    identities = [trials.identities[i] for i in keep.tolist()]
+    return build_profiles(identities, values[keep], coverage[keep], schema)
 
 
 def run_audit(

@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from faceaudit.cohort import (
+    AttributeTable,
     EmbeddingRecord,
-    ImageAttributes,
-    aggregate_rows,
+    aggregate_table,
     write_attributes,
     write_embeddings_binary,
 )
@@ -133,7 +133,7 @@ class SynthConfig:
 @dataclass(frozen=True)
 class SynthResult:
     records: tuple[EmbeddingRecord, ...]
-    attributes: tuple[ImageAttributes, ...]
+    attributes: AttributeTable
     ground_truth: dict
 
 
@@ -155,7 +155,7 @@ def _jitter(trait: float, var, rng) -> float:
     if not var.is_continuous:
         return trait
     lo, hi = var.bounds()
-    return float(np.clip(trait + rng.normal(0.0, 0.03 * (hi - lo)), lo, hi))
+    return min(max(trait + rng.normal(0.0, 0.03 * (hi - lo)), lo), hi)
 
 
 def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> SynthResult:
@@ -167,68 +167,77 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
     hub = np.ones(config.dim) / np.sqrt(config.dim)
     base_pull = 1.0 - config.base_margin
 
-    records: list[EmbeddingRecord] = []
-    attributes: list[ImageAttributes] = []
-    identity_truth: dict[str, dict] = {}
-    serial = 0
-    for cell in sorted(config.identities_per_group):
-        count = config.identities_per_group[cell]
+    # The planted effects need each identity's aggregated attributes,
+    # which are computed for all identities at once.  So the attributes
+    # are drawn first; each identity's residual and scatter draws are
+    # skipped then and drawn again below from the saved generator state.
+    # The stream is unchanged, and no draws are held in memory.
+    cells = [
+        cell
+        for cell in sorted(config.identities_per_group)
+        for _ in range(config.identities_per_group[cell])
+    ]
+    per = config.images_per_identity
+    values = np.empty((len(cells) * per, len(schema.variables)))
+    states = []  # generator state before each identity's residual draw
+    skipped = np.empty((1 + per, config.dim))
+    for u, cell in enumerate(cells):
         cell_levels = dict(zip(config.group_attributes, cell))
-        for _ in range(count):
-            identity_id = f"u{serial:05d}"
-            serial += 1
-
-            traits: dict[str, float] = {}
-            for var in schema.variables:
-                if var.name in cell_levels:
-                    level = cell_levels[var.name]
-                    if var.kind == "categorical":
-                        traits[var.name] = float(var.levels.index(level))
-                    else:
-                        traits[var.name] = float(int(level))
+        traits: dict[str, float] = {}
+        for var in schema.variables:
+            if var.name in cell_levels:
+                level = cell_levels[var.name]
+                if var.kind == "categorical":
+                    traits[var.name] = float(var.levels.index(level))
                 else:
-                    traits[var.name] = _draw_trait(var, rng)
+                    traits[var.name] = float(int(level))
+            else:
+                traits[var.name] = _draw_trait(var, rng)
+        for k in range(per):
+            values[u * per + k] = [_jitter(traits[var.name], var, rng) for var in schema.variables]
+        states.append(rng.bit_generator.state)
+        rng.standard_normal(out=skipped)
 
-            rows = []
-            for k in range(config.images_per_identity):
-                values = {
-                    var.name: _jitter(traits[var.name], var, rng)
-                    for var in schema.variables
-                }
-                rows.append((f"{identity_id}_{k:02d}", values))
-            aggregated, _ = aggregate_rows([values for _, values in rows], schema)
+    image_ids = tuple(f"u{u:05d}_{k:02d}" for u in range(len(cells)) for k in range(per))
+    attributes = AttributeTable(image_ids=image_ids, values=values)
+    codes = np.repeat(np.arange(len(cells)), per)
+    aggregated_rows, _, _ = aggregate_table(attributes, image_ids, codes, len(cells), schema)
+    records: list[EmbeddingRecord] = []
+    identity_truth: dict[str, dict] = {}
+    for u, (cell, row) in enumerate(zip(cells, aggregated_rows.tolist())):
+        identity_id = f"u{u:05d}"
+        aggregated = dict(zip(schema.names(), row))
+        pull = base_pull - config.group_margin_shift.get(cell, 0.0)
+        noise = config.noise_scale + config.group_noise_shift.get(cell, 0.0)
+        for effect in config.attribute_effects:
+            shift = effect.strength * _rescaled(
+                aggregated[effect.variable], schema.variable(effect.variable)
+            )
+            if effect.target == "far":
+                pull += shift
+            else:
+                noise += shift
+        pull = max(pull, _MIN_PULL)
+        noise = max(noise, _MIN_NOISE)
 
-            pull = base_pull - config.group_margin_shift.get(cell, 0.0)
-            noise = config.noise_scale + config.group_noise_shift.get(cell, 0.0)
-            for effect in config.attribute_effects:
-                shift = effect.strength * _rescaled(
-                    aggregated[effect.variable], schema.variable(effect.variable)
-                )
-                if effect.target == "far":
-                    pull += shift
-                else:
-                    noise += shift
-            pull = max(pull, _MIN_PULL)
-            noise = max(noise, _MIN_NOISE)
-
-            residual = rng.standard_normal(config.dim)
-            residual /= np.linalg.norm(residual)
-            centroid = residual + pull * hub
-            centroid /= np.linalg.norm(centroid)
-            for image_id, values in rows:
-                scatter = rng.standard_normal(config.dim) / np.sqrt(config.dim)
-                vec = centroid + noise * scatter
-                vec /= np.linalg.norm(vec)
-                records.append(
-                    EmbeddingRecord(image_id, identity_id, vec.astype(np.float32))
-                )
-                attributes.append(ImageAttributes(image_id=image_id, values=values))
-            identity_truth[identity_id] = {
-                "cell": list(cell),
-                "pull": pull,
-                "noise": noise,
-                "attributes": {k: aggregated[k] for k in sorted(aggregated)},
-            }
+        rng.bit_generator.state = states[u]
+        residual = rng.standard_normal(config.dim)
+        residual /= np.linalg.norm(residual)
+        centroid = residual + pull * hub
+        centroid /= np.linalg.norm(centroid)
+        for k in range(per):
+            scatter = rng.standard_normal(config.dim) / np.sqrt(config.dim)
+            vec = centroid + noise * scatter
+            vec /= np.linalg.norm(vec)
+            records.append(
+                EmbeddingRecord(image_ids[u * per + k], identity_id, vec.astype(np.float32))
+            )
+        identity_truth[identity_id] = {
+            "cell": list(cell),
+            "pull": pull,
+            "noise": noise,
+            "attributes": {k: aggregated[k] for k in sorted(aggregated)},
+        }
 
     ground_truth = {
         "group_attributes": list(config.group_attributes),
@@ -246,9 +255,7 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
         "images_per_identity": config.images_per_identity,
         "identities": identity_truth,
     }
-    return SynthResult(
-        records=tuple(records), attributes=tuple(attributes), ground_truth=ground_truth
-    )
+    return SynthResult(records=tuple(records), attributes=attributes, ground_truth=ground_truth)
 
 
 def simpson_config(

@@ -13,13 +13,16 @@ array of (probe, reference) image rows, one row per trial.
 from __future__ import annotations
 
 import csv
+import gc
 import warnings
 from array import array
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -73,19 +76,6 @@ class TrialSet:
     pairs: np.ndarray  # int, shape (n_pairs, 2)
     skipped_identities: tuple[str, ...] = field(default=())
 
-    @classmethod
-    def from_image_pairs(
-        cls, pairs: Sequence[tuple[str, str]], identity_of: Mapping[str, str]
-    ) -> TrialSet:
-        """Trials over the images ``pairs`` name, labelled by ``identity_of``."""
-        images: dict[str, list[str]] = {}
-        for image in sorted({image for pair in pairs for image in pair}):
-            images.setdefault(identity_of[image], []).append(image)
-        image_ids, codes, identities = _image_table(images)
-        row_of = {image: row for row, image in enumerate(image_ids)}
-        rows = array("q", (row_of[image] for pair in pairs for image in pair))
-        return cls(image_ids, codes, identities, np.array(rows, dtype=np.intp).reshape(-1, 2))
-
     @cached_property
     def genuine(self) -> np.ndarray:
         """Boolean mask aligned with ``pairs``: True for same-identity trials."""
@@ -104,13 +94,6 @@ class TrialSet:
     @property
     def n_impostor(self) -> int:
         return len(self.pairs) - self.n_genuine
-
-    def identity_of(self) -> dict[str, str]:
-        """Image id to identity name, for every image in the table."""
-        return {
-            image: self.identities[code]
-            for image, code in zip(self.image_ids, self.identity_codes.tolist())
-        }
 
 
 def _image_table(
@@ -236,6 +219,8 @@ def score_trials(cohort: Cohort, trials: TrialSet, chunk_size: int = 4096) -> np
 
 _CSV_HEADER = ["probe_image_id", "reference_image_id", "label", "score"]
 _LABELS = {True: "genuine", False: "impostor"}
+_GENUINE = {"genuine": 1, "impostor": 0}
+_CHUNK_ROWS = 32768
 
 
 def write_trials_csv(
@@ -255,42 +240,91 @@ def write_trials_csv(
         writer.writerows(zip(probes, references, labels, cells))
 
 
-def _identities_from_labels(
-    pairs: list[tuple[str, str]], stated_genuine: list[bool]
-) -> dict[str, str]:
-    """Recover an image-to-identity map from genuine-pair connectivity.
-
-    Genuine pairs link images of one identity; connected components of
-    that graph are identities.  Images appearing only in impostor pairs
-    form singleton components.  Components are labelled by their
-    lexicographically smallest member, which keeps the map deterministic.
-    """
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for (probe, reference), genuine in zip(pairs, stated_genuine):
-        for image in (probe, reference):
-            parent.setdefault(image, image)
-        if genuine:
-            ra, rb = find(probe), find(reference)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return {image: find(image) for image in parent}
-
-
 def _line_of(path: str | Path, index: int) -> int:
     """File line of trial row ``index``, counted as ``read_trials_csv``
     counts lines.  The file is read again, so only error paths pay."""
     with open(path, newline="", encoding="utf-8") as fh:
         lines = (lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row)
         return next(islice(lines, index + 1, None))  # + 1 skips the header
+
+
+def _score(cell: str) -> float:
+    return float(cell) if cell.strip() else float("nan")
+
+
+def _raise_row_fault(path: str | Path, chunk: list[list[str]], first_line: int) -> NoReturn:
+    """Raise the first fault of a chunk of trial rows, checked row by row."""
+    for lineno, row in enumerate(chunk, start=first_line):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise DataError(f"{path}:{lineno}: expected 4 cells, got {len(row)}")
+        if row[2] not in _GENUINE:
+            raise DataError(f"{path}:{lineno}: bad label {row[2]!r}")
+        try:
+            _score(row[3])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad score {row[3]!r}") from None
+    raise AssertionError("no faulty row in the chunk")
+
+
+def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """(image ids by code, (probe, reference) codes, stated genuine, scores).
+
+    Rows are read in chunks of ``_CHUNK_ROWS``; each chunk's image ids
+    are interned straight to integer codes, numbered in order of first
+    appearance, so no per-row Python objects outlive their chunk.
+    """
+    code_of: dict[str, int] = defaultdict(count().__next__)  # a new id gets the next code
+    probe_codes, reference_codes, scores = array("q"), array("q"), array("d")
+    labels = bytearray()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty trial file") from None
+        if header != _CSV_HEADER:
+            raise DataError(f"{path}: unrecognised trial file header {header!r}")
+        for first_line in count(2, _CHUNK_ROWS):  # file line of the chunk's first row
+            chunk = list(islice(reader, _CHUNK_ROWS))
+            if not chunk:
+                break
+            rows = list(filter(None, chunk))
+            if not rows:
+                continue
+            if set(map(len, rows)) != {4}:
+                _raise_row_fault(path, chunk, first_line)
+            probes, references, label_cells, score_cells = zip(*rows)
+            try:
+                labels += bytes(map(_GENUINE.get, label_cells))  # a bad label is a TypeError
+                try:
+                    scores += array("d", map(float, score_cells))
+                except ValueError:  # empty (unscored) cells read as NaN
+                    scores += array("d", map(_score, score_cells))
+            except (TypeError, ValueError):
+                _raise_row_fault(path, chunk, first_line)
+            probe_codes.extend(map(code_of.__getitem__, probes))
+            reference_codes.extend(map(code_of.__getitem__, references))
+    pairs = np.stack([np.array(probe_codes), np.array(reference_codes)], axis=1).astype(np.intp)
+    genuine = np.frombuffer(labels, dtype=np.uint8).astype(bool)
+    return list(code_of), pairs, genuine, np.array(scores, dtype=np.float64)
+
+
+def _components(n: int, edges: np.ndarray) -> np.ndarray:
+    """Union-find root of each of ``n`` nodes joined by ``edges`` rows."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in edges.tolist():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(x) for x in range(n)], dtype=np.intp)
 
 
 def read_trials_csv(
@@ -300,52 +334,58 @@ def read_trials_csv(
 
     The file format carries no identity column.  When ``identity_of``
     is given it supplies the labels (and the stated genuine/impostor
-    labels are checked against it); otherwise identities are
-    reconstructed from genuine-pair connectivity, which reproduces the
-    original grouping up to renaming.
+    labels are checked against it); otherwise identities are the
+    connected components of the genuine pairs, each named by its
+    smallest image id, which reproduces the original grouping up to
+    renaming when the genuine pairs connect each identity's images.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty trial file") from None
-        if header != _CSV_HEADER:
-            raise DataError(f"{path}: unrecognised trial file header {header!r}")
-        pairs: list[tuple[str, str]] = []
-        stated_genuine: list[bool] = []
-        scores: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 cells, got {len(row)}")
-            if row[2] not in ("genuine", "impostor"):
-                raise DataError(f"{path}:{lineno}: bad label {row[2]!r}")
-            pairs.append((row[0], row[1]))
-            stated_genuine.append(row[2] == "genuine")
-            try:
-                scores.append(float(row[3]) if row[3].strip() else float("nan"))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad score {row[3]!r}") from None
+    enabled = gc.isenabled()
+    gc.disable()  # the parse makes many objects and no reference cycles
+    try:
+        names, pairs, stated, scores = _parse_trials(path)
+    finally:
+        if enabled:
+            gc.enable()
+    n = len(names)
+    by_name = sorted(range(n), key=names.__getitem__)  # image codes in image id order
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_name] = np.arange(n)
+    same = pairs[:, 0] == pairs[:, 1]
+    unknown, contradicts = np.zeros_like(pairs, dtype=bool), np.zeros_like(same)
     if identity_of is None:
-        mapping = _identities_from_labels(pairs, stated_genuine)
+        root = _components(n, pairs[stated])
+        smallest = np.full(n, n, dtype=np.intp)  # rank of each component's smallest id
+        np.minimum.at(smallest, root, rank)
+        firsts, codes = np.unique(smallest[root], return_inverse=True)
+        identities = tuple(names[by_name[r]] for r in firsts.tolist())
     else:
-        mapping = identity_of
-    for i, ((probe, reference), stated) in enumerate(zip(pairs, stated_genuine)):
-        try:
-            probe_ident = mapping[probe]
-            ref_ident = mapping[reference]
-        except KeyError as exc:
-            raise DataError(f"{path}:{_line_of(path, i)}: unknown image_id {exc}") from None
-        if identity_of is not None:
-            if stated != (probe_ident == ref_ident):
-                raise DataError(
-                    f"{path}:{_line_of(path, i)}: label contradicts the identity map"
-                )
-        if probe == reference:
-            raise DataError(
-                f"{path}:{_line_of(path, i)}: genuine pair cannot reuse image "
-                f"{probe!r} on both sides"
-            )
-    return TrialSet.from_image_pairs(pairs, mapping), np.asarray(scores, dtype=np.float64)
+        labels = list(map(identity_of.get, names))
+        identities = tuple(sorted(set(labels) - {None}))
+        code_of = dict(zip(identities, range(len(identities))))
+        codes = np.fromiter(map(code_of.get, labels, repeat(-1)), dtype=np.intp, count=n)
+        pair_codes = codes[pairs]
+        unknown = pair_codes < 0
+        contradicts = stated != (pair_codes[:, 0] == pair_codes[:, 1])
+    faults = np.flatnonzero(unknown.any(axis=1) | contradicts | same)
+    if faults.size:
+        i = int(faults[0])
+        where = f"{path}:{_line_of(path, i)}"
+        if unknown[i].any():
+            image = names[pairs[i, 0] if unknown[i, 0] else pairs[i, 1]]
+            raise DataError(f"{where}: unknown image_id {image!r}")
+        if contradicts[i]:
+            raise DataError(f"{where}: label contradicts the identity map")
+        raise DataError(
+            f"{where}: genuine pair cannot reuse image {names[pairs[i, 0]]!r} on both sides"
+        )
+    # The image table: identity by identity, each identity's images sorted.
+    order = np.lexsort((rank, codes))
+    row = np.empty(n, dtype=np.intp)
+    row[order] = np.arange(n)
+    trials = TrialSet(
+        image_ids=tuple(map(names.__getitem__, order.tolist())),
+        identity_codes=codes[order],
+        identities=identities,
+        pairs=row[pairs],
+    )
+    return trials, scores

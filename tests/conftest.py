@@ -1,9 +1,12 @@
-"""Shared helpers: assemble small synthetic cohorts for pipeline tests."""
+"""Shared helpers: assemble small synthetic cohorts, trial sets and
+attribute tables for tests."""
 
-from faceaudit.cohort import build_cohort
+import numpy as np
+
+from faceaudit.cohort import AttributeTable, build_cohort
 from faceaudit.schema import default_schema
 from faceaudit.synth import SynthConfig, generate
-from faceaudit.trials import TrialPolicy, generate_trials, score_trials
+from faceaudit.trials import TrialPolicy, TrialSet, generate_trials, score_trials
 
 
 def synth_cohort(config, schema=None):
@@ -27,3 +30,43 @@ def small_config(seed=0, n=12, dim=24, **overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+def trial_set(pairs, identity_of):
+    """Trials over (probe image, reference image) ``pairs``, labelled by
+    ``identity_of``; the image table lists identities in sorted order,
+    each identity's images sorted."""
+    images = sorted({image for pair in pairs for image in pair}, key=lambda i: (identity_of[i], i))
+    identities = tuple(sorted({identity_of[image] for image in images}))
+    row = {image: r for r, image in enumerate(images)}
+    return TrialSet(
+        image_ids=tuple(images),
+        identity_codes=np.array([identities.index(identity_of[i]) for i in images], dtype=np.intp),
+        identities=identities,
+        pairs=np.array([(row[p], row[r]) for p, r in pairs], dtype=np.intp).reshape(-1, 2),
+    )
+
+
+def identity_map(trials):
+    """Image id to identity name, for every image in a trial set's table."""
+    return {
+        image: trials.identities[code]
+        for image, code in zip(trials.image_ids, trials.identity_codes.tolist())
+    }
+
+
+def attribute_table(rows, schema=None):
+    """An AttributeTable from {image id: {variable: value}}; absent
+    variables are missing (NaN)."""
+    names = (schema or default_schema()).names()
+    values = [[row.get(name, np.nan) for name in names] for row in rows.values()]
+    return AttributeTable(tuple(rows), np.array(values, dtype=np.float64).reshape(-1, len(names)))
+
+
+def attribute_rows(table, schema=None):
+    """{image id: {variable: value}} of an AttributeTable, missing values left out."""
+    names = (schema or default_schema()).names()
+    return {
+        image: {name: v for name, v in zip(names, row) if not np.isnan(v)}
+        for image, row in zip(table.image_ids, table.values.tolist())
+    }

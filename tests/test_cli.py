@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, pipelines, determinism."""
 
 import json
+import random
 import re
 import subprocess
 import sys
@@ -242,6 +243,51 @@ class TestDataErrors:
         assert err.count("\n") == 1 and f"trials.{key}" in err
         assert not out.exists()  # rejected before any work
 
+
+    @pytest.mark.parametrize(
+        "group_by, flag, key",
+        [
+            (["nosuch"], [], "audit.group_by"),
+            (["age"], [], "audit.group_by"),
+            ([], [], "audit.group_by"),
+            (["gender", "gender"], [], "audit.group_by"),
+            (["gender"], ["--group-by", "nosuch"], "--group-by"),
+        ],
+        ids=["unknown", "continuous", "empty", "repeated", "flag"],
+    )
+    def test_run_all_bad_group_by_rejected_before_work(self, tmp_path, capsys, group_by, flag, key):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "synth": {"identities_per_group": {"man,asian": 4, "woman,asian": 4}},
+                    "audit": {"group_by": group_by},
+                }
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["run-all", "--config", str(path), "--out", str(out), *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"faceaudit run-all: {key}: ")
+        assert not out.exists()  # rejected before any work
+
+    def test_duplicate_attribute_column_rejected(self, workspace, tmp_path, capsys):
+        attributes = tmp_path / "attributes.csv"
+        lines = workspace["attributes"].read_text(encoding="utf-8").splitlines()
+        blur = lines[0].split(",").index("blur")
+        attributes.write_text(
+            "".join(f"{line},{line.split(',')[blur]}\n" for line in lines), encoding="utf-8"
+        )
+        out = tmp_path / "o"
+        rc = main(
+            ["explain", "--scores", str(workspace["scored"]), "--attributes", str(attributes),
+             "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "duplicate attribute column 'blur'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", [[], {"synth": {}, "trials": 5}])
     def test_run_all_config_shape_rejected(self, tmp_path, capsys, config):
@@ -576,6 +622,65 @@ class TestPipeline:
         assert rc == 0
         for name in ("tables/eer_far.csv", "tables/eer_frr.csv"):
             assert (rerender / name).read_bytes() == (outdir / name).read_bytes()
+
+
+def _shuffled_rows(text, seed=0):
+    """The header, then the data rows in a seeded random order."""
+    header, *rows = text.splitlines()
+    random.Random(seed).shuffle(rows)
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _permuted_columns(text):
+    """Attribute columns after image_id in reverse order."""
+    rows = [line.split(",") for line in text.splitlines()]
+    return "".join(",".join([row[0], *reversed(row[1:])]) + "\n" for row in rows)
+
+
+def _level_indices(text):
+    """Categorical cells written as level indices instead of names."""
+    levels = {"man": "0", "woman": "1", "asian": "0", "black": "1", "caucasian": "2"}
+    rows = [line.split(",") for line in text.splitlines()]
+    header, body = rows[0], rows[1:]
+    columns = [header.index("gender"), header.index("ethnicity")]
+    for row in body:
+        for c in columns:
+            row[c] = levels[row[c]]
+    return "".join(",".join(row) + "\n" for row in [header, *body])
+
+
+# (transform id, input it rewrites, rewrite of that file's text)
+_TRANSFORMS = [
+    ("shuffle-attribute-rows", "attributes", _shuffled_rows),
+    ("shuffle-trial-rows", "scored", _shuffled_rows),
+    ("permute-attribute-columns", "attributes", _permuted_columns),
+    ("categorical-level-indices", "attributes", _level_indices),
+]
+
+
+class TestInputOrder:
+    """Rewrites of the inputs that keep their meaning keep every bundle byte."""
+
+    @staticmethod
+    def _explain(outdir, inputs, embeddings):
+        argv = [
+            "explain", "--scores", str(inputs["scored"]), "--attributes", str(inputs["attributes"]),
+            "--threshold-policy", "eer", "--threshold-policy", "far@0.05", "--out", str(outdir),
+        ]
+        if embeddings:
+            argv += ["--embeddings", str(inputs["embeddings"])]
+        assert main(argv) == 0
+        return _walk_bytes(outdir)
+
+    @pytest.mark.parametrize("embeddings", [False, True], ids=["scores-only", "embeddings"])
+    @pytest.mark.parametrize("name, which, rewrite", _TRANSFORMS, ids=[t[0] for t in _TRANSFORMS])
+    def test_bundle_unchanged(self, workspace, tmp_path, name, which, rewrite, embeddings):
+        path = tmp_path / workspace[which].name
+        path.write_text(rewrite(workspace[which].read_text(encoding="utf-8")), encoding="utf-8")
+        assert path.read_bytes() != workspace[which].read_bytes()
+        want = self._explain(tmp_path / "want", workspace, embeddings)
+        got = self._explain(tmp_path / "got", {**workspace, which: path}, embeddings)
+        assert got == want
 
 
 class TestRunAll:

@@ -1,17 +1,21 @@
 """Tests for cohort assembly, embedding I/O, and attribute aggregation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from conftest import attribute_rows, attribute_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faceaudit.cohort import (
     AttributeProfile,
+    AttributeTable,
     EmbeddingRecord,
-    ImageAttributes,
     aggregate_profiles,
-    aggregate_rows,
+    aggregate_table,
     build_cohort,
+    build_profiles,
     load_cohort,
     load_embeddings,
     read_attributes,
@@ -158,28 +162,24 @@ class TestTextFormat:
 class TestAttributeCsv:
     def test_round_trip_with_names(self, tmp_path):
         schema = default_schema()
-        rows = [
-            ImageAttributes(
-                "img0",
-                {"gender": 1.0, "ethnicity": 2.0, "age": 31.5, "blur": 0.25, "eyes_occluded": 1.0},
-            ),
-            ImageAttributes("img1", {"gender": 0.0, "yaw": -12.5}),
-        ]
+        rows = {
+            "img0": {"gender": 1.0, "ethnicity": 2.0, "age": 31.5, "blur": 0.25, "eyes_occluded": 1.0},
+            "img1": {"gender": 0.0, "yaw": -12.5},
+        }
         path = tmp_path / "attrs.csv"
-        write_attributes(path, rows, schema)
+        write_attributes(path, attribute_table(rows, schema), schema)
         text = path.read_text(encoding="utf-8")
         assert "woman" in text and "caucasian" in text
         loaded = read_attributes(path, schema)
-        assert [r.image_id for r in loaded] == ["img0", "img1"]
-        assert loaded[0].values == rows[0].values
-        assert loaded[1].values == rows[1].values
+        assert loaded.image_ids == ("img0", "img1")
+        assert attribute_rows(loaded, schema) == rows
 
     def test_accepts_level_indices(self, tmp_path):
         schema = default_schema()
         path = tmp_path / "attrs.csv"
         path.write_text("image_id,gender,ethnicity\nimg0,1,2\n", encoding="utf-8")
-        (row,) = read_attributes(path, schema)
-        assert row.values == {"gender": 1.0, "ethnicity": 2.0}
+        table = read_attributes(path, schema)
+        assert attribute_rows(table, schema) == {"img0": {"gender": 1.0, "ethnicity": 2.0}}
 
     def test_range_violation_names_image(self, tmp_path):
         schema = default_schema()
@@ -187,6 +187,32 @@ class TestAttributeCsv:
         path.write_text("image_id,blur\nimgX,1.7\n", encoding="utf-8")
         with pytest.raises(SchemaError, match="imgX"):
             read_attributes(path, schema)
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("a,woman,0.1\nb,alien,0.2\n", r":3: image 'b': variable 'gender': cannot parse"),
+            ("a,woman,0.1\nb,1.5,0.2\n", r":3: image 'b': variable 'gender': 1.5 is not"),
+            ("a,woman,nan\n", r":2: image 'a': variable 'blur': non-finite"),
+            # the first fault in row order wins, whichever column or kind
+            ("a,woman,2\nb,alien\n", r":2: image 'a': variable 'blur'"),
+            ("a,woman\nb,alien,2\n", r":2: expected 3 cells, got 2"),
+            ("a,woman,0.1\n\na,man,0.2\nc,alien,0.2\n", r":4: duplicate image_id 'a'"),
+            ("a,alien,0.1\na,man,0.2\n", r":2: image 'a': variable 'gender'"),
+            ("a,man,0.1\nb,man,x\nc,alien,0.2\n", r":3: image 'b': variable 'blur'"),
+        ],
+    )
+    def test_first_fault_named(self, tmp_path, body, match):
+        path = tmp_path / "attrs.csv"
+        path.write_text("image_id,gender,blur\n" + body, encoding="utf-8")
+        with pytest.raises(DataError, match=match):
+            read_attributes(path, default_schema())
+
+    def test_duplicate_column_rejected(self, tmp_path):
+        path = tmp_path / "attrs.csv"
+        path.write_text("image_id,blur,smile,blur\nimg0,0.1,0.2,0.3\n", encoding="utf-8")
+        with pytest.raises(DataError, match="duplicate attribute column 'blur'"):
+            read_attributes(path, default_schema())
 
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "attrs.csv"
@@ -215,16 +241,16 @@ class TestAttributeCsv:
     def test_empty_cells_are_missing(self, tmp_path):
         path = tmp_path / "attrs.csv"
         path.write_text("image_id,blur,smile\nimg0,,0.5\n", encoding="utf-8")
-        (row,) = read_attributes(path, default_schema())
-        assert row.values == {"smile": 0.5}
+        table = read_attributes(path, default_schema())
+        assert attribute_rows(table) == {"img0": {"smile": 0.5}}
 
 
 class TestBuildCohort:
     def test_basic_assembly(self):
         records = _records(n_identities=3, images_each=2)
         cohort = build_cohort(records)
-        assert cohort.n_images == 6
-        assert cohort.n_identities == 3
+        assert len(cohort.records) == 6
+        assert len(cohort.identities) == 3
         assert cohort.identities["id0"] == ("id0_img0", "id0_img1")
         assert cohort.dim == 8
 
@@ -235,22 +261,19 @@ class TestBuildCohort:
 
     def test_unattributed_listed(self):
         records = _records(n_identities=1, images_each=2)
-        rows = [ImageAttributes("id0_img0", {"blur": 0.5})]
+        rows = attribute_table({"id0_img0": {"blur": 0.5}})
         cohort = build_cohort(records, rows)
         assert cohort.unattributed == ("id0_img1",)
 
     def test_orphan_attribute_row_rejected(self):
         records = _records(n_identities=1, images_each=1)
-        rows = [ImageAttributes("ghost", {"blur": 0.5})]
+        rows = attribute_table({"ghost": {"blur": 0.5}})
         with pytest.raises(DataError):
             build_cohort(records, rows)
 
     def test_duplicate_attribute_row_rejected(self):
         records = _records(n_identities=1, images_each=1)
-        rows = [
-            ImageAttributes("id0_img0", {"blur": 0.5}),
-            ImageAttributes("id0_img0", {"blur": 0.6}),
-        ]
+        rows = AttributeTable(("id0_img0", "id0_img0"), np.full((2, 20), 0.5))
         with pytest.raises(DataError):
             build_cohort(records, rows)
 
@@ -274,14 +297,14 @@ class TestBuildCohort:
     def test_load_cohort_round_trip(self, tmp_path):
         schema = default_schema()
         records = _records(n_identities=2, images_each=2)
-        rows = [ImageAttributes(r.image_id, {"blur": 0.3}) for r in records]
+        rows = attribute_table({r.image_id: {"blur": 0.3} for r in records})
         emb = tmp_path / "emb.freb"
         attrs = tmp_path / "attrs.csv"
         write_embeddings_binary(emb, records)
         write_attributes(attrs, rows, schema)
         cohort = load_cohort(emb, attrs, schema)
-        assert cohort.n_images == 4
-        assert cohort.images["id1_img0"].values == {"blur": 0.3}
+        assert len(cohort.records) == 4
+        assert attribute_rows(cohort.images)["id1_img0"] == {"blur": 0.3}
 
     def test_load_cohort_without_attributes(self, tmp_path):
         records = _records(n_identities=2, images_each=2)
@@ -289,6 +312,15 @@ class TestBuildCohort:
         write_embeddings_binary(emb, records)
         cohort = load_cohort(emb, None, default_schema())
         assert cohort.unattributed == tuple(sorted(r.image_id for r in records))
+
+
+def aggregate_rows(rows, schema):
+    """(values, coverage) of one identity whose images carry ``rows``."""
+    table = attribute_table({f"img{i}": row for i, row in enumerate(rows)}, schema)
+    codes = np.zeros(len(rows), dtype=np.intp)
+    values, coverage, _ = aggregate_table(table, table.image_ids, codes, 1, schema)
+    (profile,) = build_profiles(["x"], values, coverage, schema)
+    return profile.values, profile.coverage
 
 
 class TestAggregation:
@@ -336,9 +368,10 @@ class TestAggregation:
         assert "smile" not in values
         assert coverage["smile"] == 0.0
 
-    def test_empty_rows_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_rows([], default_schema())
+    def test_identity_without_rows_is_empty(self):
+        values, coverage = aggregate_rows([], default_schema())
+        assert values == {}
+        assert set(coverage.values()) == {0.0}
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     @example([0.3791893725794816] * 3)  # np.mean gives 0.37918937257948154
@@ -352,7 +385,7 @@ class TestAggregation:
     def test_profiles_cover_all_identities(self):
         schema = default_schema()
         records = _records(n_identities=3, images_each=2)
-        rows = [ImageAttributes(r.image_id, {"blur": 0.5}) for r in records[:4]]
+        rows = attribute_table({r.image_id: {"blur": 0.5} for r in records[:4]})
         cohort = build_cohort(records, rows)
         profiles = aggregate_profiles(cohort, schema)
         assert [p.identity_id for p in profiles] == ["id0", "id1", "id2"]
@@ -365,7 +398,71 @@ class TestAggregation:
         schema = default_schema()
         records = _records(n_identities=1, images_each=4)
         # only 2 of 4 images have attribute rows, both with blur present
-        rows = [ImageAttributes(records[i].image_id, {"blur": 0.5}) for i in (0, 1)]
+        rows = attribute_table({records[i].image_id: {"blur": 0.5} for i in (0, 1)})
         cohort = build_cohort(records, rows)
         (profile,) = aggregate_profiles(cohort, schema)
         assert profile.coverage["blur"] == pytest.approx(0.5)
+
+
+def _loop_aggregate(rows, schema):
+    """The per-identity dict loop that aggregate_table replaced, kept as
+    its oracle: np.mean of a list, clamped; Counter modes."""
+    values, coverage = {}, {}
+    for var in schema.variables:
+        present = [row[var.name] for row in rows if var.name in row]
+        coverage[var.name] = len(present) / len(rows)
+        if not present:
+            continue
+        if var.is_continuous:
+            mean = float(np.mean(present))
+            values[var.name] = min(max(mean, min(present)), max(present))
+        elif var.kind == "boolean":
+            ones = sum(1 for v in present if v == 1.0)
+            values[var.name] = 1.0 if 2 * ones >= len(present) else 0.0
+        else:
+            counts = Counter(present)
+            best = max(counts.values())
+            values[var.name] = float(min(v for v, c in counts.items() if c == best))
+    return values, coverage
+
+
+def _maybe(values):
+    return st.one_of(st.none(), values)
+
+
+_IMAGE_ROW = st.fixed_dictionaries(
+    {
+        "blur": _maybe(st.floats(0.0, 1.0)),
+        "yaw": _maybe(st.floats(-180.0, 180.0)),
+        "smile": _maybe(st.sampled_from([0.1, 0.2, 0.3, 0.7])),  # repeated values
+        "eyes_occluded": _maybe(st.sampled_from([0.0, 1.0])),
+        "ethnicity": _maybe(st.sampled_from([0.0, 1.0, 2.0])),
+    }
+).map(lambda row: {k: v for k, v in row.items() if v is not None})
+
+
+class TestAggregateTableOracle:
+    @given(st.lists(st.lists(_IMAGE_ROW, min_size=1, max_size=12), min_size=1, max_size=8))
+    @example([[{"blur": 0.3791893725794816}] * 3])
+    # eight values: np.mean sums pairwise and gives 0.675, a running sum 0.6749999999999999
+    @example([[{"blur": v} for v in (0.62, 0.38, 1.0, 0.98, 0.69, 0.65, 0.69, 0.39)]] * 2)
+    @example([[{"eyes_occluded": 1.0}, {"eyes_occluded": 0.0}], [{"ethnicity": 2.0}, {"ethnicity": 1.0}]])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_identity_loop(self, identities):
+        schema = default_schema()
+        rows = {
+            f"u{u}_{k:02d}": row for u, images in enumerate(identities) for k, row in enumerate(images)
+        }
+        codes = np.repeat(np.arange(len(identities)), [len(images) for images in identities])
+        table = attribute_table(rows, schema)
+        values, coverage, n_rows = aggregate_table(
+            table, table.image_ids, codes, len(identities), schema
+        )
+        assert n_rows.tolist() == [len(images) for images in identities]
+        for profile, images in zip(
+            build_profiles(range(len(identities)), values, coverage, schema), identities
+        ):
+            want_values, want_coverage = _loop_aggregate(images, schema)
+            # bit for bit: float == on every value and coverage
+            assert profile.values == want_values
+            assert profile.coverage == want_coverage

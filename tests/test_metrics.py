@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import trial_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,6 @@ from faceaudit.metrics import (
 )
 from faceaudit.report import GLYPH_POLICY, _glyphs_for
 from faceaudit.schema import default_schema
-from faceaudit.trials import TrialSet
 
 
 def _trial_set(pairs):
@@ -37,7 +37,7 @@ def _trial_set(pairs):
     identity_of = {}
     for probe, ref, probe_ident, ref_ident in pairs:
         identity_of[probe], identity_of[ref] = probe_ident, ref_ident
-    return TrialSet.from_image_pairs([pair[:2] for pair in pairs], identity_of)
+    return trial_set([pair[:2] for pair in pairs], identity_of)
 
 
 def _profile(identity, gender=None, ethnicity=None, **extra):

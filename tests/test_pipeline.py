@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import scored_trials, small_config, synth_cohort
+from conftest import attribute_table, scored_trials, small_config, synth_cohort, trial_set
 from faceaudit.cohort import aggregate_profiles
 from faceaudit.errors import DataError
 from faceaudit.pipeline import AuditOptions, audit_cohort, profiles_from_rows, run_audit
@@ -59,7 +59,8 @@ class TestProfilesFromRows:
             "b_0": {"blur": 0.9},
         }
         identity_of = {"a_0": "a", "a_1": "a", "b_0": "b"}
-        profiles = profiles_from_rows(rows, identity_of, schema)
+        trials = trial_set([("a_0", "a_1"), ("a_0", "b_0")], identity_of)
+        profiles = profiles_from_rows(attribute_table(rows), trials, schema)
         assert [p.identity_id for p in profiles] == ["a", "b"]
         assert profiles[0].values["blur"] == pytest.approx(0.3)
         assert profiles[0].coverage["smile"] == pytest.approx(0.5)
@@ -68,7 +69,8 @@ class TestProfilesFromRows:
     def test_rows_without_identity_ignored(self):
         schema = default_schema()
         rows = {"a_0": {"blur": 0.2}, "stray": {"blur": 0.8}}
-        profiles = profiles_from_rows(rows, {"a_0": "a"}, schema)
+        trials = trial_set([("a_0", "b_0")], {"a_0": "a", "b_0": "b"})
+        profiles = profiles_from_rows(attribute_table(rows), trials, schema)
         assert [p.identity_id for p in profiles] == ["a"]
 
 
@@ -165,9 +167,7 @@ class TestRunAudit:
     def test_run_audit_with_external_profiles(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
         schema = default_schema()
-        rows = {image_id: attrs.values for image_id, attrs in cohort.images.items()}
-        identity_of = {r.image_id: r.identity_id for r in cohort.records.values()}
-        profiles = profiles_from_rows(rows, identity_of, schema)
+        profiles = profiles_from_rows(cohort.images, trials, schema)
         direct = run_audit(trials, scores, profiles, schema, AuditOptions())
         wrapped = audit_cohort(cohort, trials, scores, schema, AuditOptions())
         assert direct.analyses[0].operating_point == wrapped.analyses[0].operating_point

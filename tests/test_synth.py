@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import attribute_rows
 
 from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cli import main
@@ -119,7 +120,8 @@ class TestGenerate:
         for ra, rb in zip(a.records, b.records):
             assert ra.image_id == rb.image_id
             np.testing.assert_array_equal(ra.vector, rb.vector)
-        assert a.attributes == b.attributes
+        assert a.attributes.image_ids == b.attributes.image_ids
+        np.testing.assert_array_equal(a.attributes.values, b.attributes.values)
         assert a.ground_truth == b.ground_truth
 
     def test_seed_changes_vectors(self):
@@ -130,7 +132,7 @@ class TestGenerate:
     def test_counts_and_ids(self):
         result = generate(_two_cell_config(n=3))
         assert len(result.records) == 2 * 3 * 4  # cells x identities x images
-        assert len(result.attributes) == len(result.records)
+        assert result.attributes.image_ids == tuple(r.image_id for r in result.records)
         identities = {r.identity_id for r in result.records}
         assert identities == {f"u{i:05d}" for i in range(6)}
         assert result.records[0].image_id == "u00000_00"
@@ -144,14 +146,14 @@ class TestGenerate:
         result = generate(_two_cell_config(n=4))
         schema = default_schema()
         truth = result.ground_truth["identities"]
-        by_image = {a.image_id: a for a in result.attributes}
+        by_image = attribute_rows(result.attributes, schema)
         for identity, entry in truth.items():
             gender, ethnicity = entry["cell"]
             for k in range(4):
                 row = by_image[f"{identity}_{k:02d}"]
-                assert schema.variable("gender").levels[int(row.values["gender"])] == gender
+                assert schema.variable("gender").levels[int(row["gender"])] == gender
                 assert (
-                    schema.variable("ethnicity").levels[int(row.values["ethnicity"])]
+                    schema.variable("ethnicity").levels[int(row["ethnicity"])]
                     == ethnicity
                 )
 
@@ -168,8 +170,9 @@ class TestGenerate:
     def test_attribute_values_respect_schema(self):
         schema = default_schema()
         result = generate(_two_cell_config(n=5, seed=3))
-        for row in result.attributes:
-            for name, value in row.values.items():
+        for row in attribute_rows(result.attributes, schema).values():
+            assert len(row) == len(schema.variables)
+            for name, value in row.items():
                 schema.variable(name).check_value(value)
 
     def test_margin_shift_raises_false_accepts(self):
@@ -314,7 +317,7 @@ class TestWriteSynth:
         paths = write_synth(tmp_path / "cohort", result, schema)
         assert sorted(paths) == ["attributes", "embeddings", "ground_truth", "schema"]
         cohort = load_cohort(paths["embeddings"], paths["attributes"], schema)
-        assert cohort.n_identities == 8
+        assert len(cohort.identities) == 8
         assert cohort.unattributed == ()
         assert load_schema(paths["schema"]) == schema
         truth = json.loads(paths["ground_truth"].read_text(encoding="utf-8"))

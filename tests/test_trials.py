@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import identity_map, trial_set
+
 from faceaudit.cohort import EmbeddingRecord, build_cohort
 from faceaudit.errors import DataError, TrialError
 from faceaudit.metrics import individual_rates
 from faceaudit.trials import (
     TrialPolicy,
-    TrialSet,
     generate_trials,
     read_trials_csv,
     score_trials,
@@ -36,7 +37,7 @@ def _image_pairs(trials):
 
 def _by_identity(trials):
     """Probe identity -> [(probe id, reference id, genuine, reference identity)]."""
-    identity_of = trials.identity_of()
+    identity_of = identity_map(trials)
     out = {}
     for (probe, ref), genuine in zip(_image_pairs(trials), trials.genuine.tolist()):
         out.setdefault(identity_of[probe], []).append(
@@ -48,7 +49,7 @@ def _by_identity(trials):
 def _pair_score(u, v):
     """score_trials on one genuine pair whose images hold vectors u and v."""
     records = [EmbeddingRecord("a_0", "a", np.asarray(u)), EmbeddingRecord("a_1", "a", np.asarray(v))]
-    trials = TrialSet.from_image_pairs([("a_0", "a_1")], {"a_0": "a", "a_1": "a"})
+    trials = trial_set([("a_0", "a_1")], {"a_0": "a", "a_1": "a"})
     return float(score_trials(build_cohort(records), trials)[0])
 
 
@@ -99,9 +100,15 @@ def _uneven_cohort():
 
 
 class TestTrialPair:
-    def test_genuine_flag(self):
+    def test_genuine_flag(self, tmp_path):
         identity_of = {"a": "x", "b": "x", "c": "y"}
-        trials = TrialSet.from_image_pairs([("a", "b"), ("a", "c"), ("c", "b")], identity_of)
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "probe_image_id,reference_image_id,label,score\n"
+            "a,b,genuine,0.9\na,c,impostor,0.1\nc,b,impostor,0.2\n",
+            encoding="utf-8",
+        )
+        trials, _ = read_trials_csv(path, identity_of)
         assert trials.genuine.tolist() == [True, False, False]
         assert (trials.n_genuine, trials.n_impostor) == (1, 2)
 
@@ -363,7 +370,7 @@ class TestScoreTrials:
 def _accepted(score, tau):
     """Whether individual_rates counts a trial scored ``score`` as a match at ``tau``."""
     identity_of = {"a_0": "a", "a_1": "a", "b_0": "b"}
-    trials = TrialSet.from_image_pairs([("a_0", "a_1"), ("a_0", "b_0")], identity_of)
+    trials = trial_set([("a_0", "a_1"), ("a_0", "b_0")], identity_of)
     (rates,), _ = individual_rates(trials, np.array([score, score]), tau)
     assert rates.far == 1.0 - rates.frr  # the genuine and the impostor trial agree
     return rates.far == 1.0
@@ -402,7 +409,7 @@ class TestTrialCsv:
         identity_of = {r.image_id: r.identity_id for r in cohort.records.values()}
         got, scores = read_trials_csv(path, identity_of)
         assert _image_pairs(got) == _image_pairs(trials)
-        assert got.identity_of() == {
+        assert identity_map(got) == {
             image: identity_of[image] for image in got.image_ids
         }
         assert np.isnan(scores).all()
@@ -426,7 +433,7 @@ class TestTrialCsv:
         assert _image_pairs(got) == _image_pairs(trials)
         np.testing.assert_array_equal(got.genuine, trials.genuine)
         # grouping matches up to renaming: same partition of probe images
-        want_of, got_of = trials.identity_of(), got.identity_of()
+        want_of, got_of = identity_map(trials), identity_map(got)
         want_groups = {}
         got_groups = {}
         for probe, _ in _image_pairs(trials):
