@@ -16,6 +16,7 @@ from faceaudit.metrics import (
     group_rates,
     individual_rates,
     one_axis_deltas,
+    trial_census,
 )
 from faceaudit.schema import default_schema
 from faceaudit.synth import generate, simpson_config
@@ -29,12 +30,13 @@ def run(seed: int) -> None:
     cohort = build_cohort(result.records, result.attributes)
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
-    labels = trials.genuine
-    op = calibrate(sweep_rates(scores[labels], scores[~labels]), "eer")
-    rates, _ = individual_rates(trials, scores, op.tau)
+    census = trial_census(trials, scores)
+    op = calibrate(sweep_rates(census.genuine_scores, census.impostor_scores), "eer")
+    far, frr = individual_rates(census, op.tau)
+    # The trials cover every cohort identity, so the rates align with the profile rows.
     profiles = aggregate_profiles(cohort, schema)
     membership = group_membership(profiles, GroupSpec(("gender", "ethnicity")), schema)
-    groups = group_rates(rates, membership)
+    groups = group_rates(far, frr, membership)
 
     print(f"seed {seed}: tau={op.tau:.4f} far={op.far:.4f} frr={op.frr:.4f}")
     print(f"{'comparison':<28}{'delta FAR (man - woman)':>26}")

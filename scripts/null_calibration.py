@@ -13,7 +13,7 @@ import numpy as np
 from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cohort import aggregate_profiles, build_cohort
 from faceaudit.explain import build_design, explanatory_report
-from faceaudit.metrics import individual_rates
+from faceaudit.metrics import individual_rates, trial_census
 from faceaudit.schema import default_schema
 from faceaudit.synth import SynthConfig, generate
 from faceaudit.trials import TrialPolicy, generate_trials, score_trials
@@ -30,11 +30,12 @@ def run(seeds: int, n_identities: int) -> None:
         cohort = build_cohort(result.records, result.attributes)
         trials = generate_trials(cohort, TrialPolicy(), seed=seed)
         scores = score_trials(cohort, trials)
-        labels = trials.genuine
-        op = calibrate(sweep_rates(scores[labels], scores[~labels]), "eer")
-        rates, _ = individual_rates(trials, scores, op.tau)
+        census = trial_census(trials, scores)
+        op = calibrate(sweep_rates(census.genuine_scores, census.impostor_scores), "eer")
+        far, frr = individual_rates(census, op.tau)
+        # The trials cover every cohort identity, so the rates align with the profile rows.
         profiles = aggregate_profiles(cohort, schema)
-        report = explanatory_report(*build_design(profiles, schema), rates, "far", op)
+        report = explanatory_report(build_design(profiles, schema), {"far": far, "frr": frr}, "far", op)
         if report.regression is None:
             print(f"seed {seed}: constant response, skipped")
             continue

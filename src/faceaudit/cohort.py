@@ -18,7 +18,8 @@ level name or its index.  In memory the rows form one
 
 Profiles: each identity aggregates its images' rows in sorted image-id
 order, so neither the row nor the column order of the file changes a
-profile; continuous means are ``np.mean`` of the present values.
+profile; continuous means are ``np.mean`` of the present values.  The
+profiles of a cohort form one ``ProfileTable``, a row per identity.
 """
 
 from __future__ import annotations
@@ -70,27 +71,34 @@ class AttributeTable:
     image_ids: tuple[str, ...]
     values: np.ndarray  # float64, shape (n_images, n_vars), schema order
 
-    def rows(self, image_ids: Sequence[str]) -> np.ndarray:
-        """Row of each of ``image_ids`` in this table; -1 where it has none."""
-        row_of = dict(zip(self.image_ids, range(len(self.image_ids))))
-        return np.fromiter(
-            map(row_of.get, image_ids, repeat(-1)), dtype=np.intp, count=len(image_ids)
-        )
 
+@dataclass(frozen=True, eq=False)
+class ProfileTable:
+    """Per-identity attribute profiles, one row per identity.
 
-@dataclass(frozen=True)
-class AttributeProfile:
-    """Per-individual attribute vector aggregated over that identity's images.
-
-    Continuous variables hold the arithmetic mean of present per-image
-    values, boolean and categorical variables the mode (boolean ties
-    resolve to 1, categorical ties to the lowest level index).  Variables
-    with no present value are absent from ``values`` with coverage 0.
+    ``values[i, j]`` aggregates schema variable ``j`` over the images of
+    ``identities[i]`` as ``aggregate_table`` does: the mean of the
+    present values for a continuous variable, the mode for a boolean
+    (ties to 1) or categorical one (ties to the lowest level index).
+    NaN marks a variable with no present value, so an identity without
+    attribute rows has an all-NaN row.  ``coverage[i, j]`` is the
+    fraction of the identity's images with the value present.
+    Identities are sorted, so row order is identity order.
     """
 
-    identity_id: str
-    values: dict[str, float]
-    coverage: dict[str, float]
+    identities: tuple[str, ...]
+    values: np.ndarray  # float64, shape (n_identities, n_vars), schema order
+    coverage: np.ndarray  # float64, shape (n_identities, n_vars)
+
+    def __post_init__(self):
+        if any(a >= b for a, b in zip(self.identities, self.identities[1:])):
+            raise DataError("profile identities must be sorted and distinct")
+
+
+def positions(names: Sequence[str], keys: Sequence[str]) -> np.ndarray:
+    """Position of each of ``keys`` in ``names``; -1 where it is absent."""
+    at = dict(zip(names, range(len(names))))
+    return np.fromiter(map(at.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
 
 
 @dataclass(frozen=True)
@@ -190,6 +198,8 @@ def _parse_cell(var: Variable, raw: str) -> float:
     if var.kind == "categorical" and raw in var.levels:
         return float(var.levels.index(raw))
     try:
+        if "_" in raw:  # float() reads "1_0" as 10.0
+            raise ValueError(raw)
         value = float(raw)
     except ValueError:
         raise SchemaError(f"variable {var.name!r}: cannot parse value {raw!r}") from None
@@ -210,6 +220,9 @@ def _parse_column(var: Variable, cells: Sequence[str]) -> tuple[np.ndarray, bool
         )
     except ValueError:  # a cell that is no number
         return np.full(len(cells), np.nan), False
+    # float() reads "1_0" as 10.0; level names may hold underscores.
+    if "_" in "".join(cells) and any("_" in c and c not in lookup for c in cells):
+        return values, False
     lo, hi = var.bounds()
     ok = np.isfinite(values) & (lo <= values) & (values <= hi)
     if not var.is_continuous:
@@ -378,7 +391,7 @@ def aggregate_table(
     present value, the present fraction of each group's rows (0 for a
     group without rows), and each group's row count.
     """
-    found = table.rows(image_ids)
+    found = positions(table.image_ids, image_ids)
     have = found >= 0
     data = table.values[found[have]].reshape(-1, len(schema.variables))
     codes = np.asarray(codes, dtype=np.intp)[have]
@@ -415,23 +428,8 @@ def aggregate_table(
     return out, coverage, n_rows
 
 
-def build_profiles(
-    identities: Sequence[str], values: np.ndarray, coverage: np.ndarray, schema: AttributeSchema
-) -> list[AttributeProfile]:
-    """One profile per identity from ``aggregate_table`` rows."""
-    names = schema.names()
-    return [
-        AttributeProfile(
-            identity_id=identity,
-            values={name: v for name, v in zip(names, row) if not math.isnan(v)},
-            coverage=dict(zip(names, cov)),
-        )
-        for identity, row, cov in zip(identities, values.tolist(), coverage.tolist())
-    ]
-
-
-def aggregate_profiles(cohort: Cohort, schema: AttributeSchema) -> list[AttributeProfile]:
-    """One profile per identity; missing per-image values are skipped.
+def aggregate_profiles(cohort: Cohort, schema: AttributeSchema) -> ProfileTable:
+    """One profile row per cohort identity; missing per-image values are skipped.
 
     Coverage counts every image of the identity, attributed or not.
     """
@@ -442,4 +440,4 @@ def aggregate_profiles(cohort: Cohort, schema: AttributeSchema) -> list[Attribut
         cohort.images, ordered, codes, len(sizes), schema
     )
     coverage *= (n_rows / sizes)[:, None]
-    return build_profiles(list(cohort.identities), values, coverage, schema)
+    return ProfileTable(tuple(cohort.identities), values, coverage)

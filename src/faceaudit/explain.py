@@ -5,18 +5,23 @@ each encoded attribute column and the rate, and a multiple linear
 regression of the rate on all columns jointly.  Categorical attributes
 enter as reference-coded dummies, booleans as 0/1, continuous
 attributes raw (optionally standardised).
+
+The design depends only on the profiles, so it is built once per audit
+together with what every fit reuses: the profile row of each design row,
+from which the response is gathered by index, and the columns that hold
+one value, which the correlations skip and the regression drops.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from faceaudit.calibration import OperatingPoint
-from faceaudit.cohort import AttributeProfile
+from faceaudit.cohort import ProfileTable
 from faceaudit.errors import DataError, SchemaError
-from faceaudit.metrics import IndividualRates
 from faceaudit.schema import AttributeSchema
 from faceaudit.stats import DesignMatrix, RegressionFit, fit_ols, pearson
 
@@ -55,31 +60,63 @@ def _column_plan(schema: AttributeSchema, config: EncodingConfig):
     return plan
 
 
+@dataclass(frozen=True, eq=False)
+class Design(DesignMatrix):
+    """A regression design and what every fit against it reuses.
+
+    ``rows`` holds the profile row of each design row; ``incomplete``
+    names the identities left out for a missing value.  ``constant``
+    names the explanatory columns that hold one value, and ``varying``
+    is the design without them.
+    """
+
+    rows: np.ndarray
+    incomplete: tuple[str, ...]
+    constant: tuple[str, ...] = field(init=False)
+    varying: DesignMatrix = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        m = self.matrix
+        keep = [0, *(j for j in range(1, m.shape[1]) if not np.all(m[:, j] == m[0, j]))]
+        varying = self
+        if len(keep) < self.n_columns:
+            names = tuple(self.column_names[j] for j in keep)
+            varying = DesignMatrix(matrix=m[:, keep], column_names=names, row_ids=self.row_ids)
+        constant = tuple(name for name in self.column_names if name not in varying.column_names)
+        object.__setattr__(self, "varying", varying)
+        object.__setattr__(self, "constant", constant)
+
+
 def build_design(
-    profiles: list[AttributeProfile],
+    profiles: ProfileTable,
     schema: AttributeSchema,
     config: EncodingConfig | None = None,
-) -> tuple[DesignMatrix, tuple[str, ...]]:
-    """Encode complete-case profiles into a regression design.
+    rows: np.ndarray | None = None,
+) -> Design:
+    """Encode the complete-case profile ``rows`` (default: all) into a design.
 
-    Profiles missing any schema variable are dropped and returned as the
-    second element.  Raises when too few complete cases remain to leave
-    at least one residual degree of freedom.
+    Profiles missing any schema variable are dropped and listed as
+    incomplete.  Raises when too few complete cases remain to leave at
+    least one residual degree of freedom.
     """
     config = config or EncodingConfig()
     plan = _column_plan(schema, config)
-    names = set(schema.names())
-    complete = [p for p in profiles if names <= set(p.values)]
-    complete_ids = {p.identity_id for p in complete}
-    incomplete = tuple(sorted(p.identity_id for p in profiles if p.identity_id not in complete_ids))
+    if rows is None:
+        rows = np.arange(len(profiles.identities))
+    values = profiles.values[rows]
+    complete = ~np.isnan(values).any(axis=1)
+    incomplete = tuple(sorted(profiles.identities[r] for r in rows[~complete].tolist()))
+    rows, values = rows[complete], values[complete]
     n_columns = 1 + len(plan)
-    if len(complete) < n_columns + 1:
+    if len(rows) < n_columns + 1:
         raise DataError(
-            f"{len(complete)} complete cases cannot support {n_columns} design columns"
+            f"{len(rows)} complete cases cannot support {n_columns} design columns"
         )
-    matrix = np.ones((len(complete), n_columns), dtype=np.float64)
+    names = schema.names()
+    matrix = np.ones((len(rows), n_columns), dtype=np.float64)
     for j, (_, var, level_idx) in enumerate(plan, start=1):
-        raw = np.array([p.values[var.name] for p in complete], dtype=np.float64)
+        raw = values[:, names.index(var.name)]
         if level_idx is not None:
             matrix[:, j] = (raw.astype(np.int64) == level_idx).astype(np.float64)
         else:
@@ -88,25 +125,27 @@ def build_design(
                 sd = matrix[:, j].std()
                 if sd > 0.0:
                     matrix[:, j] = (matrix[:, j] - matrix[:, j].mean()) / sd
-    design = DesignMatrix(
+    return Design(
         matrix=matrix,
         column_names=("intercept", *(name for name, _, _ in plan)),
-        row_ids=tuple(p.identity_id for p in complete),
+        row_ids=tuple(profiles.identities[r] for r in rows.tolist()),
+        rows=rows,
+        incomplete=incomplete,
     )
-    return design, incomplete
 
 
 def response_vector(
-    design: DesignMatrix, rates: list[IndividualRates], metric: str
+    design: Design, rates: Mapping[str, np.ndarray], metric: str
 ) -> np.ndarray:
-    """Rate values aligned to the design rows."""
+    """The ``metric`` rates of the design rows, gathered from profile-aligned rates."""
     if metric not in ("far", "frr"):
         raise DataError(f"metric must be 'far' or 'frr', got {metric!r}")
-    by_id = {r.identity_id: getattr(r, metric) for r in rates}
-    missing = [i for i in design.row_ids if i not in by_id]
-    if missing:
-        raise DataError(f"no rates for design rows: {missing[:5]}")
-    return np.array([by_id[i] for i in design.row_ids], dtype=np.float64)
+    y = np.asarray(rates[metric], dtype=np.float64)[design.rows]
+    missing = np.flatnonzero(np.isnan(y))
+    if missing.size:
+        ids = [design.row_ids[i] for i in missing[:5].tolist()]
+        raise DataError(f"no rates for design rows: {ids}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -130,7 +169,7 @@ class CorrelationReport:
         raise KeyError(column)
 
 
-def run_correlations(design: DesignMatrix, y: np.ndarray) -> CorrelationReport:
+def run_correlations(design: Design, y: np.ndarray) -> CorrelationReport:
     """Pearson r between each explanatory column and the response.
 
     Constant columns carry no signal and are skipped; a constant
@@ -144,49 +183,23 @@ def run_correlations(design: DesignMatrix, y: np.ndarray) -> CorrelationReport:
             entries=(), skipped=design.column_names[1:], constant_response=True
         )
     entries = []
-    skipped = []
-    for j, name in enumerate(design.column_names):
-        if j == 0:
-            continue
-        col = design.matrix[:, j]
-        if np.all(col == col[0]):
-            skipped.append(name)
-            continue
-        result = pearson(col, y)
-        entries.append(
-            CorrelationEntry(column=name, r=result.r, p_value=result.p_value, n=result.n)
-        )
+    varying = design.varying
+    for j, name in enumerate(varying.column_names[1:], start=1):
+        result = pearson(varying.matrix[:, j], y)
+        entries.append(CorrelationEntry(name, result.r, result.p_value, result.n))
     return CorrelationReport(
-        entries=tuple(entries), skipped=tuple(skipped), constant_response=False
+        entries=tuple(entries), skipped=design.constant, constant_response=False
     )
 
 
-def run_regression(
-    design: DesignMatrix, y: np.ndarray
-) -> tuple[RegressionFit, tuple[str, ...]]:
-    """Fit the joint linear model, dropping constant columns first.
+def run_regression(design: Design, y: np.ndarray) -> tuple[RegressionFit, tuple[str, ...]]:
+    """Fit the joint linear model without the constant columns.
 
-    Returns the fit plus the names of any dropped columns.  Rank
+    Returns the fit plus the names of the dropped columns.  Rank
     deficiency beyond constant columns (e.g. collinear dummies) still
     raises, naming the offending columns.
     """
-    keep = [0]
-    dropped = []
-    for j, name in enumerate(design.column_names):
-        if j == 0:
-            continue
-        col = design.matrix[:, j]
-        if np.all(col == col[0]):
-            dropped.append(name)
-        else:
-            keep.append(j)
-    if dropped:
-        design = DesignMatrix(
-            matrix=design.matrix[:, keep],
-            column_names=tuple(design.column_names[j] for j in keep),
-            row_ids=design.row_ids,
-        )
-    return fit_ols(design, y), tuple(dropped)
+    return fit_ols(design.varying, y), design.constant
 
 
 @dataclass(frozen=True)
@@ -203,16 +216,15 @@ class ExplanatoryReport:
 
 
 def explanatory_report(
-    design: DesignMatrix,
-    incomplete: tuple[str, ...],
-    rates: list[IndividualRates],
+    design: Design,
+    rates: Mapping[str, np.ndarray],
     metric: str,
     operating_point: OperatingPoint,
 ) -> ExplanatoryReport:
-    """Align rates to a built design, then correlate and regress.
+    """Gather the response from ``rates``, then correlate and regress.
 
-    ``design`` and ``incomplete`` are what ``build_design`` returns for
-    the profiles of the rated identities.  The design does not depend
+    ``rates`` maps each metric to per-identity rates aligned with the
+    profile rows ``design`` was built from.  The design does not depend
     on the threshold, so one build serves every operating point.
     """
     y = response_vector(design, rates, metric)
@@ -228,5 +240,5 @@ def explanatory_report(
         correlations=correlations,
         regression=regression,
         dropped_columns=dropped,
-        incomplete_identities=incomplete,
+        incomplete_identities=design.incomplete,
     )

@@ -1,90 +1,93 @@
 """Per-individual error rates, demographic groups, and fairness gaps.
 
 Individual rates are computed from that identity's own trials at a fixed
-threshold.  A group's rate is the unweighted mean over its member
-individuals, so every individual counts equally regardless of how many
-trials they contributed.  Fairness deltas are signed differences of
-group rates; distributional gaps are tested with Kruskal-Wallis on the
-per-individual rates.
+threshold.  They are arrays aligned with identity codes: the
+threshold-free ``TrialCensus`` splits the trials by kind and counts
+them per identity once, and ``individual_rates`` then needs one count
+of the accepted or rejected trials per rate and threshold.  A group's
+rate is the unweighted mean over its member individuals, so every
+individual counts equally regardless of how many trials they
+contributed; members are profile rows, gathered by index.  Fairness
+deltas are signed differences of group rates; distributional gaps are
+tested with Kruskal-Wallis on the per-individual rates.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from faceaudit.cohort import AttributeProfile
+from faceaudit.cohort import ProfileTable
 from faceaudit.errors import DataError, SchemaError
 from faceaudit.schema import AttributeSchema
 from faceaudit.stats import kruskal_wallis
 from faceaudit.trials import TrialSet
 
 
-@dataclass(frozen=True)
-class IndividualRates:
-    """Error rates of one identity at a fixed threshold."""
+@dataclass(frozen=True, eq=False)
+class TrialCensus:
+    """The threshold-free part of per-identity rates.
 
-    identity_id: str
-    far: float
-    frr: float
-    n_genuine: int
-    n_impostor: int
-
-
-def individual_rates(
-    trials: TrialSet, scores: np.ndarray, tau: float
-) -> tuple[list[IndividualRates], tuple[str, ...]]:
-    """Per-identity FAR and FRR at ``tau``.
-
-    FAR is the fraction of the identity's impostor pairs accepted, FRR
-    the fraction of its genuine pairs rejected.  Identities lacking
-    either kind of trial have an undefined rate and are excluded;
-    their ids are returned separately.
+    Trials are split by kind into their probes' identity codes and
+    scores, and counted per identity.  An identity is rated when it has
+    both genuine and impostor trials; one with trials of one kind only
+    is excluded.
     """
+
+    identities: tuple[str, ...]
+    genuine_probes: np.ndarray  # identity code of each genuine trial's probe
+    genuine_scores: np.ndarray
+    impostor_probes: np.ndarray
+    impostor_scores: np.ndarray
+    n_genuine: np.ndarray  # per identity code
+    n_impostor: np.ndarray
+
+    @property
+    def rated(self) -> np.ndarray:
+        return (self.n_genuine > 0) & (self.n_impostor > 0)
+
+    @property
+    def excluded(self) -> tuple[str, ...]:
+        which = np.flatnonzero((self.n_genuine > 0) != (self.n_impostor > 0))
+        return tuple(map(self.identities.__getitem__, which.tolist()))
+
+
+def trial_census(trials: TrialSet, scores: np.ndarray) -> TrialCensus:
+    """Split ``trials`` and their ``scores`` by kind and count them per identity."""
     if len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
-    probe = trials.probe_codes
-    genuine = trials.genuine
-    accepted = np.asarray(scores) > tau
-
-    def count(mask: np.ndarray) -> list[int]:
-        return np.bincount(probe[mask], minlength=len(trials.identities)).tolist()
-
-    n_gen, n_imp = count(genuine), count(~genuine)
-    rejected_gen, accepted_imp = count(genuine & ~accepted), count(~genuine & accepted)
-    rates = []
-    excluded = []
-    for code, ident in enumerate(trials.identities):
-        if n_gen[code] == 0 or n_imp[code] == 0:
-            if n_gen[code] or n_imp[code]:
-                excluded.append(ident)
-            continue
-        rates.append(
-            IndividualRates(
-                identity_id=ident,
-                far=accepted_imp[code] / n_imp[code],
-                frr=rejected_gen[code] / n_gen[code],
-                n_genuine=n_gen[code],
-                n_impostor=n_imp[code],
-            )
-        )
-    return rates, tuple(excluded)
-
-
-def rated_identities(trials: TrialSet) -> tuple[str, ...]:
-    """The identities ``individual_rates`` rates, at any threshold.
-
-    An identity is rated when it has both genuine and impostor trials;
-    trial counts alone decide that, never the threshold.
-    """
+    scores = np.asarray(scores)
     probe, genuine = trials.probe_codes, trials.genuine
-    has_genuine = np.bincount(probe[genuine], minlength=len(trials.identities)) > 0
-    has_impostor = np.bincount(probe[~genuine], minlength=len(trials.identities)) > 0
-    rated = (has_genuine & has_impostor).tolist()
-    return tuple(ident for ident, ok in zip(trials.identities, rated) if ok)
+    n = len(trials.identities)
+    return TrialCensus(
+        identities=trials.identities,
+        genuine_probes=probe[genuine],
+        genuine_scores=scores[genuine],
+        impostor_probes=probe[~genuine],
+        impostor_scores=scores[~genuine],
+        n_genuine=np.bincount(probe[genuine], minlength=n),
+        n_impostor=np.bincount(probe[~genuine], minlength=n),
+    )
+
+
+def individual_rates(census: TrialCensus, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-identity (FAR, FRR) at ``tau``, aligned with ``census.identities``.
+
+    FAR is the fraction of the identity's impostor pairs accepted
+    (score > tau), FRR the fraction of its genuine pairs rejected.  The
+    rates of identities that are not rated are NaN.
+    """
+    n = len(census.identities)
+    accepted = np.bincount(census.impostor_probes[census.impostor_scores > tau], minlength=n)
+    rejected = np.bincount(census.genuine_probes[~(census.genuine_scores > tau)], minlength=n)
+    rated = census.rated
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = np.where(rated, accepted / census.n_impostor, np.nan)
+        frr = np.where(rated, rejected / census.n_genuine, np.nan)
+    return far, frr
 
 
 @dataclass(frozen=True)
@@ -135,113 +138,90 @@ def table_grid(spec: GroupSpec, schema: AttributeSchema) -> list[Group]:
     return [Group(spec.attributes, combo) for combo in itertools.product(*axes)]
 
 
-def assign_levels(
-    profiles: list[AttributeProfile], spec: GroupSpec, schema: AttributeSchema
-) -> tuple[dict[str, tuple[str, ...]], tuple[str, ...]]:
-    """Concrete level tuple per identity; ids missing an attribute go unassigned."""
-    spec.validate(schema)
-    assigned: dict[str, tuple[str, ...]] = {}
-    unassigned: list[str] = []
-    for profile in profiles:
-        levels: list[str] = []
-        for name in spec.attributes:
-            value = profile.values.get(name)
-            if value is None:
-                break
-            var = schema.variable(name)
-            if var.kind == "categorical":
-                levels.append(var.levels[int(value)])
-            else:
-                levels.append(str(int(value)))
-        else:
-            assigned[profile.identity_id] = tuple(levels)
-            continue
-        unassigned.append(profile.identity_id)
-    return assigned, tuple(sorted(unassigned))
-
-
 @dataclass(frozen=True)
 class GroupRates:
     """Macro-averaged rates of one group; NaN rates mean the group is empty.
 
-    ``member_ids`` may be empty on deserialized results; ``n_members``
-    is authoritative.
+    ``members`` holds the profile rows of the members, in identity
+    order; it is empty on deserialized results, where ``n_members`` is
+    authoritative.
     """
 
     group: Group
     far: float
     frr: float
     n_members: int
-    member_ids: tuple[str, ...] = ()
+    members: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp), compare=False)
 
     @property
     def is_empty(self) -> bool:
         return self.n_members == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupMembership:
-    """Every grid cell paired with its member identity ids, sorted.
+    """Every grid cell paired with the profile rows of its members, ascending.
 
     Membership depends only on the profiles, so one instance serves
     ``group_rates`` at every threshold.
     """
 
-    cells: tuple[tuple[Group, tuple[str, ...]], ...]
+    identities: tuple[str, ...]  # of the profile rows
+    cells: tuple[tuple[Group, np.ndarray], ...]
     unassigned: tuple[str, ...]
 
 
 def group_membership(
-    profiles: list[AttributeProfile], spec: GroupSpec, schema: AttributeSchema
+    profiles: ProfileTable, spec: GroupSpec, schema: AttributeSchema
 ) -> GroupMembership:
-    """Bucket each assigned identity under the cells that contain it.
+    """Bucket the profile rows under every grid cell that contains them.
 
-    An identity with levels (l1, ..., lk) belongs to the 2^k cells that
-    keep or union (``None``) each level, so one pass over the identities
-    fills the whole grid.  Identities missing a grouping attribute are
+    An identity's level codes are its profile values of the grouping
+    attributes; a cell keeps the rows whose codes match each of its
+    concrete levels.  Identities missing a grouping attribute are
     reported as unassigned.
     """
-    assigned, unassigned = assign_levels(profiles, spec, schema)
     grid = table_grid(spec, schema)
-    buckets: dict[tuple[str | None, ...], list[str]] = {group.levels: [] for group in grid}
-    for identity in sorted(assigned):
-        for key in itertools.product(*((level, None) for level in assigned[identity])):
-            members = buckets.get(key)
-            if members is not None:
-                members.append(identity)
+    names = schema.names()
+    codes = profiles.values[:, [names.index(name) for name in spec.attributes]]
+    assigned = ~np.isnan(codes).any(axis=1)
+    levels = [schema.variable(name).discrete_levels() for name in spec.attributes]
+    cells = []
+    for group in grid:
+        match = assigned
+        for k, level in enumerate(group.levels):
+            if level is not None:
+                match = match & (codes[:, k] == levels[k].index(level))
+        cells.append((group, np.flatnonzero(match)))
+    unassigned = np.flatnonzero(~assigned).tolist()
     return GroupMembership(
-        cells=tuple((group, tuple(buckets[group.levels])) for group in grid),
-        unassigned=unassigned,
+        identities=profiles.identities,
+        cells=tuple(cells),
+        unassigned=tuple(map(profiles.identities.__getitem__, unassigned)),
     )
 
 
 def group_rates(
-    rates: list[IndividualRates], membership: GroupMembership
+    far: np.ndarray, frr: np.ndarray, membership: GroupMembership
 ) -> list[GroupRates]:
     """Mean rates for every grid cell over its members that have rates.
 
-    Individuals without rates (excluded upstream) simply never appear in
-    a group.  Means run over the members in sorted identity order.
+    ``far`` and ``frr`` are aligned with the membership's profile rows,
+    NaN for an identity without rates, which then never appears in a
+    group.  Means run over the members in identity order.
     """
-    position = {r.identity_id: i for i, r in enumerate(rates)}
-    far = np.array([r.far for r in rates], dtype=np.float64)
-    frr = np.array([r.frr for r in rates], dtype=np.float64)
+    rated = ~np.isnan(far)
     out = []
-    for group, ids in membership.cells:
-        members = tuple(i for i in ids if i in position)
-        if members:
-            rows = [position[i] for i in members]
-            cell_far = float(np.mean(far[rows]))
-            cell_frr = float(np.mean(frr[rows]))
+    for group, rows in membership.cells:
+        members = rows[rated[rows]]
+        if members.size:
+            cell_far = float(np.mean(far[members]))
+            cell_frr = float(np.mean(frr[members]))
         else:
             cell_far = cell_frr = math.nan
         out.append(
             GroupRates(
-                group=group,
-                far=cell_far,
-                frr=cell_frr,
-                n_members=len(members),
-                member_ids=members,
+                group=group, far=cell_far, frr=cell_frr, n_members=members.size, members=members
             )
         )
     return out

@@ -1,10 +1,13 @@
 """Orchestration: wire cohort, trials, calibration, metrics, and explain
 into one audit result object that the report layer can render.
 
-An audit does its threshold-free work once: one sweep of the pooled
-scores serves every threshold policy, group membership is assigned
-once, and the explanatory design is built once.  Each policy then
-computes only what depends on its threshold.
+An audit does its threshold-free work once: the trial census (trials
+split by kind and counted per identity) and one sweep of the pooled
+scores serve every threshold policy, group membership is assigned once,
+and the explanatory design is built once.  Each policy then computes
+only what depends on its threshold: two counts per identity for the
+rates, and index gathers of those rate arrays for the group means, the
+Kruskal-Wallis samples and the regression response.
 
 Every step here is deterministic given (inputs, seed).
 """
@@ -18,12 +21,12 @@ import numpy as np
 from faceaudit import __version__
 from faceaudit.calibration import OperatingPoint, calibrate, parse_policy, sweep_rates
 from faceaudit.cohort import (
-    AttributeProfile,
     AttributeTable,
     Cohort,
+    ProfileTable,
     aggregate_profiles,
     aggregate_table,
-    build_profiles,
+    positions,
 )
 from faceaudit.errors import DataError
 from faceaudit.explain import EncodingConfig, ExplanatoryReport, build_design, explanatory_report
@@ -38,7 +41,7 @@ from faceaudit.metrics import (
     individual_rates,
     kruskal_pairwise,
     one_axis_deltas,
-    rated_identities,
+    trial_census,
 )
 from faceaudit.schema import AttributeSchema
 from faceaudit.trials import TrialSet
@@ -108,34 +111,37 @@ class AuditResults:
 
 def profiles_from_rows(
     table: AttributeTable, trials: TrialSet, schema: AttributeSchema
-) -> list[AttributeProfile]:
-    """Aggregate per-image attribute rows into per-identity profiles.
+) -> ProfileTable:
+    """Aggregate per-image attribute rows into one profile row per trial identity.
 
     Used when auditing precomputed scores without embeddings; the
     identities then come from the trial file itself.  Each identity
     aggregates the rows of its images in the trial image table's
-    (sorted) order; identities none of whose images has a row get no
-    profile, and rows of images outside the trials are ignored.
+    (sorted) order; an identity none of whose images has a row gets an
+    all-missing profile, and rows of images outside the trials are
+    ignored.
     """
-    values, coverage, n_rows = aggregate_table(
+    values, coverage, _ = aggregate_table(
         table, trials.image_ids, trials.identity_codes, len(trials.identities), schema
     )
-    keep = np.flatnonzero(n_rows)
-    identities = [trials.identities[i] for i in keep.tolist()]
-    return build_profiles(identities, values[keep], coverage[keep], schema)
+    return ProfileTable(trials.identities, values, coverage)
 
 
 def run_audit(
     trials: TrialSet,
     scores: np.ndarray,
-    profiles: list[AttributeProfile],
+    profiles: ProfileTable,
     schema: AttributeSchema,
     options: AuditOptions,
     seed: int = 0,
 ) -> AuditResults:
     """Calibrate per policy, then compute group rates, gaps, tests, and
     (optionally) the explanatory analyses.  ``seed`` is the trial
-    generator seed, recorded in the results.  The explanatory design is
+    generator seed, recorded in the results.
+
+    Everything per identity lives in the rows of ``profiles``: the rates
+    of each policy are moved there from the trial identity codes, NaN
+    for a profiled identity without rates.  The explanatory design is
     built over the rated identities, who are the same at every
     threshold."""
     if len(scores) != len(trials.pairs):
@@ -144,28 +150,30 @@ def run_audit(
         raise DataError("audit requires fully scored trials (no missing scores)")
     spec = GroupSpec(attributes=tuple(options.group_by))
     spec.validate(schema)
-    labels = trials.genuine
-    curve = sweep_rates(scores[labels], scores[~labels])
+    census = trial_census(trials, scores)
+    curve = sweep_rates(census.genuine_scores, census.impostor_scores)
     membership = group_membership(profiles, spec, schema)
+    code = positions(trials.identities, profiles.identities)  # -1: no trials
+    found = code >= 0
     design = design_error = None
     if options.explain:
         encoding = EncodingConfig(
             reference_levels=dict(options.reference_levels), standardize=options.standardize
         )
-        rated = set(rated_identities(trials))
+        rated = np.flatnonzero(found & census.rated[code])
         try:
-            design = build_design(
-                [p for p in profiles if p.identity_id in rated], schema, encoding
-            )
+            design = build_design(profiles, schema, encoding, rated)
         except DataError as exc:
             design_error = str(exc)
 
     analyses = []
-    excluded: tuple[str, ...] = ()
     for policy in options.policies:
         op = calibrate(curve, policy)
-        rates, excluded = individual_rates(trials, scores, op.tau)
-        groups = group_rates(rates, membership)
+        rates = {
+            metric: np.where(found, values[code], np.nan)
+            for metric, values in zip(_METRICS, individual_rates(census, op.tau))
+        }
+        groups = group_rates(rates["far"], rates["frr"], membership)
 
         skipped: dict[str, str] = {}
         try:
@@ -178,19 +186,11 @@ def run_audit(
             extreme_far=ext_far, extreme_frr=ext_frr, one_axis=one_axis_deltas(groups)
         )
 
-        by_id = {r.identity_id: r for r in rates}
         kruskal: dict[str, PairwiseTests] = {}
-        testable = [
-            g for g in groups if not g.group.is_union and g.n_members >= 2
-        ]
+        testable = [g for g in groups if not g.group.is_union and g.n_members >= 2]
         if len(testable) >= 2:
             for metric in _METRICS:
-                samples = {
-                    g.group.label: np.array(
-                        [getattr(by_id[i], metric) for i in g.member_ids]
-                    )
-                    for g in testable
-                }
+                samples = {g.group.label: rates[metric][g.members] for g in testable}
                 kruskal[metric] = kruskal_pairwise(samples)
         else:
             skipped["kruskal"] = "fewer than two groups with two or more members"
@@ -202,7 +202,7 @@ def run_audit(
                     skipped[f"explain_{metric}"] = design_error
                     continue
                 try:
-                    explain[metric] = explanatory_report(*design, rates, metric, op)
+                    explain[metric] = explanatory_report(design, rates, metric, op)
                 except DataError as exc:
                     skipped[f"explain_{metric}"] = str(exc)
         analyses.append(
@@ -219,10 +219,10 @@ def run_audit(
         tool_version=__version__,
         seed=seed,
         group_by=tuple(options.group_by),
-        n_identities=len(np.unique(trials.probe_codes)),
-        n_genuine=int(labels.sum()),
-        n_impostor=int((~labels).sum()),
-        excluded_identities=excluded,
+        n_identities=int(np.count_nonzero(census.n_genuine + census.n_impostor)),
+        n_genuine=len(census.genuine_scores),
+        n_impostor=len(census.impostor_scores),
+        excluded_identities=census.excluded,
         unassigned_identities=membership.unassigned,
         skipped_identities=trials.skipped_identities,
         analyses=tuple(analyses),

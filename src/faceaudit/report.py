@@ -16,6 +16,7 @@ each channel rounds half-even to an integer.  NaN cells are grey
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -72,16 +73,10 @@ def render_group_table(groups: list[GroupRates], metric: str) -> str:
             writer.writerow([label(g.group.levels[0]), _format_cell(getattr(g, metric))])
         return buf.getvalue()
 
-    row_levels: list[str | None] = []
-    col_levels: list[str | None] = []
-    cells: dict[tuple[str | None, str | None], float] = {}
-    for g in groups:
-        r, c = g.group.levels
-        if r not in row_levels:
-            row_levels.append(r)
-        if c not in col_levels:
-            col_levels.append(c)
-        cells[(r, c)] = getattr(g, metric)
+    # Levels in order of first appearance; a later cell with the same levels wins.
+    row_levels = list(dict.fromkeys(g.group.levels[0] for g in groups))
+    col_levels = list(dict.fromkeys(g.group.levels[1] for g in groups))
+    cells = {g.group.levels: getattr(g, metric) for g in groups}
     writer.writerow([f"{metric} {attrs[0]}|{attrs[1]}", *(label(c) for c in col_levels)])
     for r in row_levels:
         writer.writerow(
@@ -243,14 +238,7 @@ def _group_payload(g: GroupRates):
 
 
 def _delta_payload(d):
-    if d is None:
-        return None
-    return {
-        "group_a": d.group_a,
-        "group_b": d.group_b,
-        "delta_far": d.delta_far,
-        "delta_frr": d.delta_frr,
-    }
+    return None if d is None else dataclasses.asdict(d)  # group_a/b, delta_far/frr
 
 
 def _kruskal_payload(tests):
@@ -341,22 +329,15 @@ def _policy_slug(policy: str) -> str:
 
 
 def _groups_from_payload(analysis: dict) -> list[GroupRates]:
-    groups = []
-    for g in analysis["groups"]:
-        far = math.nan if g["far"] is None else g["far"]
-        frr = math.nan if g["frr"] is None else g["frr"]
-        groups.append(
-            GroupRates(
-                group=Group(
-                    attributes=tuple(g["attributes"]),
-                    levels=tuple(None if lv is None else lv for lv in g["levels"]),
-                ),
-                far=far,
-                frr=frr,
-                n_members=g["n_members"],
-            )
+    return [
+        GroupRates(
+            group=Group(attributes=tuple(g["attributes"]), levels=tuple(g["levels"])),
+            far=_nan(g["far"]),
+            frr=_nan(g["frr"]),
+            n_members=g["n_members"],
         )
-    return groups
+        for g in analysis["groups"]
+    ]
 
 
 def _nan(value) -> float:
@@ -377,79 +358,53 @@ def render_tables(payload: dict, outdir: Path) -> list[Path]:
     return written
 
 
+def _heatmap_cells(metrics: list[str], cells: dict) -> tuple[np.ndarray, np.ndarray, list]:
+    """Value and p-value grids from ``cells[metric]``, a list of (row name,
+    value, p-value); rows are named in order of first appearance."""
+    rows = list(dict.fromkeys(name for m in metrics for name, _, _ in cells[m]))
+    values = np.full((len(rows), len(metrics)), math.nan)
+    p_values = np.full_like(values, math.nan)
+    for j, m in enumerate(metrics):
+        for name, value, p in cells[m]:
+            i = rows.index(name)
+            values[i, j], p_values[i, j] = _nan(value), _nan(p)
+    return values, p_values, rows
+
+
 def render_figures(payload: dict, outdir: Path) -> list[Path]:
     figures_dir = outdir / "figures"
     figures_dir.mkdir(parents=True, exist_ok=True)
     written = []
+
+    def write(name, grid, p_grid, row_labels, col_labels, title):
+        path = figures_dir / f"{name}.svg"
+        svg = render_heatmap_svg(grid, p_grid, row_labels, col_labels, title=title)
+        path.write_text(svg, encoding="utf-8")
+        written.append(path)
+
     for analysis in payload["analyses"]:
         slug = _policy_slug(analysis["operating_point"]["policy"])
-        explain = analysis.get("explain", {})
+        explain = analysis.get("explain") or {}
         metrics = [m for m in ("far", "frr") if m in explain]
-
-        corr_rows: list[str] = []
+        correlations, coefficients = {}, {}
         for m in metrics:
-            for e in explain[m]["correlations"]["entries"]:
-                if e["column"] not in corr_rows:
-                    corr_rows.append(e["column"])
-        if corr_rows and metrics:
-            r_grid = np.full((len(corr_rows), len(metrics)), math.nan)
-            p_grid = np.full_like(r_grid, math.nan)
-            for j, m in enumerate(metrics):
-                for e in explain[m]["correlations"]["entries"]:
-                    i = corr_rows.index(e["column"])
-                    r_grid[i, j] = _nan(e["r"])
-                    p_grid[i, j] = _nan(e["p_value"])
-            path = figures_dir / f"{slug}_correlations.svg"
-            path.write_text(
-                render_heatmap_svg(
-                    r_grid, p_grid, corr_rows, metrics, title=f"pearson r ({slug})"
-                ),
-                encoding="utf-8",
-            )
-            written.append(path)
-
-        coef_rows: list[str] = []
-        for m in metrics:
-            fit = explain[m].get("regression")
-            if fit:
-                for name in fit["columns"][1:]:
-                    if name not in coef_rows:
-                        coef_rows.append(name)
-        if coef_rows and metrics:
-            c_grid = np.full((len(coef_rows), len(metrics)), math.nan)
-            p_grid = np.full_like(c_grid, math.nan)
-            for j, m in enumerate(metrics):
-                fit = explain[m].get("regression")
-                if not fit:
-                    continue
-                for k, name in enumerate(fit["columns"]):
-                    if k == 0:
-                        continue
-                    i = coef_rows.index(name)
-                    c_grid[i, j] = _nan(fit["coefficients"][k])
-                    p_grid[i, j] = _nan(fit["p_values"][k])
-            path = figures_dir / f"{slug}_coefficients.svg"
-            path.write_text(
-                render_heatmap_svg(
-                    c_grid, p_grid, coef_rows, metrics, title=f"ols coefficients ({slug})"
-                ),
-                encoding="utf-8",
-            )
-            written.append(path)
-
-        for metric, tests in sorted(analysis.get("kruskal", {}).items()):
+            entries = explain[m]["correlations"]["entries"]
+            correlations[m] = [(e["column"], e["r"], e["p_value"]) for e in entries]
+            fit = explain[m].get("regression") or {}
+            cells = zip(fit.get("columns", ()), fit.get("coefficients", ()), fit.get("p_values", ()))
+            coefficients[m] = list(cells)[1:]  # the intercept is not drawn
+        for kind, cells, title in (
+            ("correlations", correlations, "pearson r"),
+            ("coefficients", coefficients, "ols coefficients"),
+        ):
+            values, p_values, rows = _heatmap_cells(metrics, cells)
+            if rows:
+                write(f"{slug}_{kind}", values, p_values, rows, metrics, f"{title} ({slug})")
+        for metric, tests in sorted((analysis.get("kruskal") or {}).items()):
             labels = tests["labels"]
-            p = np.array(
-                [[_nan(v) for v in row] for row in tests["p"]], dtype=np.float64
-            )
-            path = figures_dir / f"{slug}_kruskal_{metric}.svg"
-            path.write_text(
-                render_heatmap_svg(
-                    p, p, labels, labels, title=f"kruskal-wallis p, {metric} ({slug})"
-                ),
-                encoding="utf-8",
-            )
-            written.append(path)
+            p = np.array([[_nan(v) for v in row] for row in tests["p"]], dtype=np.float64)
+            title = f"kruskal-wallis p, {metric} ({slug})"
+            write(f"{slug}_kruskal_{metric}", p, p, labels, labels, title)
     return written
 
 
@@ -471,6 +426,68 @@ def emit_bundle(outdir: str | Path, results: AuditResults) -> dict[str, object]:
     return {"report": report_path, "tables": tables, "figures": figures}
 
 
+# The part of report.json that re-rendering reads.  A dict maps keys to
+# shapes ("?" marks a key that may be absent or null, "*" any key), a
+# one-item list is a list of that shape, and types are JSON scalars.
+_NUMBER = (int, float, type(None))
+_FIT = {"columns": [str], "coefficients": [_NUMBER], "p_values": [_NUMBER]}
+_CORRELATION = {"column": str, "r": _NUMBER, "p_value": _NUMBER}
+_EXPLAIN = {"correlations": {"entries": [_CORRELATION]}, "regression?": _FIT}
+_GROUP = {"attributes": [str], "levels": [(str, type(None))], "far": _NUMBER, "frr": _NUMBER}
+_ANALYSIS = {
+    "operating_point": {"policy": str},
+    "groups": [{**_GROUP, "n_members": int}],
+    "explain?": {"far?": _EXPLAIN, "frr?": _EXPLAIN},
+    "kruskal?": {"*": {"labels": [str], "p": [[_NUMBER]]}},
+}
+
+
+def _check_shape(value, shape, path: str) -> None:
+    """Raise a DataError naming the first place where ``value`` departs from ``shape``."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise DataError(f"{path or 'payload'} must be a JSON object")
+        for key, inner in shape.items():
+            if key == "*":
+                for sub, item in value.items():
+                    _check_shape(item, inner, f"{path}.{sub}")
+                continue
+            name = key.rstrip("?")
+            where = f"{path}.{name}" if path else name
+            if key.endswith("?") and value.get(name) is None:
+                continue
+            if name not in value:
+                raise DataError(f"{where} is missing")
+            _check_shape(value[name], inner, where)
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise DataError(f"{path} must be a list")
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{path}[{i}]")
+    elif not isinstance(value, shape):
+        raise DataError(f"{path} has the wrong type: {json.dumps(value)}")
+
+
+def _check_payload(payload) -> None:
+    """Check that ``payload`` has the shape the renderers read, and that
+    the lists they read side by side agree in length."""
+    _check_shape(payload, {"analyses": [_ANALYSIS]}, "")
+    for i, analysis in enumerate(payload["analyses"]):
+        parallel = [  # (where, list, lists of the same length)
+            (f"groups[{k}]", g["attributes"], g["levels"])
+            for k, g in enumerate(analysis["groups"])
+        ]
+        for metric, rep in (analysis.get("explain") or {}).items():
+            if fit := rep.get("regression"):
+                lists = fit["columns"], fit["coefficients"], fit["p_values"]
+                parallel.append((f"explain.{metric}.regression", *lists))
+        for metric, tests in (analysis.get("kruskal") or {}).items():
+            parallel.append((f"kruskal.{metric}.p", tests["labels"], tests["p"], *tests["p"]))
+        for where, first, *others in parallel:
+            if any(len(other) != len(first) for other in others):
+                raise DataError(f"analyses[{i}].{where}: lists differ in length")
+
+
 def render_from_file(report_path: str | Path, outdir: str | Path) -> dict[str, object]:
     """Re-render tables and figures from an existing report.json."""
     report_path = Path(report_path)
@@ -478,7 +495,11 @@ def render_from_file(report_path: str | Path, outdir: str | Path) -> dict[str, o
         payload = json.loads(report_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"{report_path}: cannot read report payload: {exc}") from exc
-    if "analyses" not in payload or not payload["analyses"]:
+    try:
+        _check_payload(payload)
+    except DataError as exc:
+        raise DataError(f"{report_path}: {exc}") from None
+    if not payload["analyses"]:
         raise DataError(f"{report_path}: payload holds no analyses")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -51,36 +51,28 @@ def ln_gamma(x: float) -> float:
     return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
+def _off_zero(x: float) -> float:
+    """``x``, or 1e-300 when it is closer to zero, as Lentz's method needs."""
+    return 1e-300 if abs(x) < 1e-300 else x
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < 1e-300:
-        d = 1e-300
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -132,13 +124,8 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = b + an / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
+        d = 1.0 / _off_zero(an * d + b)
+        c = _off_zero(b + an / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -231,20 +218,14 @@ def pearson(x, y) -> CorrelationResult:
 def _midranks(values: np.ndarray) -> tuple[np.ndarray, float]:
     """Mid-ranks of a pooled sample and the tie-correction sum (t^3 - t)."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    tie_sum = 0.0
-    i = 0
     sorted_vals = values[order]
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        run = j - i + 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        if run > 1:
-            tie_sum += run**3 - run
-        i = j + 1
-    return ranks, tie_sum
+    # Runs of equal sorted values span positions i..j; each gets rank (i+j)/2 + 1.
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], values.size] - 1
+    runs = ends - starts + 1
+    ranks = np.empty(values.size, dtype=float)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, runs)
+    return ranks, float(np.sum(runs**3 - runs))
 
 
 def kruskal_wallis(samples) -> tuple[float, float]:

@@ -249,6 +249,8 @@ def _line_of(path: str | Path, index: int) -> int:
 
 
 def _score(cell: str) -> float:
+    if "_" in cell:  # float() reads "0_5" as 5.0
+        raise ValueError(cell)
     return float(cell) if cell.strip() else float("nan")
 
 
@@ -298,6 +300,8 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
             probes, references, label_cells, score_cells = zip(*rows)
             try:
                 labels += bytes(map(_GENUINE.get, label_cells))  # a bad label is a TypeError
+                if "_" in "".join(score_cells):  # float() reads "0_5" as 5.0
+                    raise ValueError(score_cells)
                 try:
                     scores += array("d", map(float, score_cells))
                 except ValueError:  # empty (unscored) cells read as NaN

@@ -3,7 +3,7 @@ attribute tables for tests."""
 
 import numpy as np
 
-from faceaudit.cohort import AttributeTable, build_cohort
+from faceaudit.cohort import AttributeTable, ProfileTable, build_cohort
 from faceaudit.schema import default_schema
 from faceaudit.synth import SynthConfig, generate
 from faceaudit.trials import TrialPolicy, TrialSet, generate_trials, score_trials
@@ -69,4 +69,24 @@ def attribute_rows(table, schema=None):
     return {
         image: {name: v for name, v in zip(names, row) if not np.isnan(v)}
         for image, row in zip(table.image_ids, table.values.tolist())
+    }
+
+
+def profile_table(rows, schema=None):
+    """A ProfileTable from {identity: {variable: value}}, identities sorted;
+    absent variables are missing (NaN, coverage 0), present ones have
+    coverage 1."""
+    names = (schema or default_schema()).names()
+    identities = tuple(sorted(rows))
+    values = [[rows[i].get(name, np.nan) for name in names] for i in identities]
+    values = np.array(values, dtype=np.float64).reshape(-1, len(names))
+    return ProfileTable(identities, values, (~np.isnan(values)).astype(np.float64))
+
+
+def profile_rows(profiles, schema=None):
+    """{identity: {variable: value}} of a ProfileTable, missing values left out."""
+    names = (schema or default_schema()).names()
+    return {
+        identity: {name: v for name, v in zip(names, row) if not np.isnan(v)}
+        for identity, row in zip(profiles.identities, profiles.values.tolist())
     }

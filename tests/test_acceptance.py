@@ -21,9 +21,9 @@ from faceaudit.metrics import (
     GroupRates,
     GroupSpec,
     fairness_delta,
-    group_rates,
     individual_rates,
     one_axis_deltas,
+    trial_census,
 )
 from faceaudit.pipeline import AuditOptions, audit_cohort
 from faceaudit.report import to_payload
@@ -56,11 +56,12 @@ def _audited_far_rates(config, trial_seed=0, negatives=50):
         cohort, TrialPolicy(negatives_per_identity=negatives), seed=trial_seed
     )
     scores = score_trials(cohort, trials)
-    labels = trials.genuine
-    op = calibrate(sweep_rates(scores[labels], scores[~labels]), "eer")
-    rates, _ = individual_rates(trials, scores, op.tau)
+    census = trial_census(trials, scores)
+    op = calibrate(sweep_rates(census.genuine_scores, census.impostor_scores), "eer")
+    far, frr = individual_rates(census, op.tau)
+    # The trials cover every cohort identity, so the rates align with the profile rows.
     profiles = aggregate_profiles(cohort, schema)
-    return rates, profiles, op
+    return {"far": far, "frr": frr}, profiles, op
 
 
 def test_criterion_01_pair_protocol_arithmetic():
@@ -106,7 +107,7 @@ def test_criterion_03_rate_delta_arithmetic():
             far=far,
             frr=frr,
             n_members=10,
-            member_ids=tuple(f"x{i}" for i in range(10)),
+            members=np.arange(10),
         )
 
     d = fairness_delta(
@@ -201,7 +202,7 @@ def test_criterion_06_type_one_error_calibration():
             identities_per_group={("man", "asian"): 120}, dim=32, seed=seed
         )
         rates, profiles, op = _audited_far_rates(config, trial_seed=seed)
-        report = explanatory_report(*build_design(profiles, schema), rates, "far", op)
+        report = explanatory_report(build_design(profiles, schema), rates, "far", op)
         fit = report.regression
         if fit is None:
             continue
@@ -269,7 +270,7 @@ def test_criterion_08_planted_effect_recovery():
             attribute_effects=(AttributeEffect("blur", "far", 0.25),),
         )
         rates, profiles, op = _audited_far_rates(config, trial_seed=seed)
-        report = explanatory_report(*build_design(profiles, schema), rates, "far", op)
+        report = explanatory_report(build_design(profiles, schema), rates, "far", op)
         entry = report.correlations.entry("blur")
         fit = report.regression
         coef = fit.coefficient("blur")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from faceaudit.cli import main
+from faceaudit.cohort import EmbeddingRecord, load_embeddings, write_embeddings_binary
 from faceaudit.trials import read_trials_csv
 
 
@@ -166,13 +167,19 @@ class TestDataErrors:
             ("probe_image_id,reference_image_id,label,score\na_0,a_1,genuine\n", "4 cells"),
             ("probe_image_id,reference_image_id,label,score\na_0,b_0,maybe,0.5\n", "label"),
             ("probe_image_id,reference_image_id,label,score\na_0,b_0,impostor,high\n", "score"),
+            # float() would read 0_5 as 5.0
+            (
+                "probe_image_id,reference_image_id,label,score\n"
+                "a_0,a_1,genuine,0.9\na_0,b_0,impostor,0_5\n",
+                ":3: bad score '0_5'",
+            ),
             (
                 "probe_image_id,reference_image_id,label,score\n"
                 "a_0,a_1,genuine,0.9\na_1,a_1,genuine,1.0\na_0,b_0,impostor,0.1\n",
                 "cannot reuse image 'a_1'",
             ),
         ],
-        ids=["header", "short-row", "label", "score", "genuine-same-image"],
+        ids=["header", "short-row", "label", "score", "score-underscore", "genuine-same-image"],
     )
     def test_malformed_trial_csv_one_line(self, tmp_path, capsys, body, reason):
         path = tmp_path / "scores.csv"
@@ -624,6 +631,79 @@ class TestPipeline:
             assert (rerender / name).read_bytes() == (outdir / name).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def explain_report(workspace, tmp_path_factory):
+    """A report.json payload with groups, Kruskal-Wallis tests and explain."""
+    outdir = tmp_path_factory.mktemp("explain")
+    argv = ["explain", "--scores", str(workspace["scored"]), "--attributes"]
+    assert main([*argv, str(workspace["attributes"]), "--out", str(outdir)]) == 0
+    return json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+
+
+def _set(path, value):
+    """An edit of a payload that sets the item at key ``path`` to ``value``."""
+
+    def edit(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+
+    return edit
+
+
+def _drop(path):
+    def edit(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        del payload[last]
+
+    return edit
+
+
+class TestReportResults:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_drop(["analyses", 0, "groups"]), "analyses[0].groups is missing"),
+            (_set(["analyses", 0, "groups", 0, "far"], "0.1"), "analyses[0].groups[0].far has"),
+            (_set(["analyses"], {}), "analyses must be a list"),
+            (_set(["analyses", 0, "groups", 1], []), "analyses[0].groups[1] must be a JSON object"),
+            (_set(["analyses", 0, "groups", 0, "levels"], ["man"]), "analyses[0].groups[0]: lists"),
+            (_set(["analyses", 0, "operating_point"], None), "analyses[0].operating_point must"),
+            (_drop(["analyses", 0, "kruskal", "far", "p", 0]), "analyses[0].kruskal.far.p: lists"),
+            (
+                _set(["analyses", 0, "explain", "frr", "regression", "p_values"], [0.5]),
+                "analyses[0].explain.frr.regression: lists",
+            ),
+            (
+                _set(["analyses", 0, "explain", "far", "correlations", "entries", 0, "r"], "x"),
+                "analyses[0].explain.far.correlations.entries[0].r has",
+            ),
+            (_set(["analyses", 0, "kruskal", "frr", "labels"], "ab"), "kruskal.frr.labels must"),
+        ],
+        ids=[
+            "no-groups", "string-far", "analyses-object", "group-list", "short-levels",
+            "null-operating-point", "short-p", "short-p-values", "string-r", "string-labels",
+        ],
+    )
+    def test_malformed_payload_one_line(self, explain_report, tmp_path, capsys, edit, message):
+        payload = json.loads(json.dumps(explain_report))
+        edit(payload)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"faceaudit report: {path}: ")
+        assert message in err
+
+    def test_well_formed_payload_renders(self, explain_report, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(explain_report), encoding="utf-8")
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def _shuffled_rows(text, seed=0):
     """The header, then the data rows in a seeded random order."""
     header, *rows = text.splitlines()
@@ -681,6 +761,75 @@ class TestInputOrder:
         want = self._explain(tmp_path / "want", workspace, embeddings)
         got = self._explain(tmp_path / "got", {**workspace, which: path}, embeddings)
         assert got == want
+
+    @pytest.mark.parametrize("embeddings", [False, True], ids=["scores-only", "embeddings"])
+    def test_identity_rename(self, workspace, tmp_path, embeddings):
+        # Without u00005's attribute rows, identity names reach report.json.
+        inputs = _without_attribute_rows(workspace, tmp_path, "u00005")
+        renamed = _renamed(inputs, tmp_path / "renamed", "p-")
+        want = self._explain(tmp_path / "want", inputs, embeddings)
+        got = self._explain(tmp_path / "got", renamed, embeddings)
+        want_report = json.loads(want.pop("report.json"))
+        assert want_report["exclusions"]["unassigned"]
+        assert json.loads(got.pop("report.json")) == _prefixed(want_report, "p-")
+        assert got == want  # tables and figures name no identity
+
+
+def _without_attribute_rows(workspace, tmp_path, identity):
+    """The workspace inputs with no attribute row for ``identity``'s images."""
+    lines = workspace["attributes"].read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "attributes.csv"
+    kept = [line for line in lines if not line.startswith(f"{identity}_")]
+    assert len(kept) < len(lines)
+    path.write_text("".join(kept), encoding="utf-8")
+    return {**workspace, "attributes": path}
+
+
+def _renamed(inputs, outdir, prefix):
+    """``inputs`` with ``prefix`` put before every identity and image id."""
+    outdir.mkdir()
+    records = [
+        EmbeddingRecord(prefix + r.image_id, prefix + r.identity_id, r.vector)
+        for r in load_embeddings(inputs["embeddings"])
+    ]
+    write_embeddings_binary(outdir / "embeddings.freb", records)
+    out = {**inputs, "embeddings": outdir / "embeddings.freb"}
+    for which, n_ids in (("attributes", 1), ("scored", 2)):
+        header, *rows = inputs[which].read_text(encoding="utf-8").splitlines()
+        lines = [header]
+        for cells in (row.split(",") for row in rows):
+            lines.append(",".join([prefix + c for c in cells[:n_ids]] + cells[n_ids:]))
+        out[which] = outdir / inputs[which].name
+        out[which].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+def _prefixed(report, prefix):
+    """A report.json payload with ``prefix`` before every identity it names."""
+    report["exclusions"] = {k: [prefix + i for i in v] for k, v in report["exclusions"].items()}
+    for analysis in report["analyses"]:
+        for explain in analysis["explain"].values():
+            explain["incomplete_identities"] = [prefix + i for i in explain["incomplete_identities"]]
+    return report
+
+
+class TestRowlessIdentity:
+    def test_both_paths_list_it(self, workspace, tmp_path):
+        # An identity none of whose images has an attribute row is kept,
+        # all missing, whether identities come from --embeddings or from
+        # the trial file, which names each by its smallest image id.
+        inputs = _without_attribute_rows(workspace, tmp_path, "u00005")
+        reports = {}
+        for embeddings in (False, True):
+            TestInputOrder._explain(tmp_path / str(embeddings), inputs, embeddings)
+            text = (tmp_path / str(embeddings) / "report.json").read_text(encoding="utf-8")
+            reports[embeddings] = json.loads(text)
+        with_embeddings = reports[True]
+        assert with_embeddings["exclusions"]["unassigned"] == ["u00005"]
+        for analysis in with_embeddings["analyses"]:
+            assert analysis["explain"]["far"]["incomplete_identities"] == ["u00005"]
+        named_by_image = json.dumps(with_embeddings).replace('"u00005"', '"u00005_00"')
+        assert json.loads(named_by_image) == reports[False]
 
 
 class TestRunAll:

@@ -4,18 +4,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import attribute_rows, attribute_table
+from conftest import attribute_rows, attribute_table, profile_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faceaudit.cohort import (
-    AttributeProfile,
     AttributeTable,
     EmbeddingRecord,
     aggregate_profiles,
     aggregate_table,
     build_cohort,
-    build_profiles,
     load_cohort,
     load_embeddings,
     read_attributes,
@@ -25,7 +23,7 @@ from faceaudit.cohort import (
     write_embeddings_binary,
 )
 from faceaudit.errors import DataError, SchemaError
-from faceaudit.schema import default_schema
+from faceaudit.schema import AttributeSchema, Variable, default_schema
 
 
 def _records(n_identities=3, images_each=2, dim=8, seed=0):
@@ -200,6 +198,8 @@ class TestAttributeCsv:
             ("a,woman,0.1\n\na,man,0.2\nc,alien,0.2\n", r":4: duplicate image_id 'a'"),
             ("a,alien,0.1\na,man,0.2\n", r":2: image 'a': variable 'gender'"),
             ("a,man,0.1\nb,man,x\nc,alien,0.2\n", r":3: image 'b': variable 'blur'"),
+            # float() would read 0_1 as 1.0
+            ("a,man,0.1\nb,man,0_1\n", r":3: image 'b': variable 'blur': cannot parse value '0_1'"),
         ],
     )
     def test_first_fault_named(self, tmp_path, body, match):
@@ -207,6 +207,15 @@ class TestAttributeCsv:
         path.write_text("image_id,gender,blur\n" + body, encoding="utf-8")
         with pytest.raises(DataError, match=match):
             read_attributes(path, default_schema())
+
+    def test_level_names_may_hold_underscores(self, tmp_path):
+        schema = AttributeSchema(
+            variables=(Variable("region", "protected", "categorical", levels=("east_asia", "other")),),
+            protected_names=("region",),
+        )
+        path = tmp_path / "attrs.csv"
+        path.write_text("image_id,region\na,east_asia\nb,1\n", encoding="utf-8")
+        assert read_attributes(path, schema).values.tolist() == [[0.0], [1.0]]
 
     def test_duplicate_column_rejected(self, tmp_path):
         path = tmp_path / "attrs.csv"
@@ -319,8 +328,14 @@ def aggregate_rows(rows, schema):
     table = attribute_table({f"img{i}": row for i, row in enumerate(rows)}, schema)
     codes = np.zeros(len(rows), dtype=np.intp)
     values, coverage, _ = aggregate_table(table, table.image_ids, codes, 1, schema)
-    (profile,) = build_profiles(["x"], values, coverage, schema)
-    return profile.values, profile.coverage
+    return _row_dicts(values[0], coverage[0], schema)
+
+
+def _row_dicts(values, coverage, schema):
+    """(present values, coverage) of one profile row as {variable: value} dicts."""
+    names = schema.names()
+    present = {name: v for name, v in zip(names, values.tolist()) if not np.isnan(v)}
+    return present, dict(zip(names, coverage.tolist()))
 
 
 class TestAggregation:
@@ -388,11 +403,12 @@ class TestAggregation:
         rows = attribute_table({r.image_id: {"blur": 0.5} for r in records[:4]})
         cohort = build_cohort(records, rows)
         profiles = aggregate_profiles(cohort, schema)
-        assert [p.identity_id for p in profiles] == ["id0", "id1", "id2"]
-        assert profiles[0].values["blur"] == 0.5
+        assert profiles.identities == ("id0", "id1", "id2")
+        values = profile_rows(profiles)
+        assert values["id0"]["blur"] == 0.5
         # id2 has no attribute rows at all: empty values, zero coverage
-        assert profiles[2].values == {}
-        assert profiles[2].coverage["blur"] == 0.0
+        assert values["id2"] == {}
+        assert not profiles.coverage[2].any()
 
     def test_profile_coverage_counts_missing_rows(self):
         schema = default_schema()
@@ -400,8 +416,9 @@ class TestAggregation:
         # only 2 of 4 images have attribute rows, both with blur present
         rows = attribute_table({records[i].image_id: {"blur": 0.5} for i in (0, 1)})
         cohort = build_cohort(records, rows)
-        (profile,) = aggregate_profiles(cohort, schema)
-        assert profile.coverage["blur"] == pytest.approx(0.5)
+        profiles = aggregate_profiles(cohort, schema)
+        _, coverage = _row_dicts(profiles.values[0], profiles.coverage[0], schema)
+        assert coverage["blur"] == pytest.approx(0.5)
 
 
 def _loop_aggregate(rows, schema):
@@ -459,10 +476,7 @@ class TestAggregateTableOracle:
             table, table.image_ids, codes, len(identities), schema
         )
         assert n_rows.tolist() == [len(images) for images in identities]
-        for profile, images in zip(
-            build_profiles(range(len(identities)), values, coverage, schema), identities
-        ):
+        for row, cov, images in zip(values, coverage, identities):
             want_values, want_coverage = _loop_aggregate(images, schema)
             # bit for bit: float == on every value and coverage
-            assert profile.values == want_values
-            assert profile.coverage == want_coverage
+            assert _row_dicts(row, cov, schema) == (want_values, want_coverage)

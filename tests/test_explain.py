@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import scored_trials, small_config, synth_cohort
-from faceaudit.cohort import AttributeProfile, aggregate_profiles
+from conftest import profile_rows, profile_table, scored_trials, small_config, synth_cohort
+from faceaudit.cohort import aggregate_profiles
 from faceaudit.errors import DataError, RankDeficiencyError, SchemaError
 from faceaudit.explain import (
     EncodingConfig,
@@ -16,10 +16,8 @@ from faceaudit.explain import (
     run_regression,
 )
 from faceaudit.calibration import OperatingPoint
-from faceaudit.metrics import IndividualRates
 from faceaudit.pipeline import AuditOptions, run_audit
 from faceaudit.schema import default_schema
-from faceaudit.stats import DesignMatrix
 
 SCHEMA = default_schema()
 
@@ -49,10 +47,11 @@ EXPECTED_COLUMNS = (
 )
 
 
-def random_profiles(n, seed=0):
-    """Complete-case profiles with values drawn inside each variable's range."""
+def random_rows(n, seed=0):
+    """{identity: values} of complete-case profiles with values drawn
+    inside each variable's range."""
     rng = np.random.default_rng(seed)
-    profiles = []
+    rows = {}
     for i in range(n):
         values = {}
         for var in SCHEMA.variables:
@@ -63,31 +62,34 @@ def random_profiles(n, seed=0):
             else:
                 lo, hi = var.bounds()
                 values[var.name] = float(rng.uniform(lo, hi))
-        profiles.append(AttributeProfile(f"id{i:03d}", values, {}))
-    return profiles
+        rows[f"id{i:03d}"] = values
+    return rows
+
+
+def random_profiles(n, seed=0):
+    return profile_table(random_rows(n, seed))
 
 
 def rates_for(profiles, fn, seed=0):
+    """{"far": ..., "frr": ...} aligned with the profile rows; FAR follows
+    ``fn`` of the identity's values."""
     rng = np.random.default_rng(seed)
-    out = []
-    for p in profiles:
-        base = fn(p.values)
-        out.append(
-            IndividualRates(
-                p.identity_id,
-                far=float(np.clip(base + rng.normal(0, 0.01), 0, 1)),
-                frr=float(rng.uniform(0, 1)),
-                n_genuine=6,
-                n_impostor=50,
-            )
-        )
-    return out
+    far, frr = [], []
+    for values in profile_rows(profiles).values():
+        far.append(float(np.clip(fn(values) + rng.normal(0, 0.01), 0, 1)))
+        frr.append(float(rng.uniform(0, 1)))
+    return {"far": np.array(far), "frr": np.array(frr)}
+
+
+def with_values(rows, **values):
+    """``rows`` with ``values`` set in every profile."""
+    return profile_table({identity: {**row, **values} for identity, row in rows.items()})
 
 
 class TestBuildDesign:
     def test_column_count_and_order(self):
-        design, incomplete = build_design(random_profiles(30), SCHEMA)
-        assert incomplete == ()
+        design = build_design(random_profiles(30), SCHEMA)
+        assert design.incomplete == ()
         assert design.matrix.shape == (30, 22)
         assert len(design.column_names) == 22
         assert design.column_names[0] == "intercept"
@@ -101,14 +103,14 @@ class TestBuildDesign:
         assert set(design.column_names) == set(EXPECTED_COLUMNS)
 
     def test_intercept_is_ones(self):
-        design, _ = build_design(random_profiles(25), SCHEMA)
+        design = build_design(random_profiles(25), SCHEMA)
         np.testing.assert_array_equal(design.matrix[:, 0], np.ones(25))
 
     def test_dummy_encoding(self):
         profiles = random_profiles(30)
-        design, _ = build_design(profiles, SCHEMA)
+        design = build_design(profiles, SCHEMA)
         j = design.column_names.index("ethnicity=black")
-        raw = np.array([p.values["ethnicity"] for p in profiles])
+        raw = profiles.values[:, SCHEMA.names().index("ethnicity")]
         np.testing.assert_array_equal(design.matrix[:, j], (raw == 1.0).astype(float))
         # asian is the reference: both dummies zero
         k = design.column_names.index("ethnicity=caucasian")
@@ -118,7 +120,7 @@ class TestBuildDesign:
 
     def test_reference_level_override(self):
         config = EncodingConfig(reference_levels={"gender": "woman"})
-        design, _ = build_design(random_profiles(30), SCHEMA, config)
+        design = build_design(random_profiles(30), SCHEMA, config)
         assert "gender=man" in design.column_names
         assert "gender=woman" not in design.column_names
 
@@ -128,10 +130,10 @@ class TestBuildDesign:
             build_design(random_profiles(30), SCHEMA, config)
 
     def test_incomplete_profiles_dropped(self):
-        profiles = random_profiles(30)
-        gappy = AttributeProfile("gap01", dict(list(profiles[0].values.items())[:5]), {})
-        design, incomplete = build_design(profiles + [gappy], SCHEMA)
-        assert incomplete == ("gap01",)
+        rows = random_rows(30)
+        rows["gap01"] = dict(list(rows["id000"].items())[:5])
+        design = build_design(profile_table(rows), SCHEMA)
+        assert design.incomplete == ("gap01",)
         assert design.n_rows == 30
         assert "gap01" not in design.row_ids
 
@@ -141,7 +143,7 @@ class TestBuildDesign:
 
     def test_standardize_scales_continuous_only(self):
         config = EncodingConfig(standardize=True)
-        design, _ = build_design(random_profiles(40), SCHEMA, config)
+        design = build_design(random_profiles(40), SCHEMA, config)
         age = design.matrix[:, design.column_names.index("age")]
         assert abs(age.mean()) < 1e-10
         assert age.std() == pytest.approx(1.0)
@@ -152,29 +154,30 @@ class TestBuildDesign:
 
     def test_row_ids_track_profiles(self):
         profiles = random_profiles(25)
-        design, _ = build_design(profiles, SCHEMA)
-        assert design.row_ids == tuple(p.identity_id for p in profiles)
+        design = build_design(profiles, SCHEMA)
+        assert design.row_ids == profiles.identities
 
 
 class TestResponseVector:
     def test_alignment(self):
         profiles = random_profiles(25)
-        design, _ = build_design(profiles, SCHEMA)
+        design = build_design(profiles, SCHEMA)
         rates = rates_for(profiles, lambda v: 0.5)
         y = response_vector(design, rates, "far")
-        by_id = {r.identity_id: r.far for r in rates}
+        by_id = dict(zip(profiles.identities, rates["far"]))
         np.testing.assert_array_equal(y, [by_id[i] for i in design.row_ids])
 
     def test_missing_rate_rejected(self):
         profiles = random_profiles(25)
-        design, _ = build_design(profiles, SCHEMA)
-        rates = rates_for(profiles[:-1], lambda v: 0.5)
-        with pytest.raises(DataError):
+        design = build_design(profiles, SCHEMA)
+        rates = rates_for(profiles, lambda v: 0.5)
+        rates["far"][-1] = np.nan  # the last identity has no rates
+        with pytest.raises(DataError, match="id024"):
             response_vector(design, rates, "far")
 
     def test_bad_metric_rejected(self):
         profiles = random_profiles(25)
-        design, _ = build_design(profiles, SCHEMA)
+        design = build_design(profiles, SCHEMA)
         with pytest.raises(DataError):
             response_vector(design, rates_for(profiles, lambda v: 0.5), "precision")
 
@@ -182,7 +185,7 @@ class TestResponseVector:
 class TestRunCorrelations:
     def test_matches_reference_pearson(self):
         profiles = random_profiles(40, seed=3)
-        design, _ = build_design(profiles, SCHEMA)
+        design = build_design(profiles, SCHEMA)
         rng = np.random.default_rng(5)
         y = rng.uniform(size=40)
         report = run_correlations(design, y)
@@ -196,37 +199,33 @@ class TestRunCorrelations:
 
     def test_skips_intercept(self):
         profiles = random_profiles(30)
-        design, _ = build_design(profiles, SCHEMA)
+        design = build_design(profiles, SCHEMA)
         report = run_correlations(design, np.random.default_rng(0).uniform(size=30))
         assert all(e.column != "intercept" for e in report.entries)
 
     def test_constant_column_skipped(self):
-        profiles = []
-        for i, p in enumerate(random_profiles(30)):
-            values = dict(p.values)
-            values["blur"] = 0.5  # constant across the cohort
-            profiles.append(AttributeProfile(p.identity_id, values, {}))
-        design, _ = build_design(profiles, SCHEMA)
+        profiles = with_values(random_rows(30), blur=0.5)  # constant across the cohort
+        design = build_design(profiles, SCHEMA)
         report = run_correlations(design, np.random.default_rng(0).uniform(size=30))
         assert "blur" in report.skipped
         assert all(e.column != "blur" for e in report.entries)
 
     def test_constant_response_flagged(self):
-        design, _ = build_design(random_profiles(30), SCHEMA)
+        design = build_design(random_profiles(30), SCHEMA)
         report = run_correlations(design, np.full(30, 0.25))
         assert report.constant_response
         assert report.entries == ()
         assert len(report.skipped) == 21
 
     def test_entry_lookup(self):
-        design, _ = build_design(random_profiles(30), SCHEMA)
+        design = build_design(random_profiles(30), SCHEMA)
         report = run_correlations(design, np.random.default_rng(1).uniform(size=30))
         assert report.entry("blur").column == "blur"
         with pytest.raises(KeyError):
             report.entry("nonexistent")
 
     def test_length_mismatch_rejected(self):
-        design, _ = build_design(random_profiles(30), SCHEMA)
+        design = build_design(random_profiles(30), SCHEMA)
         with pytest.raises(DataError):
             run_correlations(design, np.zeros(31))
 
@@ -234,7 +233,7 @@ class TestRunCorrelations:
 class TestRunRegression:
     def test_planted_coefficients_recovered(self):
         profiles = random_profiles(200, seed=7)
-        design, _ = build_design(profiles, SCHEMA)
+        design = build_design(profiles, SCHEMA)
         j_blur = design.column_names.index("blur")
         j_yaw = design.column_names.index("yaw")
         y = 0.1 + 0.6 * design.matrix[:, j_blur] + 0.002 * design.matrix[:, j_yaw]
@@ -246,12 +245,7 @@ class TestRunRegression:
         assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
 
     def test_constant_columns_dropped_not_fatal(self):
-        profiles = []
-        for p in random_profiles(60):
-            values = dict(p.values)
-            values["smile"] = 0.0
-            profiles.append(AttributeProfile(p.identity_id, values, {}))
-        design, _ = build_design(profiles, SCHEMA)
+        design = build_design(with_values(random_rows(60), smile=0.0), SCHEMA)
         y = np.random.default_rng(2).uniform(size=60)
         fit, dropped = run_regression(design, y)
         assert dropped == ("smile",)
@@ -260,19 +254,16 @@ class TestRunRegression:
 
     def test_collinear_columns_still_raise(self):
         # two perfectly collinear continuous columns cannot be separated
-        profiles = []
-        for p in random_profiles(60):
-            values = dict(p.values)
-            values["noise"] = values["blur"]
-            profiles.append(AttributeProfile(p.identity_id, values, {}))
-        design, _ = build_design(profiles, SCHEMA)
+        rows = random_rows(60)
+        profiles = profile_table({i: {**row, "noise": row["blur"]} for i, row in rows.items()})
+        design = build_design(profiles, SCHEMA)
         y = np.random.default_rng(3).uniform(size=60)
         with pytest.raises(RankDeficiencyError):
             run_regression(design, y)
 
     def test_matches_reference_implementation(self):
         profiles = random_profiles(100, seed=11)
-        design, _ = build_design(profiles, SCHEMA)
+        design = build_design(profiles, SCHEMA)
         rng = np.random.default_rng(13)
         y = rng.uniform(size=100)
         fit, _ = run_regression(design, y)
@@ -285,7 +276,7 @@ class TestExplanatoryReport:
         profiles = random_profiles(120, seed=17)
         rates = rates_for(profiles, lambda v: 0.05 + 0.4 * v["blur"], seed=19)
         op = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
-        report = explanatory_report(*build_design(profiles, SCHEMA), rates, "far", op)
+        report = explanatory_report(build_design(profiles, SCHEMA), rates, "far", op)
         assert report.metric == "far"
         assert report.n_cases == 120
         assert report.operating_point is op
@@ -304,7 +295,9 @@ class TestExplanatoryReport:
         )
         cohort, _ = synth_cohort(config)
         trials, scores = scored_trials(cohort)
-        profiles = aggregate_profiles(cohort, SCHEMA) + random_profiles(12)
+        profiles = profile_table(
+            {**profile_rows(aggregate_profiles(cohort, SCHEMA)), **random_rows(12)}
+        )
         options = AuditOptions(policies=("eer", "far@0.01"), explain=True)
         results = run_audit(trials, scores, profiles, SCHEMA, options)
         for analysis in results.analyses:
@@ -312,27 +305,20 @@ class TestExplanatoryReport:
 
     def test_constant_response_skips_regression(self):
         profiles = random_profiles(40)
-        rates = [
-            IndividualRates(p.identity_id, far=0.0, frr=0.0, n_genuine=6, n_impostor=50)
-            for p in profiles
-        ]
+        rates = {"far": np.zeros(40), "frr": np.zeros(40)}
         op = OperatingPoint(tau=0.4, far=0.0, frr=0.0, policy="far@0.001")
-        report = explanatory_report(*build_design(profiles, SCHEMA), rates, "far", op)
+        report = explanatory_report(build_design(profiles, SCHEMA), rates, "far", op)
         assert report.correlations.constant_response
         assert report.regression is None
 
     def test_incomplete_identities_surface(self):
-        profiles = random_profiles(40)
-        gappy = AttributeProfile("gap", {"blur": 0.2}, {})
-        rates = rates_for(profiles, lambda v: 0.3) + [
-            IndividualRates("gap", 0.1, 0.1, 6, 50)
-        ]
+        profiles = profile_table({**random_rows(40), "gap": {"blur": 0.2}})
+        rates = rates_for(profiles, lambda v: 0.3)
         op = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
-        design, incomplete = build_design(profiles + [gappy], SCHEMA)
-        report = explanatory_report(design, incomplete, rates, "far", op)
+        report = explanatory_report(build_design(profiles, SCHEMA), rates, "far", op)
         assert report.incomplete_identities == ("gap",)
 
     def test_bad_metric_rejected(self):
         op = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
         with pytest.raises(DataError):
-            explanatory_report(*build_design(random_profiles(30), SCHEMA), [], "tpr", op)
+            explanatory_report(build_design(random_profiles(30), SCHEMA), {}, "tpr", op)

@@ -1,23 +1,21 @@
 """Tests for per-identity rates, group aggregation, deltas, and pairwise tests."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import trial_set
+from conftest import profile_table, trial_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faceaudit.cohort import AttributeProfile
 from faceaudit.errors import DataError, SchemaError
 from faceaudit.metrics import (
     FairnessDelta,
     Group,
     GroupRates,
     GroupSpec,
-    IndividualRates,
-    assign_levels,
     extreme_delta,
     fairness_delta,
     group_membership,
@@ -25,8 +23,8 @@ from faceaudit.metrics import (
     individual_rates,
     kruskal_pairwise,
     one_axis_deltas,
-    rated_identities,
     table_grid,
+    trial_census,
 )
 from faceaudit.report import GLYPH_POLICY, _glyphs_for
 from faceaudit.schema import default_schema
@@ -40,13 +38,43 @@ def _trial_set(pairs):
     return trial_set([pair[:2] for pair in pairs], identity_of)
 
 
+def _rates(trials, scores, tau):
+    """({identity: rates} of the rated identities, excluded identities)."""
+    census = trial_census(trials, scores)
+    far, frr = individual_rates(census, tau)
+    rates = {
+        identity: SimpleNamespace(
+            far=far[i],
+            frr=frr[i],
+            n_genuine=int(census.n_genuine[i]),
+            n_impostor=int(census.n_impostor[i]),
+        )
+        for i, identity in enumerate(census.identities)
+        if census.rated[i]
+    }
+    assert np.isnan(far[~census.rated]).all() and np.isnan(frr[~census.rated]).all()
+    return rates, census.excluded
+
+
 def _profile(identity, gender=None, ethnicity=None, **extra):
     values = dict(extra)
     if gender is not None:
         values["gender"] = float(("man", "woman").index(gender))
     if ethnicity is not None:
         values["ethnicity"] = float(("asian", "black", "caucasian").index(ethnicity))
-    return AttributeProfile(identity_id=identity, values=values, coverage={})
+    return identity, values
+
+
+def _table(*profiles):
+    return profile_table(dict(profiles))
+
+
+def _member_ids(membership):
+    """{cell levels: member identity ids} of a membership."""
+    return {
+        group.levels: tuple(membership.identities[r] for r in rows.tolist())
+        for group, rows in membership.cells
+    }
 
 
 class TestIndividualRates:
@@ -60,9 +88,8 @@ class TestIndividualRates:
             ("b0", "a0", "b", "a"),  # impostor, score 0.5: reject (strict)
         ]
         scores = np.array([0.9, 0.3, 0.7, 0.2, 0.6, 0.5])
-        rates, excluded = individual_rates(_trial_set(pairs), scores, tau=0.5)
+        by_id, excluded = _rates(_trial_set(pairs), scores, tau=0.5)
         assert excluded == ()
-        by_id = {r.identity_id: r for r in rates}
         assert by_id["a"].frr == pytest.approx(0.5)
         assert by_id["a"].far == pytest.approx(0.5)
         assert by_id["a"].n_genuine == 2 and by_id["a"].n_impostor == 2
@@ -78,8 +105,7 @@ class TestIndividualRates:
             ("b0", "a1", "b", "a"),
         ]
         scores = np.array([0.9, 0.9, 0.9, 0.1])
-        rates, _ = individual_rates(_trial_set(pairs), scores, tau=0.5)
-        by_id = {r.identity_id: r for r in rates}
+        by_id, _ = _rates(_trial_set(pairs), scores, tau=0.5)
         assert by_id["a"].far == 1.0  # a's impostor accepted
         assert by_id["b"].far == 0.0  # b's impostor rejected
 
@@ -91,9 +117,9 @@ class TestIndividualRates:
             ("c0", "a0", "c", "a"),
         ]
         scores = np.array([0.9, 0.1, 0.9, 0.1])
-        rates, excluded = individual_rates(_trial_set(pairs), scores, tau=0.5)
+        by_id, excluded = _rates(_trial_set(pairs), scores, tau=0.5)
         assert excluded == ("a", "b")
-        assert [r.identity_id for r in rates] == ["c"]
+        assert list(by_id) == ["c"]
 
     @pytest.mark.parametrize("tau", [-2.0, 0.1, 0.5, 0.9, 2.0])
     def test_rated_set_is_threshold_free(self, tau):
@@ -106,9 +132,13 @@ class TestIndividualRates:
             ("d0", "c1", "d", "c"),
         ]
         trials = _trial_set(pairs)
-        rates, _ = individual_rates(trials, np.array([0.9, 0.1, 0.9, 0.1, 0.3, 0.7]), tau)
-        assert rated_identities(trials) == ("c", "d")
-        assert tuple(r.identity_id for r in rates) == ("c", "d")
+        scores = np.array([0.9, 0.1, 0.9, 0.1, 0.3, 0.7])
+        census = trial_census(trials, scores)
+        rated = tuple(np.array(census.identities)[census.rated])
+        assert rated == ("c", "d")
+        far, frr = individual_rates(census, tau)
+        assert tuple(np.array(census.identities)[~np.isnan(far)]) == ("c", "d")
+        assert tuple(np.array(census.identities)[~np.isnan(frr)]) == ("c", "d")
 
     def test_recount_against_brute_force(self):
         rng = np.random.default_rng(0)
@@ -122,9 +152,10 @@ class TestIndividualRates:
                 pairs.append((f"{ident}_0", f"{other}_x{k}", ident, other))
         scores = rng.uniform(-1, 1, size=len(pairs))
         tau = 0.1
-        rates, _ = individual_rates(_trial_set(pairs), scores, tau)
-        for r in rates:
-            own = [(p, s) for p, s in zip(pairs, scores) if p[2] == r.identity_id]
+        by_id, _ = _rates(_trial_set(pairs), scores, tau)
+        assert sorted(by_id) == identities
+        for identity, r in by_id.items():
+            own = [(p, s) for p, s in zip(pairs, scores) if p[2] == identity]
             gen = [s for p, s in own if p[3] == p[2]]
             imp = [s for p, s in own if p[3] != p[2]]
             assert r.frr == pytest.approx(sum(1 for s in gen if s <= tau) / len(gen))
@@ -133,7 +164,7 @@ class TestIndividualRates:
     def test_length_mismatch_rejected(self):
         pairs = [("a0", "a1", "a", "a")]
         with pytest.raises(DataError):
-            individual_rates(_trial_set(pairs), np.zeros(3), tau=0.5)
+            trial_census(_trial_set(pairs), np.zeros(3))
 
 
 class TestGroupSpec:
@@ -172,15 +203,15 @@ class TestGroupGrid:
         assert sum(1 for g in grid if g.is_union) == 2 + 3 + 1  # row, column, grand
 
     def test_matches(self):
-        profiles = [
+        profiles = _table(
             _profile("a", gender="man", ethnicity="asian"),
             _profile("b", gender="man", ethnicity="black"),
             _profile("c", gender="woman", ethnicity="asian"),
-        ]
+        )
         membership = group_membership(
             profiles, GroupSpec(("gender", "ethnicity")), default_schema()
         )
-        members = {group.levels: ids for group, ids in membership.cells}
+        members = _member_ids(membership)
         assert members[("man", None)] == ("a", "b")
         assert members[("man", "asian")] == ("a",)
         assert members[(None, "asian")] == ("a", "c")
@@ -191,53 +222,83 @@ class TestGroupGrid:
             Group(("gender",), ("man", "asian"))
 
 
+def _assigned(membership):
+    """{identity: levels of the concrete cell that holds it}."""
+    return {
+        identity: levels
+        for levels, ids in _member_ids(membership).items()
+        if None not in levels
+        for identity in ids
+    }
+
+
 class TestAssignLevels:
     def test_assignment_and_unassigned(self):
-        profiles = [
+        profiles = _table(
             _profile("a", gender="man", ethnicity="asian"),
             _profile("b", gender="woman", ethnicity="black"),
             _profile("c", gender="man"),  # missing ethnicity
-        ]
-        assigned, unassigned = assign_levels(
+        )
+        membership = group_membership(
             profiles, GroupSpec(("gender", "ethnicity")), default_schema()
         )
-        assert assigned == {"a": ("man", "asian"), "b": ("woman", "black")}
-        assert unassigned == ("c",)
+        assert _assigned(membership) == {"a": ("man", "asian"), "b": ("woman", "black")}
+        assert membership.unassigned == ("c",)
 
     def test_boolean_levels_stringified(self):
-        profiles = [AttributeProfile("a", {"eyes_occluded": 1.0}, {})]
-        assigned, _ = assign_levels(profiles, GroupSpec(("eyes_occluded",)), default_schema())
-        assert assigned == {"a": ("1",)}
+        profiles = _table(("a", {"eyes_occluded": 1.0}))
+        membership = group_membership(
+            profiles, GroupSpec(("eyes_occluded",)), default_schema()
+        )
+        assert _assigned(membership) == {"a": ("1",)}
 
 
 # Discrete default-schema variables: two categorical, two boolean.
 _GROUPABLE = ("gender", "ethnicity", "eyes_occluded", "mouth_occluded")
 
 
+def _assign_levels(profiles, spec, schema):
+    """The per-identity dict walk that integer level codes replaced, kept
+    as their oracle: concrete level names per identity, and the sorted
+    ids missing a grouping attribute."""
+    assigned, unassigned = {}, []
+    for identity, values in profiles.items():
+        levels = []
+        for name in spec.attributes:
+            value = values.get(name)
+            if value is None:
+                unassigned.append(identity)
+                break
+            var = schema.variable(name)
+            levels.append(var.levels[int(value)] if var.kind == "categorical" else str(int(value)))
+        else:
+            assigned[identity] = tuple(levels)
+    return assigned, tuple(sorted(unassigned))
+
+
 def _brute_force_group_rates(rates, profiles, spec, schema):
     """(group, far, frr, member ids) per cell, testing every rated identity
     against every cell level by level."""
-    assigned, _ = assign_levels(profiles, spec, schema)
+    assigned, _ = _assign_levels(profiles, spec, schema)
     out = []
     for group in table_grid(spec, schema):
         members = sorted(
             (
-                r
-                for r in rates
-                if r.identity_id in assigned
+                (identity, r)
+                for identity, r in rates.items()
+                if identity in assigned
                 and all(
                     want is None or want == have
-                    for want, have in zip(group.levels, assigned[r.identity_id])
+                    for want, have in zip(group.levels, assigned[identity])
                 )
             ),
-            key=lambda r: r.identity_id,
         )
         if members:
-            far = float(np.mean([m.far for m in members]))
-            frr = float(np.mean([m.frr for m in members]))
+            far = float(np.mean([r[0] for _, r in members]))
+            frr = float(np.mean([r[1] for _, r in members]))
         else:
             far = frr = math.nan
-        out.append((group, far, frr, tuple(m.identity_id for m in members)))
+        out.append((group, far, frr, tuple(identity for identity, _ in members)))
     return out
 
 
@@ -249,7 +310,7 @@ def _grouping_cases(draw):
     attributes = tuple(
         draw(st.lists(st.sampled_from(_GROUPABLE), min_size=1, max_size=3, unique=True))
     )
-    profiles, rates = [], []
+    profiles, rates = {}, {}
     unit = st.floats(0.0, 1.0)
     for i in range(draw(st.integers(0, 14))):
         identity = f"id{i:02d}"
@@ -259,12 +320,20 @@ def _grouping_cases(draw):
             level = draw(st.none() | st.integers(0, n_levels - 1))
             if level is not None:
                 values[name] = float(level)
-        profiles.append(AttributeProfile(identity, values, {}))
+        profiles[identity] = values
         if draw(st.booleans()):
-            rates.append(IndividualRates(identity, draw(unit), draw(unit), 6, 50))
+            rates[identity] = (draw(unit), draw(unit))
     for i in range(draw(st.integers(0, 2))):
-        rates.append(IndividualRates(f"ghost{i}", draw(unit), draw(unit), 6, 50))
-    return attributes, profiles, draw(st.permutations(rates))
+        rates[f"ghost{i}"] = (draw(unit), draw(unit))
+    return attributes, profiles, rates
+
+
+def _profile_rates(profiles, rates):
+    """(far, frr) arrays aligned with the rows of ``profiles``; NaN where
+    an identity has no rates."""
+    pairs = [rates.get(i, (math.nan, math.nan)) for i in profiles.identities]
+    both = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    return both[:, 0], both[:, 1]
 
 
 class TestGroupMembership:
@@ -274,37 +343,47 @@ class TestGroupMembership:
         attributes, profiles, rates = case
         schema = default_schema()
         spec = GroupSpec(attributes)
-        membership = group_membership(profiles, spec, schema)
-        assert membership.unassigned == assign_levels(profiles, spec, schema)[1]
-        got = group_rates(rates, membership)
+        table = profile_table(profiles)
+        membership = group_membership(table, spec, schema)
+        assert membership.unassigned == _assign_levels(profiles, spec, schema)[1]
+        got = group_rates(*_profile_rates(table, rates), membership)
         want = _brute_force_group_rates(rates, profiles, spec, schema)
         assert len(got) == len(want)
         for cell, (group, far, frr, ids) in zip(got, want):
             assert cell.group == group
-            assert cell.member_ids == ids and cell.n_members == len(ids)
+            member_ids = tuple(membership.identities[r] for r in cell.members.tolist())
+            assert member_ids == ids and cell.n_members == len(ids)
             # same values in the same order: the means agree to the bit
             assert cell.far.hex() == far.hex() and cell.frr.hex() == frr.hex()
 
     def test_cells_follow_the_grid(self):
         spec = GroupSpec(("gender", "eyes_occluded"))
-        membership = group_membership([], spec, default_schema())
+        membership = group_membership(profile_table({}), spec, default_schema())
         assert [g for g, _ in membership.cells] == table_grid(spec, default_schema())
-        assert all(ids == () for _, ids in membership.cells)
+        assert all(rows.size == 0 for _, rows in membership.cells)
 
 
 class TestGroupRates:
     @staticmethod
     def _grouped(rates, profiles):
         spec = GroupSpec(("gender", "ethnicity"))
-        membership = group_membership(profiles, spec, default_schema())
-        return group_rates(rates, membership), membership.unassigned
+        table = _table(*profiles)
+        membership = group_membership(table, spec, default_schema())
+        groups = [
+            SimpleNamespace(
+                group=g.group,
+                far=g.far,
+                frr=g.frr,
+                n_members=g.n_members,
+                is_empty=g.is_empty,
+                member_ids=tuple(membership.identities[r] for r in g.members.tolist()),
+            )
+            for g in group_rates(*_profile_rates(table, rates), membership)
+        ]
+        return groups, membership.unassigned
 
     def _rates(self):
-        return [
-            IndividualRates("a", far=0.10, frr=0.20, n_genuine=5, n_impostor=10),
-            IndividualRates("b", far=0.30, frr=0.40, n_genuine=5, n_impostor=10),
-            IndividualRates("c", far=0.50, frr=0.60, n_genuine=5, n_impostor=10),
-        ]
+        return {"a": (0.10, 0.20), "b": (0.30, 0.40), "c": (0.50, 0.60)}
 
     def _profiles(self):
         return [
@@ -339,12 +418,12 @@ class TestGroupRates:
 
     def test_unassigned_reported(self):
         profiles = self._profiles() + [_profile("d")]  # no attributes at all
-        rates = self._rates() + [IndividualRates("d", 0.1, 0.1, 2, 2)]
+        rates = {**self._rates(), "d": (0.1, 0.1)}
         _, unassigned = self._grouped(rates, profiles)
         assert unassigned == ("d",)
 
     def test_rated_but_unprofiled_identity_never_appears(self):
-        rates = self._rates() + [IndividualRates("ghost", 0.9, 0.9, 2, 2)]
+        rates = {**self._rates(), "ghost": (0.9, 0.9)}
         groups, unassigned = self._grouped(rates, self._profiles())
         assert unassigned == ()
         assert all("ghost" not in g.member_ids for g in groups)
@@ -353,8 +432,7 @@ class TestGroupRates:
 class TestFairnessDelta:
     def _cell(self, label_levels, far, frr, n=2):
         group = Group(("gender", "ethnicity"), label_levels)
-        ids = tuple(f"m{i}" for i in range(n))
-        return GroupRates(group=group, far=far, frr=frr, n_members=n, member_ids=ids)
+        return GroupRates(group=group, far=far, frr=frr, n_members=n, members=np.arange(n))
 
     def test_documented_differences(self):
         a = self._cell(("man", "asian"), far=0.051, frr=0.087)

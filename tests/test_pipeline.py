@@ -5,7 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import attribute_table, scored_trials, small_config, synth_cohort, trial_set
+from conftest import (
+    attribute_table,
+    profile_rows,
+    profile_table,
+    scored_trials,
+    small_config,
+    synth_cohort,
+    trial_set,
+)
 from faceaudit.cohort import aggregate_profiles
 from faceaudit.errors import DataError
 from faceaudit.pipeline import AuditOptions, audit_cohort, profiles_from_rows, run_audit
@@ -61,17 +69,21 @@ class TestProfilesFromRows:
         identity_of = {"a_0": "a", "a_1": "a", "b_0": "b"}
         trials = trial_set([("a_0", "a_1"), ("a_0", "b_0")], identity_of)
         profiles = profiles_from_rows(attribute_table(rows), trials, schema)
-        assert [p.identity_id for p in profiles] == ["a", "b"]
-        assert profiles[0].values["blur"] == pytest.approx(0.3)
-        assert profiles[0].coverage["smile"] == pytest.approx(0.5)
-        assert profiles[1].values["blur"] == pytest.approx(0.9)
+        assert profiles.identities == ("a", "b")
+        values = profile_rows(profiles)
+        coverage = dict(zip(schema.names(), profiles.coverage[0]))
+        assert values["a"]["blur"] == pytest.approx(0.3)
+        assert coverage["smile"] == pytest.approx(0.5)
+        assert values["b"]["blur"] == pytest.approx(0.9)
 
     def test_rows_without_identity_ignored(self):
         schema = default_schema()
         rows = {"a_0": {"blur": 0.2}, "stray": {"blur": 0.8}}
         trials = trial_set([("a_0", "b_0")], {"a_0": "a", "b_0": "b"})
         profiles = profiles_from_rows(attribute_table(rows), trials, schema)
-        assert [p.identity_id for p in profiles] == ["a"]
+        # b has no rows: its profile is all missing, as on the embeddings path
+        assert profile_rows(profiles) == {"a": {"blur": 0.2}, "b": {}}
+        assert not profiles.coverage[1].any()
 
 
 class TestRunAudit:
@@ -98,18 +110,20 @@ class TestRunAudit:
         ]
 
     def test_group_rates_match_manual_recount(self, cohort_and_scores):
-        from faceaudit.metrics import individual_rates
+        from faceaudit.metrics import individual_rates, trial_census
 
         cohort, trials, scores = cohort_and_scores
         results = audit_cohort(cohort, trials, scores, default_schema(), AuditOptions())
         analysis = results.analyses[0]
-        rates, _ = individual_rates(trials, scores, analysis.operating_point.tau)
-        by_id = {r.identity_id: r for r in rates}
+        census = trial_census(trials, scores)
+        far, _ = individual_rates(census, analysis.operating_point.tau)
+        by_id = dict(zip(census.identities, far))
+        profiles = aggregate_profiles(cohort, default_schema())
         for g in analysis.groups:
             if g.is_empty:
                 continue
-            far = np.mean([by_id[i].far for i in g.member_ids])
-            assert g.far == pytest.approx(far, abs=1e-12)
+            want = np.mean([by_id[profiles.identities[i]] for i in g.members])
+            assert g.far == pytest.approx(want, abs=1e-12)
 
     def test_explain_disabled_by_default(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
@@ -204,10 +218,11 @@ def mixed_audit():
         trials.pairs[keep],
         trials.skipped_identities,
     )
-    profiles = aggregate_profiles(cohort, default_schema())
-    del profiles[5].values["ethnicity"]
-    del profiles[6].values["blur"]
-    return trials, scores[keep], profiles, excluded
+    rows = profile_rows(aggregate_profiles(cohort, default_schema()))
+    identities = list(rows)
+    del rows[identities[5]]["ethnicity"]
+    del rows[identities[6]]["blur"]
+    return trials, scores[keep], profile_table(rows), excluded
 
 
 class TestHoistedState:
@@ -228,14 +243,14 @@ class TestHoistedState:
         options = AuditOptions(policies=BENCH_POLICIES, explain=True)
         results = run_audit(trials, scores, profiles, default_schema(), options)
         assert results.excluded_identities == (excluded,)
-        assert results.unassigned_identities == (profiles[5].identity_id,)
+        assert results.unassigned_identities == (profiles.identities[5],)
         assert len(results.skipped_identities) == 1
-        incomplete = tuple(sorted(p.identity_id for p in profiles[5:7]))
+        incomplete = profiles.identities[5:7]
         for analysis in results.analyses:
             report = analysis.explain["far"]
             assert report.incomplete_identities == incomplete
             # the excluded and the skipped identities have no rates
-            assert report.n_cases == len(profiles) - 4
+            assert report.n_cases == len(profiles.identities) - 4
 
     def test_design_failure_reaches_every_policy(self):
         config = small_config(

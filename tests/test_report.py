@@ -30,7 +30,7 @@ from faceaudit.schema import default_schema
 def _cell(levels, far, frr, n=2, attrs=("gender", "ethnicity")):
     return GroupRates(
         group=Group(attrs, levels), far=far, frr=frr, n_members=n,
-        member_ids=tuple(f"m{i}" for i in range(n)),
+        members=np.arange(n),
     )
 
 

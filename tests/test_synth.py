@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import attribute_rows
+from conftest import attribute_rows, profile_rows
 
 from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cli import main
@@ -161,9 +161,9 @@ class TestGenerate:
         schema = default_schema()
         result = generate(_two_cell_config(n=4))
         cohort = build_cohort(result.records, result.attributes)
-        profiles = {p.identity_id: p for p in aggregate_profiles(cohort, schema)}
+        profiles = profile_rows(aggregate_profiles(cohort, schema))
         for identity, entry in result.ground_truth["identities"].items():
-            got = profiles[identity].values
+            got = profiles[identity]
             for name, want in entry["attributes"].items():
                 assert got[name] == pytest.approx(want, abs=1e-12), (identity, name)
 
