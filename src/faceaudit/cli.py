@@ -30,16 +30,10 @@ import numpy as np
 
 from faceaudit import __version__
 from faceaudit.calibration import calibrate, parse_policy, sweep_rates
-from faceaudit.cohort import aggregate_profiles, load_cohort, read_attributes
+from faceaudit.cohort import aggregate_profiles, build_cohort, load_cohort, read_attributes
 from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.metrics import GroupSpec
-from faceaudit.pipeline import (
-    AuditOptions,
-    AuditResults,
-    audit_cohort,
-    profiles_from_rows,
-    run_audit,
-)
+from faceaudit.pipeline import AuditOptions, AuditResults, profiles_from_rows, run_audit
 from faceaudit.report import dump_payload, emit_bundle, render_from_file
 from faceaudit.schema import default_schema, load_schema
 from faceaudit.synth import SynthConfig, generate, write_synth
@@ -273,8 +267,7 @@ def _cmd_pairs(args) -> int:
 def _cmd_score(args) -> int:
     out = _require_out(args)
     cohort = load_cohort(args.embeddings, None, default_schema())
-    identity_of = {rec.image_id: rec.identity_id for rec in cohort.records.values()}
-    trials, _ = read_trials_csv(args.pairs, identity_of)
+    trials, _ = read_trials_csv(args.pairs, cohort)
     scores = score_trials(cohort, trials)
     write_trials_csv(out, trials, scores)
     print(f"scored pairs: {len(scores)}")
@@ -316,8 +309,7 @@ def _audit_like(args, explain: bool) -> int:
     schema = _load_schema(args)
     if args.embeddings:
         cohort = load_cohort(args.embeddings, args.attributes, schema)
-        identity_of = {rec.image_id: rec.identity_id for rec in cohort.records.values()}
-        trials, scores = read_trials_csv(args.scores, identity_of)
+        trials, scores = read_trials_csv(args.scores, cohort)
         profiles = aggregate_profiles(cohort, schema)
     else:
         trials, scores = read_trials_csv(args.scores)
@@ -388,12 +380,13 @@ def _cmd_run_all(args) -> int:
         raise DataError(f"{'--group-by' if args.group_by else 'audit.group_by'}: {exc}") from None
 
     result = generate(config, schema)
-    artifact_paths = write_synth(outdir / "data", result, schema)
-    cohort = load_cohort(artifact_paths["embeddings"], artifact_paths["attributes"], schema)
+    write_synth(outdir / "data", result, schema)  # for inspection; the audit reads none of it
+    cohort = build_cohort(result.records, result.attributes)
     trials = generate_trials(cohort, policy, config.seed)
     scores = score_trials(cohort, trials)
     write_trials_csv(outdir / "trials.csv", trials, scores)
-    return _finish(outdir, audit_cohort(cohort, trials, scores, schema, options, config.seed))
+    profiles = aggregate_profiles(cohort, schema)
+    return _finish(outdir, run_audit(trials, scores, profiles, schema, options, config.seed))
 
 
 _DISPATCH = {

@@ -8,13 +8,20 @@ UTF-8 image_id, a u16-length-prefixed UTF-8 identity_id, and ``dim``
 little-endian float32 values.
 
 Embeddings, tabular: delimited text, one row per record:
-``image_id, identity_id, v0, ..., v{dim-1}`` (no header).
+``image_id, identity_id, v0, ..., v{dim-1}`` (no header).  Components
+are plain decimals; one holding ``_`` is rejected, although ``float()``
+reads ``1_0`` as 10.  Either format reads into one ``EmbeddingTable``:
+the ids in file order and one float32 ``(n_images, dim)`` matrix.
 
 Attributes: delimited text with a header row ``image_id`` followed by
 schema variable names, each at most once, in any order; an empty cell
 means the value is missing.  Categorical cells may hold either the
 level name or its index.  In memory the rows form one
 ``AttributeTable`` with its columns in schema order.
+
+Cohorts: a ``Cohort`` is the image table trials use (images identity by
+identity, identities sorted, each identity's images sorted) with the
+embedding matrix in the same row order, plus the ``AttributeTable``.
 
 Profiles: each identity aggregates its images' rows in sorted image-id
 order, so neither the row nor the column order of the file changes a
@@ -28,8 +35,9 @@ import csv
 import math
 import operator
 import struct
+from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat, tee
 from pathlib import Path
 from typing import NoReturn
@@ -43,21 +51,29 @@ _MAGIC = b"FREB"
 _VERSION = 1
 
 
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    """One image: identity label plus a fixed-length feature vector."""
+@dataclass(frozen=True, eq=False)
+class EmbeddingTable:
+    """The records of one embedding file, in file order: image
+    ``image_ids[i]`` of identity ``identity_ids[i]`` has the embedding
+    ``vectors[i]``."""
 
-    image_id: str
-    identity_id: str
-    vector: np.ndarray  # float32, shape (dim,)
+    image_ids: tuple[str, ...]
+    identity_ids: tuple[str, ...]
+    vectors: np.ndarray  # float32, shape (n_images, dim)
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=np.float32)
-        object.__setattr__(self, "vector", v)
-        if v.ndim != 1 or v.size < 1:
-            raise DataError(f"embedding for {self.image_id!r} must be a 1-d vector")
-        if not np.isfinite(v).all():
-            raise DataError(f"embedding for {self.image_id!r} contains non-finite values")
+        vectors = np.asarray(self.vectors, dtype=np.float32)
+        object.__setattr__(self, "vectors", vectors)
+        if not len(self.image_ids) == len(self.identity_ids) == len(vectors):
+            raise DataError("embedding table columns differ in length")
+        if len(vectors) and (vectors.ndim != 2 or vectors.shape[1] < 1):
+            raise DataError(f"embedding for {self.image_ids[0]!r} must be a 1-d vector")
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=-1))
+        if bad.size:
+            raise DataError(f"embedding for {self.image_ids[bad[0]]!r} contains non-finite values")
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,44 +117,51 @@ def positions(names: Sequence[str], keys: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(at.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """Immutable in-memory cohort; safe to share across readers."""
+@dataclass(frozen=True, eq=False)
+class ImageTable:
+    """Images listed identity by identity, identities in sorted order.
 
-    records: dict[str, EmbeddingRecord]  # by image_id
-    images: AttributeTable  # rows of the attributed images
-    identities: dict[str, tuple[str, ...]]  # identity -> image_ids, sorted
-    dim: int
-    unattributed: tuple[str, ...] = field(default=())  # embeddings lacking attribute rows
+    ``identity_codes[i]`` indexes ``identities`` with the identity of
+    image ``image_ids[i]``.
+    """
 
-    def vector(self, image_id: str) -> np.ndarray:
-        return self.records[image_id].vector
+    image_ids: tuple[str, ...]
+    identity_codes: np.ndarray  # int, one per image
+    identities: tuple[str, ...]  # sorted
 
 
-def write_embeddings_binary(path: str | Path, records) -> None:
-    records = list(records)
-    if not records:
+@dataclass(frozen=True, eq=False)
+class Cohort(ImageTable):
+    """Immutable in-memory cohort; safe to share across readers.
+
+    The image table holds every embedded image, each identity's images
+    sorted; ``vectors[i]`` is the embedding of ``image_ids[i]``.
+    ``images`` holds the attribute rows; an image may have none.
+    """
+
+    vectors: np.ndarray  # float32, shape (n_images, dim)
+    images: AttributeTable
+
+
+def write_embeddings_binary(path: str | Path, table: EmbeddingTable) -> None:
+    if not len(table):
         raise DataError("refusing to write an empty embedding file")
-    dim = records[0].vector.size
+    rows = table.vectors.astype("<f4", copy=False)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes([_VERSION]))
-        fh.write(struct.pack("<II", len(records), dim))
-        for rec in records:
-            if rec.vector.size != dim:
-                raise DataError(
-                    f"dimension mismatch: {rec.image_id!r} has {rec.vector.size}, expected {dim}"
-                )
-            for text in (rec.image_id, rec.identity_id):
+        fh.write(struct.pack("<II", *rows.shape))
+        for image_id, identity_id, row in zip(table.image_ids, table.identity_ids, rows):
+            for text in (image_id, identity_id):
                 raw = text.encode("utf-8")
                 if len(raw) > 0xFFFF:
                     raise DataError(f"id too long for format: {text[:32]!r}...")
                 fh.write(struct.pack("<H", len(raw)))
                 fh.write(raw)
-            fh.write(rec.vector.astype("<f4").tobytes())
+            fh.write(row.tobytes())
 
 
-def read_embeddings_binary(path: str | Path) -> list[EmbeddingRecord]:
+def read_embeddings_binary(path: str | Path) -> EmbeddingTable:
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise DataError(f"{path}: bad magic bytes, not an embedding file")
@@ -148,28 +171,35 @@ def read_embeddings_binary(path: str | Path) -> list[EmbeddingRecord]:
     try:
         count, dim = struct.unpack_from("<II", data, offset)
         offset += 8
-        records = []
-        for _ in range(count):
-            (id_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            image_id = data[offset : offset + id_len].decode("utf-8")
-            offset += id_len
-            (id_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            identity_id = data[offset : offset + id_len].decode("utf-8")
-            offset += id_len
-            vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).copy()
+        if count * (4 + 4 * dim) > len(data) - offset:  # each record's least size
+            raise ValueError(f"{count} records of dimension {dim} need more bytes")
+        ids: tuple[list[str], list[str]] = ([], [])
+        vectors = np.empty((count, dim), dtype=np.float32)
+        for row in range(count):
+            for column in ids:
+                (id_len,) = struct.unpack_from("<H", data, offset)
+                offset += 2
+                column.append(data[offset : offset + id_len].decode("utf-8"))
+                offset += id_len
+            vectors[row] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
             offset += 4 * dim
-            records.append(EmbeddingRecord(image_id, identity_id, vec))
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise DataError(f"{path}: truncated or corrupt embedding file: {exc}") from exc
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes after last record")
-    return records
+    return EmbeddingTable(tuple(ids[0]), tuple(ids[1]), vectors)
 
 
-def read_embeddings_text(path: str | Path, delimiter: str = ",") -> list[EmbeddingRecord]:
-    records = []
+def _component(cell: str) -> float:
+    if "_" in cell:  # float() reads "1_0" as 10.0
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
+def read_embeddings_text(path: str | Path, delimiter: str = ",") -> EmbeddingTable:
+    ids: tuple[list[str], list[str]] = ([], [])
+    components = array("d")
+    dim = 0
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -177,14 +207,20 @@ def read_embeddings_text(path: str | Path, delimiter: str = ",") -> list[Embeddi
             if len(row) < 3:
                 raise DataError(f"{path}:{lineno}: expected image_id, identity_id, values...")
             try:
-                vec = np.array([float(c) for c in row[2:]], dtype=np.float32)
+                components.extend(map(_component, row[2:]))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad vector component: {exc}") from exc
-            records.append(EmbeddingRecord(row[0], row[1], vec))
-    return records
+            width = len(row) - 2
+            dim = dim or width
+            if width != dim:
+                raise DataError(f"dimension mismatch: {row[0]!r} has {width}, expected {dim}")
+            ids[0].append(row[0])
+            ids[1].append(row[1])
+    vectors = np.frombuffer(components, dtype=np.float64).astype(np.float32)
+    return EmbeddingTable(tuple(ids[0]), tuple(ids[1]), vectors.reshape(len(ids[0]), dim))
 
 
-def load_embeddings(path: str | Path) -> list[EmbeddingRecord]:
+def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read embeddings from either the binary or the tabular format."""
     with open(path, "rb") as fh:
         head = fh.read(4)
@@ -311,46 +347,39 @@ def write_attributes(path: str | Path, table: AttributeTable, schema: AttributeS
         writer.writerows(zip(table.image_ids, *columns))
 
 
-def build_cohort(records, attributes: AttributeTable | None = None) -> Cohort:
+def build_cohort(embeddings: EmbeddingTable, attributes: AttributeTable | None = None) -> Cohort:
     """Assemble and validate a cohort from in-memory pieces.
 
     Every attribute row must reference a known embedding; embeddings
-    without an attribute row are allowed and listed in ``unattributed``.
+    without an attribute row are allowed.
     """
-    records = list(records)
-    if not records:
+    if not len(embeddings):
         raise DataError("no embedding records")
-    by_image: dict[str, EmbeddingRecord] = {}
-    dim = records[0].vector.size
-    for rec in records:
-        if rec.vector.size != dim:
-            raise DataError(
-                f"dimension mismatch: {rec.image_id!r} has {rec.vector.size}, expected {dim}"
-            )
-        if rec.image_id in by_image:
-            raise DataError(f"duplicate image_id {rec.image_id!r} among embeddings")
-        by_image[rec.image_id] = rec
+    embedded: set[str] = set()
+    for image_id in embeddings.image_ids:
+        if image_id in embedded:
+            raise DataError(f"duplicate image_id {image_id!r} among embeddings")
+        embedded.add(image_id)
 
     if attributes is None:
         attributes = AttributeTable(image_ids=(), values=np.empty((0, 0)))
     attributed: set[str] = set()
     for image_id in attributes.image_ids:
-        if image_id not in by_image:
+        if image_id not in embedded:
             raise DataError(f"attribute row for {image_id!r} has no matching embedding")
         if image_id in attributed:
             raise DataError(f"duplicate attribute row for {image_id!r}")
         attributed.add(image_id)
 
-    identities: dict[str, list[str]] = {}
-    for rec in by_image.values():
-        identities.setdefault(rec.identity_id, []).append(rec.image_id)
-    unattributed = tuple(sorted(set(by_image) - attributed))
+    image_ids, identity_ids = embeddings.image_ids, embeddings.identity_ids
+    identities = tuple(sorted(set(identity_ids)))
+    order = sorted(range(len(image_ids)), key=lambda i: (identity_ids[i], image_ids[i]))
     return Cohort(
-        records=by_image,
+        image_ids=tuple(map(image_ids.__getitem__, order)),
+        identity_codes=positions(identities, identity_ids)[order],
+        identities=identities,
+        vectors=embeddings.vectors[order],
         images=attributes,
-        identities={k: tuple(sorted(v)) for k, v in sorted(identities.items())},
-        dim=dim,
-        unattributed=unattributed,
     )
 
 
@@ -364,11 +393,11 @@ def load_cohort(
     Passing no attribute path loads a bare cohort (pairing and scoring
     need no attributes).
     """
-    records = load_embeddings(embedding_path)
-    if not records:
+    embeddings = load_embeddings(embedding_path)
+    if not len(embeddings):
         raise DataError(f"{embedding_path}: no embedding records")
     table = None if attribute_path is None else read_attributes(attribute_path, schema)
-    return build_cohort(records, table)
+    return build_cohort(embeddings, table)
 
 
 def aggregate_table(
@@ -433,11 +462,9 @@ def aggregate_profiles(cohort: Cohort, schema: AttributeSchema) -> ProfileTable:
 
     Coverage counts every image of the identity, attributed or not.
     """
-    sizes = np.array([len(images) for images in cohort.identities.values()])
-    codes = np.repeat(np.arange(len(sizes)), sizes)
-    ordered = [image for images in cohort.identities.values() for image in images]
+    n_identities = len(cohort.identities)
     values, coverage, n_rows = aggregate_table(
-        cohort.images, ordered, codes, len(sizes), schema
+        cohort.images, cohort.image_ids, cohort.identity_codes, n_identities, schema
     )
-    coverage *= (n_rows / sizes)[:, None]
-    return ProfileTable(tuple(cohort.identities), values, coverage)
+    coverage *= (n_rows / np.bincount(cohort.identity_codes, minlength=n_identities))[:, None]
+    return ProfileTable(cohort.identities, values, coverage)

@@ -20,15 +20,8 @@ import numpy as np
 
 from faceaudit import __version__
 from faceaudit.calibration import OperatingPoint, calibrate, parse_policy, sweep_rates
-from faceaudit.cohort import (
-    AttributeTable,
-    Cohort,
-    ProfileTable,
-    aggregate_profiles,
-    aggregate_table,
-    positions,
-)
-from faceaudit.errors import DataError
+from faceaudit.cohort import AttributeTable, ProfileTable, aggregate_table, positions
+from faceaudit.errors import DataError, RankDeficiencyError
 from faceaudit.explain import EncodingConfig, ExplanatoryReport, build_design, explanatory_report
 from faceaudit.metrics import (
     FairnessDelta,
@@ -203,7 +196,7 @@ def run_audit(
                     continue
                 try:
                     explain[metric] = explanatory_report(design, rates, metric, op)
-                except DataError as exc:
+                except (DataError, RankDeficiencyError) as exc:
                     skipped[f"explain_{metric}"] = str(exc)
         analyses.append(
             PolicyAnalysis(
@@ -229,15 +222,3 @@ def run_audit(
         notes={"multiple_comparison_correction": "none"},
     )
 
-
-def audit_cohort(
-    cohort: Cohort,
-    trials: TrialSet,
-    scores: np.ndarray,
-    schema: AttributeSchema,
-    options: AuditOptions,
-    seed: int = 0,
-) -> AuditResults:
-    """Convenience wrapper when embeddings and attributes are in memory."""
-    profiles = aggregate_profiles(cohort, schema)
-    return run_audit(trials, scores, profiles, schema, options, seed)

@@ -32,7 +32,7 @@ import numpy as np
 
 from faceaudit.cohort import (
     AttributeTable,
-    EmbeddingRecord,
+    EmbeddingTable,
     aggregate_table,
     write_attributes,
     write_embeddings_binary,
@@ -132,7 +132,7 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthResult:
-    records: tuple[EmbeddingRecord, ...]
+    records: EmbeddingTable
     attributes: AttributeTable
     ground_truth: dict
 
@@ -202,7 +202,7 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
     attributes = AttributeTable(image_ids=image_ids, values=values)
     codes = np.repeat(np.arange(len(cells)), per)
     aggregated_rows, _, _ = aggregate_table(attributes, image_ids, codes, len(cells), schema)
-    records: list[EmbeddingRecord] = []
+    vectors = np.empty((len(image_ids), config.dim), dtype=np.float32)
     identity_truth: dict[str, dict] = {}
     for u, (cell, row) in enumerate(zip(cells, aggregated_rows.tolist())):
         identity_id = f"u{u:05d}"
@@ -229,9 +229,7 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
             scatter = rng.standard_normal(config.dim) / np.sqrt(config.dim)
             vec = centroid + noise * scatter
             vec /= np.linalg.norm(vec)
-            records.append(
-                EmbeddingRecord(image_ids[u * per + k], identity_id, vec.astype(np.float32))
-            )
+            vectors[u * per + k] = vec
         identity_truth[identity_id] = {
             "cell": list(cell),
             "pull": pull,
@@ -255,7 +253,9 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
         "images_per_identity": config.images_per_identity,
         "identities": identity_truth,
     }
-    return SynthResult(records=tuple(records), attributes=attributes, ground_truth=ground_truth)
+    identity_ids = tuple(f"u{u:05d}" for u in range(len(cells)) for _ in range(per))
+    records = EmbeddingTable(image_ids, identity_ids, vectors)
+    return SynthResult(records=records, attributes=attributes, ground_truth=ground_truth)
 
 
 def simpson_config(

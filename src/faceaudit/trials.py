@@ -6,8 +6,9 @@ four images yields all 6 unordered genuine pairs and 50 impostor pairs.
 Scores are cosine similarities in [-1, 1]; a pair is accepted when the
 score is strictly greater than the decision threshold.
 
-Trials are columnar: a ``TrialSet`` is an image table plus an integer
-array of (probe, reference) image rows, one row per trial.
+Trials are columnar: a ``TrialSet`` is an image table, laid out as the
+cohort's, plus an integer array of (probe, reference) image rows, one
+row per trial.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import gc
 import warnings
 from array import array
 from collections import defaultdict
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice, repeat
@@ -26,7 +26,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from faceaudit.cohort import Cohort
+from faceaudit.cohort import Cohort, ImageTable, positions
 from faceaudit.errors import DataError, TrialError
 
 _POSITIVE_MODES = ("all_pairs_capped", "sample")
@@ -60,19 +60,13 @@ class TrialPolicy:
 
 
 @dataclass(frozen=True, eq=False)
-class TrialSet:
+class TrialSet(ImageTable):
     """Trials as rows of an image table.
 
-    ``image_ids`` lists the images identity by identity, identities in
-    sorted order; ``identity_codes[i]`` indexes ``identities`` with the
-    identity of image ``i``.  Trial ``k`` compares the images in rows
-    ``pairs[k] = (probe, reference)``; it is genuine when both images
-    share an identity.
+    Trial ``k`` compares the images in rows ``pairs[k] = (probe,
+    reference)``; it is genuine when both images share an identity.
     """
 
-    image_ids: tuple[str, ...]
-    identity_codes: np.ndarray  # int, one per image
-    identities: tuple[str, ...]  # sorted
     pairs: np.ndarray  # int, shape (n_pairs, 2)
     skipped_identities: tuple[str, ...] = field(default=())
 
@@ -94,16 +88,6 @@ class TrialSet:
     @property
     def n_impostor(self) -> int:
         return len(self.pairs) - self.n_genuine
-
-
-def _image_table(
-    images_by_identity: Mapping[str, Sequence[str]],
-) -> tuple[tuple[str, ...], np.ndarray, tuple[str, ...]]:
-    """(image ids, identity code per image, identity names), identities sorted."""
-    identities = tuple(sorted(images_by_identity))
-    image_ids = tuple(image for ident in identities for image in images_by_identity[ident])
-    sizes = [len(images_by_identity[ident]) for ident in identities]
-    return image_ids, np.repeat(np.arange(len(identities), dtype=np.intp), sizes), identities
 
 
 def _genuine_pairs(start: int, n_own: int, policy: TrialPolicy, rng) -> list[tuple[int, int]]:
@@ -156,35 +140,36 @@ def _impostor_pairs(
 
 
 def generate_trials(cohort: Cohort, policy: TrialPolicy, seed: int) -> TrialSet:
-    """Build the full trial list, iterating identities in sorted order.
+    """Build the full trial list over the cohort's image table,
+    identities in sorted order.
 
     Identities with fewer than two images cannot form genuine pairs and
     are skipped with a warning; their images still serve as impostor
     references.  The same (cohort, policy, seed) triple always yields
     the same pair list.
     """
-    skipped = tuple(sorted(k for k, v in cohort.identities.items() if len(v) < 2))
+    sizes = np.bincount(cohort.identity_codes, minlength=len(cohort.identities)).tolist()
+    skipped = tuple(k for k, size in zip(cohort.identities, sizes) if size < 2)
     for identity in skipped:
         warnings.warn(f"identity {identity!r} has fewer than two images; skipped", stacklevel=2)
     if len(cohort.identities) - len(skipped) < 2:
         raise DataError("need at least two identities with two or more images each")
 
-    image_ids, codes, identities = _image_table(cohort.identities)
+    n_images = len(cohort.image_ids)
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = array("q")  # (probe, reference) image rows, flattened
     start = 0
-    for identity in identities:
-        n_own = len(cohort.identities[identity])
+    for identity, n_own in zip(cohort.identities, sizes):
         if n_own >= 2:
             for pair in _genuine_pairs(start, n_own, policy, rng):
                 rows.extend(pair)
-            for pair in _impostor_pairs(identity, start, n_own, len(image_ids), policy, rng):
+            for pair in _impostor_pairs(identity, start, n_own, n_images, policy, rng):
                 rows.extend(pair)
         start += n_own
     return TrialSet(
-        image_ids=image_ids,
-        identity_codes=codes,
-        identities=identities,
+        image_ids=cohort.image_ids,
+        identity_codes=cohort.identity_codes,
+        identities=cohort.identities,
         pairs=np.array(rows, dtype=np.intp).reshape(-1, 2),
         skipped_identities=skipped,
     )
@@ -193,26 +178,36 @@ def generate_trials(cohort: Cohort, policy: TrialPolicy, seed: int) -> TrialSet:
 def score_trials(cohort: Cohort, trials: TrialSet, chunk_size: int = 4096) -> np.ndarray:
     """Cosine similarity per pair, float64, aligned with ``trials.pairs``.
 
-    Scoring is chunked for memory; each score depends only on its own
-    two vectors, so the chunk size never changes the result.
+    Vectors are gathered from the float32 matrix into float64 one chunk
+    at a time, so no float64 copy of the matrix is made; each score
+    depends only on its own two vectors, so the chunk size never changes
+    the result.
     """
-    vectors = np.array(
-        [cohort.vector(image_id) for image_id in trials.image_ids], dtype=np.float64
-    ).reshape(len(trials.image_ids), cohort.dim)
-    norms = np.linalg.norm(vectors, axis=1)
-    used = trials.pairs.ravel()
+    at = positions(cohort.image_ids, trials.image_ids)
+    if (at < 0).any():
+        image = trials.image_ids[int(np.argmin(at))]
+        raise DataError(f"cannot score image {image!r}: it has no embedding")
+    vectors = cohort.vectors
+    blocks = range(0, len(vectors), chunk_size)
+    norms = np.concatenate(
+        [np.linalg.norm(vectors[b : b + chunk_size].astype(float), axis=1) for b in blocks]
+    )
+    pairs = at[trials.pairs]
+    used = pairs.ravel()
     zero = np.flatnonzero(norms[used] == 0.0)
     if zero.size:
-        which = trials.image_ids[used[zero[0]]]
+        which = cohort.image_ids[used[zero[0]]]
         raise DataError(f"cannot score zero-norm embedding {which!r}")
-    scores = np.empty(len(trials.pairs), dtype=np.float64)
-    for start in range(0, len(trials.pairs), chunk_size):
-        probe, reference = trials.pairs[start : start + chunk_size].T
+    scores = np.empty(len(pairs), dtype=np.float64)
+    # float64 rows of one chunk, reused: a fresh allocation per chunk costs page faults
+    gathered = np.empty((2, min(chunk_size, len(pairs)), vectors.shape[1]))
+    for start in range(0, len(pairs), chunk_size):
+        probe, reference = pairs[start : start + chunk_size].T
+        u, v = gathered[:, : len(probe)]
+        u[...] = vectors[probe]
+        v[...] = vectors[reference]
         scores[start : start + len(probe)] = np.clip(
-            np.einsum("ij,ij->i", vectors[probe], vectors[reference])
-            / (norms[probe] * norms[reference]),
-            -1.0,
-            1.0,
+            np.einsum("ij,ij->i", u, v) / (norms[probe] * norms[reference]), -1.0, 1.0
         )
     return scores
 
@@ -332,13 +327,14 @@ def _components(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def read_trials_csv(
-    path: str | Path, identity_of: dict[str, str] | None = None
+    path: str | Path, table: ImageTable | None = None
 ) -> tuple[TrialSet, np.ndarray]:
     """Read pairs back; returns (trials, scores), unscored cells as NaN.
 
-    The file format carries no identity column.  When ``identity_of``
-    is given it supplies the labels (and the stated genuine/impostor
-    labels are checked against it); otherwise identities are the
+    The file format carries no identity column.  When an image
+    ``table``, such as a cohort, is given it supplies the labels (and
+    the stated genuine/impostor labels are checked against it), and the
+    trials keep the identities the file names; otherwise identities are the
     connected components of the genuine pairs, each named by its
     smallest image id, which reproduces the original grouping up to
     renaming when the genuine pairs connect each identity's images.
@@ -356,17 +352,18 @@ def read_trials_csv(
     rank[by_name] = np.arange(n)
     same = pairs[:, 0] == pairs[:, 1]
     unknown, contradicts = np.zeros_like(pairs, dtype=bool), np.zeros_like(same)
-    if identity_of is None:
+    if table is None:
         root = _components(n, pairs[stated])
         smallest = np.full(n, n, dtype=np.intp)  # rank of each component's smallest id
         np.minimum.at(smallest, root, rank)
         firsts, codes = np.unique(smallest[root], return_inverse=True)
         identities = tuple(names[by_name[r]] for r in firsts.tolist())
     else:
-        labels = list(map(identity_of.get, names))
-        identities = tuple(sorted(set(labels) - {None}))
-        code_of = dict(zip(identities, range(len(identities))))
-        codes = np.fromiter(map(code_of.get, labels, repeat(-1)), dtype=np.intp, count=n)
+        at = positions(table.image_ids, names)
+        labels = np.where(at >= 0, table.identity_codes[at], -1)
+        used = np.unique(labels[at >= 0])
+        identities = tuple(map(table.identities.__getitem__, used.tolist()))
+        codes = np.where(at >= 0, np.searchsorted(used, labels), -1)
         pair_codes = codes[pairs]
         unknown = pair_codes < 0
         contradicts = stated != (pair_codes[:, 0] == pair_codes[:, 1])

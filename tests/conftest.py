@@ -3,7 +3,15 @@ attribute tables for tests."""
 
 import numpy as np
 
-from faceaudit.cohort import AttributeTable, ProfileTable, build_cohort
+from faceaudit.cohort import (
+    AttributeTable,
+    EmbeddingTable,
+    ImageTable,
+    ProfileTable,
+    aggregate_profiles,
+    build_cohort,
+)
+from faceaudit.pipeline import run_audit
 from faceaudit.schema import default_schema
 from faceaudit.synth import SynthConfig, generate
 from faceaudit.trials import TrialPolicy, TrialSet, generate_trials, score_trials
@@ -14,6 +22,19 @@ def synth_cohort(config, schema=None):
     schema = schema or default_schema()
     result = generate(config, schema)
     return build_cohort(result.records, result.attributes), result
+
+
+def embedding_table(records):
+    """An EmbeddingTable of (image id, identity id, vector) triples."""
+    image_ids, identity_ids, vectors = zip(*records)
+    return EmbeddingTable(image_ids, identity_ids, np.array(vectors))
+
+
+def cohort_audit(cohort, trials, scores, options, seed=0):
+    """run_audit with the cohort's own profiles, as run-all audits."""
+    schema = default_schema()
+    profiles = aggregate_profiles(cohort, schema)
+    return run_audit(trials, scores, profiles, schema, options, seed)
 
 
 def scored_trials(cohort, seed=0, policy=None):
@@ -32,17 +53,25 @@ def small_config(seed=0, n=12, dim=24, **overrides):
     return SynthConfig(**base)
 
 
+def image_table(identity_of):
+    """The ImageTable of {image id: identity}: identities in sorted order,
+    each identity's images sorted."""
+    images = sorted(identity_of, key=lambda i: (identity_of[i], i))
+    identities = tuple(sorted(set(identity_of.values())))
+    codes = [identities.index(identity_of[i]) for i in images]
+    return ImageTable(tuple(images), np.array(codes, dtype=np.intp), identities)
+
+
 def trial_set(pairs, identity_of):
     """Trials over (probe image, reference image) ``pairs``, labelled by
-    ``identity_of``; the image table lists identities in sorted order,
-    each identity's images sorted."""
-    images = sorted({image for pair in pairs for image in pair}, key=lambda i: (identity_of[i], i))
-    identities = tuple(sorted({identity_of[image] for image in images}))
-    row = {image: r for r, image in enumerate(images)}
+    ``identity_of``, on the image table of the paired images."""
+    used = {image for pair in pairs for image in pair}
+    table = image_table({image: identity_of[image] for image in used})
+    row = {image: r for r, image in enumerate(table.image_ids)}
     return TrialSet(
-        image_ids=tuple(images),
-        identity_codes=np.array([identities.index(identity_of[i]) for i in images], dtype=np.intp),
-        identities=identities,
+        image_ids=table.image_ids,
+        identity_codes=table.identity_codes,
+        identities=table.identities,
         pairs=np.array([(row[p], row[r]) for p, r in pairs], dtype=np.intp).reshape(-1, 2),
     )
 

@@ -25,7 +25,7 @@ from faceaudit.metrics import (
     one_axis_deltas,
     trial_census,
 )
-from faceaudit.pipeline import AuditOptions, audit_cohort
+from faceaudit.pipeline import AuditOptions, run_audit
 from faceaudit.report import to_payload
 from faceaudit.schema import default_schema
 from faceaudit.stats import (
@@ -227,9 +227,8 @@ def test_criterion_07_composition_reversal():
         cohort = build_cohort(result.records, result.attributes)
         trials = generate_trials(cohort, TrialPolicy(), seed=seed)
         scores = score_trials(cohort, trials)
-        results = audit_cohort(
-            cohort, trials, scores, schema, AuditOptions(policies=("eer",))
-        )
+        profiles = aggregate_profiles(cohort, schema)
+        results = run_audit(trials, scores, profiles, schema, AuditOptions(policies=("eer",)))
         payload = to_payload(results)
         deltas = payload["analyses"][0]["deltas"]["one_axis"]
         marginal = next(

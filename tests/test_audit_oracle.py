@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from faceaudit import stats
 from faceaudit.calibration import calibrate, sweep_rates
-from faceaudit.errors import DataError, NumericalError
+from faceaudit.errors import DataError, NumericalError, RankDeficiencyError
 from faceaudit.explain import build_design, run_correlations, run_regression
 from faceaudit.metrics import (
     GroupSpec,
@@ -242,7 +242,10 @@ class TestColumnarAudit:
                 try:
                     if not correlations.constant_response:
                         fit = run_regression(design, y)
-                except NumericalError as exc:  # a failed fit stops the audit
+                except RankDeficiencyError as exc:  # recorded; the audit goes on
+                    want[metric] = str(exc)
+                    continue
+                except NumericalError as exc:  # any other failed fit stops the audit
                     failure = failure or str(exc)
                 want[metric] = (len(y), correlations, fit)
             options = AuditOptions(policies=(policy,), explain=True)
@@ -252,7 +255,12 @@ class TestColumnarAudit:
                 assert str(exc) == failure
                 continue
             assert failure is None
-            for metric, (n_cases, correlations, fit) in want.items():
+            for metric, expected in want.items():
+                if isinstance(expected, str):
+                    assert metric not in analysis.explain
+                    assert analysis.skipped_analyses[f"explain_{metric}"] == expected
+                    continue
+                n_cases, correlations, fit = expected
                 report = analysis.explain[metric]
                 assert report.n_cases == n_cases
                 assert report.incomplete_identities == design.incomplete

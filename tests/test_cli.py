@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from faceaudit.cli import main
-from faceaudit.cohort import EmbeddingRecord, load_embeddings, write_embeddings_binary
+from faceaudit.cohort import EmbeddingTable, load_embeddings, write_embeddings_binary
 from faceaudit.trials import read_trials_csv
 
 
@@ -433,9 +433,10 @@ class TestReadme:
 
 
 class TestNumericalErrors:
-    def test_rank_deficiency_exits_three(self, tmp_path, capsys):
+    def test_rank_deficiency_skips_explain(self, tmp_path):
         # cells differing in both protected attributes make the gender and
-        # ethnicity dummies identical, which the regression cannot separate
+        # ethnicity dummies identical, which the regression cannot separate;
+        # the regression is skipped, and the group rates and tests stand
         config = tmp_path / "aliased.json"
         config.write_text(
             json.dumps(
@@ -488,9 +489,14 @@ class TestNumericalErrors:
                 str(tmp_path / "explain"),
             ]
         )
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "faceaudit explain:" in err
+        assert rc == 0
+        report = json.loads((tmp_path / "explain" / "report.json").read_text(encoding="utf-8"))
+        (analysis,) = report["analyses"]
+        for metric in ("far", "frr"):
+            message = analysis["skipped_analyses"][f"explain_{metric}"]
+            assert message.startswith("design matrix is rank deficient; dependent column(s): ")
+        assert analysis["explain"] == {}
+        assert analysis["groups"] and set(analysis["kruskal"]) == {"far", "frr"}
 
 
 class TestPipeline:
@@ -788,11 +794,13 @@ def _without_attribute_rows(workspace, tmp_path, identity):
 def _renamed(inputs, outdir, prefix):
     """``inputs`` with ``prefix`` put before every identity and image id."""
     outdir.mkdir()
-    records = [
-        EmbeddingRecord(prefix + r.image_id, prefix + r.identity_id, r.vector)
-        for r in load_embeddings(inputs["embeddings"])
-    ]
-    write_embeddings_binary(outdir / "embeddings.freb", records)
+    table = load_embeddings(inputs["embeddings"])
+    renamed = EmbeddingTable(
+        tuple(prefix + image for image in table.image_ids),
+        tuple(prefix + identity for identity in table.identity_ids),
+        table.vectors,
+    )
+    write_embeddings_binary(outdir / "embeddings.freb", renamed)
     out = {**inputs, "embeddings": outdir / "embeddings.freb"}
     for which, n_ids in (("attributes", 1), ("scored", 2)):
         header, *rows = inputs[which].read_text(encoding="utf-8").splitlines()
@@ -859,6 +867,19 @@ class TestRunAll:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert len(report["analyses"]) == 2
         assert report["seed"] == 9
+
+    def test_audits_its_cohort_in_memory(self, tmp_path, monkeypatch):
+        # data/ is written for inspection; run-all never reads it back
+        def refuse(*args, **kwargs):
+            raise AssertionError("run-all loaded a cohort from files")
+
+        monkeypatch.setattr("faceaudit.cli.load_cohort", refuse)
+        monkeypatch.setattr("faceaudit.cli.read_attributes", refuse)
+        config = self._config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["run-all", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "data" / "embeddings.freb").exists()
+        assert (out / "report.json").exists()
 
     def test_same_seed_byte_identical(self, tmp_path):
         config = self._config(tmp_path)

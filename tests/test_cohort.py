@@ -1,16 +1,17 @@
 """Tests for cohort assembly, embedding I/O, and attribute aggregation."""
 
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import attribute_rows, attribute_table, profile_rows
+from conftest import attribute_rows, attribute_table, embedding_table, profile_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faceaudit.cohort import (
     AttributeTable,
-    EmbeddingRecord,
+    EmbeddingTable,
     aggregate_profiles,
     aggregate_table,
     build_cohort,
@@ -28,35 +29,31 @@ from faceaudit.schema import AttributeSchema, Variable, default_schema
 
 def _records(n_identities=3, images_each=2, dim=8, seed=0):
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n_identities):
-        for k in range(images_each):
-            out.append(
-                EmbeddingRecord(
-                    image_id=f"id{i}_img{k}",
-                    identity_id=f"id{i}",
-                    vector=rng.normal(size=dim).astype(np.float32),
-                )
-            )
-    return out
+    return embedding_table(
+        (f"id{i}_img{k}", f"id{i}", rng.normal(size=dim).astype(np.float32))
+        for i in range(n_identities)
+        for k in range(images_each)
+    )
 
 
 class TestEmbeddingRecord:
+    """Each record (row) of an embedding table."""
+
     def test_casts_to_float32(self):
-        rec = EmbeddingRecord("a", "x", np.arange(4, dtype=np.float64))
-        assert rec.vector.dtype == np.float32
+        table = EmbeddingTable(("a",), ("x",), np.arange(4, dtype=np.float64)[None])
+        assert table.vectors.dtype == np.float32
 
     def test_rejects_matrix(self):
-        with pytest.raises(DataError):
-            EmbeddingRecord("a", "x", np.zeros((2, 2)))
+        with pytest.raises(DataError, match="'a' must be a 1-d vector"):
+            EmbeddingTable(("a",), ("x",), np.zeros((1, 2, 2)))
 
     def test_rejects_empty(self):
-        with pytest.raises(DataError):
-            EmbeddingRecord("a", "x", np.zeros(0))
+        with pytest.raises(DataError, match="'a' must be a 1-d vector"):
+            EmbeddingTable(("a",), ("x",), np.zeros((1, 0)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(DataError):
-            EmbeddingRecord("a", "x", np.array([1.0, np.nan]))
+        with pytest.raises(DataError, match="^embedding for 'b' contains non-finite values$"):
+            EmbeddingTable(("a", "b", "c"), ("x",) * 3, [[1.0, 2.0], [1.0, np.nan], [np.inf, 0]])
 
 
 class TestBinaryFormat:
@@ -66,10 +63,9 @@ class TestBinaryFormat:
         write_embeddings_binary(path, records)
         loaded = read_embeddings_binary(path)
         assert len(loaded) == len(records)
-        for got, want in zip(loaded, records):
-            assert got.image_id == want.image_id
-            assert got.identity_id == want.identity_id
-            np.testing.assert_array_equal(got.vector, want.vector)
+        assert loaded.image_ids == records.image_ids
+        assert loaded.identity_ids == records.identity_ids
+        assert loaded.vectors.tobytes() == records.vectors.tobytes()
 
     def test_byte_stability(self, tmp_path):
         records = _records()
@@ -79,12 +75,12 @@ class TestBinaryFormat:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unicode_ids(self, tmp_path):
-        rec = EmbeddingRecord("képmás_01", "személy", np.ones(3, dtype=np.float32))
+        table = embedding_table([("képmás_01", "személy", np.ones(3, dtype=np.float32))])
         path = tmp_path / "u.freb"
-        write_embeddings_binary(path, [rec])
-        (loaded,) = read_embeddings_binary(path)
-        assert loaded.image_id == "képmás_01"
-        assert loaded.identity_id == "személy"
+        write_embeddings_binary(path, table)
+        loaded = read_embeddings_binary(path)
+        assert loaded.image_ids == ("képmás_01",)
+        assert loaded.identity_ids == ("személy",)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.freb"
@@ -101,6 +97,13 @@ class TestBinaryFormat:
         with pytest.raises(DataError):
             read_embeddings_binary(cut)
 
+    def test_oversized_header_rejected(self, tmp_path):
+        # the header's count and dimension must fit the bytes that follow
+        path = tmp_path / "huge.freb"
+        path.write_bytes(b"FREB\x01" + struct.pack("<II", 2**32 - 1, 2**32 - 1))
+        with pytest.raises(DataError, match="truncated or corrupt"):
+            read_embeddings_binary(path)
+
     def test_trailing_bytes(self, tmp_path):
         records = _records(n_identities=1, images_each=2)
         path = tmp_path / "pad.freb"
@@ -109,31 +112,50 @@ class TestBinaryFormat:
         with pytest.raises(DataError):
             read_embeddings_binary(path)
 
+    def test_non_finite_names_first_image(self, tmp_path):
+        marker = struct.pack("<f", 7.0)
+        vectors = np.ones((4, 3), dtype=np.float32)
+        vectors[[1, 3], 2] = 7.0
+        table = EmbeddingTable(("a", "b", "c", "d"), ("x",) * 4, vectors)
+        path = tmp_path / "nan.freb"
+        write_embeddings_binary(path, table)
+        path.write_bytes(path.read_bytes().replace(marker, struct.pack("<f", np.nan)))
+        with pytest.raises(DataError, match="^embedding for 'b' contains non-finite values$"):
+            read_embeddings_binary(path)
+
     def test_refuses_empty_write(self, tmp_path):
         with pytest.raises(DataError):
-            write_embeddings_binary(tmp_path / "e.freb", [])
-
-    def test_mixed_dims_rejected_on_write(self, tmp_path):
-        recs = [
-            EmbeddingRecord("a", "x", np.ones(3)),
-            EmbeddingRecord("b", "x", np.ones(4)),
-        ]
-        with pytest.raises(DataError):
-            write_embeddings_binary(tmp_path / "m.freb", recs)
+            write_embeddings_binary(tmp_path / "e.freb", EmbeddingTable((), (), np.empty((0, 3))))
 
 
 class TestTextFormat:
     def test_reads_csv(self, tmp_path):
         path = tmp_path / "emb.csv"
         path.write_text("a,x,1.0,2.0\nb,x,3.0,4.0\n", encoding="utf-8")
-        records = read_embeddings_text(path)
-        assert [r.image_id for r in records] == ["a", "b"]
-        np.testing.assert_allclose(records[1].vector, [3.0, 4.0])
+        table = read_embeddings_text(path)
+        assert table.image_ids == ("a", "b")
+        assert table.identity_ids == ("x", "x")
+        np.testing.assert_allclose(table.vectors[1], [3.0, 4.0])
+
+    def test_components_cast_from_float(self, tmp_path):
+        # float() first, then the float32 cast: the bits of the old reader
+        cells = ["0.1", "1e-50", "-3.4028235e38", "16777217", " 2.5"]
+        path = tmp_path / "emb.csv"
+        path.write_text("a,x," + ",".join(cells) + "\n", encoding="utf-8")
+        want = np.array([float(c) for c in cells], dtype=np.float32)
+        assert read_embeddings_text(path).vectors.tobytes() == want[None].tobytes()
 
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "emb.csv"
         path.write_text("a,x,1.0\n\nb,x,2.0\n", encoding="utf-8")
         assert len(read_embeddings_text(path)) == 2
+
+    def test_blank_file_has_no_records(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("\n\n", encoding="utf-8")
+        assert len(read_embeddings_text(path)) == 0
+        with pytest.raises(DataError, match=f"^{path}: no embedding records$"):
+            load_cohort(path, None, default_schema())
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "emb.csv"
@@ -145,6 +167,26 @@ class TestTextFormat:
         path = tmp_path / "emb.csv"
         path.write_text("a,x,1.0,oops\n", encoding="utf-8")
         with pytest.raises(DataError):
+            read_embeddings_text(path)
+
+    @pytest.mark.parametrize("cell", ["1_0", "_1", "0.5_", "1e1_0"])
+    def test_underscore_component_rejected(self, tmp_path, cell):
+        # float() reads "1_0" as 10.0
+        path = tmp_path / "emb.csv"
+        path.write_text(f"b0,b,0.5,0.5\na0,a,{cell},0.5\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}:2: bad vector component: .*'{cell}'"):
+            read_embeddings_text(path)
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("a,x,1.0,2.0\nb,x,3.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^dimension mismatch: 'b' has 1, expected 2$"):
+            read_embeddings_text(path)
+
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("a,x,1.0,2.0\nb,x,nan,4.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^embedding for 'b' contains non-finite values$"):
             read_embeddings_text(path)
 
     def test_load_embeddings_sniffs_format(self, tmp_path):
@@ -258,61 +300,71 @@ class TestBuildCohort:
     def test_basic_assembly(self):
         records = _records(n_identities=3, images_each=2)
         cohort = build_cohort(records)
-        assert len(cohort.records) == 6
-        assert len(cohort.identities) == 3
-        assert cohort.identities["id0"] == ("id0_img0", "id0_img1")
-        assert cohort.dim == 8
+        assert len(cohort.image_ids) == 6
+        assert cohort.identities == ("id0", "id1", "id2")
+        assert cohort.image_ids[:2] == ("id0_img0", "id0_img1")
+        assert cohort.identity_codes.tolist() == [0, 0, 1, 1, 2, 2]
+        assert cohort.vectors.shape == (6, 8)
 
     def test_identities_sorted(self):
-        records = list(reversed(_records(n_identities=3, images_each=1)))
-        cohort = build_cohort(records)
-        assert list(cohort.identities) == sorted(cohort.identities)
+        records = _records(n_identities=3, images_each=3)
+        order = [8, 1, 3, 0, 5, 7, 2, 4, 6]
+        shuffled = EmbeddingTable(
+            tuple(records.image_ids[i] for i in order),
+            tuple(records.identity_ids[i] for i in order),
+            records.vectors[order],
+        )
+        cohort = build_cohort(shuffled)
+        assert cohort.identities == ("id0", "id1", "id2")
+        # the image table of the file order sorted, the vectors in its rows
+        assert cohort.image_ids == records.image_ids
+        assert cohort.vectors.tobytes() == records.vectors.tobytes()
 
     def test_unattributed_listed(self):
         records = _records(n_identities=1, images_each=2)
         rows = attribute_table({"id0_img0": {"blur": 0.5}})
         cohort = build_cohort(records, rows)
-        assert cohort.unattributed == ("id0_img1",)
+        assert cohort.image_ids == ("id0_img0", "id0_img1")
+        assert cohort.images.image_ids == ("id0_img0",)
 
     def test_orphan_attribute_row_rejected(self):
         records = _records(n_identities=1, images_each=1)
         rows = attribute_table({"ghost": {"blur": 0.5}})
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^attribute row for 'ghost' has no matching"):
             build_cohort(records, rows)
 
     def test_duplicate_attribute_row_rejected(self):
         records = _records(n_identities=1, images_each=1)
         rows = AttributeTable(("id0_img0", "id0_img0"), np.full((2, 20), 0.5))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^duplicate attribute row for 'id0_img0'$"):
             build_cohort(records, rows)
 
     def test_duplicate_image_id_rejected(self):
-        rec = EmbeddingRecord("a", "x", np.ones(3))
-        with pytest.raises(DataError):
-            build_cohort([rec, rec])
+        table = embedding_table([("a", "x", np.ones(3)), ("b", "x", np.ones(3))] * 2)
+        with pytest.raises(DataError, match="^duplicate image_id 'a' among embeddings$"):
+            build_cohort(table)
 
-    def test_dim_mismatch_rejected(self):
-        recs = [
-            EmbeddingRecord("a", "x", np.ones(3)),
-            EmbeddingRecord("b", "x", np.ones(5)),
-        ]
-        with pytest.raises(DataError):
-            build_cohort(recs)
+    def test_dim_mismatch_rejected(self, tmp_path):
+        # a float32 matrix cannot be ragged, so the reader rejects the row
+        path = tmp_path / "emb.csv"
+        path.write_text("a,x,1.0,1.0,1.0\nb,x,1.0,1.0,1.0,1.0,1.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^dimension mismatch: 'b' has 5, expected 3$"):
+            load_cohort(path, None, default_schema())
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            build_cohort([])
+            build_cohort(EmbeddingTable((), (), np.empty((0, 3))))
 
     def test_load_cohort_round_trip(self, tmp_path):
         schema = default_schema()
         records = _records(n_identities=2, images_each=2)
-        rows = attribute_table({r.image_id: {"blur": 0.3} for r in records})
+        rows = attribute_table({image: {"blur": 0.3} for image in records.image_ids})
         emb = tmp_path / "emb.freb"
         attrs = tmp_path / "attrs.csv"
         write_embeddings_binary(emb, records)
         write_attributes(attrs, rows, schema)
         cohort = load_cohort(emb, attrs, schema)
-        assert len(cohort.records) == 4
+        assert len(cohort.image_ids) == 4
         assert attribute_rows(cohort.images)["id1_img0"] == {"blur": 0.3}
 
     def test_load_cohort_without_attributes(self, tmp_path):
@@ -320,7 +372,8 @@ class TestBuildCohort:
         emb = tmp_path / "emb.freb"
         write_embeddings_binary(emb, records)
         cohort = load_cohort(emb, None, default_schema())
-        assert cohort.unattributed == tuple(sorted(r.image_id for r in records))
+        assert cohort.image_ids == tuple(sorted(records.image_ids))
+        assert cohort.images.image_ids == ()
 
 
 def aggregate_rows(rows, schema):
@@ -400,7 +453,7 @@ class TestAggregation:
     def test_profiles_cover_all_identities(self):
         schema = default_schema()
         records = _records(n_identities=3, images_each=2)
-        rows = attribute_table({r.image_id: {"blur": 0.5} for r in records[:4]})
+        rows = attribute_table({image: {"blur": 0.5} for image in records.image_ids[:4]})
         cohort = build_cohort(records, rows)
         profiles = aggregate_profiles(cohort, schema)
         assert profiles.identities == ("id0", "id1", "id2")
@@ -414,7 +467,7 @@ class TestAggregation:
         schema = default_schema()
         records = _records(n_identities=1, images_each=4)
         # only 2 of 4 images have attribute rows, both with blur present
-        rows = attribute_table({records[i].image_id: {"blur": 0.5} for i in (0, 1)})
+        rows = attribute_table({records.image_ids[i]: {"blur": 0.5} for i in (0, 1)})
         cohort = build_cohort(records, rows)
         profiles = aggregate_profiles(cohort, schema)
         _, coverage = _row_dicts(profiles.values[0], profiles.coverage[0], schema)

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import (
     attribute_table,
+    cohort_audit,
+    embedding_table,
     profile_rows,
     profile_table,
     scored_trials,
@@ -14,9 +16,9 @@ from conftest import (
     synth_cohort,
     trial_set,
 )
-from faceaudit.cohort import aggregate_profiles
+from faceaudit.cohort import aggregate_profiles, build_cohort
 from faceaudit.errors import DataError
-from faceaudit.pipeline import AuditOptions, audit_cohort, profiles_from_rows, run_audit
+from faceaudit.pipeline import AuditOptions, profiles_from_rows, run_audit
 from faceaudit.report import dump_payload, to_payload
 from faceaudit.schema import default_schema
 from faceaudit.trials import TrialPolicy, TrialSet
@@ -89,9 +91,7 @@ class TestProfilesFromRows:
 class TestRunAudit:
     def test_result_census(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
-        results = audit_cohort(
-            cohort, trials, scores, default_schema(), AuditOptions(), seed=5
-        )
+        results = cohort_audit(cohort, trials, scores, AuditOptions(), seed=5)
         assert results.n_identities == 28
         assert results.n_genuine == 28 * 6
         assert results.n_impostor == 28 * 50
@@ -102,7 +102,7 @@ class TestRunAudit:
     def test_one_analysis_per_policy(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
         options = AuditOptions(policies=("eer", "far@0.01", "far@0.001"))
-        results = audit_cohort(cohort, trials, scores, default_schema(), options)
+        results = cohort_audit(cohort, trials, scores, options)
         assert [a.operating_point.policy for a in results.analyses] == [
             "eer",
             "far@0.01",
@@ -113,7 +113,7 @@ class TestRunAudit:
         from faceaudit.metrics import individual_rates, trial_census
 
         cohort, trials, scores = cohort_and_scores
-        results = audit_cohort(cohort, trials, scores, default_schema(), AuditOptions())
+        results = cohort_audit(cohort, trials, scores, AuditOptions())
         analysis = results.analyses[0]
         census = trial_census(trials, scores)
         far, _ = individual_rates(census, analysis.operating_point.tau)
@@ -127,13 +127,13 @@ class TestRunAudit:
 
     def test_explain_disabled_by_default(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
-        results = audit_cohort(cohort, trials, scores, default_schema(), AuditOptions())
+        results = cohort_audit(cohort, trials, scores, AuditOptions())
         assert results.analyses[0].explain == {}
 
     def test_explain_reports_when_enabled(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
         options = AuditOptions(explain=True)
-        results = audit_cohort(cohort, trials, scores, default_schema(), options)
+        results = cohort_audit(cohort, trials, scores, options)
         explain = results.analyses[0].explain
         assert set(explain) == {"far", "frr"}
         assert explain["far"].n_cases == 28
@@ -148,42 +148,54 @@ class TestRunAudit:
             cohort, policy=TrialPolicy(negatives_per_identity=20)
         )
         options = AuditOptions(explain=True)
-        results = audit_cohort(cohort, trials, scores, default_schema(), options)
+        results = cohort_audit(cohort, trials, scores, options)
         skipped = results.analyses[0].skipped_analyses
         assert "explain_far" in skipped and "explain_frr" in skipped
         assert results.analyses[0].explain == {}
+
+    def test_rank_deficiency_recorded_not_fatal(self):
+        # two cells that differ in both gender and ethnicity: the design's
+        # gender=woman and ethnicity=caucasian columns are the same column
+        cohort, _ = synth_cohort(small_config())
+        trials, scores = scored_trials(cohort)
+        options = AuditOptions(policies=("eer", "far@0.01"), explain=True)
+        results = cohort_audit(cohort, trials, scores, options)
+        for analysis in results.analyses:
+            assert analysis.explain == {}
+            for metric in ("far", "frr"):
+                message = analysis.skipped_analyses[f"explain_{metric}"]
+                assert message == (
+                    "design matrix is rank deficient; dependent column(s): ethnicity=caucasian"
+                )
+            assert set(analysis.kruskal) == {"far", "frr"}
+            cells = [g for g in analysis.groups if not g.group.is_union and not g.is_empty]
+            assert [g.n_members for g in cells] == [12, 12]
 
     def test_missing_scores_rejected(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
         holey = scores.copy()
         holey[0] = np.nan
         with pytest.raises(DataError):
-            audit_cohort(cohort, trials, holey, default_schema(), AuditOptions())
+            cohort_audit(cohort, trials, holey, AuditOptions())
 
     def test_length_mismatch_rejected(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
         with pytest.raises(DataError):
-            audit_cohort(cohort, trials, scores[:-1], default_schema(), AuditOptions())
+            cohort_audit(cohort, trials, scores[:-1], AuditOptions())
 
     def test_continuous_group_by_rejected(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
         from faceaudit.errors import SchemaError
 
         with pytest.raises(SchemaError):
-            audit_cohort(
-                cohort,
-                trials,
-                scores,
-                default_schema(),
-                AuditOptions(group_by=("age",)),
-            )
+            cohort_audit(cohort, trials, scores, AuditOptions(group_by=("age",)))
 
     def test_run_audit_with_external_profiles(self, cohort_and_scores):
         cohort, trials, scores = cohort_and_scores
         schema = default_schema()
         profiles = profiles_from_rows(cohort.images, trials, schema)
         direct = run_audit(trials, scores, profiles, schema, AuditOptions())
-        wrapped = audit_cohort(cohort, trials, scores, schema, AuditOptions())
+        wrapped = cohort_audit(cohort, trials, scores, AuditOptions())
         assert direct.analyses[0].operating_point == wrapped.analyses[0].operating_point
         for a, b in zip(direct.analyses[0].groups, wrapped.analyses[0].groups):
             assert a.n_members == b.n_members
@@ -204,9 +216,19 @@ def mixed_audit():
             ("woman", "asian"): 8,
         }
     )
-    cohort, _ = synth_cohort(config)
-    lone = next(iter(cohort.identities))
-    cohort.identities[lone] = cohort.identities[lone][:1]
+    _, result = synth_cohort(config)
+    # the first identity keeps one of its images
+    records, attributes = result.records, result.attributes
+    keep = [0, *range(4, len(records))]
+    lone = embedding_table(
+        (records.image_ids[i], records.identity_ids[i], records.vectors[i]) for i in keep
+    )
+    lone_rows = dataclasses.replace(
+        attributes,
+        image_ids=tuple(attributes.image_ids[i] for i in keep),
+        values=attributes.values[keep],
+    )
+    cohort = build_cohort(lone, lone_rows)
     with pytest.warns(UserWarning, match="fewer than two images"):
         trials, scores = scored_trials(cohort)
     excluded = trials.identities[3]
@@ -261,7 +283,7 @@ class TestHoistedState:
             cohort, policy=TrialPolicy(negatives_per_identity=20)
         )
         options = AuditOptions(policies=("eer", "far@0.1", "far@0.01"), explain=True)
-        results = audit_cohort(cohort, trials, scores, default_schema(), options)
+        results = cohort_audit(cohort, trials, scores, options)
         messages = {
             (a.skipped_analyses["explain_far"], a.skipped_analyses["explain_frr"])
             for a in results.analyses

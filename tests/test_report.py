@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scored_trials, small_config, synth_cohort
+from conftest import cohort_audit, scored_trials, small_config, synth_cohort
 from faceaudit.errors import DataError
 from faceaudit.metrics import Group, GroupRates
-from faceaudit.pipeline import AuditOptions, AuditResults, audit_cohort
+from faceaudit.pipeline import AuditOptions, AuditResults
 from faceaudit.report import (
     EMPTY_CELL,
     dump_payload,
@@ -46,7 +46,7 @@ def audit_results():
     cohort, _ = synth_cohort(config)
     trials, scores = scored_trials(cohort)
     options = AuditOptions(policies=("eer", "far@0.01"), explain=True)
-    return audit_cohort(cohort, trials, scores, default_schema(), options)
+    return cohort_audit(cohort, trials, scores, options)
 
 
 class TestGroupTable:

@@ -116,10 +116,9 @@ class TestGenerate:
     def test_deterministic(self):
         a = generate(_two_cell_config(seed=5))
         b = generate(_two_cell_config(seed=5))
-        assert len(a.records) == len(b.records)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.image_id == rb.image_id
-            np.testing.assert_array_equal(ra.vector, rb.vector)
+        assert a.records.image_ids == b.records.image_ids
+        assert a.records.identity_ids == b.records.identity_ids
+        assert a.records.vectors.tobytes() == b.records.vectors.tobytes()
         assert a.attributes.image_ids == b.attributes.image_ids
         np.testing.assert_array_equal(a.attributes.values, b.attributes.values)
         assert a.ground_truth == b.ground_truth
@@ -127,20 +126,21 @@ class TestGenerate:
     def test_seed_changes_vectors(self):
         a = generate(_two_cell_config(seed=0))
         b = generate(_two_cell_config(seed=1))
-        assert not np.array_equal(a.records[0].vector, b.records[0].vector)
+        assert not np.array_equal(a.records.vectors[0], b.records.vectors[0])
 
     def test_counts_and_ids(self):
         result = generate(_two_cell_config(n=3))
         assert len(result.records) == 2 * 3 * 4  # cells x identities x images
-        assert result.attributes.image_ids == tuple(r.image_id for r in result.records)
-        identities = {r.identity_id for r in result.records}
-        assert identities == {f"u{i:05d}" for i in range(6)}
-        assert result.records[0].image_id == "u00000_00"
+        assert result.attributes.image_ids == result.records.image_ids
+        assert set(result.records.identity_ids) == {f"u{i:05d}" for i in range(6)}
+        assert result.records.image_ids[0] == "u00000_00"
+        assert result.records.identity_ids[4] == "u00001"
+        assert result.records.vectors.shape == (24, 24)
 
     def test_unit_norm_embeddings(self):
         result = generate(_two_cell_config())
-        for rec in result.records:
-            assert np.linalg.norm(rec.vector) == pytest.approx(1.0, abs=1e-5)
+        norms = np.linalg.norm(result.records.vectors, axis=1)
+        np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
     def test_cells_honoured(self):
         result = generate(_two_cell_config(n=4))
@@ -318,7 +318,16 @@ class TestWriteSynth:
         assert sorted(paths) == ["attributes", "embeddings", "ground_truth", "schema"]
         cohort = load_cohort(paths["embeddings"], paths["attributes"], schema)
         assert len(cohort.identities) == 8
-        assert cohort.unattributed == ()
+        assert cohort.images.image_ids == cohort.image_ids
+        # run-all audits the cohort in memory: the files hold the same one
+        held = build_cohort(result.records, result.attributes)
+        assert cohort.image_ids == held.image_ids
+        assert cohort.identities == held.identities
+        assert cohort.identity_codes.tolist() == held.identity_codes.tolist()
+        assert cohort.vectors.dtype == held.vectors.dtype == np.float32
+        assert cohort.vectors.tobytes() == held.vectors.tobytes()
+        assert cohort.images.image_ids == held.images.image_ids
+        np.testing.assert_array_equal(cohort.images.values, held.images.values)  # NaN == NaN
         assert load_schema(paths["schema"]) == schema
         truth = json.loads(paths["ground_truth"].read_text(encoding="utf-8"))
         assert truth == result.ground_truth

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_map, trial_set
+from conftest import embedding_table, identity_map, image_table, trial_set
 
-from faceaudit.cohort import EmbeddingRecord, build_cohort
+from faceaudit.cohort import build_cohort
 from faceaudit.errors import DataError, TrialError
 from faceaudit.metrics import individual_rates, trial_census
 from faceaudit.trials import (
@@ -22,11 +22,11 @@ from faceaudit.trials import (
 def _cohort(n_identities=8, images_each=4, dim=16, seed=0):
     rng = np.random.default_rng(seed)
     records = [
-        EmbeddingRecord(f"p{i:02d}_{k}", f"p{i:02d}", rng.normal(size=dim).astype(np.float32))
+        (f"p{i:02d}_{k}", f"p{i:02d}", rng.normal(size=dim).astype(np.float32))
         for i in range(n_identities)
         for k in range(images_each)
     ]
-    return build_cohort(records)
+    return build_cohort(embedding_table(records))
 
 
 def _image_pairs(trials):
@@ -48,9 +48,9 @@ def _by_identity(trials):
 
 def _pair_score(u, v):
     """score_trials on one genuine pair whose images hold vectors u and v."""
-    records = [EmbeddingRecord("a_0", "a", np.asarray(u)), EmbeddingRecord("a_1", "a", np.asarray(v))]
+    cohort = build_cohort(embedding_table([("a_0", "a", u), ("a_1", "a", v)]))
     trials = trial_set([("a_0", "a_1")], {"a_0": "a", "a_1": "a"})
-    return float(score_trials(build_cohort(records), trials)[0])
+    return float(score_trials(cohort, trials)[0])
 
 
 def _reference_pairs(cohort, policy, seed):
@@ -60,13 +60,14 @@ def _reference_pairs(cohort, policy, seed):
     image ids and rejection-samples (probe, reference) id pairs from it,
     drawing from the generator in the same order as ``generate_trials``.
     """
-    all_images = [
-        (image, ident) for ident in sorted(cohort.identities) for image in cohort.identities[ident]
-    ]
+    images_of = {}
+    for image, code in zip(cohort.image_ids, cohort.identity_codes.tolist()):
+        images_of.setdefault(cohort.identities[code], []).append(image)
+    all_images = [(image, ident) for ident in sorted(images_of) for image in images_of[ident]]
     rng = np.random.Generator(np.random.PCG64(seed))
     out = []
-    for identity in sorted(cohort.identities):
-        ids = list(cohort.identities[identity])
+    for identity in sorted(images_of):
+        ids = list(images_of[identity])
         if len(ids) < 2:
             continue
         genuine = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
@@ -92,11 +93,11 @@ def _uneven_cohort():
     rng = np.random.default_rng(11)
     sizes = {"ann": 3, "bob": 1, "cat": 7, "dan": 2, "eve": 5, "fay": 1, "gus": 4, "hal": 2, "ivy": 6}
     records = [
-        EmbeddingRecord(f"{name}_{k}", name, rng.normal(size=8).astype(np.float32))
+        (f"{name}_{k}", name, rng.normal(size=8).astype(np.float32))
         for name, size in sizes.items()
         for k in range(size)
     ]
-    return build_cohort(records)
+    return build_cohort(embedding_table(records))
 
 
 class TestTrialPair:
@@ -108,7 +109,7 @@ class TestTrialPair:
             "a,b,genuine,0.9\na,c,impostor,0.1\nc,b,impostor,0.2\n",
             encoding="utf-8",
         )
-        trials, _ = read_trials_csv(path, identity_of)
+        trials, _ = read_trials_csv(path, image_table(identity_of))
         assert trials.genuine.tolist() == [True, False, False]
         assert (trials.n_genuine, trials.n_impostor) == (1, 2)
 
@@ -120,9 +121,9 @@ class TestTrialPair:
             "a_0,a_0,genuine,1.0\n",
             encoding="utf-8",
         )
-        for identity_of in (None, {"a_0": "a", "a_1": "a"}):
+        for table in (None, image_table({"a_0": "a", "a_1": "a"})):
             with pytest.raises(DataError, match="cannot reuse image 'a_0'"):
-                read_trials_csv(path, identity_of)
+                read_trials_csv(path, table)
 
 
 class TestReferenceSampler:
@@ -259,12 +260,12 @@ class TestGenerateTrials:
     def test_single_image_identity_skipped_with_warning(self):
         rng = np.random.default_rng(0)
         records = [
-            EmbeddingRecord(f"p{i}_{k}", f"p{i}", rng.normal(size=8).astype(np.float32))
+            (f"p{i}_{k}", f"p{i}", rng.normal(size=8).astype(np.float32))
             for i in range(4)
             for k in range(3)
         ]
-        records.append(EmbeddingRecord("lone_0", "lone", rng.normal(size=8).astype(np.float32)))
-        cohort = build_cohort(records)
+        records.append(("lone_0", "lone", rng.normal(size=8).astype(np.float32)))
+        cohort = build_cohort(embedding_table(records))
         with pytest.warns(UserWarning, match="lone"):
             trials = generate_trials(
                 cohort, TrialPolicy(negatives_per_identity=8), seed=0
@@ -277,11 +278,11 @@ class TestGenerateTrials:
     def test_too_few_eligible_identities_rejected(self):
         rng = np.random.default_rng(0)
         records = [
-            EmbeddingRecord("a_0", "a", rng.normal(size=8).astype(np.float32)),
-            EmbeddingRecord("a_1", "a", rng.normal(size=8).astype(np.float32)),
-            EmbeddingRecord("b_0", "b", rng.normal(size=8).astype(np.float32)),
+            ("a_0", "a", rng.normal(size=8).astype(np.float32)),
+            ("a_1", "a", rng.normal(size=8).astype(np.float32)),
+            ("b_0", "b", rng.normal(size=8).astype(np.float32)),
         ]
-        cohort = build_cohort(records)
+        cohort = build_cohort(embedding_table(records))
         with pytest.warns(UserWarning):
             with pytest.raises(DataError):
                 generate_trials(cohort, TrialPolicy(negatives_per_identity=1), seed=0)
@@ -340,9 +341,9 @@ class TestScoreTrials:
         cohort = _cohort(n_identities=5, images_each=4)
         trials = generate_trials(cohort, TrialPolicy(), seed=0)
         scores = score_trials(cohort, trials)
+        vector = dict(zip(cohort.image_ids, cohort.vectors.astype(np.float64)))
         for (probe, ref), score in zip(_image_pairs(trials)[:40], scores[:40]):
-            u = cohort.vector(probe).astype(np.float64)
-            v = cohort.vector(ref).astype(np.float64)
+            u, v = vector[probe], vector[ref]
             want = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
             assert score == pytest.approx(want, abs=1e-12)
 
@@ -356,14 +357,67 @@ class TestScoreTrials:
     def test_zero_norm_named(self):
         rng = np.random.default_rng(0)
         records = [
-            EmbeddingRecord(f"p{i}_{k}", f"p{i}", rng.normal(size=4).astype(np.float32))
+            (f"p{i}_{k}", f"p{i}", rng.normal(size=4).astype(np.float32))
             for i in range(5)
             for k in range(2)
         ]
-        records[3] = EmbeddingRecord("p1_1", "p1", np.zeros(4, dtype=np.float32))
-        cohort = build_cohort(records)
+        records[3] = ("p1_1", "p1", np.zeros(4, dtype=np.float32))
+        cohort = build_cohort(embedding_table(records))
         trials = generate_trials(cohort, TrialPolicy(negatives_per_identity=4), seed=0)
         with pytest.raises(DataError, match="p1_1"):
+            score_trials(cohort, trials)
+
+    def test_zero_norm_first_in_pair_order(self):
+        rng = np.random.default_rng(0)
+        records = [
+            (f"p{i}_{k}", f"p{i}", rng.normal(size=4).astype(np.float32))
+            for i in range(4)
+            for k in range(2)
+        ]
+        records[3] = ("p1_1", "p1", np.zeros(4, dtype=np.float32))
+        records[6] = ("p3_0", "p3", np.zeros(4, dtype=np.float32))
+        cohort = build_cohort(embedding_table(records))
+        # p1_1 comes first in the image table, p3_0 first among the pairs
+        trials = trial_set([("p2_0", "p2_1"), ("p3_0", "p1_1")], identity_map(cohort))
+        with pytest.raises(DataError, match="^cannot score zero-norm embedding 'p3_0'$"):
+            score_trials(cohort, trials)
+
+    def test_matches_one_float64_matrix(self):
+        # per-chunk gathers give the bits of one float64 copy of the matrix
+        cohort = _cohort(n_identities=30, images_each=5, dim=64)
+        trials = generate_trials(cohort, TrialPolicy(), seed=2)
+        vectors = cohort.vectors.astype(np.float64)
+        norms = np.linalg.norm(vectors, axis=1)
+        probe, reference = trials.pairs.T
+        want = np.clip(
+            np.einsum("ij,ij->i", vectors[probe], vectors[reference])
+            / (norms[probe] * norms[reference]),
+            -1.0,
+            1.0,
+        )
+        assert score_trials(cohort, trials, chunk_size=100).tobytes() == want.tobytes()
+
+    def test_read_back_trials_rescored(self, tmp_path):
+        # read-back trials hold a table of their own images, not the cohort's
+        cohort = _cohort(n_identities=6, images_each=4)
+        kept = [i for i, image in enumerate(cohort.image_ids) if not image.startswith("p01")]
+        part = build_cohort(
+            embedding_table(
+                (cohort.image_ids[i], cohort.identities[cohort.identity_codes[i]], cohort.vectors[i])
+                for i in kept
+            )
+        )
+        trials = generate_trials(part, TrialPolicy(negatives_per_identity=3), seed=1)
+        path = tmp_path / "pairs.csv"
+        write_trials_csv(path, trials)
+        got, _ = read_trials_csv(path, cohort)
+        assert got.image_ids == part.image_ids != cohort.image_ids
+        assert score_trials(cohort, got).tobytes() == score_trials(part, trials).tobytes()
+
+    def test_image_without_embedding_rejected(self):
+        cohort = _cohort(n_identities=2, images_each=2)
+        trials = trial_set([("p00_0", "ghost")], {"p00_0": "p00", "ghost": "p09"})
+        with pytest.raises(DataError, match="'ghost'"):
             score_trials(cohort, trials)
 
 
@@ -395,8 +449,7 @@ class TestTrialCsv:
         scores = score_trials(cohort, trials)
         path = tmp_path / "trials.csv"
         write_trials_csv(path, trials, scores)
-        identity_of = {r.image_id: r.identity_id for r in cohort.records.values()}
-        got, loaded = read_trials_csv(path, identity_of)
+        got, loaded = read_trials_csv(path, cohort)
         assert _image_pairs(got) == _image_pairs(trials)
         np.testing.assert_array_equal(got.genuine, trials.genuine)
         np.testing.assert_array_equal(loaded, scores)
@@ -406,12 +459,9 @@ class TestTrialCsv:
         trials = generate_trials(cohort, TrialPolicy(), seed=3)
         path = tmp_path / "pairs.csv"
         write_trials_csv(path, trials)
-        identity_of = {r.image_id: r.identity_id for r in cohort.records.values()}
-        got, scores = read_trials_csv(path, identity_of)
+        got, scores = read_trials_csv(path, cohort)
         assert _image_pairs(got) == _image_pairs(trials)
-        assert identity_map(got) == {
-            image: identity_of[image] for image in got.image_ids
-        }
+        assert identity_map(got) == identity_map(cohort)
         assert np.isnan(scores).all()
 
     def test_header_and_columns(self, tmp_path):
@@ -451,7 +501,7 @@ class TestTrialCsv:
             encoding="utf-8",
         )
         with pytest.raises(DataError):
-            read_trials_csv(path, {"a_0": "a", "a_1": "a"})
+            read_trials_csv(path, image_table({"a_0": "a", "a_1": "a"}))
 
     def test_unknown_image_rejected(self, tmp_path):
         path = tmp_path / "trials.csv"
@@ -461,7 +511,7 @@ class TestTrialCsv:
             encoding="utf-8",
         )
         with pytest.raises(DataError):
-            read_trials_csv(path, {"a_0": "a"})
+            read_trials_csv(path, image_table({"a_0": "a"}))
 
     @pytest.mark.parametrize(
         "row, identity_of, reason",
@@ -482,8 +532,9 @@ class TestTrialCsv:
             "a_0,b_0,impostor,0.1\n",
             encoding="utf-8",
         )
+        table = None if identity_of is None else image_table(identity_of)
         with pytest.raises(DataError, match=reason) as info:
-            read_trials_csv(path, identity_of)
+            read_trials_csv(path, table)
         assert str(info.value).startswith(f"{path}:5: ")
 
     def test_bad_header_rejected(self, tmp_path):
@@ -523,6 +574,5 @@ class TestTrialCsv:
         scores = score_trials(cohort, trials)
         path = tmp_path / "trials.csv"
         write_trials_csv(path, trials, scores)
-        identity_of = {r.image_id: r.identity_id for r in cohort.records.values()}
-        _, loaded = read_trials_csv(path, identity_of)
+        _, loaded = read_trials_csv(path, cohort)
         assert all(a == b for a, b in zip(scores, loaded))
