@@ -36,10 +36,11 @@ import math
 import operator
 import struct
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat, tee
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NoReturn
 
 import numpy as np
@@ -165,7 +166,7 @@ def read_embeddings_binary(path: str | Path) -> EmbeddingTable:
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise DataError(f"{path}: bad magic bytes, not an embedding file")
-    if data[4] != _VERSION:
+    if len(data) > 4 and data[4] != _VERSION:  # a missing byte reads as truncation below
         raise DataError(f"{path}: unsupported version {data[4]}")
     offset = 5
     try:
@@ -329,22 +330,33 @@ def read_attributes(path: str | Path, schema: AttributeSchema) -> AttributeTable
     return AttributeTable(image_ids=image_ids, values=values)
 
 
-def _cells(var: Variable, column: np.ndarray):
+def csv_cells(texts: Sequence[str]) -> list[str]:
+    """Each text as ``csv.writer`` writes it as one cell of a row: quoted
+    where it holds the delimiter, a quote or a line break."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerows((text, "") for text in texts)  # beside a second cell, "" stays empty
+    # A cell written unquoted is the text itself: keep it rather than a copy.
+    return [line[:-2] if line[0] == '"' else text for text, line in zip(texts, lines)]
+
+
+def _cells(var: Variable, column: np.ndarray) -> Iterator[str]:
     """A column's cells as the attribute file holds them, made lazily."""
     if var.is_continuous:
         keys, texts = tee(map(float.__repr__, column))
         return map({"nan": ""}.get, keys, texts)  # a missing value is an empty cell
-    labels = (*(var.levels if var.kind == "categorical" else ("0", "1")), "")
+    labels = csv_cells((*(var.levels if var.kind == "categorical" else ("0", "1")), ""))
     codes = np.where(np.isnan(column), len(labels) - 1, column).astype(np.intp)
     return map(labels.__getitem__, codes.tolist())
 
 
 def write_attributes(path: str | Path, table: AttributeTable, schema: AttributeSchema) -> None:
+    """Write the table; each image id and level label is quoted once."""
     columns = [_cells(var, column) for var, column in zip(schema.variables, table.values.T)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["image_id", *schema.names()])
-        writer.writerows(zip(table.image_ids, *columns))
+        csv.writer(fh, lineterminator="\n").writerow(["image_id", *schema.names()])
+        rows = map(",".join, zip(csv_cells(table.image_ids), *columns))
+        fh.writelines(map("{}\n".format, rows))
 
 
 def build_cohort(embeddings: EmbeddingTable, attributes: AttributeTable | None = None) -> Cohort:
@@ -374,11 +386,12 @@ def build_cohort(embeddings: EmbeddingTable, attributes: AttributeTable | None =
     image_ids, identity_ids = embeddings.image_ids, embeddings.identity_ids
     identities = tuple(sorted(set(identity_ids)))
     order = sorted(range(len(image_ids)), key=lambda i: (identity_ids[i], image_ids[i]))
+    in_order = order == list(range(len(order)))  # as synth writes: share the matrix, no copy
     return Cohort(
         image_ids=tuple(map(image_ids.__getitem__, order)),
         identity_codes=positions(identities, identity_ids)[order],
         identities=identities,
-        vectors=embeddings.vectors[order],
+        vectors=embeddings.vectors if in_order else embeddings.vectors[order],
         images=attributes,
     )
 

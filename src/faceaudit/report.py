@@ -103,6 +103,13 @@ def _glyphs_for(p: float, policy) -> str:
     return "".join(glyph for alpha, glyph in policy if p < alpha)
 
 
+def _text(parent: ET.Element, x, y, text: str, anchor: str | None = None) -> None:
+    attrs = {"x": str(x), "y": str(y)}
+    if anchor:
+        attrs["text-anchor"] = anchor
+    ET.SubElement(parent, "text", attrs).text = text
+
+
 def render_heatmap_svg(
     grid,
     p_grid,
@@ -148,30 +155,11 @@ def render_heatmap_svg(
         },
     )
     if title:
-        t = ET.SubElement(svg, "text", {"x": str(left), "y": "18"})
-        t.text = title
+        _text(svg, left, 18, title)
     for j, col in enumerate(col_labels):
-        t = ET.SubElement(
-            svg,
-            "text",
-            {
-                "x": str(left + j * _CELL + _CELL // 2),
-                "y": str(top - 6),
-                "text-anchor": "middle",
-            },
-        )
-        t.text = str(col)
+        _text(svg, left + j * _CELL + _CELL // 2, top - 6, str(col), "middle")
     for i, row in enumerate(row_labels):
-        t = ET.SubElement(
-            svg,
-            "text",
-            {
-                "x": str(left - 6),
-                "y": str(top + i * _CELL + _CELL // 2 + _FONT // 2 - 1),
-                "text-anchor": "end",
-            },
-        )
-        t.text = str(row)
+        _text(svg, left - 6, top + i * _CELL + _CELL // 2 + _FONT // 2 - 1, str(row), "end")
         for j in range(n_cols):
             x = left + j * _CELL
             y = top + i * _CELL
@@ -191,16 +179,7 @@ def render_heatmap_svg(
                 continue
             glyphs = _glyphs_for(float(p_grid[i, j]), glyph_policy)
             if glyphs:
-                g = ET.SubElement(
-                    svg,
-                    "text",
-                    {
-                        "x": str(x + _CELL // 2),
-                        "y": str(y + _CELL // 2 + _FONT // 2 - 1),
-                        "text-anchor": "middle",
-                    },
-                )
-                g.text = glyphs
+                _text(svg, x + _CELL // 2, y + _CELL // 2 + _FONT // 2 - 1, glyphs, "middle")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(
         svg, encoding="unicode"
     )

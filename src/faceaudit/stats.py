@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -295,6 +296,17 @@ class DesignMatrix:
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
+    @cached_property
+    def _qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, R, R^-1) of the design, factored once for every response
+        fitted against it; a rank-deficient design raises each time."""
+        q, r = np.linalg.qr(self.matrix)
+        diag = np.abs(np.diag(r))
+        bad = diag <= _RANK_TOL * diag.max()
+        if bad.any():
+            raise RankDeficiencyError([self.column_names[i] for i in np.flatnonzero(bad)])
+        return q, r, np.linalg.solve(r, np.eye(self.n_columns))
+
 
 @dataclass(frozen=True)
 class RegressionFit:
@@ -329,7 +341,8 @@ _RANK_TOL = 1e-10
 
 
 def fit_ols(design: DesignMatrix, y) -> RegressionFit:
-    """Least-squares fit of y on the design via QR factorization.
+    """Least-squares fit of y on the design via QR factorization, which
+    the design computes once and keeps for every later fit.
 
     Standard errors come from s^2 * diag((X'X)^-1) computed through the
     triangular factor, t statistics use dof = rows - columns, and the
@@ -347,20 +360,13 @@ def fit_ols(design: DesignMatrix, y) -> RegressionFit:
     if n <= p:
         raise DataError(f"fit requires more rows than columns, got {n} rows x {p} columns")
 
-    q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    threshold = _RANK_TOL * diag.max()
-    bad = diag <= threshold
-    if bad.any():
-        raise RankDeficiencyError([design.column_names[i] for i in np.flatnonzero(bad)])
-
+    q, r, r_inv = design._qr
     beta = np.linalg.solve(r, q.T @ yv)
     residuals = yv - x @ beta
     dof = n - p
     rss = float(residuals @ residuals)
     s2 = rss / dof
 
-    r_inv = np.linalg.solve(r, np.eye(p))
     xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
     std_errors = np.sqrt(s2 * xtx_inv_diag)
 

@@ -142,20 +142,16 @@ def _rescaled(value: float, var) -> float:
     return (2.0 * value - lo - hi) / (hi - lo)
 
 
-def _draw_trait(var, rng) -> float:
+def _trait(var, level: str | None, rng) -> float:
+    """An identity's value of ``var``: its cell's ``level``, else a draw."""
+    if level is not None:
+        return float(var.levels.index(level) if var.kind == "categorical" else int(level))
     if var.kind == "boolean":
         return 1.0 if rng.random() < 0.15 else 0.0
     if var.kind == "categorical":
         return float(rng.integers(len(var.levels)))
     lo, hi = var.bounds()
     return float(rng.uniform(lo, hi))
-
-
-def _jitter(trait: float, var, rng) -> float:
-    if not var.is_continuous:
-        return trait
-    lo, hi = var.bounds()
-    return min(max(trait + rng.normal(0.0, 0.03 * (hi - lo)), lo), hi)
 
 
 def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> SynthResult:
@@ -171,32 +167,28 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
     # which are computed for all identities at once.  So the attributes
     # are drawn first; each identity's residual and scatter draws are
     # skipped then and drawn again below from the saved generator state.
-    # The stream is unchanged, and no draws are held in memory.
-    cells = [
-        cell
-        for cell in sorted(config.identities_per_group)
-        for _ in range(config.identities_per_group[cell])
-    ]
+    # Jitter and scatter are drawn one block per identity, which takes
+    # the values one call per value would: the stream is unchanged.
+    counts = config.identities_per_group
+    cells = [cell for cell in sorted(counts) for _ in range(counts[cell])]
     per = config.images_per_identity
-    values = np.empty((len(cells) * per, len(schema.variables)))
+    continuous = [j for j, var in enumerate(schema.variables) if var.is_continuous]
+    lo, hi = np.array([schema.variables[j].bounds() for j in continuous]).reshape(-1, 2).T
+    jitter_sd = np.tile(0.03 * (hi - lo), (per, 1))  # one row per image
+    traits = np.empty((len(cells), len(schema.variables)))
+    jitter = np.empty((len(cells), per, len(continuous)))
     states = []  # generator state before each identity's residual draw
     skipped = np.empty((1 + per, config.dim))
     for u, cell in enumerate(cells):
         cell_levels = dict(zip(config.group_attributes, cell))
-        traits: dict[str, float] = {}
-        for var in schema.variables:
-            if var.name in cell_levels:
-                level = cell_levels[var.name]
-                if var.kind == "categorical":
-                    traits[var.name] = float(var.levels.index(level))
-                else:
-                    traits[var.name] = float(int(level))
-            else:
-                traits[var.name] = _draw_trait(var, rng)
-        for k in range(per):
-            values[u * per + k] = [_jitter(traits[var.name], var, rng) for var in schema.variables]
+        traits[u] = [_trait(var, cell_levels.get(var.name), rng) for var in schema.variables]
+        jitter[u] = rng.normal(0.0, jitter_sd)
         states.append(rng.bit_generator.state)
         rng.standard_normal(out=skipped)
+    # Each image's continuous values drift from its identity's traits.
+    values = np.repeat(traits, per, axis=0)
+    drifted = values[:, continuous] + jitter.reshape(-1, len(continuous))
+    values[:, continuous] = np.minimum(np.maximum(drifted, lo), hi)
 
     image_ids = tuple(f"u{u:05d}_{k:02d}" for u in range(len(cells)) for k in range(per))
     attributes = AttributeTable(image_ids=image_ids, values=values)
@@ -204,9 +196,9 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
     aggregated_rows, _, _ = aggregate_table(attributes, image_ids, codes, len(cells), schema)
     vectors = np.empty((len(image_ids), config.dim), dtype=np.float32)
     identity_truth: dict[str, dict] = {}
+    names = schema.names()
     for u, (cell, row) in enumerate(zip(cells, aggregated_rows.tolist())):
-        identity_id = f"u{u:05d}"
-        aggregated = dict(zip(schema.names(), row))
+        aggregated = dict(zip(names, row))
         pull = base_pull - config.group_margin_shift.get(cell, 0.0)
         noise = config.noise_scale + config.group_noise_shift.get(cell, 0.0)
         for effect in config.attribute_effects:
@@ -217,20 +209,18 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
                 pull += shift
             else:
                 noise += shift
-        pull = max(pull, _MIN_PULL)
-        noise = max(noise, _MIN_NOISE)
+        pull, noise = max(pull, _MIN_PULL), max(noise, _MIN_NOISE)
 
         rng.bit_generator.state = states[u]
         residual = rng.standard_normal(config.dim)
         residual /= np.linalg.norm(residual)
         centroid = residual + pull * hub
         centroid /= np.linalg.norm(centroid)
-        for k in range(per):
-            scatter = rng.standard_normal(config.dim) / np.sqrt(config.dim)
-            vec = centroid + noise * scatter
-            vec /= np.linalg.norm(vec)
-            vectors[u * per + k] = vec
-        identity_truth[identity_id] = {
+        images = centroid + noise * (rng.standard_normal((per, config.dim)) / np.sqrt(config.dim))
+        for vec in images:
+            vec /= np.linalg.norm(vec)  # row by row: a 2-D norm sums in another order
+        vectors[u * per : (u + 1) * per] = images
+        identity_truth[f"u{u:05d}"] = {
             "cell": list(cell),
             "pull": pull,
             "noise": noise,

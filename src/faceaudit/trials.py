@@ -19,14 +19,14 @@ import warnings
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count, islice, repeat
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
-from faceaudit.cohort import Cohort, ImageTable, positions
+from faceaudit.cohort import Cohort, ImageTable, csv_cells, positions
 from faceaudit.errors import DataError, TrialError
 
 _POSITIVE_MODES = ("all_pairs_capped", "sample")
@@ -57,6 +57,11 @@ class TrialPolicy:
             raise TrialError("negatives_per_identity must be >= 0")
         if self.positive_mode == "sample" and self.positives_per_identity is None:
             raise TrialError("positive_mode='sample' requires an explicit positive count")
+
+    def n_genuine(self, n_own: int) -> int:
+        """How many genuine pairs an identity with ``n_own`` images gets."""
+        n_all, cap = n_own * (n_own - 1) // 2, self.positives_per_identity
+        return n_all if cap is None else min(n_all, cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,53 +95,51 @@ class TrialSet(ImageTable):
         return len(self.pairs) - self.n_genuine
 
 
-def _genuine_pairs(start: int, n_own: int, policy: TrialPolicy, rng) -> list[tuple[int, int]]:
+@cache
+def _upper_pairs(n_own: int) -> np.ndarray:
+    """Every (i, j) with i < j < ``n_own``, ordered by i, then j; shared, so read-only."""
+    pairs = np.stack(np.triu_indices(n_own, k=1), axis=1)
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _genuine_pairs(start: int, n_own: int, policy: TrialPolicy, rng) -> np.ndarray:
     """Genuine pairs among the ``n_own`` image rows beginning at ``start``."""
-    all_pairs = [
-        (start + i, start + j) for i in range(n_own) for j in range(i + 1, n_own)
-    ]
-    cap = policy.positives_per_identity
-    if policy.positive_mode == "sample":
-        cap = min(cap, len(all_pairs))
-    elif cap is None or len(all_pairs) <= cap:
-        return all_pairs
-    chosen = rng.choice(len(all_pairs), size=cap, replace=False)
-    return [all_pairs[i] for i in sorted(chosen)]
+    pairs = _upper_pairs(n_own)
+    size = policy.n_genuine(n_own)
+    if policy.positive_mode == "sample" or size < len(pairs):
+        pairs = pairs[np.sort(rng.choice(len(pairs), size=size, replace=False))]
+    return start + pairs
 
 
 def _impostor_pairs(
     identity: str, start: int, n_own: int, n_images: int, policy: TrialPolicy, rng
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Draw distinct cross-identity pairs by rejection sampling.
 
     Each draw picks one of this identity's images uniformly and one
     image of any other identity uniformly; duplicates of an already
     drawn (probe, reference) pair are rejected and redrawn.  The
     identity's own rows are ``start .. start + n_own - 1``; the second
-    draw indexes the remaining rows and skips over that block.
+    draw indexes the remaining rows and skips over that block.  One
+    ``integers`` call, bounds alternating ``(n_own, n_other)``, draws
+    every missing pair; it takes the values one call per value would,
+    and redraws only the shortfall, so the stream is unchanged.
     """
     need = policy.negatives_per_identity
-    if need == 0:
-        return []
     n_other = n_images - n_own
     if n_own * n_other < need:
         raise TrialError(
             f"identity {identity!r}: only {n_own * n_other} distinct impostor pairs "
             f"available, policy requires {need}"
         )
-    seen: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    while len(pairs) < need:
-        probe = start + int(rng.integers(n_own))
-        reference = int(rng.integers(n_other))
-        if reference >= start:
-            reference += n_own
-        key = probe * n_images + reference
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append((probe, reference))
-    return pairs
+    keys: dict[int, None] = {}  # probe * n_images + reference, first draws first
+    while len(keys) < need:
+        bounds = np.tile((n_own, n_other), need - len(keys))
+        probe, reference = rng.integers(0, bounds).reshape(-1, 2).T
+        reference += (reference >= start) * n_own
+        keys.update(dict.fromkeys(((start + probe) * n_images + reference).tolist()))
+    return np.stack(np.divmod(np.fromiter(keys, np.intp, need), n_images), axis=1)
 
 
 def generate_trials(cohort: Cohort, policy: TrialPolicy, seed: int) -> TrialSet:
@@ -157,20 +160,23 @@ def generate_trials(cohort: Cohort, policy: TrialPolicy, seed: int) -> TrialSet:
 
     n_images = len(cohort.image_ids)
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = array("q")  # (probe, reference) image rows, flattened
-    start = 0
+    n_pairs = sum(policy.n_genuine(n) + policy.negatives_per_identity for n in sizes if n >= 2)
+    pairs = np.empty((n_pairs, 2), dtype=np.intp)
+    start = row = 0
     for identity, n_own in zip(cohort.identities, sizes):
         if n_own >= 2:
-            for pair in _genuine_pairs(start, n_own, policy, rng):
-                rows.extend(pair)
-            for pair in _impostor_pairs(identity, start, n_own, n_images, policy, rng):
-                rows.extend(pair)
+            for block in (
+                _genuine_pairs(start, n_own, policy, rng),
+                _impostor_pairs(identity, start, n_own, n_images, policy, rng),
+            ):
+                pairs[row : row + len(block)] = block
+                row += len(block)
         start += n_own
     return TrialSet(
         image_ids=cohort.image_ids,
         identity_codes=cohort.identity_codes,
         identities=cohort.identities,
-        pairs=np.array(rows, dtype=np.intp).reshape(-1, 2),
+        pairs=pairs,
         skipped_identities=skipped,
     )
 
@@ -224,15 +230,16 @@ def write_trials_csv(
     """Export pairs as delimited text; the score cell is empty when unscored."""
     if scores is not None and len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
-    # Rows are produced lazily, so no per-row Python objects pile up.
-    probes = map(trials.image_ids.__getitem__, trials.pairs[:, 0])
-    references = map(trials.image_ids.__getitem__, trials.pairs[:, 1])
+    # Rows are produced lazily, so no per-row Python objects pile up;
+    # each image id is quoted once, as csv.writer would quote it.
+    ids = csv_cells(trials.image_ids)
+    probes = map(ids.__getitem__, trials.pairs[:, 0])
+    references = map(ids.__getitem__, trials.pairs[:, 1])
     labels = map(_LABELS.__getitem__, trials.genuine.tolist())
-    cells = repeat("") if scores is None else map(repr, map(float, scores))
+    cells = repeat("") if scores is None else map(float.__repr__, np.asarray(scores, float))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(zip(probes, references, labels, cells))
+        fh.write(",".join(_CSV_HEADER) + "\n")
+        fh.writelines(map("{},{},{},{}\n".format, probes, references, labels, cells))
 
 
 def _line_of(path: str | Path, index: int) -> int:

@@ -145,6 +145,25 @@ class TestDataErrors:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"", "no embedding records"),  # no magic bytes: read as an empty text file
+            (b"FREB", "truncated or corrupt embedding file"),
+            (b"FREB\x01", "truncated or corrupt embedding file"),
+        ],
+        ids=["0-bytes", "4-bytes", "5-bytes"],
+    )
+    def test_short_embedding_file(self, tmp_path, capsys, content, message):
+        path = tmp_path / "short.freb"
+        path.write_bytes(content)
+        out = tmp_path / "pairs.csv"
+        rc = main(["pairs", "--embeddings", str(path), "--out", str(out)])
+        err = capsys.readouterr().err.strip()
+        assert rc == 2
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_audit_rejects_unscored_pairs(self, workspace, tmp_path, capsys):
         rc = main(
             [

@@ -1,5 +1,6 @@
 """Tests for cohort assembly, embedding I/O, and attribute aggregation."""
 
+import csv
 import struct
 from collections import Counter
 
@@ -214,6 +215,39 @@ class TestAttributeCsv:
         assert loaded.image_ids == ("img0", "img1")
         assert attribute_rows(loaded, schema) == rows
 
+    def test_quoted_cells_match_csv_writer(self, tmp_path):
+        # ids and level labels holding the delimiter, a quote or a line
+        # break are quoted as csv.writer quotes them, and read back
+        schema = AttributeSchema(
+            variables=(
+                Variable("group", "protected", "categorical", levels=("a,b", 'say "hi"', "plain")),
+                Variable("blur", "distortion", "continuous_unit"),
+                Variable("glasses", "accessory", "boolean"),
+            ),
+            protected_names=("group",),
+        )
+        rows = {
+            'x,1': {"group": 0.0, "blur": 0.1, "glasses": 1.0},
+            'y"2': {"group": 1.0, "blur": 1 / 3},
+            "z\n3": {"group": 2.0, "glasses": 0.0},
+            '"w"': {"blur": 5e-324},
+        }
+        path = tmp_path / "attrs.csv"
+        write_attributes(path, attribute_table(rows, schema), schema)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["image_id", "group", "blur", "glasses"])
+            for image, row in rows.items():
+                group = schema.variables[0].levels[int(row["group"])] if "group" in row else ""
+                blur = repr(row["blur"]) if "blur" in row else ""
+                glasses = str(int(row["glasses"])) if "glasses" in row else ""
+                writer.writerow([image, group, blur, glasses])
+        assert path.read_bytes() == reference.read_bytes()
+        loaded = read_attributes(path, schema)
+        assert loaded.image_ids == tuple(rows)
+        assert attribute_rows(loaded, schema) == rows
+
     def test_accepts_level_indices(self, tmp_path):
         schema = default_schema()
         path = tmp_path / "attrs.csv"
@@ -319,6 +353,13 @@ class TestBuildCohort:
         # the image table of the file order sorted, the vectors in its rows
         assert cohort.image_ids == records.image_ids
         assert cohort.vectors.tobytes() == records.vectors.tobytes()
+        assert not np.shares_memory(cohort.vectors, shuffled.vectors)
+
+    def test_sorted_table_shares_its_matrix(self):
+        # a table already in cohort order, as synth makes it, is not copied
+        records = _records(n_identities=3, images_each=3)
+        cohort = build_cohort(records)
+        assert cohort.vectors is records.vectors
 
     def test_unattributed_listed(self):
         records = _records(n_identities=1, images_each=2)

@@ -309,6 +309,22 @@ class TestDesignMatrix:
 
 
 class TestFitOls:
+    def test_design_factored_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.ones(40), rng.normal(size=(40, 3))])
+        responses = [rng.normal(size=40) for _ in range(4)]
+        fresh = [fit_ols(_design(X), y) for y in responses]  # one design per fit
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda m: calls.append(m) or qr(m))
+        design = _design(X)
+        shared = [fit_ols(design, y) for y in responses]
+        assert len(calls) == 1
+        for a, b in zip(fresh, shared):
+            for name in ("coefficients", "std_errors", "t_stats", "p_values", "residuals"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            for name in ("r_squared", "f_statistic", "f_p_value"):
+                assert getattr(a, name) == getattr(b, name)
+
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(1)
         X = np.column_stack([np.ones(40), rng.normal(size=(40, 3))])

@@ -8,7 +8,13 @@ from conftest import attribute_rows, profile_rows
 
 from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cli import main
-from faceaudit.cohort import aggregate_profiles, build_cohort, load_cohort
+from faceaudit.cohort import (
+    AttributeTable,
+    aggregate_profiles,
+    aggregate_table,
+    build_cohort,
+    load_cohort,
+)
 from faceaudit.errors import DataError, SchemaError
 from faceaudit.schema import default_schema, load_schema
 from faceaudit.synth import (
@@ -215,6 +221,95 @@ class TestGenerate:
         exposure = np.array([t["attributes"]["exposure"] for t in truth.values()])
         noise = np.array([t["noise"] for t in truth.values()])
         assert np.corrcoef(exposure, noise)[0, 1] > 0.99
+
+
+def _loop_generate(config, schema):
+    """``generate`` with one generator call per drawn value, in one pass.
+
+    Returns (vectors, attribute values, per-identity ground truth).  An
+    identity's draws come in stream order: traits, each image's jitter,
+    the residual, each image's scatter; its aggregated attributes need
+    only its own rows, so one pass per identity keeps that order."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    dim, per = config.dim, config.images_per_identity
+    hub = np.ones(dim) / np.sqrt(dim)
+    counts = config.identities_per_group
+    cells = [cell for cell in sorted(counts) for _ in range(counts[cell])]
+    vectors, values, truth = [], [], {}
+    for u, cell in enumerate(cells):
+        levels = dict(zip(config.group_attributes, cell))
+        traits = []
+        for var in schema.variables:
+            if var.name in levels:
+                level = levels[var.name]
+                code = var.levels.index(level) if var.kind == "categorical" else int(level)
+                traits.append(float(code))
+            elif var.kind == "boolean":
+                traits.append(1.0 if rng.random() < 0.15 else 0.0)
+            elif var.kind == "categorical":
+                traits.append(float(rng.integers(len(var.levels))))
+            else:
+                traits.append(float(rng.uniform(*var.bounds())))
+        rows = []
+        for _ in range(per):
+            row = []
+            for var, trait in zip(schema.variables, traits):
+                if var.is_continuous:
+                    lo, hi = var.bounds()
+                    trait = min(max(trait + rng.normal(0.0, 0.03 * (hi - lo)), lo), hi)
+                row.append(trait)
+            rows.append(row)
+        values += rows
+        ids = [f"u{u:05d}_{k:02d}" for k in range(per)]
+        table = AttributeTable(tuple(ids), np.array(rows))
+        (row,), _, _ = aggregate_table(table, ids, np.zeros(per, dtype=int), 1, schema)
+        aggregated = dict(zip(schema.names(), row.tolist()))
+        pull = (1.0 - config.base_margin) - config.group_margin_shift.get(cell, 0.0)
+        noise = config.noise_scale + config.group_noise_shift.get(cell, 0.0)
+        for effect in config.attribute_effects:
+            lo, hi = schema.variable(effect.variable).bounds()
+            shift = effect.strength * ((2.0 * aggregated[effect.variable] - lo - hi) / (hi - lo))
+            if effect.target == "far":
+                pull += shift
+            else:
+                noise += shift
+        pull, noise = max(pull, 0.0), max(noise, 0.01)
+        residual = rng.standard_normal(dim)
+        residual /= np.linalg.norm(residual)
+        centroid = residual + pull * hub
+        centroid /= np.linalg.norm(centroid)
+        for _ in range(per):
+            vec = centroid + noise * (rng.standard_normal(dim) / np.sqrt(dim))
+            vectors.append(vec / np.linalg.norm(vec))
+        truth[f"u{u:05d}"] = {
+            "cell": list(cell),
+            "pull": pull,
+            "noise": noise,
+            "attributes": dict(sorted(aggregated.items())),
+        }
+    return np.array(vectors, dtype=np.float32), np.array(values), truth
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("per", [2, 4, 7])
+    def test_batched_draws_match_one_call_per_value(self, per):
+        config = _two_cell_config(
+            n=6,
+            seed=per,
+            images_per_identity=per,
+            group_margin_shift={("man", "asian"): -0.1},
+            group_noise_shift={("woman", "caucasian"): 0.3},
+            attribute_effects=(
+                AttributeEffect("blur", "far", 0.3),
+                AttributeEffect("age", "frr", 0.4),
+                AttributeEffect("eyes_occluded", "frr", 0.2),
+            ),
+        )
+        result = generate(config)
+        vectors, values, truth = _loop_generate(config, default_schema())
+        assert result.records.vectors.tobytes() == vectors.tobytes()
+        assert result.attributes.values.tobytes() == values.tobytes()
+        assert json.dumps(result.ground_truth["identities"]) == json.dumps(truth)
 
 
 # Sets every SynthConfig key; integers stand in for two float fields.

@@ -1,5 +1,8 @@
 """Tests for trial-pair generation, scoring, decisions, and CSV round-trips."""
 
+import csv
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +146,60 @@ class TestReferenceSampler:
         cohort = _uneven_cohort() if uneven else _cohort(n_identities=6, images_each=4)
         trials = generate_trials(cohort, policy, seed=seed)
         assert _image_pairs(trials) == _reference_pairs(cohort, policy, seed)
+
+    @pytest.mark.filterwarnings("ignore:identity .* has fewer than two images")
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize(
+        "make_cohort, policy",
+        [
+            # 60 of the 4 * 16 = 64 possible impostor pairs: many redraws
+            (
+                partial(_cohort, n_identities=5, images_each=4),
+                TrialPolicy(negatives_per_identity=60),
+            ),
+            (_uneven_cohort, TrialPolicy(negatives_per_identity=6)),
+        ],
+        ids=["high-collision", "uneven-few-negatives"],
+    )
+    def test_batched_redraws_keep_the_stream(self, make_cohort, policy, seed):
+        cohort = make_cohort()
+        trials = generate_trials(cohort, policy, seed=seed)
+        assert _image_pairs(trials) == _reference_pairs(cohort, policy, seed)
+
+
+class TestBatchedDraws:
+    """The samplers draw a batch per identity where one call per value
+    was made before.  That keeps every output byte only because numpy
+    hands a batch the same values, and leaves the generator in the same
+    state, as the scalar calls; if a numpy release changes this, these
+    tests fail rather than the pair lists changing silently."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "half-used-buffer"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize(
+        "bounds",
+        [(4, 9596), (3, 3_000_000_001), (2_500_000_000, 7), (2**32 - 1, 5), (2**32, 2**32 + 1)],
+    )
+    def test_array_bounds_match_alternating_scalar_draws(self, bounds, seed, warm):
+        batched, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        if warm:  # a bounded 32-bit draw keeps the other half of a 64-bit draw
+            batched.integers(5), scalar.integers(5)
+        drawn = batched.integers(0, np.tile(bounds, 40))
+        expected = [int(scalar.integers(bound)) for _ in range(40) for bound in bounds]
+        assert drawn.tolist() == expected
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_normal_blocks_match_scalar_draws(self, seed):
+        batched, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        sd = np.tile([0.03, 0.03 * 99.0, 0.03 * 360.0], (4, 1))
+        assert batched.normal(0.0, sd).ravel().tolist() == [
+            scalar.normal(0.0, s) for s in sd.ravel().tolist()
+        ]
+        block = batched.standard_normal((3, 5))
+        rows = [scalar.standard_normal(5) for _ in range(3)]
+        assert block.tobytes() == np.array(rows).tobytes()
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 class TestTrialPolicy:
@@ -566,6 +623,29 @@ class TestTrialCsv:
         trials = generate_trials(cohort, TrialPolicy(negatives_per_identity=5), seed=0)
         with pytest.raises(DataError):
             write_trials_csv(tmp_path / "x.csv", trials, np.zeros(3))
+
+    def test_quoted_ids_match_csv_writer(self, tmp_path):
+        # ids holding the delimiter, a quote or a line break are quoted
+        # as csv.writer quotes them, and read back unchanged
+        identity_of = {'a,1': "a", 'a"2': "a", "b\n1": "b", '"b2"': "b", " c 1": "c", "c2,": "c"}
+        pairs = [('a,1', 'a"2'), ("b\n1", '"b2"'), (" c 1", "c2,"), ('a"2', "b\n1"), ("c2,", 'a,1')]
+        trials = trial_set(pairs, identity_of)
+        scores = np.array([0.5, -0.25, 1 / 3, 1e-300, -0.0])
+        for cells in (scores, None):
+            path = tmp_path / "trials.csv"
+            write_trials_csv(path, trials, cells)
+            reference = tmp_path / "reference.csv"
+            with open(reference, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["probe_image_id", "reference_image_id", "label", "score"])
+                texts = [""] * 5 if cells is None else map(repr, scores.tolist())
+                for (probe, ref), genuine, text in zip(pairs, trials.genuine.tolist(), texts):
+                    writer.writerow([probe, ref, "genuine" if genuine else "impostor", text])
+            assert path.read_bytes() == reference.read_bytes()
+            got, loaded = read_trials_csv(path, trials)
+            assert _image_pairs(got) == pairs
+            if cells is not None:
+                assert loaded.tobytes() == scores.tobytes()
 
     def test_scores_survive_exactly(self, tmp_path):
         # repr round-trips float64 exactly
