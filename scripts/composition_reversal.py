@@ -11,7 +11,6 @@ import argparse
 from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cohort import aggregate_profiles, build_cohort
 from faceaudit.metrics import (
-    GroupSpec,
     group_membership,
     group_rates,
     individual_rates,
@@ -35,7 +34,7 @@ def run(seed: int) -> None:
     far, frr = individual_rates(census, op.tau)
     # The trials cover every cohort identity, so the rates align with the profile rows.
     profiles = aggregate_profiles(cohort, schema)
-    membership = group_membership(profiles, GroupSpec(("gender", "ethnicity")), schema)
+    membership = group_membership(profiles, ("gender", "ethnicity"), schema)
     groups = group_rates(far, frr, membership)
 
     print(f"seed {seed}: tau={op.tau:.4f} far={op.far:.4f} frr={op.frr:.4f}")

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-import types
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +28,8 @@ import numpy as np
 from faceaudit import __version__
 from faceaudit.calibration import calibrate, parse_policy, sweep_rates
 from faceaudit.cohort import aggregate_profiles, build_cohort, load_cohort, read_attributes
-from faceaudit.errors import DataError, NumericalError, SchemaError
-from faceaudit.metrics import GroupSpec
+from faceaudit.errors import DataError, NumericalError
+from faceaudit.inputs import from_json, read_json
 from faceaudit.pipeline import AuditOptions, AuditResults, profiles_from_rows, run_audit
 from faceaudit.report import dump_payload, emit_bundle, render_from_file
 from faceaudit.schema import default_schema, load_schema
@@ -44,9 +41,6 @@ from faceaudit.trials import (
     score_trials,
     write_trials_csv,
 )
-
-_DEFAULT_GROUP_BY = "gender,ethnicity"
-
 
 class _UsageError(Exception):
     pass
@@ -103,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True, metavar="PATH")
     p.add_argument("--positives", type=int, default=6, metavar="N")
     p.add_argument("--negatives", type=int, default=50, metavar="N")
-    p.add_argument(
-        "--positive-mode", choices=("all_pairs_capped", "sample"), default="all_pairs_capped"
-    )
     p.add_argument("--all-positives", action="store_true", help="keep every genuine pair")
 
     p = sub.add_parser("score", parents=[common], help="score pairs with cosine similarity")
@@ -144,98 +135,22 @@ def _load_schema(args):
     return load_schema(args.schema) if args.schema else default_schema()
 
 
-def _group_by(args) -> tuple[str, ...]:
-    text = args.group_by or _DEFAULT_GROUP_BY
-    attrs = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not attrs:
-        raise _UsageError("--group-by needs at least one attribute name")
-    return attrs
-
-
-def _policies(args) -> tuple[str, ...]:
-    return tuple(args.threshold_policy) if args.threshold_policy else ("eer",)
-
-
-def _read_json(path: str | Path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed JSON: {exc}") from exc
-
-
-# annotation -> (accepted JSON value types, what a message asks for)
-_JSON_SCALARS = {
-    str: (str, "a string"),
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    bool: (bool, "true or false"),
-}
-
-
-def _expect(ok: bool, path: str, expected: str, value) -> None:
-    if not ok:
-        raise DataError(f"{path} must be {expected}, got {json.dumps(value)}")
-
-
-def _typed(hint, value, path: str):
-    """``value`` checked against the annotation ``hint`` and converted to it."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        (inner,) = [arg for arg in args if arg is not type(None)]
-        return None if value is None else _typed(inner, value, path)
-    if dataclasses.is_dataclass(hint):
-        return _from_json(hint, value, path)
-    if origin is tuple:  # tuple[X, ...]
-        _expect(isinstance(value, list), path, "a list", value)
-        return tuple(_typed(args[0], item, f"{path}[{i}]") for i, item in enumerate(value))
-    if origin is dict:  # tuple keys are written "level,level"
-        _expect(isinstance(value, dict), path, "a JSON object", value)
-        key_hint, value_hint = args
-        split = key_hint is not str
-        return {
-            tuple(key.split(",")) if split else key: _typed(value_hint, item, f"{path}[{key!r}]")
-            for key, item in value.items()
-        }
-    accepted, expected = _JSON_SCALARS[hint]
-    ok = isinstance(value, accepted) and isinstance(value, bool) == (hint is bool)
-    _expect(ok, path, expected, value)
-    return hint(value)
-
-
-def _from_json(cls, data, where: str, **defaults):
-    """Build the dataclass ``cls`` from a JSON object; the field
-    annotations are the schema.
-
-    ``defaults`` replace the dataclass defaults of absent keys.  Every
-    error names the failing key path under ``where``.  The classes'
-    own validation messages begin with the field name, so they are
-    prefixed with ``where`` too.
-    """
-    _expect(isinstance(data, dict), where, "a JSON object", data)
-    hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(data) - {f.name for f in fields})
-    if unknown:
-        raise DataError(f"{where}.{unknown[0]} is not a known key")
-    values = defaults  # a fresh dict on every call
-    for f in fields:
-        if f.name in data:
-            values[f.name] = _typed(hints[f.name], data[f.name], f"{where}.{f.name}")
-        elif f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
-            raise DataError(f"{where}.{f.name} is required")
-    try:
-        return cls(**values)
-    except DataError as exc:
-        raise DataError(f"{where}.{exc}") from None
+def _with_flags(options: AuditOptions, args) -> AuditOptions:
+    """``options`` with the ``--threshold-policy`` and ``--group-by`` flags applied."""
+    if args.threshold_policy:
+        options = dataclasses.replace(options, policies=tuple(args.threshold_policy))
+    if args.group_by:
+        group_by = tuple(part.strip() for part in args.group_by.split(",") if part.strip())
+        options = dataclasses.replace(options, group_by=group_by)
+    return options
 
 
 def _cmd_synth(args) -> int:
     outdir = _require_out(args)
-    data = _read_json(args.config)
+    data = read_json(args.config)
     if isinstance(data, dict):
         data = data.get("synth", data)
-    config = _from_json(SynthConfig, data, "synth")
+    config = from_json(SynthConfig, data, "synth")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     schema = _load_schema(args)
@@ -254,7 +169,6 @@ def _cmd_pairs(args) -> int:
     policy = TrialPolicy(
         positives_per_identity=None if args.all_positives else args.positives,
         negatives_per_identity=args.negatives,
-        positive_mode=args.positive_mode,
     )
     trials = generate_trials(cohort, policy, args.seed if args.seed is not None else 0)
     write_trials_csv(out, trials, None)
@@ -288,7 +202,8 @@ def _split_scores(path):
 def _cmd_calibrate(args) -> int:
     scores, labels = _split_scores(args.scores)
     curve = sweep_rates(scores[labels], scores[~labels])
-    points = [calibrate(curve, policy) for policy in _policies(args)]
+    policies = args.threshold_policy or AuditOptions().policies
+    points = [calibrate(curve, policy) for policy in policies]
     payload = {
         "operating_points": [
             {"policy": op.policy, "tau": op.tau, "far": op.far, "frr": op.frr}
@@ -307,6 +222,8 @@ def _cmd_calibrate(args) -> int:
 def _audit_like(args, explain: bool) -> int:
     outdir = _require_out(args)
     schema = _load_schema(args)
+    options = _with_flags(AuditOptions(explain=explain, standardize=args.standardize), args)
+    schema.check_grouping(options.group_by, group_key="--group-by")
     if args.embeddings:
         cohort = load_cohort(args.embeddings, args.attributes, schema)
         trials, scores = read_trials_csv(args.scores, cohort)
@@ -317,12 +234,6 @@ def _audit_like(args, explain: bool) -> int:
         profiles = profiles_from_rows(table, trials, schema)
     if np.isnan(scores).any():
         raise DataError(f"{args.scores}: contains unscored pairs; run score first")
-    options = AuditOptions(
-        policies=_policies(args),
-        group_by=_group_by(args),
-        explain=explain,
-        standardize=args.standardize,
-    )
     seed = args.seed if args.seed is not None else 0
     return _finish(outdir, run_audit(trials, scores, profiles, schema, options, seed))
 
@@ -347,37 +258,25 @@ def _cmd_report(args) -> int:
 
 def _cmd_run_all(args) -> int:
     outdir = _require_out(args)
-    data = _read_json(args.config)
+    data = read_json(args.config)
     if not isinstance(data, dict) or "synth" not in data:
         raise DataError(f"{args.config}: run-all config needs a 'synth' section")
     unknown = set(data) - {"synth", "trials", "audit"}
     if unknown:
         raise DataError(f"{args.config}: unknown config sections: {sorted(unknown)}")
-    config = _from_json(SynthConfig, data["synth"], "synth")
+    config = from_json(SynthConfig, data["synth"], "synth")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    policy = _from_json(TrialPolicy, data.get("trials", {}), "trials")
-    options = _from_json(
-        AuditOptions,
-        data.get("audit", {}),
-        "audit",
-        explain=True,
-        group_by=config.group_attributes,
-    )
-    if args.threshold_policy:
-        options = dataclasses.replace(options, policies=_policies(args))
-    if args.group_by:
-        options = dataclasses.replace(options, group_by=_group_by(args))
+    policy = from_json(TrialPolicy, data.get("trials", {}), "trials")
+    defaults = {"explain": True, "group_by": config.group_attributes}
+    options = _with_flags(from_json(AuditOptions, data.get("audit", {}), "audit", **defaults), args)
     schema = _load_schema(args)
-    for name, level in options.reference_levels.items():
-        try:
-            schema.level_index(name, level)
-        except SchemaError as exc:
-            raise DataError(f"audit.reference_levels[{name!r}]: {exc}") from None
-    try:
-        GroupSpec(attributes=options.group_by).validate(schema)
-    except DataError as exc:
-        raise DataError(f"{'--group-by' if args.group_by else 'audit.group_by'}: {exc}") from None
+    schema.check_grouping(
+        options.group_by,
+        options.reference_levels,
+        "--group-by" if args.group_by else "audit.group_by",
+        "audit.reference_levels",
+    )
 
     result = generate(config, schema)
     write_synth(outdir / "data", result, schema)  # for inspection; the audit reads none of it

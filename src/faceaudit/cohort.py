@@ -46,6 +46,7 @@ from typing import NoReturn
 import numpy as np
 
 from faceaudit.errors import DataError, SchemaError
+from faceaudit.inputs import open_text
 from faceaudit.schema import AttributeSchema, Variable
 
 _MAGIC = b"FREB"
@@ -98,14 +99,12 @@ class ProfileTable:
     present values for a continuous variable, the mode for a boolean
     (ties to 1) or categorical one (ties to the lowest level index).
     NaN marks a variable with no present value, so an identity without
-    attribute rows has an all-NaN row.  ``coverage[i, j]`` is the
-    fraction of the identity's images with the value present.
-    Identities are sorted, so row order is identity order.
+    attribute rows has an all-NaN row.  Identities are sorted, so row
+    order is identity order.
     """
 
     identities: tuple[str, ...]
     values: np.ndarray  # float64, shape (n_identities, n_vars), schema order
-    coverage: np.ndarray  # float64, shape (n_identities, n_vars)
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.identities, self.identities[1:])):
@@ -197,12 +196,12 @@ def _component(cell: str) -> float:
     return float(cell)
 
 
-def read_embeddings_text(path: str | Path, delimiter: str = ",") -> EmbeddingTable:
+def read_embeddings_text(path: str | Path) -> EmbeddingTable:
     ids: tuple[list[str], list[str]] = ([], [])
     components = array("d")
     dim = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
+    with open_text(path) as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < 3:
@@ -297,7 +296,7 @@ def read_attributes(path: str | Path, schema: AttributeSchema) -> AttributeTable
     When the file has faults, it is checked again row by row, so the
     one reported is the first a row-by-row reader meets.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -331,13 +330,14 @@ def read_attributes(path: str | Path, schema: AttributeSchema) -> AttributeTable
 
 
 def csv_cells(texts: Sequence[str]) -> list[str]:
-    """Each text as ``csv.writer`` writes it as one cell of a row: quoted
-    where it holds the delimiter, a quote or a line break."""
+    """Each text as ``csv.writer`` writes it as one cell of a row: quoted where
+    it holds the delimiter, a quote, or a character of the line terminator,
+    which is given as CR LF so that a lone carriage return is quoted too."""
     lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerows((text, "") for text in texts)  # beside a second cell, "" stays empty
     # A cell written unquoted is the text itself: keep it rather than a copy.
-    return [line[:-2] if line[0] == '"' else text for text, line in zip(texts, lines)]
+    return [line[:-3] if line[0] == '"' else text for text, line in zip(texts, lines)]
 
 
 def _cells(var: Variable, column: np.ndarray) -> Iterator[str]:
@@ -419,7 +419,7 @@ def aggregate_table(
     codes: np.ndarray,
     n_groups: int,
     schema: AttributeSchema,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Collapse the table rows of ``image_ids`` into one row per group.
 
     ``codes[i]`` is the group of ``image_ids[i]`` and must not decrease,
@@ -427,24 +427,18 @@ def aggregate_table(
     order given.  Images without a table row are skipped.  Continuous
     variables take the ``np.mean`` of the present values, booleans the
     mode with ties resolving to 1, categoricals the mode with ties
-    resolving to the lowest level index.
-
-    Returns (values, coverage, rows): NaN values where a group has no
-    present value, the present fraction of each group's rows (0 for a
-    group without rows), and each group's row count.
+    resolving to the lowest level index.  A group's value is NaN where
+    it has no present value.
     """
     found = positions(table.image_ids, image_ids)
     have = found >= 0
     data = table.values[found[have]].reshape(-1, len(schema.variables))
     codes = np.asarray(codes, dtype=np.intp)[have]
-    n_rows = np.bincount(codes, minlength=n_groups)
     out = np.full((n_groups, data.shape[1]), np.nan)
-    coverage = np.empty_like(out)
     for j, var in enumerate(schema.variables):
         present = ~np.isnan(data[:, j])
         column, group = data[present, j], codes[present]
         counts = np.bincount(group, minlength=n_groups)
-        coverage[:, j] = counts / np.maximum(n_rows, 1)
         if var.is_continuous:
             # Groups with k values form a C-contiguous (m, k) block, whose
             # mean(axis=1) sums each row as np.mean sums one group.
@@ -467,17 +461,12 @@ def aggregate_table(
             )
             out[:, j] = tally.reshape(n_groups, n_levels).argmax(axis=1)
         out[counts == 0, j] = np.nan
-    return out, coverage, n_rows
+    return out
 
 
 def aggregate_profiles(cohort: Cohort, schema: AttributeSchema) -> ProfileTable:
-    """One profile row per cohort identity; missing per-image values are skipped.
-
-    Coverage counts every image of the identity, attributed or not.
-    """
-    n_identities = len(cohort.identities)
-    values, coverage, n_rows = aggregate_table(
-        cohort.images, cohort.image_ids, cohort.identity_codes, n_identities, schema
+    """One profile row per cohort identity; missing per-image values are skipped."""
+    values = aggregate_table(
+        cohort.images, cohort.image_ids, cohort.identity_codes, len(cohort.identities), schema
     )
-    coverage *= (n_rows / np.bincount(cohort.identity_codes, minlength=n_identities))[:, None]
-    return ProfileTable(cohort.identities, values, coverage)
+    return ProfileTable(cohort.identities, values)

@@ -21,37 +21,20 @@ import numpy as np
 
 from faceaudit.calibration import OperatingPoint
 from faceaudit.cohort import ProfileTable
-from faceaudit.errors import DataError, SchemaError
+from faceaudit.errors import DataError
 from faceaudit.schema import AttributeSchema
 from faceaudit.stats import DesignMatrix, RegressionFit, fit_ols, pearson
 
 
-@dataclass(frozen=True)
-class EncodingConfig:
-    """Controls dummy coding and scaling of the design matrix.
-
-    ``reference_levels`` overrides the omitted level per categorical
-    variable (default: the first schema level).  ``standardize``
-    z-scores continuous columns; dummies and booleans stay 0/1.
-    """
-
-    reference_levels: dict[str, str] = field(default_factory=dict)
-    standardize: bool = False
-
-
-def _column_plan(schema: AttributeSchema, config: EncodingConfig):
+def _column_plan(schema: AttributeSchema, reference_levels: Mapping[str, str]):
     """Yield (column_name, variable, dummy_level_index|None), protected first."""
-    ordered = list(schema.protected_names)
-    ordered += [name for name in schema.names() if name not in schema.protected_names]
+    ordered = list(schema.protected)
+    ordered += [name for name in schema.names() if name not in schema.protected]
     plan = []
     for name in ordered:
         var = schema.variable(name)
         if var.kind == "categorical":
-            reference = config.reference_levels.get(name, var.levels[0])
-            if reference not in var.levels:
-                raise SchemaError(
-                    f"reference level {reference!r} is not a level of {name!r}"
-                )
+            reference = reference_levels.get(name, var.levels[0])
             for idx, level in enumerate(var.levels):
                 if level != reference:
                     plan.append((f"{name}={level}", var, idx))
@@ -91,17 +74,19 @@ class Design(DesignMatrix):
 def build_design(
     profiles: ProfileTable,
     schema: AttributeSchema,
-    config: EncodingConfig | None = None,
     rows: np.ndarray | None = None,
+    reference_levels: Mapping[str, str] | None = None,
+    standardize: bool = False,
 ) -> Design:
     """Encode the complete-case profile ``rows`` (default: all) into a design.
 
     Profiles missing any schema variable are dropped and listed as
-    incomplete.  Raises when too few complete cases remain to leave at
-    least one residual degree of freedom.
+    incomplete.  ``reference_levels`` names the omitted dummy level of a
+    categorical variable (default: its first level); ``standardize``
+    z-scores continuous columns.  Raises when too few complete cases
+    remain to leave at least one residual degree of freedom.
     """
-    config = config or EncodingConfig()
-    plan = _column_plan(schema, config)
+    plan = _column_plan(schema, reference_levels or {})
     if rows is None:
         rows = np.arange(len(profiles.identities))
     values = profiles.values[rows]
@@ -121,7 +106,7 @@ def build_design(
             matrix[:, j] = (raw.astype(np.int64) == level_idx).astype(np.float64)
         else:
             matrix[:, j] = raw
-            if config.standardize and var.is_continuous:
+            if standardize and var.is_continuous:
                 sd = matrix[:, j].std()
                 if sd > 0.0:
                     matrix[:, j] = (matrix[:, j] - matrix[:, j].mean()) / sd

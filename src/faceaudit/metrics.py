@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from faceaudit.cohort import ProfileTable
-from faceaudit.errors import DataError, SchemaError
+from faceaudit.errors import DataError
 from faceaudit.schema import AttributeSchema
 from faceaudit.stats import kruskal_wallis
 from faceaudit.trials import TrialSet
@@ -91,27 +91,6 @@ def individual_rates(census: TrialCensus, tau: float) -> tuple[np.ndarray, np.nd
 
 
 @dataclass(frozen=True)
-class GroupSpec:
-    """Which attributes partition the cohort into demographic groups."""
-
-    attributes: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.attributes:
-            raise DataError("grouping requires at least one attribute")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise DataError("grouping attributes must be distinct")
-
-    def validate(self, schema: AttributeSchema) -> None:
-        for name in self.attributes:
-            var = schema.variable(name)
-            if var.kind not in ("categorical", "boolean"):
-                raise SchemaError(
-                    f"cannot group by {name!r}: grouping needs a discrete variable"
-                )
-
-
-@dataclass(frozen=True)
 class Group:
     """One cell of the grouping grid; ``None`` marks a union over an attribute."""
 
@@ -131,11 +110,11 @@ class Group:
         return any(level is None for level in self.levels)
 
 
-def table_grid(spec: GroupSpec, schema: AttributeSchema) -> list[Group]:
-    """All grid cells including per-attribute unions, unions last."""
-    spec.validate(schema)
-    axes = [(*schema.variable(name).discrete_levels(), None) for name in spec.attributes]
-    return [Group(spec.attributes, combo) for combo in itertools.product(*axes)]
+def table_grid(group_by: tuple[str, ...], schema: AttributeSchema) -> list[Group]:
+    """All grid cells over the discrete attributes ``group_by``, including
+    per-attribute unions, unions last."""
+    axes = [(*schema.variable(name).discrete_levels(), None) for name in group_by]
+    return [Group(tuple(group_by), combo) for combo in itertools.product(*axes)]
 
 
 @dataclass(frozen=True)
@@ -172,7 +151,7 @@ class GroupMembership:
 
 
 def group_membership(
-    profiles: ProfileTable, spec: GroupSpec, schema: AttributeSchema
+    profiles: ProfileTable, group_by: tuple[str, ...], schema: AttributeSchema
 ) -> GroupMembership:
     """Bucket the profile rows under every grid cell that contains them.
 
@@ -181,11 +160,11 @@ def group_membership(
     concrete levels.  Identities missing a grouping attribute are
     reported as unassigned.
     """
-    grid = table_grid(spec, schema)
+    grid = table_grid(group_by, schema)
     names = schema.names()
-    codes = profiles.values[:, [names.index(name) for name in spec.attributes]]
+    codes = profiles.values[:, [names.index(name) for name in group_by]]
     assigned = ~np.isnan(codes).any(axis=1)
-    levels = [schema.variable(name).discrete_levels() for name in spec.attributes]
+    levels = [schema.variable(name).discrete_levels() for name in group_by]
     cells = []
     for group in grid:
         match = assigned

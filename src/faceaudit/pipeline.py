@@ -22,11 +22,10 @@ from faceaudit import __version__
 from faceaudit.calibration import OperatingPoint, calibrate, parse_policy, sweep_rates
 from faceaudit.cohort import AttributeTable, ProfileTable, aggregate_table, positions
 from faceaudit.errors import DataError, RankDeficiencyError
-from faceaudit.explain import EncodingConfig, ExplanatoryReport, build_design, explanatory_report
+from faceaudit.explain import ExplanatoryReport, build_design, explanatory_report
 from faceaudit.metrics import (
     FairnessDelta,
     GroupRates,
-    GroupSpec,
     PairwiseTests,
     extreme_delta,
     group_membership,
@@ -62,6 +61,10 @@ class AuditOptions:
                 parse_policy(policy)
             except DataError as exc:
                 raise DataError(f"policies: {exc}") from None
+        if not self.group_by:
+            raise DataError("group_by: needs at least one attribute")
+        if len(set(self.group_by)) != len(self.group_by):
+            raise DataError("group_by: attributes must be distinct")
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,10 @@ def profiles_from_rows(
     all-missing profile, and rows of images outside the trials are
     ignored.
     """
-    values, coverage, _ = aggregate_table(
+    values = aggregate_table(
         table, trials.image_ids, trials.identity_codes, len(trials.identities), schema
     )
-    return ProfileTable(trials.identities, values, coverage)
+    return ProfileTable(trials.identities, values)
 
 
 def run_audit(
@@ -141,21 +144,19 @@ def run_audit(
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
     if not np.isfinite(scores).all():
         raise DataError("audit requires fully scored trials (no missing scores)")
-    spec = GroupSpec(attributes=tuple(options.group_by))
-    spec.validate(schema)
+    schema.check_grouping(options.group_by, options.reference_levels)
     census = trial_census(trials, scores)
     curve = sweep_rates(census.genuine_scores, census.impostor_scores)
-    membership = group_membership(profiles, spec, schema)
+    membership = group_membership(profiles, options.group_by, schema)
     code = positions(trials.identities, profiles.identities)  # -1: no trials
     found = code >= 0
     design = design_error = None
     if options.explain:
-        encoding = EncodingConfig(
-            reference_levels=dict(options.reference_levels), standardize=options.standardize
-        )
         rated = np.flatnonzero(found & census.rated[code])
         try:
-            design = build_design(profiles, schema, encoding, rated)
+            design = build_design(
+                profiles, schema, rated, options.reference_levels, options.standardize
+            )
         except DataError as exc:
             design_error = str(exc)
 

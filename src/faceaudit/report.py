@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from faceaudit.errors import DataError
+from faceaudit.inputs import read_json
 from faceaudit.metrics import Group, GroupRates
 from faceaudit.pipeline import AuditResults
 
@@ -97,10 +98,10 @@ def _diverging_color(value: float, bound: float) -> str:
     return "#%02x%02x%02x" % channels
 
 
-def _glyphs_for(p: float, policy) -> str:
+def _glyphs_for(p: float) -> str:
     if p is None or math.isnan(p):
         return ""
-    return "".join(glyph for alpha, glyph in policy if p < alpha)
+    return "".join(glyph for alpha, glyph in GLYPH_POLICY if p < alpha)
 
 
 def _text(parent: ET.Element, x, y, text: str, anchor: str | None = None) -> None:
@@ -115,14 +116,13 @@ def render_heatmap_svg(
     p_grid,
     row_labels,
     col_labels,
-    glyph_policy=GLYPH_POLICY,
     title: str = "",
 ) -> str:
     """Standalone SVG heatmap with significance glyphs.
 
     Color follows the documented diverging function; the glyph string in
-    each cell concatenates the policy glyphs whose alpha the cell's
-    p-value beats (default: ``o`` under 0.05, ``\\`` under 0.01).
+    each cell concatenates the ``GLYPH_POLICY`` glyphs whose alpha the
+    cell's p-value beats: ``o`` under 0.05, ``\\`` under 0.01.
     """
     grid = np.asarray(grid, dtype=np.float64)
     p_grid = np.asarray(p_grid, dtype=np.float64)
@@ -177,7 +177,7 @@ def render_heatmap_svg(
             )
             if math.isnan(grid[i, j]):
                 continue
-            glyphs = _glyphs_for(float(p_grid[i, j]), glyph_policy)
+            glyphs = _glyphs_for(float(p_grid[i, j]))
             if glyphs:
                 _text(svg, x + _CELL // 2, y + _CELL // 2 + _FONT // 2 - 1, glyphs, "middle")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(
@@ -470,10 +470,7 @@ def _check_payload(payload) -> None:
 def render_from_file(report_path: str | Path, outdir: str | Path) -> dict[str, object]:
     """Re-render tables and figures from an existing report.json."""
     report_path = Path(report_path)
-    try:
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"{report_path}: cannot read report payload: {exc}") from exc
+    payload = read_json(report_path)
     try:
         _check_payload(payload)
     except DataError as exc:

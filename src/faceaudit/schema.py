@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from faceaudit.errors import SchemaError
+from faceaudit.inputs import from_json, read_json
 
 FAMILIES = (
     "protected",
@@ -47,14 +49,14 @@ class Variable:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise SchemaError(f"unknown family {self.family!r} for variable {self.name!r}")
+            raise SchemaError(f"family must be one of {', '.join(FAMILIES)}, got {self.family!r}")
         if self.kind not in KINDS:
-            raise SchemaError(f"unknown kind {self.kind!r} for variable {self.name!r}")
+            raise SchemaError(f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
         if self.kind == "continuous_range":
             if self.lo is None or self.hi is None or not self.lo < self.hi:
-                raise SchemaError(f"variable {self.name!r} needs a valid [lo, hi] range")
+                raise SchemaError(f"lo and hi must bound a range, got [{self.lo}, {self.hi}]")
         if self.kind == "categorical" and len(self.levels) < 2:
-            raise SchemaError(f"categorical variable {self.name!r} needs >= 2 levels")
+            raise SchemaError(f"levels must hold at least 2 names, got {list(self.levels)}")
 
     @property
     def is_continuous(self) -> bool:
@@ -98,15 +100,15 @@ class Variable:
 @dataclass(frozen=True)
 class AttributeSchema:
     variables: tuple[Variable, ...]
-    protected_names: tuple[str, ...]
+    protected: tuple[str, ...]
 
     def __post_init__(self):
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
-            raise SchemaError("variable names must be unique")
-        for p in self.protected_names:
+            raise SchemaError("variables must have unique names")
+        for p in self.protected:
             if p not in names:
-                raise SchemaError(f"protected name {p!r} not among schema variables")
+                raise SchemaError(f"protected: {p!r} is not a schema variable")
 
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
@@ -125,6 +127,30 @@ class AttributeSchema:
             return var.levels.index(level)
         except ValueError:
             raise SchemaError(f"variable {name!r} has no level {level!r}") from None
+
+    def check_grouping(
+        self,
+        group_by: Sequence[str],
+        reference_levels: Mapping[str, str] | None = None,
+        group_key: str = "group_by",
+        level_key: str = "reference_levels",
+    ) -> None:
+        """Raise unless each ``group_by`` name is a discrete variable and
+        each ``reference_levels`` entry names a level of a categorical one.
+
+        A message begins with the failing key: ``group_key``, or
+        ``level_key`` and the variable name.
+        """
+        try:
+            for name in group_by:
+                self.variable(name).discrete_levels()
+        except SchemaError as exc:
+            raise SchemaError(f"{group_key}: {exc}") from None
+        for name, level in (reference_levels or {}).items():
+            try:
+                self.level_index(name, level)
+            except SchemaError as exc:
+                raise SchemaError(f"{level_key}[{name!r}]: {exc}") from None
 
 
 def default_schema() -> AttributeSchema:
@@ -152,11 +178,11 @@ def default_schema() -> AttributeSchema:
         Variable("noise", "distortion", unit),
         Variable("smile", "emotion", unit),
     )
-    return AttributeSchema(variables=variables, protected_names=("gender", "ethnicity", "age"))
+    return AttributeSchema(variables=variables, protected=("gender", "ethnicity", "age"))
 
 
 def schema_to_dict(schema: AttributeSchema) -> dict:
-    out = {"variables": [], "protected": list(schema.protected_names)}
+    out = {"variables": [], "protected": list(schema.protected)}
     for v in schema.variables:
         entry: dict = {"name": v.name, "family": v.family, "kind": v.kind}
         if v.kind == "continuous_range":
@@ -168,32 +194,10 @@ def schema_to_dict(schema: AttributeSchema) -> dict:
     return out
 
 
-def schema_from_dict(data: dict) -> AttributeSchema:
-    try:
-        variables = tuple(
-            Variable(
-                name=entry["name"],
-                family=entry["family"],
-                kind=entry["kind"],
-                lo=entry.get("lo"),
-                hi=entry.get("hi"),
-                levels=tuple(entry.get("levels", ())),
-            )
-            for entry in data["variables"]
-        )
-        protected = tuple(data["protected"])
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed schema document: {exc}") from exc
-    return AttributeSchema(variables=variables, protected_names=protected)
-
-
 def save_schema(schema: AttributeSchema, path: str | Path) -> None:
     Path(path).write_text(json.dumps(schema_to_dict(schema), indent=2) + "\n", encoding="utf-8")
 
 
 def load_schema(path: str | Path) -> AttributeSchema:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
-    return schema_from_dict(data)
+    """Read a schema file; a bad document raises a DataError naming the key path."""
+    return from_json(AttributeSchema, read_json(path), "schema")

@@ -109,10 +109,7 @@ class SynthConfig:
                 )
 
     def validate_schema(self, schema: AttributeSchema) -> None:
-        for name in self.group_attributes:
-            var = schema.variable(name)
-            if var.kind not in ("categorical", "boolean"):
-                raise SchemaError(f"group attribute {name!r} must be discrete")
+        schema.check_grouping(self.group_attributes, group_key="group_attributes")
         for cell in set(self.identities_per_group) | set(self.group_margin_shift) | set(
             self.group_noise_shift
         ):
@@ -193,7 +190,7 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
     image_ids = tuple(f"u{u:05d}_{k:02d}" for u in range(len(cells)) for k in range(per))
     attributes = AttributeTable(image_ids=image_ids, values=values)
     codes = np.repeat(np.arange(len(cells)), per)
-    aggregated_rows, _, _ = aggregate_table(attributes, image_ids, codes, len(cells), schema)
+    aggregated_rows = aggregate_table(attributes, image_ids, codes, len(cells), schema)
     vectors = np.empty((len(image_ids), config.dim), dtype=np.float32)
     identity_truth: dict[str, dict] = {}
     names = schema.names()

@@ -28,35 +28,26 @@ import numpy as np
 
 from faceaudit.cohort import Cohort, ImageTable, csv_cells, positions
 from faceaudit.errors import DataError, TrialError
-
-_POSITIVE_MODES = ("all_pairs_capped", "sample")
+from faceaudit.inputs import open_text
 
 
 @dataclass(frozen=True)
 class TrialPolicy:
-    """How many pairs to draw per identity and how to draw them.
+    """How many pairs to draw per identity.
 
-    ``positives_per_identity=None`` keeps every genuine pair.  With
-    ``positive_mode="all_pairs_capped"`` genuine pairs are enumerated
-    exhaustively and subsampled only when they exceed the cap;
-    ``"sample"`` draws the cap directly with replacement disabled.
+    Genuine pairs are enumerated exhaustively and subsampled without
+    replacement only when they exceed ``positives_per_identity``;
+    ``None`` keeps every genuine pair.
     """
 
     positives_per_identity: int | None = 6
     negatives_per_identity: int = 50
-    positive_mode: str = "all_pairs_capped"
 
     def __post_init__(self):
-        if self.positive_mode not in _POSITIVE_MODES:
-            raise TrialError(
-                f"positive_mode must be one of {_POSITIVE_MODES}, got {self.positive_mode!r}"
-            )
         if self.positives_per_identity is not None and self.positives_per_identity < 1:
             raise TrialError("positives_per_identity must be positive or None")
         if self.negatives_per_identity < 0:
             raise TrialError("negatives_per_identity must be >= 0")
-        if self.positive_mode == "sample" and self.positives_per_identity is None:
-            raise TrialError("positive_mode='sample' requires an explicit positive count")
 
     def n_genuine(self, n_own: int) -> int:
         """How many genuine pairs an identity with ``n_own`` images gets."""
@@ -107,7 +98,7 @@ def _genuine_pairs(start: int, n_own: int, policy: TrialPolicy, rng) -> np.ndarr
     """Genuine pairs among the ``n_own`` image rows beginning at ``start``."""
     pairs = _upper_pairs(n_own)
     size = policy.n_genuine(n_own)
-    if policy.positive_mode == "sample" or size < len(pairs):
+    if size < len(pairs):
         pairs = pairs[np.sort(rng.choice(len(pairs), size=size, replace=False))]
     return start + pairs
 
@@ -245,7 +236,7 @@ def write_trials_csv(
 def _line_of(path: str | Path, index: int) -> int:
     """File line of trial row ``index``, counted as ``read_trials_csv``
     counts lines.  The file is read again, so only error paths pay."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = (lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row)
         return next(islice(lines, index + 1, None))  # + 1 skips the header
 
@@ -282,7 +273,7 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
     code_of: dict[str, int] = defaultdict(count().__next__)  # a new id gets the next code
     probe_codes, reference_codes, scores = array("q"), array("q"), array("d")
     labels = bytearray()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -12,7 +12,7 @@ from faceaudit.cohort import (
     build_cohort,
 )
 from faceaudit.pipeline import run_audit
-from faceaudit.schema import default_schema
+from faceaudit.schema import default_schema, schema_to_dict
 from faceaudit.synth import SynthConfig, generate
 from faceaudit.trials import TrialPolicy, TrialSet, generate_trials, score_trials
 
@@ -103,13 +103,11 @@ def attribute_rows(table, schema=None):
 
 def profile_table(rows, schema=None):
     """A ProfileTable from {identity: {variable: value}}, identities sorted;
-    absent variables are missing (NaN, coverage 0), present ones have
-    coverage 1."""
+    absent variables are missing (NaN)."""
     names = (schema or default_schema()).names()
     identities = tuple(sorted(rows))
     values = [[rows[i].get(name, np.nan) for name in names] for i in identities]
-    values = np.array(values, dtype=np.float64).reshape(-1, len(names))
-    return ProfileTable(identities, values, (~np.isnan(values)).astype(np.float64))
+    return ProfileTable(identities, np.array(values, dtype=np.float64).reshape(-1, len(names)))
 
 
 def profile_rows(profiles, schema=None):
@@ -119,3 +117,14 @@ def profile_rows(profiles, schema=None):
         identity: {name: v for name, v in zip(names, row) if not np.isnan(v)}
         for identity, row in zip(profiles.identities, profiles.values.tolist())
     }
+
+
+def schema_document(top=None, **changes):
+    """The default schema's document with keys of its first variable
+    (gender) replaced, a value of None deleting the key, and the
+    top-level keys ``top`` replaced."""
+    document = {**schema_to_dict(default_schema()), **(top or {})}
+    first = {**document["variables"][0], **changes}
+    first = {key: value for key, value in first.items() if value is not None}
+    document["variables"] = [first, *document["variables"][1:]]
+    return document

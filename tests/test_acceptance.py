@@ -19,7 +19,6 @@ from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import (
     Group,
     GroupRates,
-    GroupSpec,
     fairness_delta,
     individual_rates,
     one_axis_deltas,

@@ -24,7 +24,6 @@ from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.errors import DataError, NumericalError, RankDeficiencyError
 from faceaudit.explain import build_design, run_correlations, run_regression
 from faceaudit.metrics import (
-    GroupSpec,
     individual_rates,
     kruskal_pairwise,
     table_grid,
@@ -39,9 +38,9 @@ SCHEMA = AttributeSchema(
         Variable("ethnicity", "protected", "categorical", levels=("asian", "black", "caucasian")),
         Variable("blur", "distortion", "continuous_unit"),
     ),
-    protected_names=("gender", "ethnicity"),
+    protected=("gender", "ethnicity"),
 )
-SPEC = GroupSpec(("gender", "ethnicity"))
+GROUP_BY = ("gender", "ethnicity")
 POLICIES = ("eer", "far@0.1", "far@0.01")
 
 
@@ -72,12 +71,12 @@ def _ref_membership(profiles):
     """([(group, member ids)], unassigned ids) from {identity: values}."""
     assigned, unassigned = {}, []
     for identity, values in profiles.items():
-        if any(name not in values for name in SPEC.attributes):
+        if any(name not in values for name in GROUP_BY):
             unassigned.append(identity)
             continue
-        levels = [SCHEMA.variable(n).levels[int(values[n])] for n in SPEC.attributes]
+        levels = [SCHEMA.variable(n).levels[int(values[n])] for n in GROUP_BY]
         assigned[identity] = tuple(levels)
-    grid = table_grid(SPEC, SCHEMA)
+    grid = table_grid(GROUP_BY, SCHEMA)
     buckets = {group.levels: [] for group in grid}
     for identity in sorted(assigned):
         for key in itertools.product(*((level, None) for level in assigned[identity])):

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import schema_document
 from faceaudit.cli import main
 from faceaudit.cohort import EmbeddingTable, load_embeddings, write_embeddings_binary
+from faceaudit.schema import load_schema
 from faceaudit.trials import read_trials_csv
 
 
@@ -325,6 +328,80 @@ class TestDataErrors:
 
 _CELLS = {"man,asian": 4, "woman,asian": 4}
 
+
+def _bad_input_argv(case, workspace, bad):
+    """A command line whose ``case`` input is the file ``bad``, written
+    here as a valid input whose last line ends in a byte that is not UTF-8."""
+    scores, attributes = workspace["scored"], workspace["attributes"]
+    texts = {
+        "attributes": attributes.read_bytes(),
+        "trials": scores.read_bytes(),
+        "text-embeddings": b"a_0,a,1.0,0.5\na_1,a,0.5,1.0\nb_0,b,1.0,1.0\nb_1,b,0.0,1.0\n",
+        "run-all-config": json.dumps({"synth": {"identities_per_group": _CELLS}}).encode(),
+        "schema": workspace["schema"].read_bytes(),
+        "report-results": json.dumps({"analyses": []}).encode(),
+    }
+    bad.write_bytes(texts[case].rstrip(b"\n") + b"\xff\n")
+    return {
+        "attributes": ["explain", "--scores", scores, "--attributes", bad],
+        "trials": ["explain", "--scores", bad, "--attributes", attributes],
+        "text-embeddings": ["pairs", "--embeddings", bad],
+        "run-all-config": ["run-all", "--config", bad],
+        "schema": ["explain", "--scores", scores, "--attributes", attributes, "--schema", bad],
+        "report-results": ["report", "--results", bad],
+    }[case]
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "case",
+        ["attributes", "trials", "text-embeddings", "run-all-config", "schema", "report-results"],
+    )
+    def test_one_line_exit_2(self, workspace, tmp_path, capsys, case):
+        bad, out = tmp_path / "bad", tmp_path / "out"
+        argv = _bad_input_argv(case, workspace, bad)
+        assert main([*map(str, argv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bad}: not UTF-8 text" in err
+        assert not out.exists()
+
+
+class TestMalformedSchemaFile:
+    @pytest.mark.parametrize("command", ["explain", "run-all"])
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (schema_document(levels="mw"), 'schema.variables[0].levels must be a list, got "mw"'),
+            (schema_document(levels=[1, 2]), "schema.variables[0].levels[0] must be a string"),
+            (schema_document(level=["m", "w"]), "schema.variables[0].level is not a known key"),
+            (schema_document({"version": 2}), "schema.version is not a known key"),
+            (
+                schema_document(kind="continuous_range", levels=None, lo="1", hi=2),
+                'schema.variables[0].lo must be a number, got "1"',
+            ),
+            (schema_document({"protected": "gender"}), "schema.protected must be a list"),
+            (schema_document(family="nope"), "schema.variables[0].family must be one of "),
+        ],
+        ids=["levels-string", "levels-ints", "misspelled-key", "unknown-key", "bound-string",
+             "protected-string", "family"],
+    )
+    def test_one_line_exit_2(self, workspace, tmp_path, capsys, document, message, command):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(document), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"identities_per_group": _CELLS}}), "utf-8")
+        inputs = {
+            "explain": ["--scores", workspace["scored"], "--attributes", workspace["attributes"]],
+            "run-all": ["--config", config],
+        }[command]
+        out = tmp_path / "out"
+        argv = [command, *map(str, inputs), "--schema", str(schema), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"faceaudit {command}: {message}")
+        assert not out.exists()
+
+
 # (id, section, that section's JSON, key path the one-line message names).
 # A synth section is run bare through ``synth`` and under "synth" through
 # ``run-all``; an audit section goes beside a valid synth section.  Mistyped
@@ -432,9 +509,12 @@ class TestMalformedConfig:
         assert not out.exists()  # rejected before any work
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_json_blocks():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    blocks = re.findall(r"^```json\n(.*?)^```", _readme(), flags=re.M | re.S)
     return [pytest.param(block, id=f"block{i}") for i, block in enumerate(blocks)]
 
 
@@ -449,6 +529,27 @@ class TestReadme:
         config = tmp_path / "pipeline.json"
         config.write_text(block, encoding="utf-8")
         assert main(["run-all", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+    def test_schema_example_loads(self, tmp_path):
+        (example,) = re.findall(r'^```\n(\{"variables".*?)^```', _readme(), flags=re.M | re.S)
+        path = tmp_path / "schema.json"
+        path.write_text(example, encoding="utf-8")
+        schema = load_schema(path)
+        assert schema.names() == ("gender", "age", "blur")
+        assert schema.protected == ("gender", "age")
+
+    def test_quick_start_runs(self, tmp_path, monkeypatch, capsys):
+        # every faceaudit line of the Quick start block, after its heredoc files
+        readme = _readme()
+        section = readme[readme.index("## Quick start") :]
+        block = re.search(r"^```sh\n(.*?)^```", section, flags=re.M | re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        for name, body in re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", block, flags=re.M | re.S):
+            Path(name).write_text(body, encoding="utf-8")
+        commands = [shlex.split(line) for line in block.splitlines() if line.startswith("faceaudit ")]
+        assert len(commands) == 5
+        for argv in commands:
+            assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
 class TestNumericalErrors:

@@ -16,6 +16,7 @@ from faceaudit.cohort import (
     aggregate_profiles,
     aggregate_table,
     build_cohort,
+    csv_cells,
     load_cohort,
     load_embeddings,
     read_attributes,
@@ -224,7 +225,7 @@ class TestAttributeCsv:
                 Variable("blur", "distortion", "continuous_unit"),
                 Variable("glasses", "accessory", "boolean"),
             ),
-            protected_names=("group",),
+            protected=("group",),
         )
         rows = {
             'x,1': {"group": 0.0, "blur": 0.1, "glasses": 1.0},
@@ -247,6 +248,27 @@ class TestAttributeCsv:
         loaded = read_attributes(path, schema)
         assert loaded.image_ids == tuple(rows)
         assert attribute_rows(loaded, schema) == rows
+
+    def test_line_break_ids_round_trip(self, tmp_path):
+        # a lone carriage return is quoted like a line feed, or the row
+        # would split on reading
+        schema = AttributeSchema(
+            variables=(Variable("group", "protected", "categorical", levels=("a\rb", "c\nd")),),
+            protected=("group",),
+        )
+        rows = {"x\r1": {"group": 0.0}, "y\n2": {"group": 1.0}, "z,3": {}, 'w"4': {"group": 1.0}}
+        path = tmp_path / "attrs.csv"
+        write_attributes(path, attribute_table(rows, schema), schema)
+        assert b'"x\r1","a\rb"\n' in path.read_bytes()
+        loaded = read_attributes(path, schema)
+        assert loaded.image_ids == tuple(rows)
+        assert attribute_rows(loaded, schema) == rows
+
+    def test_csv_cells_quote_only_what_needs_it(self):
+        texts = ["a\r1", "a\n1", "a\r\n1", "a,1", 'a"1', "plain", " spaced ", ""]
+        assert csv_cells(texts) == [
+            '"a\r1"', '"a\n1"', '"a\r\n1"', '"a,1"', '"a""1"', "plain", " spaced ", "",
+        ]
 
     def test_accepts_level_indices(self, tmp_path):
         schema = default_schema()
@@ -287,7 +309,7 @@ class TestAttributeCsv:
     def test_level_names_may_hold_underscores(self, tmp_path):
         schema = AttributeSchema(
             variables=(Variable("region", "protected", "categorical", levels=("east_asia", "other")),),
-            protected_names=("region",),
+            protected=("region",),
         )
         path = tmp_path / "attrs.csv"
         path.write_text("image_id,region\na,east_asia\nb,1\n", encoding="utf-8")
@@ -418,69 +440,61 @@ class TestBuildCohort:
 
 
 def aggregate_rows(rows, schema):
-    """(values, coverage) of one identity whose images carry ``rows``."""
+    """The present values of one identity whose images carry ``rows``."""
     table = attribute_table({f"img{i}": row for i, row in enumerate(rows)}, schema)
     codes = np.zeros(len(rows), dtype=np.intp)
-    values, coverage, _ = aggregate_table(table, table.image_ids, codes, 1, schema)
-    return _row_dicts(values[0], coverage[0], schema)
+    return _row_dict(aggregate_table(table, table.image_ids, codes, 1, schema)[0], schema)
 
 
-def _row_dicts(values, coverage, schema):
-    """(present values, coverage) of one profile row as {variable: value} dicts."""
-    names = schema.names()
-    present = {name: v for name, v in zip(names, values.tolist()) if not np.isnan(v)}
-    return present, dict(zip(names, coverage.tolist()))
+def _row_dict(values, schema):
+    """The present values of one profile row as a {variable: value} dict."""
+    return {name: v for name, v in zip(schema.names(), values.tolist()) if not np.isnan(v)}
 
 
 class TestAggregation:
     def test_continuous_mean(self):
         schema = default_schema()
         rows = [{"yaw": 10.0}, {"yaw": -10.0}, {"yaw": 30.0}]
-        values, coverage = aggregate_rows(rows, schema)
+        values = aggregate_rows(rows, schema)
         assert values["yaw"] == pytest.approx(10.0)
-        assert coverage["yaw"] == 1.0
 
     def test_boolean_majority(self):
         schema = default_schema()
         rows = [{"eyes_occluded": 1.0}, {"eyes_occluded": 0.0}, {"eyes_occluded": 0.0}]
-        values, _ = aggregate_rows(rows, schema)
+        values = aggregate_rows(rows, schema)
         assert values["eyes_occluded"] == 0.0
 
     def test_boolean_tie_resolves_to_one(self):
         schema = default_schema()
         rows = [{"eyes_occluded": 1.0}, {"eyes_occluded": 0.0}]
-        values, _ = aggregate_rows(rows, schema)
+        values = aggregate_rows(rows, schema)
         assert values["eyes_occluded"] == 1.0
 
     def test_categorical_mode(self):
         schema = default_schema()
         rows = [{"ethnicity": 2.0}, {"ethnicity": 2.0}, {"ethnicity": 0.0}]
-        values, _ = aggregate_rows(rows, schema)
+        values = aggregate_rows(rows, schema)
         assert values["ethnicity"] == 2.0
 
     def test_categorical_tie_resolves_to_lowest(self):
         schema = default_schema()
         rows = [{"ethnicity": 2.0}, {"ethnicity": 0.0}]
-        values, _ = aggregate_rows(rows, schema)
+        values = aggregate_rows(rows, schema)
         assert values["ethnicity"] == 0.0
 
     def test_partial_coverage(self):
         schema = default_schema()
         rows = [{"blur": 0.2}, {"blur": 0.4}, {}, {}]
-        values, coverage = aggregate_rows(rows, schema)
-        assert values["blur"] == pytest.approx(0.3)
-        assert coverage["blur"] == pytest.approx(0.5)
+        values = aggregate_rows(rows, schema)
+        assert values["blur"] == pytest.approx(0.3)  # the mean of the present values
 
     def test_absent_variable_has_no_value(self):
         schema = default_schema()
-        values, coverage = aggregate_rows([{"blur": 0.2}], schema)
+        values = aggregate_rows([{"blur": 0.2}], schema)
         assert "smile" not in values
-        assert coverage["smile"] == 0.0
 
     def test_identity_without_rows_is_empty(self):
-        values, coverage = aggregate_rows([], default_schema())
-        assert values == {}
-        assert set(coverage.values()) == {0.0}
+        assert aggregate_rows([], default_schema()) == {}
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     @example([0.3791893725794816] * 3)  # np.mean gives 0.37918937257948154
@@ -488,7 +502,7 @@ class TestAggregation:
     def test_mean_within_observed_range(self, xs):
         schema = default_schema()
         rows = [{"blur": v} for v in xs]
-        values, _ = aggregate_rows(rows, schema)
+        values = aggregate_rows(rows, schema)
         assert min(xs) <= values["blur"] <= max(xs)
 
     def test_profiles_cover_all_identities(self):
@@ -500,28 +514,25 @@ class TestAggregation:
         assert profiles.identities == ("id0", "id1", "id2")
         values = profile_rows(profiles)
         assert values["id0"]["blur"] == 0.5
-        # id2 has no attribute rows at all: empty values, zero coverage
+        # id2 has no attribute rows at all: every value missing
         assert values["id2"] == {}
-        assert not profiles.coverage[2].any()
+        assert np.isnan(profiles.values[2]).all()
 
-    def test_profile_coverage_counts_missing_rows(self):
+    def test_profile_skips_images_without_rows(self):
         schema = default_schema()
         records = _records(n_identities=1, images_each=4)
-        # only 2 of 4 images have attribute rows, both with blur present
-        rows = attribute_table({records.image_ids[i]: {"blur": 0.5} for i in (0, 1)})
-        cohort = build_cohort(records, rows)
-        profiles = aggregate_profiles(cohort, schema)
-        _, coverage = _row_dicts(profiles.values[0], profiles.coverage[0], schema)
-        assert coverage["blur"] == pytest.approx(0.5)
+        # only 2 of 4 images have attribute rows
+        rows = attribute_table({records.image_ids[i]: {"blur": v} for i, v in ((0, 0.2), (1, 0.4))})
+        profiles = aggregate_profiles(build_cohort(records, rows), schema)
+        assert _row_dict(profiles.values[0], schema) == {"blur": pytest.approx(0.3)}
 
 
 def _loop_aggregate(rows, schema):
     """The per-identity dict loop that aggregate_table replaced, kept as
     its oracle: np.mean of a list, clamped; Counter modes."""
-    values, coverage = {}, {}
+    values = {}
     for var in schema.variables:
         present = [row[var.name] for row in rows if var.name in row]
-        coverage[var.name] = len(present) / len(rows)
         if not present:
             continue
         if var.is_continuous:
@@ -534,7 +545,7 @@ def _loop_aggregate(rows, schema):
             counts = Counter(present)
             best = max(counts.values())
             values[var.name] = float(min(v for v, c in counts.items() if c == best))
-    return values, coverage
+    return values
 
 
 def _maybe(values):
@@ -566,11 +577,7 @@ class TestAggregateTableOracle:
         }
         codes = np.repeat(np.arange(len(identities)), [len(images) for images in identities])
         table = attribute_table(rows, schema)
-        values, coverage, n_rows = aggregate_table(
-            table, table.image_ids, codes, len(identities), schema
-        )
-        assert n_rows.tolist() == [len(images) for images in identities]
-        for row, cov, images in zip(values, coverage, identities):
-            want_values, want_coverage = _loop_aggregate(images, schema)
-            # bit for bit: float == on every value and coverage
-            assert _row_dicts(row, cov, schema) == (want_values, want_coverage)
+        values = aggregate_table(table, table.image_ids, codes, len(identities), schema)
+        for row, images in zip(values, identities):
+            # bit for bit: float == on every value
+            assert _row_dict(row, schema) == _loop_aggregate(images, schema)

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import profile_rows, profile_table, scored_trials, small_config, synth_cohort
+from conftest import (
+    profile_rows,
+    profile_table,
+    scored_trials,
+    small_config,
+    synth_cohort,
+    trial_set,
+)
 from faceaudit.cohort import aggregate_profiles
 from faceaudit.errors import DataError, RankDeficiencyError, SchemaError
 from faceaudit.explain import (
-    EncodingConfig,
     build_design,
     explanatory_report,
     response_vector,
@@ -119,15 +125,16 @@ class TestBuildDesign:
         assert not design.matrix[asian_rows, k].any()
 
     def test_reference_level_override(self):
-        config = EncodingConfig(reference_levels={"gender": "woman"})
-        design = build_design(random_profiles(30), SCHEMA, config)
+        design = build_design(random_profiles(30), SCHEMA, reference_levels={"gender": "woman"})
         assert "gender=man" in design.column_names
         assert "gender=woman" not in design.column_names
 
     def test_unknown_reference_rejected(self):
-        config = EncodingConfig(reference_levels={"gender": "other"})
-        with pytest.raises(SchemaError):
-            build_design(random_profiles(30), SCHEMA, config)
+        # run_audit checks the levels against the schema before it builds a design
+        trials = trial_set([("a_0", "a_1")], {"a_0": "a", "a_1": "a"})
+        options = AuditOptions(explain=True, reference_levels={"gender": "other"})
+        with pytest.raises(SchemaError, match=r"reference_levels\['gender'\]: .* no level 'other'"):
+            run_audit(trials, np.array([0.5]), random_profiles(30), SCHEMA, options)
 
     def test_incomplete_profiles_dropped(self):
         rows = random_rows(30)
@@ -142,8 +149,7 @@ class TestBuildDesign:
             build_design(random_profiles(20), SCHEMA)  # 22 columns need >= 23 rows
 
     def test_standardize_scales_continuous_only(self):
-        config = EncodingConfig(standardize=True)
-        design = build_design(random_profiles(40), SCHEMA, config)
+        design = build_design(random_profiles(40), SCHEMA, standardize=True)
         age = design.matrix[:, design.column_names.index("age")]
         assert abs(age.mean()) < 1e-10
         assert age.std() == pytest.approx(1.0)

@@ -15,7 +15,6 @@ from faceaudit.metrics import (
     FairnessDelta,
     Group,
     GroupRates,
-    GroupSpec,
     extreme_delta,
     fairness_delta,
     group_membership,
@@ -27,6 +26,7 @@ from faceaudit.metrics import (
     trial_census,
 )
 from faceaudit.report import GLYPH_POLICY, _glyphs_for
+from faceaudit.pipeline import AuditOptions
 from faceaudit.schema import default_schema
 
 
@@ -168,25 +168,28 @@ class TestIndividualRates:
 
 
 class TestGroupSpec:
+    """The grouping spec: ``AuditOptions.group_by``, checked against the
+    schema by ``AttributeSchema.check_grouping``."""
+
     def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            GroupSpec(attributes=())
+        with pytest.raises(DataError, match="group_by: "):
+            AuditOptions(group_by=())
 
     def test_duplicates_rejected(self):
-        with pytest.raises(DataError):
-            GroupSpec(attributes=("gender", "gender"))
+        with pytest.raises(DataError, match="group_by: "):
+            AuditOptions(group_by=("gender", "gender"))
 
     def test_continuous_attribute_rejected(self):
-        with pytest.raises(SchemaError):
-            GroupSpec(attributes=("age",)).validate(default_schema())
+        with pytest.raises(SchemaError, match="group_by: variable 'age' has no discrete levels"):
+            default_schema().check_grouping(("age",))
 
     def test_discrete_attributes_accepted(self):
-        GroupSpec(attributes=("gender", "eyes_occluded")).validate(default_schema())
+        default_schema().check_grouping(("gender", "eyes_occluded"))
 
 
 class TestGroupGrid:
     def test_two_axis_grid_shape(self):
-        grid = table_grid(GroupSpec(("gender", "ethnicity")), default_schema())
+        grid = table_grid(("gender", "ethnicity"), default_schema())
         # (2 levels + union) x (3 levels + union)
         assert len(grid) == 12
         labels = [g.label for g in grid]
@@ -195,11 +198,11 @@ class TestGroupGrid:
         assert "all,all" in labels
 
     def test_one_axis_grid(self):
-        grid = table_grid(GroupSpec(("ethnicity",)), default_schema())
+        grid = table_grid(("ethnicity",), default_schema())
         assert [g.label for g in grid] == ["asian", "black", "caucasian", "all"]
 
     def test_union_flag(self):
-        grid = table_grid(GroupSpec(("gender", "ethnicity")), default_schema())
+        grid = table_grid(("gender", "ethnicity"), default_schema())
         assert sum(1 for g in grid if g.is_union) == 2 + 3 + 1  # row, column, grand
 
     def test_matches(self):
@@ -209,7 +212,7 @@ class TestGroupGrid:
             _profile("c", gender="woman", ethnicity="asian"),
         )
         membership = group_membership(
-            profiles, GroupSpec(("gender", "ethnicity")), default_schema()
+            profiles, ("gender", "ethnicity"), default_schema()
         )
         members = _member_ids(membership)
         assert members[("man", None)] == ("a", "b")
@@ -240,7 +243,7 @@ class TestAssignLevels:
             _profile("c", gender="man"),  # missing ethnicity
         )
         membership = group_membership(
-            profiles, GroupSpec(("gender", "ethnicity")), default_schema()
+            profiles, ("gender", "ethnicity"), default_schema()
         )
         assert _assigned(membership) == {"a": ("man", "asian"), "b": ("woman", "black")}
         assert membership.unassigned == ("c",)
@@ -248,7 +251,7 @@ class TestAssignLevels:
     def test_boolean_levels_stringified(self):
         profiles = _table(("a", {"eyes_occluded": 1.0}))
         membership = group_membership(
-            profiles, GroupSpec(("eyes_occluded",)), default_schema()
+            profiles, ("eyes_occluded",), default_schema()
         )
         assert _assigned(membership) == {"a": ("1",)}
 
@@ -257,14 +260,14 @@ class TestAssignLevels:
 _GROUPABLE = ("gender", "ethnicity", "eyes_occluded", "mouth_occluded")
 
 
-def _assign_levels(profiles, spec, schema):
+def _assign_levels(profiles, group_by, schema):
     """The per-identity dict walk that integer level codes replaced, kept
     as their oracle: concrete level names per identity, and the sorted
     ids missing a grouping attribute."""
     assigned, unassigned = {}, []
     for identity, values in profiles.items():
         levels = []
-        for name in spec.attributes:
+        for name in group_by:
             value = values.get(name)
             if value is None:
                 unassigned.append(identity)
@@ -276,12 +279,12 @@ def _assign_levels(profiles, spec, schema):
     return assigned, tuple(sorted(unassigned))
 
 
-def _brute_force_group_rates(rates, profiles, spec, schema):
+def _brute_force_group_rates(rates, profiles, group_by, schema):
     """(group, far, frr, member ids) per cell, testing every rated identity
     against every cell level by level."""
-    assigned, _ = _assign_levels(profiles, spec, schema)
+    assigned, _ = _assign_levels(profiles, group_by, schema)
     out = []
-    for group in table_grid(spec, schema):
+    for group in table_grid(group_by, schema):
         members = sorted(
             (
                 (identity, r)
@@ -340,14 +343,13 @@ class TestGroupMembership:
     @given(_grouping_cases())
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, case):
-        attributes, profiles, rates = case
+        group_by, profiles, rates = case
         schema = default_schema()
-        spec = GroupSpec(attributes)
         table = profile_table(profiles)
-        membership = group_membership(table, spec, schema)
-        assert membership.unassigned == _assign_levels(profiles, spec, schema)[1]
+        membership = group_membership(table, group_by, schema)
+        assert membership.unassigned == _assign_levels(profiles, group_by, schema)[1]
         got = group_rates(*_profile_rates(table, rates), membership)
-        want = _brute_force_group_rates(rates, profiles, spec, schema)
+        want = _brute_force_group_rates(rates, profiles, group_by, schema)
         assert len(got) == len(want)
         for cell, (group, far, frr, ids) in zip(got, want):
             assert cell.group == group
@@ -357,18 +359,17 @@ class TestGroupMembership:
             assert cell.far.hex() == far.hex() and cell.frr.hex() == frr.hex()
 
     def test_cells_follow_the_grid(self):
-        spec = GroupSpec(("gender", "eyes_occluded"))
-        membership = group_membership(profile_table({}), spec, default_schema())
-        assert [g for g, _ in membership.cells] == table_grid(spec, default_schema())
+        group_by = ("gender", "eyes_occluded")
+        membership = group_membership(profile_table({}), group_by, default_schema())
+        assert [g for g, _ in membership.cells] == table_grid(group_by, default_schema())
         assert all(rows.size == 0 for _, rows in membership.cells)
 
 
 class TestGroupRates:
     @staticmethod
     def _grouped(rates, profiles):
-        spec = GroupSpec(("gender", "ethnicity"))
         table = _table(*profiles)
-        membership = group_membership(table, spec, default_schema())
+        membership = group_membership(table, ("gender", "ethnicity"), default_schema())
         groups = [
             SimpleNamespace(
                 group=g.group,
@@ -575,10 +576,10 @@ class TestSignificance:
     # The report's glyph table is the one list of significance levels.
     def test_levels_cleared(self):
         assert [alpha for alpha, _ in GLYPH_POLICY] == [0.05, 0.01]
-        assert _glyphs_for(0.2, GLYPH_POLICY) == ""
-        assert _glyphs_for(0.03, GLYPH_POLICY) == "o"
-        assert _glyphs_for(0.005, GLYPH_POLICY) == "o\\"
+        assert _glyphs_for(0.2) == ""
+        assert _glyphs_for(0.03) == "o"
+        assert _glyphs_for(0.005) == "o\\"
 
     def test_boundary_is_strict(self):
-        assert _glyphs_for(0.05, GLYPH_POLICY) == ""
-        assert _glyphs_for(0.01, GLYPH_POLICY) == "o"
+        assert _glyphs_for(0.05) == ""
+        assert _glyphs_for(0.01) == "o"

@@ -73,9 +73,8 @@ class TestProfilesFromRows:
         profiles = profiles_from_rows(attribute_table(rows), trials, schema)
         assert profiles.identities == ("a", "b")
         values = profile_rows(profiles)
-        coverage = dict(zip(schema.names(), profiles.coverage[0]))
         assert values["a"]["blur"] == pytest.approx(0.3)
-        assert coverage["smile"] == pytest.approx(0.5)
+        assert values["a"]["smile"] == 0.5  # from the one image that has it
         assert values["b"]["blur"] == pytest.approx(0.9)
 
     def test_rows_without_identity_ignored(self):
@@ -85,7 +84,6 @@ class TestProfilesFromRows:
         profiles = profiles_from_rows(attribute_table(rows), trials, schema)
         # b has no rows: its profile is all missing, as on the embeddings path
         assert profile_rows(profiles) == {"a": {"blur": 0.2}, "b": {}}
-        assert not profiles.coverage[1].any()
 
 
 class TestRunAudit:

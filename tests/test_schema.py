@@ -1,17 +1,19 @@
 """Tests for the attribute schema: defaults, validation, JSON round-trip."""
 
+import json
 from collections import Counter
 
 import pytest
 
-from faceaudit.errors import SchemaError
+from conftest import schema_document
+from faceaudit.errors import DataError, SchemaError
+from faceaudit.inputs import from_json
 from faceaudit.schema import (
     AttributeSchema,
     Variable,
     default_schema,
     load_schema,
     save_schema,
-    schema_from_dict,
     schema_to_dict,
 )
 
@@ -34,7 +36,7 @@ class TestDefaultSchema:
         }
 
     def test_protected_names(self):
-        assert default_schema().protected_names == ("gender", "ethnicity", "age")
+        assert default_schema().protected == ("gender", "ethnicity", "age")
 
     def test_names_are_unique_and_ordered(self):
         names = default_schema().names()
@@ -76,12 +78,12 @@ class TestVariableValidation:
     def test_duplicate_names_rejected(self):
         v = Variable("x", "emotion", "boolean")
         with pytest.raises(SchemaError):
-            AttributeSchema(variables=(v, v), protected_names=())
+            AttributeSchema(variables=(v, v), protected=())
 
     def test_protected_must_exist(self):
         v = Variable("x", "emotion", "boolean")
         with pytest.raises(SchemaError):
-            AttributeSchema(variables=(v,), protected_names=("y",))
+            AttributeSchema(variables=(v,), protected=("y",))
 
 
 class TestBoundsAndValues:
@@ -154,7 +156,7 @@ class TestLevelIndex:
 class TestJsonRoundTrip:
     def test_dict_round_trip(self):
         schema = default_schema()
-        assert schema_from_dict(schema_to_dict(schema)) == schema
+        assert from_json(AttributeSchema, schema_to_dict(schema), "schema") == schema
 
     def test_file_round_trip(self, tmp_path):
         schema = default_schema()
@@ -163,11 +165,43 @@ class TestJsonRoundTrip:
         assert load_schema(path) == schema
 
     def test_malformed_document(self):
-        with pytest.raises(SchemaError):
-            schema_from_dict({"variables": [{"family": "emotion"}], "protected": []})
+        with pytest.raises(DataError, match=r"^schema\.variables\[0\]\.name is required$"):
+            from_json(
+                AttributeSchema, {"variables": [{"family": "emotion"}], "protected": []}, "schema"
+            )
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(SchemaError):
+        with pytest.raises(DataError, match="broken.json: malformed JSON"):
             load_schema(path)
+
+
+_AGE = {"family": "protected", "kind": "continuous_range", "levels": None, "hi": 9.0}
+_BAD_DOCUMENTS = [  # (id, document, the start of its message)
+    ("levels-string", schema_document(levels="mw"), 'variables[0].levels must be a list, got "mw"'),
+    ("levels-ints", schema_document(levels=[1, 2]), "variables[0].levels[0] must be a string"),
+    ("misspelled-key", schema_document(level=["a", "b"]), "variables[0].level is not a known key"),
+    ("unknown-top-key", schema_document({"version": 2}), "version is not a known key"),
+    ("bound-string", schema_document(**_AGE, lo="1"), 'variables[0].lo must be a number, got "1"'),
+    ("protected-string", schema_document({"protected": "g"}), 'protected must be a list, got "g"'),
+    ("family", schema_document(family="nope"), "variables[0].family must be one of protected, "),
+    ("kind", schema_document(kind="complex"), "variables[0].kind must be one of continuous_unit, "),
+    ("one-level", schema_document(levels=["m"]), "variables[0].levels must hold at least 2 names"),
+    ("no-lower-bound", schema_document(**_AGE), "variables[0].lo and hi must bound a range, got"),
+    ("protected-unknown", schema_document({"protected": ["x"]}), "protected: 'x' is not a schema"),
+]
+
+
+class TestLoadSchema:
+    """Schema files load with the typed loader: a bad key fails and names its path."""
+
+    @pytest.mark.parametrize(
+        "document, message", [pytest.param(*case[1:], id=case[0]) for case in _BAD_DOCUMENTS]
+    )
+    def test_bad_document_names_the_key(self, tmp_path, document, message):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_schema(path)
+        assert str(exc.value).startswith(f"schema.{message}")

@@ -262,7 +262,7 @@ def _loop_generate(config, schema):
         values += rows
         ids = [f"u{u:05d}_{k:02d}" for k in range(per)]
         table = AttributeTable(tuple(ids), np.array(rows))
-        (row,), _, _ = aggregate_table(table, ids, np.zeros(per, dtype=int), 1, schema)
+        (row,) = aggregate_table(table, ids, np.zeros(per, dtype=int), 1, schema)
         aggregated = dict(zip(schema.names(), row.tolist()))
         pull = (1.0 - config.base_margin) - config.group_margin_shift.get(cell, 0.0)
         noise = config.noise_scale + config.group_noise_shift.get(cell, 0.0)

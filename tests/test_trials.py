@@ -75,8 +75,8 @@ def _reference_pairs(cohort, policy, seed):
             continue
         genuine = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
         cap = policy.positives_per_identity
-        if policy.positive_mode == "sample" or (cap is not None and len(genuine) > cap):
-            chosen = rng.choice(len(genuine), size=min(cap, len(genuine)), replace=False)
+        if cap is not None and len(genuine) > cap:
+            chosen = rng.choice(len(genuine), size=cap, replace=False)
             genuine = [genuine[i] for i in sorted(chosen)]
         out.extend(genuine)
         if policy.negatives_per_identity == 0:
@@ -137,7 +137,8 @@ class TestReferenceSampler:
         "policy",
         [
             TrialPolicy(),
-            TrialPolicy(positives_per_identity=2, positive_mode="sample"),
+            # a cap of 2 samples the genuine pairs of every identity with 3+ images
+            TrialPolicy(positives_per_identity=2),
             TrialPolicy(negatives_per_identity=0),
         ],
         ids=["default", "sample", "no-negatives"],
@@ -208,10 +209,6 @@ class TestTrialPolicy:
         assert policy.positives_per_identity == 6
         assert policy.negatives_per_identity == 50
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(TrialError):
-            TrialPolicy(positive_mode="guess")
-
     def test_nonpositive_cap_rejected(self):
         with pytest.raises(TrialError):
             TrialPolicy(positives_per_identity=0)
@@ -219,10 +216,6 @@ class TestTrialPolicy:
     def test_negative_negatives_rejected(self):
         with pytest.raises(TrialError):
             TrialPolicy(negatives_per_identity=-1)
-
-    def test_sample_mode_needs_count(self):
-        with pytest.raises(TrialError):
-            TrialPolicy(positives_per_identity=None, positive_mode="sample")
 
 
 class TestGenuinePairs:
@@ -259,15 +252,6 @@ class TestGenuinePairs:
         trials = generate_trials(cohort, policy, seed=0)
         for pairs in _by_identity(trials).values():
             assert len(pairs) == 15
-
-    def test_sample_mode_draws_exactly(self):
-        cohort = _cohort(n_identities=3, images_each=6)
-        policy = TrialPolicy(
-            positives_per_identity=4, negatives_per_identity=0, positive_mode="sample"
-        )
-        trials = generate_trials(cohort, policy, seed=0)
-        for pairs in _by_identity(trials).values():
-            assert len(pairs) == 4
 
 
 class TestImpostorPairs:
@@ -646,6 +630,22 @@ class TestTrialCsv:
             assert _image_pairs(got) == pairs
             if cells is not None:
                 assert loaded.tobytes() == scores.tobytes()
+
+    @pytest.mark.parametrize("special", ["\r", "\n", "\r\n", ",", '"'])
+    def test_special_ids_round_trip(self, tmp_path, special):
+        # an id holding a line break, the delimiter or a quote is written
+        # quoted and read back, with and without an image table
+        identity_of = {f"a{special}1": "a", "a_2": "a", f"b{special}1": "b", "b_2": "b"}
+        pairs = [(f"a{special}1", "a_2"), (f"b{special}1", "b_2"), ("a_2", f"b{special}1")]
+        trials = trial_set(pairs, identity_of)
+        path = tmp_path / "trials.csv"
+        write_trials_csv(path, trials, np.array([0.5, 0.25, -0.5]))
+        quoted = '"a' + special.replace('"', '""') + '1"'
+        assert f"\n{quoted},a_2,genuine,0.5\n".encode() in path.read_bytes()  # a_2 stays bare
+        for table in (None, trials):
+            got, scores = read_trials_csv(path, table)
+            assert _image_pairs(got) == pairs
+            assert scores.tolist() == [0.5, 0.25, -0.5]
 
     def test_scores_survive_exactly(self, tmp_path):
         # repr round-trips float64 exactly
