@@ -1,0 +1,105 @@
+"""Print the SHA-256 digest of every file a few fixed runs write.
+
+    PYTHONPATH=src python3 scripts/bundle_digests.py > digests.txt
+
+The runs:
+
+* ``run-all`` at the benchmark's runall-600 and runall-2400 configs
+  (six gender x ethnicity cells, 4 images, dim 128, ``eer`` and
+  ``far@0.01``, explain on), seeds 0-2;
+* ``run-all`` at the README's every-key config;
+* ``explain`` at ``eer``, ``far@0.01`` and ``far@0.001`` on the inputs
+  ``bench/explain_inputs.py --identities 120 --seed 0`` writes, which do
+  not depend on the program.
+
+Each run prints a line ``<run>  tree <digest>``, where the tree digest
+is the SHA-256 of the run's sorted ``<sha256> <path>`` lines, followed
+by those lines.  Output written by two checkouts of the program on one
+machine differs exactly where their outputs do.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from faceaudit.cli import main as faceaudit
+
+ROOT = Path(__file__).resolve().parents[1]
+CELLS = [f"{g},{e}" for g in ("man", "woman") for e in ("asian", "black", "caucasian")]
+
+
+def _bench_config(identities: int, seed: int) -> dict:
+    return {
+        "synth": {
+            "identities_per_group": {cell: identities // len(CELLS) for cell in CELLS},
+            "images_per_identity": 4,
+            "dim": 128,
+            "seed": seed,
+        },
+        "audit": {"policies": ["eer", "far@0.01"], "explain": True},
+    }
+
+
+def _every_key_config() -> dict:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("A config that sets every key:") :]
+    return json.loads(re.search(r"^```json\n(.*?)^```", section, flags=re.M | re.S).group(1))
+
+
+def _run(argv: list) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = faceaudit([str(arg) for arg in argv])
+    if code != 0:
+        raise SystemExit(f"faceaudit {' '.join(map(str, argv))} exited {code}")
+
+
+def _run_all(config: dict, out: Path) -> None:
+    path = out.with_suffix(".json")
+    path.write_text(json.dumps(config), encoding="utf-8")
+    _run(["run-all", "--config", path, "--out", out])
+
+
+def _explain(out: Path) -> None:
+    spec = importlib.util.spec_from_file_location("explain_inputs", ROOT / "bench" / "explain_inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.write_inputs(out.with_suffix(".inputs"), 120, 0)
+    argv = ["explain", "--scores", out.with_suffix(".inputs") / "scores.csv"]
+    argv += ["--attributes", out.with_suffix(".inputs") / "attributes.csv", "--out", out]
+    for policy in ("eer", "far@0.01", "far@0.001"):
+        argv += ["--threshold-policy", policy]
+    _run(argv)
+
+
+def _digests(out: Path) -> list[str]:
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()} {p.relative_to(out).as_posix()}" for p in files]
+
+
+def main() -> int:
+    runs = {
+        f"runall-{n}-seed{seed}": lambda out, n=n, seed=seed: _run_all(_bench_config(n, seed), out)
+        for n in (600, 2400)
+        for seed in (0, 1, 2)
+    }
+    runs["readme-every-key"] = lambda out: _run_all(_every_key_config(), out)
+    runs["explain-120-seed0"] = _explain
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, make in runs.items():
+            out = Path(scratch) / name
+            make(out)
+            lines = _digests(out)
+            tree = hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+            print(f"{name}  tree {tree[:16]}")
+            print("".join(f"  {line}\n" for line in lines), end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,7 @@ import numpy as np
 from faceaudit import __version__
 from faceaudit.calibration import calibrate, parse_policy, sweep_rates
 from faceaudit.cohort import aggregate_profiles, build_cohort, load_cohort, read_attributes
-from faceaudit.errors import DataError, NumericalError
+from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.inputs import from_json, read_json
 from faceaudit.pipeline import AuditOptions, AuditResults, profiles_from_rows, run_audit
 from faceaudit.report import dump_payload, emit_bundle, render_from_file
@@ -145,18 +145,26 @@ def _with_flags(options: AuditOptions, args) -> AuditOptions:
     return options
 
 
-def _cmd_synth(args) -> int:
-    outdir = _require_out(args)
-    data = read_json(args.config)
-    if isinstance(data, dict):
-        data = data.get("synth", data)
-    config = from_json(SynthConfig, data, "synth")
+def _synth_config(document, args, schema) -> SynthConfig:
+    """The synth section, bare or under "synth", with ``--seed`` applied and checked."""
+    if isinstance(document, dict):
+        document = document.get("synth", document)
+    config = from_json(SynthConfig, document, "synth")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    try:
+        config.validate_schema(schema)
+    except SchemaError as exc:
+        raise SchemaError(f"synth.{exc}") from None
+    return config
+
+
+def _cmd_synth(args) -> int:
+    outdir = _require_out(args)
     schema = _load_schema(args)
-    result = generate(config, schema)
+    result = generate(_synth_config(read_json(args.config), args, schema), schema)
     paths = write_synth(outdir, result, schema)
-    print(f"identities: {len(result.ground_truth['identities'])}")
+    print(f"identities: {len(result.profiles.identities)}")
     print(f"images: {len(result.records)}")
     for key in sorted(paths):
         print(f"{key}: {paths[key]}")
@@ -264,13 +272,11 @@ def _cmd_run_all(args) -> int:
     unknown = set(data) - {"synth", "trials", "audit"}
     if unknown:
         raise DataError(f"{args.config}: unknown config sections: {sorted(unknown)}")
-    config = from_json(SynthConfig, data["synth"], "synth")
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    schema = _load_schema(args)
+    config = _synth_config(data, args, schema)
     policy = from_json(TrialPolicy, data.get("trials", {}), "trials")
     defaults = {"explain": True, "group_by": config.group_attributes}
     options = _with_flags(from_json(AuditOptions, data.get("audit", {}), "audit", **defaults), args)
-    schema = _load_schema(args)
     schema.check_grouping(
         options.group_by,
         options.reference_levels,
@@ -284,8 +290,7 @@ def _cmd_run_all(args) -> int:
     trials = generate_trials(cohort, policy, config.seed)
     scores = score_trials(cohort, trials)
     write_trials_csv(outdir / "trials.csv", trials, scores)
-    profiles = aggregate_profiles(cohort, schema)
-    return _finish(outdir, run_audit(trials, scores, profiles, schema, options, config.seed))
+    return _finish(outdir, run_audit(trials, scores, result.profiles, schema, options, config.seed))
 
 
 _DISPATCH = {

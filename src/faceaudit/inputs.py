@@ -1,5 +1,6 @@
 """Reading input files: UTF-8 text, and JSON documents typed by the
-annotations of the dataclass they build.
+annotations of the dataclass they build (``from_json``; ``to_json``
+writes one back).
 
 Every fault raises a ``DataError`` that names the file or the key path.
 """
@@ -103,3 +104,22 @@ def from_json(cls, data, where: str, **defaults):
         return cls(**values)
     except DataError as exc:
         raise DataError(f"{where}.{exc}") from None
+
+
+def to_json(value):
+    """The JSON value ``from_json`` reads back as ``value``: a dataclass
+    becomes an object of its fields that differ from their defaults,
+    tuples become lists, and tuple keys are joined with ``,``."""
+    if dataclasses.is_dataclass(value):
+        fields = [(f.name, getattr(value, f.name), _default(f)) for f in dataclasses.fields(value)]
+        return {name: to_json(item) for name, item, default in fields if item != default}
+    if isinstance(value, tuple):
+        return [to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {",".join(k) if isinstance(k, tuple) else k: to_json(v) for k, v in value.items()}
+    return value
+
+
+def _default(f: dataclasses.Field):
+    """``f``'s default; MISSING, which no value equals, for a required field."""
+    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()

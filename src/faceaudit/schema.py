@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from faceaudit.errors import SchemaError
-from faceaudit.inputs import from_json, read_json
+from faceaudit.inputs import from_json, read_json, to_json
 
 FAMILIES = (
     "protected",
@@ -181,21 +181,8 @@ def default_schema() -> AttributeSchema:
     return AttributeSchema(variables=variables, protected=("gender", "ethnicity", "age"))
 
 
-def schema_to_dict(schema: AttributeSchema) -> dict:
-    out = {"variables": [], "protected": list(schema.protected)}
-    for v in schema.variables:
-        entry: dict = {"name": v.name, "family": v.family, "kind": v.kind}
-        if v.kind == "continuous_range":
-            entry["lo"] = v.lo
-            entry["hi"] = v.hi
-        if v.kind == "categorical":
-            entry["levels"] = list(v.levels)
-        out["variables"].append(entry)
-    return out
-
-
 def save_schema(schema: AttributeSchema, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schema_to_dict(schema), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(to_json(schema), indent=2) + "\n", encoding="utf-8")
 
 
 def load_schema(path: str | Path) -> AttributeSchema:

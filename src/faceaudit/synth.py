@@ -33,11 +33,13 @@ import numpy as np
 from faceaudit.cohort import (
     AttributeTable,
     EmbeddingTable,
+    ProfileTable,
     aggregate_table,
     write_attributes,
     write_embeddings_binary,
 )
 from faceaudit.errors import DataError, SchemaError
+from faceaudit.inputs import to_json
 from faceaudit.schema import AttributeSchema, default_schema, save_schema
 
 _MIN_NOISE = 0.01
@@ -98,39 +100,43 @@ class SynthConfig:
             raise DataError("noise_scale must be positive")
         if self.seed < 0:
             raise DataError("seed must be non-negative")
-        for cell, count in self.identities_per_group.items():
+        for key, cell in self._cells():
             if len(cell) != len(self.group_attributes):
-                raise DataError(
-                    f"identities_per_group cell {cell!r} does not match group_attributes"
-                )
+                raise DataError(f"{key}: cell does not match group_attributes")
+        for cell, count in self.identities_per_group.items():
             if count < 1:
-                raise DataError(
-                    f"identities_per_group cell {cell!r} must hold at least one identity"
-                )
+                raise DataError(f"identities_per_group[{','.join(cell)!r}] must be at least 1")
+
+    def _cells(self):
+        """(key path, cell) of every cell the config names."""
+        for name in ("identities_per_group", "group_margin_shift", "group_noise_shift"):
+            for cell in getattr(self, name):
+                yield f"{name}[{','.join(cell)!r}]", cell
 
     def validate_schema(self, schema: AttributeSchema) -> None:
+        """Raise a SchemaError that begins with the key path unless ``schema`` fits."""
         schema.check_grouping(self.group_attributes, group_key="group_attributes")
-        for cell in set(self.identities_per_group) | set(self.group_margin_shift) | set(
-            self.group_noise_shift
-        ):
+        for key, cell in self._cells():
             for name, level in zip(self.group_attributes, cell):
                 if level not in schema.variable(name).discrete_levels():
-                    raise SchemaError(f"{level!r} is not a level of {name!r}")
-        for effect in self.attribute_effects:
-            var = schema.variable(effect.variable)
-            if var.kind == "categorical":
+                    raise SchemaError(f"{key}: {level!r} is not a level of {name!r}")
+        scalars = {var.name for var in schema.variables if var.kind != "categorical"}
+        for i, effect in enumerate(self.attribute_effects):
+            if effect.variable not in scalars.difference(self.group_attributes):
                 raise SchemaError(
-                    f"effect on {effect.variable!r}: categorical attributes enter "
-                    "through group shifts, not scalar effects"
+                    f"attribute_effects[{i}].variable: {effect.variable!r} is not a continuous "
+                    "or boolean attribute outside group_attributes"
                 )
-            if effect.variable in self.group_attributes:
-                raise SchemaError(f"effect on {effect.variable!r} clashes with grouping")
 
 
 @dataclass(frozen=True)
 class SynthResult:
+    """A generated cohort; ``ground_truth`` is what ``ground_truth.json``
+    holds: the config and each identity's cell, hub pull and scatter."""
+
     records: EmbeddingTable
     attributes: AttributeTable
+    profiles: ProfileTable
     ground_truth: dict
 
 
@@ -190,17 +196,16 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
     image_ids = tuple(f"u{u:05d}_{k:02d}" for u in range(len(cells)) for k in range(per))
     attributes = AttributeTable(image_ids=image_ids, values=values)
     codes = np.repeat(np.arange(len(cells)), per)
-    aggregated_rows = aggregate_table(attributes, image_ids, codes, len(cells), schema)
+    aggregated = aggregate_table(attributes, image_ids, codes, len(cells), schema)
     vectors = np.empty((len(image_ids), config.dim), dtype=np.float32)
     identity_truth: dict[str, dict] = {}
     names = schema.names()
-    for u, (cell, row) in enumerate(zip(cells, aggregated_rows.tolist())):
-        aggregated = dict(zip(names, row))
+    for u, (cell, row) in enumerate(zip(cells, aggregated.tolist())):
         pull = base_pull - config.group_margin_shift.get(cell, 0.0)
         noise = config.noise_scale + config.group_noise_shift.get(cell, 0.0)
         for effect in config.attribute_effects:
             shift = effect.strength * _rescaled(
-                aggregated[effect.variable], schema.variable(effect.variable)
+                row[names.index(effect.variable)], schema.variable(effect.variable)
             )
             if effect.target == "far":
                 pull += shift
@@ -217,32 +222,15 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
         for vec in images:
             vec /= np.linalg.norm(vec)  # row by row: a 2-D norm sums in another order
         vectors[u * per : (u + 1) * per] = images
-        identity_truth[f"u{u:05d}"] = {
-            "cell": list(cell),
-            "pull": pull,
-            "noise": noise,
-            "attributes": {k: aggregated[k] for k in sorted(aggregated)},
-        }
+        identity_truth[f"u{u:05d}"] = {"cell": list(cell), "pull": pull, "noise": noise}
 
-    ground_truth = {
-        "group_attributes": list(config.group_attributes),
-        "cells": {",".join(cell): n for cell, n in sorted(config.identities_per_group.items())},
-        "base_margin": config.base_margin,
-        "noise_scale": config.noise_scale,
-        "margin_shift": {",".join(c): s for c, s in sorted(config.group_margin_shift.items())},
-        "noise_shift": {",".join(c): s for c, s in sorted(config.group_noise_shift.items())},
-        "effects": [
-            {"variable": e.variable, "target": e.target, "strength": e.strength}
-            for e in config.attribute_effects
-        ],
-        "seed": config.seed,
-        "dim": config.dim,
-        "images_per_identity": config.images_per_identity,
-        "identities": identity_truth,
-    }
-    identity_ids = tuple(f"u{u:05d}" for u in range(len(cells)) for _ in range(per))
+    identities = list(identity_truth)
+    identity_ids = tuple(identity for identity in identities for _ in range(per))
     records = EmbeddingTable(image_ids, identity_ids, vectors)
-    return SynthResult(records=records, attributes=attributes, ground_truth=ground_truth)
+    order = sorted(range(len(identities)), key=identities.__getitem__)  # "u100000" < "u99999"
+    profiles = ProfileTable(tuple(identities[i] for i in order), aggregated[order])
+    ground_truth = {"synth": to_json(config), "identities": identity_truth}
+    return SynthResult(records, attributes, profiles, ground_truth)
 
 
 def simpson_config(
@@ -296,7 +284,6 @@ def write_synth(outdir: str | Path, result: SynthResult, schema: AttributeSchema
     write_embeddings_binary(paths["embeddings"], result.records)
     write_attributes(paths["attributes"], result.attributes, schema)
     save_schema(schema, paths["schema"])
-    with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
-        json.dump(result.ground_truth, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    text = json.dumps(result.ground_truth, sort_keys=True, indent=2) + "\n"
+    paths["ground_truth"].write_text(text, encoding="utf-8")
     return paths

@@ -11,8 +11,9 @@ from faceaudit.cohort import (
     aggregate_profiles,
     build_cohort,
 )
+from faceaudit.inputs import to_json
 from faceaudit.pipeline import run_audit
-from faceaudit.schema import default_schema, schema_to_dict
+from faceaudit.schema import default_schema
 from faceaudit.synth import SynthConfig, generate
 from faceaudit.trials import TrialPolicy, TrialSet, generate_trials, score_trials
 
@@ -123,7 +124,7 @@ def schema_document(top=None, **changes):
     """The default schema's document with keys of its first variable
     (gender) replaced, a value of None deleting the key, and the
     top-level keys ``top`` replaced."""
-    document = {**schema_to_dict(default_schema()), **(top or {})}
+    document = {**to_json(default_schema()), **(top or {})}
     first = {**document["variables"][0], **changes}
     first = {key: value for key, value in first.items() if value is not None}
     document["variables"] = [first, *document["variables"][1:]]

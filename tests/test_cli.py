@@ -483,6 +483,42 @@ _MALFORMED = [
         "audit.reference_levels['blur']",
     ),
     ("policy-out-of-range", "audit", {"policies": ["eer", "far@2"]}, "audit.policies"),
+    (
+        "cell-unknown-level",
+        "synth",
+        {"identities_per_group": {"man,martian": 4, "woman,asian": 4}},
+        "synth.identities_per_group['man,martian']",
+    ),
+    (
+        "shift-cell-arity",
+        "synth",
+        {"identities_per_group": _CELLS, "group_margin_shift": {"man": -0.1}},
+        "synth.group_margin_shift['man']",
+    ),
+    (
+        "effect-on-categorical",
+        "synth",
+        {
+            "identities_per_group": _CELLS,
+            "attribute_effects": [{"variable": "ethnicity", "target": "far", "strength": 0.1}],
+        },
+        "synth.attribute_effects[0].variable",
+    ),
+    (
+        "effect-unknown-variable",
+        "synth",
+        {
+            "identities_per_group": _CELLS,
+            "attribute_effects": [{"variable": "shoe_size", "target": "frr", "strength": 0.1}],
+        },
+        "synth.attribute_effects[0].variable",
+    ),
+    (
+        "group-attributes-continuous",
+        "synth",
+        {"identities_per_group": {"30,man": 4, "40,woman": 4}, "group_attributes": ["age", "gender"]},
+        "synth.group_attributes",
+    ),
 ]
 
 
@@ -504,8 +540,7 @@ class TestMalformedConfig:
         out = tmp_path / "out"
         assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"faceaudit {command}: ")
-        assert path in err
+        assert err.count("\n") == 1 and err.startswith(f"faceaudit {command}: {path}")
         assert not out.exists()  # rejected before any work
 
 
@@ -989,12 +1024,14 @@ class TestRunAll:
         assert report["seed"] == 9
 
     def test_audits_its_cohort_in_memory(self, tmp_path, monkeypatch):
-        # data/ is written for inspection; run-all never reads it back
+        # data/ is written for inspection; run-all never reads it back, and
+        # it audits with the profiles synth computed
         def refuse(*args, **kwargs):
-            raise AssertionError("run-all loaded a cohort from files")
+            raise AssertionError("run-all loaded a cohort from files or aggregated it again")
 
         monkeypatch.setattr("faceaudit.cli.load_cohort", refuse)
         monkeypatch.setattr("faceaudit.cli.read_attributes", refuse)
+        monkeypatch.setattr("faceaudit.cli.aggregate_profiles", refuse)
         config = self._config(tmp_path)
         out = tmp_path / "run"
         assert main(["run-all", "--config", str(config), "--out", str(out)]) == 0

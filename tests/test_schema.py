@@ -14,7 +14,6 @@ from faceaudit.schema import (
     default_schema,
     load_schema,
     save_schema,
-    schema_to_dict,
 )
 
 
@@ -154,10 +153,6 @@ class TestLevelIndex:
 
 
 class TestJsonRoundTrip:
-    def test_dict_round_trip(self):
-        schema = default_schema()
-        assert from_json(AttributeSchema, schema_to_dict(schema), "schema") == schema
-
     def test_file_round_trip(self, tmp_path):
         schema = default_schema()
         path = tmp_path / "schema.json"

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import attribute_rows, profile_rows
+from conftest import attribute_rows
 
 from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cli import main
@@ -16,6 +16,7 @@ from faceaudit.cohort import (
     load_cohort,
 )
 from faceaudit.errors import DataError, SchemaError
+from faceaudit.inputs import from_json
 from faceaudit.schema import default_schema, load_schema
 from faceaudit.synth import (
     AttributeEffect,
@@ -35,6 +36,12 @@ def _two_cell_config(n=10, seed=0, **overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
+
+
+def _profile_column(result, name):
+    """``name``'s profile value of each identity, in ground-truth order."""
+    assert result.profiles.identities == tuple(result.ground_truth["identities"])
+    return result.profiles.values[:, default_schema().names().index(name)]
 
 
 def _mean_rates(config, policy="eer", seed=0):
@@ -163,15 +170,13 @@ class TestGenerate:
                     == ethnicity
                 )
 
-    def test_ground_truth_attributes_match_pipeline_aggregation(self):
+    def test_profiles_match_pipeline_aggregation(self):
+        # run-all audits with these profiles instead of aggregating again
         schema = default_schema()
         result = generate(_two_cell_config(n=4))
-        cohort = build_cohort(result.records, result.attributes)
-        profiles = profile_rows(aggregate_profiles(cohort, schema))
-        for identity, entry in result.ground_truth["identities"].items():
-            got = profiles[identity]
-            for name, want in entry["attributes"].items():
-                assert got[name] == pytest.approx(want, abs=1e-12), (identity, name)
+        profiles = aggregate_profiles(build_cohort(result.records, result.attributes), schema)
+        assert result.profiles.identities == profiles.identities
+        assert result.profiles.values.tobytes() == profiles.values.tobytes()
 
     def test_attribute_values_respect_schema(self):
         schema = default_schema()
@@ -206,9 +211,8 @@ class TestGenerate:
             n=10, attribute_effects=(AttributeEffect("blur", "far", 0.25),)
         )
         result = generate(config)
-        truth = result.ground_truth["identities"]
-        blur = np.array([t["attributes"]["blur"] for t in truth.values()])
-        pull = np.array([t["pull"] for t in truth.values()])
+        blur = _profile_column(result, "blur")
+        pull = np.array([t["pull"] for t in result.ground_truth["identities"].values()])
         # higher blur, stronger hub pull (narrower margin)
         assert np.corrcoef(blur, pull)[0, 1] > 0.99
 
@@ -217,25 +221,24 @@ class TestGenerate:
             n=10, attribute_effects=(AttributeEffect("exposure", "frr", 0.4),)
         )
         result = generate(config)
-        truth = result.ground_truth["identities"]
-        exposure = np.array([t["attributes"]["exposure"] for t in truth.values()])
-        noise = np.array([t["noise"] for t in truth.values()])
+        exposure = _profile_column(result, "exposure")
+        noise = np.array([t["noise"] for t in result.ground_truth["identities"].values()])
         assert np.corrcoef(exposure, noise)[0, 1] > 0.99
 
 
 def _loop_generate(config, schema):
     """``generate`` with one generator call per drawn value, in one pass.
 
-    Returns (vectors, attribute values, per-identity ground truth).  An
-    identity's draws come in stream order: traits, each image's jitter,
-    the residual, each image's scatter; its aggregated attributes need
-    only its own rows, so one pass per identity keeps that order."""
+    Returns (vectors, attribute values, profile values, per-identity
+    ground truth).  An identity's draws come in stream order: traits,
+    each image's jitter, the residual, each image's scatter; its profile
+    needs only its own rows, so one pass per identity keeps that order."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     dim, per = config.dim, config.images_per_identity
     hub = np.ones(dim) / np.sqrt(dim)
     counts = config.identities_per_group
     cells = [cell for cell in sorted(counts) for _ in range(counts[cell])]
-    vectors, values, truth = [], [], {}
+    vectors, values, profiles, truth = [], [], [], {}
     for u, cell in enumerate(cells):
         levels = dict(zip(config.group_attributes, cell))
         traits = []
@@ -263,6 +266,7 @@ def _loop_generate(config, schema):
         ids = [f"u{u:05d}_{k:02d}" for k in range(per)]
         table = AttributeTable(tuple(ids), np.array(rows))
         (row,) = aggregate_table(table, ids, np.zeros(per, dtype=int), 1, schema)
+        profiles.append(row)
         aggregated = dict(zip(schema.names(), row.tolist()))
         pull = (1.0 - config.base_margin) - config.group_margin_shift.get(cell, 0.0)
         noise = config.noise_scale + config.group_noise_shift.get(cell, 0.0)
@@ -281,13 +285,8 @@ def _loop_generate(config, schema):
         for _ in range(per):
             vec = centroid + noise * (rng.standard_normal(dim) / np.sqrt(dim))
             vectors.append(vec / np.linalg.norm(vec))
-        truth[f"u{u:05d}"] = {
-            "cell": list(cell),
-            "pull": pull,
-            "noise": noise,
-            "attributes": dict(sorted(aggregated.items())),
-        }
-    return np.array(vectors, dtype=np.float32), np.array(values), truth
+        truth[f"u{u:05d}"] = {"cell": list(cell), "pull": pull, "noise": noise}
+    return np.array(vectors, dtype=np.float32), np.array(values), np.array(profiles), truth
 
 
 class TestLoopReference:
@@ -306,9 +305,10 @@ class TestLoopReference:
             ),
         )
         result = generate(config)
-        vectors, values, truth = _loop_generate(config, default_schema())
+        vectors, values, profiles, truth = _loop_generate(config, default_schema())
         assert result.records.vectors.tobytes() == vectors.tobytes()
         assert result.attributes.values.tobytes() == values.tobytes()
+        assert result.profiles.values.tobytes() == profiles.tobytes()
         assert json.dumps(result.ground_truth["identities"]) == json.dumps(truth)
 
 
@@ -359,10 +359,11 @@ class TestConfigDict:
             seed=11,
         )
         truth = json.loads(_synth_truth(tmp_path, _EVERY_KEY))
+        assert from_json(SynthConfig, truth["synth"], "synth") == config
         assert truth == json.loads(json.dumps(generate(config).ground_truth))
         # integers given for float fields are read as floats
-        assert isinstance(truth["noise_scale"], float)
-        assert isinstance(truth["effects"][1]["strength"], float)
+        assert isinstance(truth["synth"]["noise_scale"], float)
+        assert isinstance(truth["synth"]["attribute_effects"][1]["strength"], float)
 
     def test_json_serialisable(self, tmp_path):
         # a bare synth object and one under a "synth" key read the same
@@ -370,17 +371,33 @@ class TestConfigDict:
         assert _synth_truth(tmp_path, {"synth": _EVERY_KEY}, "wrapped") == bare
 
     def test_defaults_fill_in(self, tmp_path):
-        truth = json.loads(
-            _synth_truth(tmp_path, {"identities_per_group": {"man,asian": 5, "woman,black": 5}})
-        )
-        assert truth["dim"] == 64
-        assert truth["base_margin"] == 0.30
-        assert truth["noise_scale"] == 1.20
-        assert truth["images_per_identity"] == 4
-        assert truth["group_attributes"] == ["gender", "ethnicity"]
-        assert truth["margin_shift"] == truth["noise_shift"] == {}
-        assert truth["effects"] == []
-        assert truth["seed"] == 0
+        cells = {"man,asian": 5, "woman,black": 5}
+        truth = json.loads(_synth_truth(tmp_path, {"identities_per_group": cells}))
+        assert truth["synth"] == {"identities_per_group": cells}  # defaults are left out
+        config = from_json(SynthConfig, truth["synth"], "synth")
+        assert config.dim == 64
+        assert config.base_margin == 0.30
+        assert config.noise_scale == 1.20
+        assert config.images_per_identity == 4
+        assert config.group_attributes == ("gender", "ethnicity")
+        assert config.group_margin_shift == config.group_noise_shift == {}
+        assert config.attribute_effects == ()
+        assert config.seed == 0
+
+    def test_ground_truth_regenerates_the_cohort(self, tmp_path):
+        # the config ground_truth.json holds, --seed applied, draws the same data/
+        path = tmp_path / "pipeline.json"
+        config = {"synth": _EVERY_KEY, "trials": {"negatives_per_identity": 10}}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        run, again = tmp_path / "run", tmp_path / "again"
+        assert main(["run-all", "--config", str(path), "--seed", "5", "--out", str(run)]) == 0
+        truth = run / "data" / "ground_truth.json"
+        assert json.loads(truth.read_text(encoding="utf-8"))["synth"]["seed"] == 5
+        assert main(["synth", "--config", str(truth), "--out", str(again)]) == 0
+        names = ["attributes.csv", "embeddings.freb", "ground_truth.json", "schema.json"]
+        assert sorted(p.name for p in (run / "data").iterdir()) == names
+        for name in names:
+            assert (run / "data" / name).read_bytes() == (again / name).read_bytes(), name
 
 
 class TestSimpsonConfig:
