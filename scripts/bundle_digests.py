@@ -1,6 +1,8 @@
-"""Print the SHA-256 digest of every file a few fixed runs write.
+"""Print the SHA-256 digest of every file a few fixed runs write, or
+rewrite the golden bundles that tier-1 compares against.
 
     PYTHONPATH=src python3 scripts/bundle_digests.py > digests.txt
+    PYTHONPATH=src python3 scripts/bundle_digests.py --update
 
 The runs:
 
@@ -10,20 +12,31 @@ The runs:
 * ``run-all`` at the README's every-key config;
 * ``explain`` at ``eer``, ``far@0.01`` and ``far@0.001`` on the inputs
   ``bench/explain_inputs.py --identities 120 --seed 0`` writes, which do
-  not depend on the program.
+  not depend on the program;
+* ``explain --embeddings`` at ``eer`` and ``far@0.01`` on the
+  embeddings, attributes and trials of the runall-600 seed-0 run;
+* ``run-all`` at the config of acceptance criterion 10.
 
 Each run prints a line ``<run>  tree <digest>``, where the tree digest
 is the SHA-256 of the run's sorted ``<sha256> <path>`` lines, followed
 by those lines.  Output written by two checkouts of the program on one
 machine differs exactly where their outputs do.
+
+``GOLDEN_RUNS`` names the runs whose ``report.json`` and
+``tables/*.csv`` are committed under ``tests/golden/<run>/``;
+``tests/test_golden.py`` regenerates them and compares.  ``--update``
+rewrites those files from the program as it is: a change that moves
+them is an announced change to the output.
 """
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
 import io
 import json
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -31,7 +44,12 @@ from pathlib import Path
 from faceaudit.cli import main as faceaudit
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 CELLS = [f"{g},{e}" for g in ("man", "woman") for e in ("asian", "black", "caucasian")]
+CRITERION_10 = {
+    "synth": {"identities_per_group": {"man,asian": 14, "woman,asian": 14}, "dim": 24, "seed": 9},
+    "audit": {"policies": ["eer", "far@0.01"]},
+}
 
 
 def _bench_config(identities: int, seed: int) -> dict:
@@ -77,20 +95,57 @@ def _explain(out: Path) -> None:
     _run(argv)
 
 
+def _explain_embeddings(out: Path) -> None:
+    source = out.with_suffix(".run-all")
+    _run_all(_bench_config(600, 0), source)
+    argv = ["explain", "--embeddings", source / "data" / "embeddings.freb"]
+    argv += ["--scores", source / "trials.csv", "--attributes", source / "data" / "attributes.csv"]
+    _run([*argv, "--threshold-policy", "eer", "--threshold-policy", "far@0.01", "--out", out])
+
+
+GOLDEN_RUNS = {
+    "criterion-10": lambda out: _run_all(CRITERION_10, out),
+    "readme-every-key": lambda out: _run_all(_every_key_config(), out),
+    "explain-120-seed0": _explain,
+}
+
+
+def golden_files(out: Path) -> list[Path]:
+    """The files of a bundle that the golden corpus keeps."""
+    return [out / "report.json", *sorted((out / "tables").glob("*.csv"))]
+
+
 def _digests(out: Path) -> list[str]:
     files = sorted(p for p in out.rglob("*") if p.is_file())
     return [f"{hashlib.sha256(p.read_bytes()).hexdigest()} {p.relative_to(out).as_posix()}" for p in files]
 
 
+def _update(scratch: Path) -> None:
+    for name, make in GOLDEN_RUNS.items():
+        out = scratch / name
+        make(out)
+        shutil.rmtree(GOLDEN / name, ignore_errors=True)
+        for path in golden_files(out):
+            target = GOLDEN / name / path.relative_to(out)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(path, target)
+            print(target.relative_to(ROOT).as_posix())
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--update", action="store_true", help="rewrite tests/golden/ instead")
+    args = parser.parse_args()
     runs = {
         f"runall-{n}-seed{seed}": lambda out, n=n, seed=seed: _run_all(_bench_config(n, seed), out)
         for n in (600, 2400)
         for seed in (0, 1, 2)
     }
-    runs["readme-every-key"] = lambda out: _run_all(_every_key_config(), out)
-    runs["explain-120-seed0"] = _explain
+    runs = {**runs, "explain-embeddings-600-seed0": _explain_embeddings, **GOLDEN_RUNS}
     with tempfile.TemporaryDirectory() as scratch:
+        if args.update:
+            _update(Path(scratch))
+            return 0
         for name, make in runs.items():
             out = Path(scratch) / name
             make(out)

@@ -9,7 +9,7 @@ pooled and per-ethnicity gender gaps side by side.
 import argparse
 
 from faceaudit.calibration import calibrate, sweep_rates
-from faceaudit.cohort import aggregate_profiles, build_cohort
+from faceaudit.cohort import build_cohort
 from faceaudit.metrics import (
     group_membership,
     group_rates,
@@ -26,15 +26,14 @@ def run(seed: int) -> None:
     schema = default_schema()
     config = simpson_config(seed=seed)
     result = generate(config, schema)
-    cohort = build_cohort(result.records, result.attributes)
+    cohort = build_cohort(result.records)
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
     census = trial_census(trials, scores)
     op = calibrate(sweep_rates(census.genuine_scores, census.impostor_scores), "eer")
     far, frr = individual_rates(census, op.tau)
     # The trials cover every cohort identity, so the rates align with the profile rows.
-    profiles = aggregate_profiles(cohort, schema)
-    membership = group_membership(profiles, ("gender", "ethnicity"), schema)
+    membership = group_membership(result.profiles, ("gender", "ethnicity"), schema)
     groups = group_rates(far, frr, membership)
 
     print(f"seed {seed}: tau={op.tau:.4f} far={op.far:.4f} frr={op.frr:.4f}")

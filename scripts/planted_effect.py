@@ -9,7 +9,7 @@ blur row should dominate; everything else should sit near zero.
 import argparse
 
 from faceaudit.calibration import calibrate, sweep_rates
-from faceaudit.cohort import aggregate_profiles, build_cohort
+from faceaudit.cohort import build_cohort
 from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import individual_rates, trial_census
 from faceaudit.schema import default_schema
@@ -29,15 +29,14 @@ def run(seed: int, strength: float, n_per_group: int) -> None:
         attribute_effects=(AttributeEffect("blur", "far", strength),),
     )
     result = generate(config, schema)
-    cohort = build_cohort(result.records, result.attributes)
+    cohort = build_cohort(result.records)
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
     census = trial_census(trials, scores)
     op = calibrate(sweep_rates(census.genuine_scores, census.impostor_scores), "eer")
     far, frr = individual_rates(census, op.tau)
     # The trials cover every cohort identity, so the rates align with the profile rows.
-    profiles = aggregate_profiles(cohort, schema)
-    report = explanatory_report(build_design(profiles, schema), {"far": far, "frr": frr}, "far", op)
+    report = explanatory_report(build_design(result.profiles, schema), {"far": far, "frr": frr}, "far", op)
 
     print(
         f"seed {seed}: planted blur->far strength {strength}, "

@@ -31,7 +31,7 @@ from faceaudit.cohort import aggregate_profiles, build_cohort, load_cohort, read
 from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.inputs import from_json, read_json
 from faceaudit.pipeline import AuditOptions, AuditResults, profiles_from_rows, run_audit
-from faceaudit.report import dump_payload, emit_bundle, render_from_file
+from faceaudit.report import dump_payload, emit_bundle, op_payload, render_from_file
 from faceaudit.schema import default_schema, load_schema
 from faceaudit.synth import SynthConfig, generate, write_synth
 from faceaudit.trials import (
@@ -42,93 +42,93 @@ from faceaudit.trials import (
     write_trials_csv,
 )
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract here is 1."""
+    """argparse exits with 2 on usage errors; the contract here is 1, with
+    argparse's message as one stderr line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
+        print(f"{self.prog}: {message}", file=sys.stderr)
         raise SystemExit(1) from None
 
 
 def _policy_arg(text: str) -> str:
-    parse_policy(text)  # raises DataError (a ValueError) on bad input
+    try:
+        parse_policy(text)
+    except DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
 
-def _seed_arg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
+def _at_least(text: str, least: int, alternative: str = "") -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}{alternative}, got {text!r}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed_arg, default=None, help="generator seed")
-    common.add_argument(
-        "--threshold-policy",
-        action="append",
-        type=_policy_arg,
-        default=None,
-        metavar="POLICY",
-        help="eer or far@<rate>; repeat for several operating points",
-    )
-    common.add_argument(
-        "--group-by",
-        default=None,
-        metavar="ATTRS",
-        help="comma-separated grouping attributes (default gender,ethnicity)",
-    )
-    common.add_argument("--schema", default=None, metavar="PATH", help="schema JSON")
-    common.add_argument("--out", default=None, metavar="PATH", help="output file/directory")
+def _seed_arg(text: str) -> int:
+    return _at_least(text, 0)
 
+
+def _positives_arg(text: str) -> int | None:
+    return None if text == "all" else _at_least(text, 1, " or 'all'")
+
+
+# Every flag a command may take, with its argparse settings.
+_FLAGS = {
+    "--config": {"metavar": "PATH", "help": "config JSON"},
+    "--seed": {"type": _seed_arg, "help": "generator seed (default: the config's, or 0)"},
+    "--embeddings": {"metavar": "PATH", "help": "embedding file"},
+    "--positives": {"type": _positives_arg, "default": 6, "metavar": "N|all"},
+    "--negatives": {"type": int, "default": 50, "metavar": "N"},
+    "--pairs": {"metavar": "PATH", "help": "pair file"},
+    "--scores": {"metavar": "PATH", "help": "scored pair file"},
+    "--attributes": {"metavar": "PATH", "help": "attribute file"},
+    "--results": {"metavar": "PATH", "help": "report.json path"},
+    "--threshold-policy": {
+        "action": "append",
+        "type": _policy_arg,
+        "metavar": "POLICY",
+        "help": "eer or far@<rate>; repeat for several operating points",
+    },
+    "--group-by": {
+        "metavar": "ATTRS",
+        "help": "comma-separated grouping attributes (default gender,ethnicity)",
+    },
+    "--schema": {"metavar": "PATH", "help": "schema JSON"},
+    "--standardize": {"action": "store_true", "help": "z-score continuous regression columns"},
+    "--out": {"metavar": "PATH", "help": "output file or directory"},
+}
+
+# The flags each command reads, and only those; a bracketed one is optional.
+_AUDIT = "--scores --attributes [--embeddings] [--threshold-policy] [--group-by] [--schema] --out"
+_COMMANDS = {
+    "synth": ("generate a synthetic cohort", "--config [--seed] [--schema] --out"),
+    "pairs": ("build verification pairs", "--embeddings [--positives] [--negatives] [--seed] --out"),
+    "score": ("score pairs with cosine similarity", "--embeddings --pairs --out"),
+    "calibrate": ("pick operating thresholds", "--scores [--threshold-policy] [--out]"),
+    "audit": ("group rates, fairness gaps, rank tests", _AUDIT),
+    "explain": ("audit plus correlations and regression", f"{_AUDIT} [--standardize]"),
+    "report": ("re-render an existing report", "--results --out"),
+    "run-all": (
+        "full pipeline from a config",
+        "--config [--seed] [--threshold-policy] [--group-by] [--schema] --out",
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="faceaudit", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"faceaudit {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic cohort")
-    p.add_argument("--config", required=True, metavar="PATH", help="synth config JSON")
-
-    p = sub.add_parser("pairs", parents=[common], help="build verification pairs")
-    p.add_argument("--embeddings", required=True, metavar="PATH")
-    p.add_argument("--positives", type=int, default=6, metavar="N")
-    p.add_argument("--negatives", type=int, default=50, metavar="N")
-    p.add_argument("--all-positives", action="store_true", help="keep every genuine pair")
-
-    p = sub.add_parser("score", parents=[common], help="score pairs with cosine similarity")
-    p.add_argument("--embeddings", required=True, metavar="PATH")
-    p.add_argument("--pairs", required=True, metavar="PATH")
-
-    p = sub.add_parser("calibrate", parents=[common], help="pick operating thresholds")
-    p.add_argument("--scores", required=True, metavar="PATH")
-
-    for name, help_text in (
-        ("audit", "group rates, fairness gaps, rank tests"),
-        ("explain", "audit plus correlations and regression"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--scores", required=True, metavar="PATH")
-        p.add_argument("--attributes", required=True, metavar="PATH")
-        p.add_argument("--embeddings", default=None, metavar="PATH")
-        p.add_argument("--standardize", action="store_true")
-
-    p = sub.add_parser("report", parents=[common], help="re-render an existing report")
-    p.add_argument("--results", required=True, metavar="PATH", help="report.json path")
-
-    p = sub.add_parser("run-all", parents=[common], help="full pipeline from a config")
-    p.add_argument("--config", required=True, metavar="PATH", help="pipeline config JSON")
-
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag.strip("[]"), required=flag[0] != "[", **_FLAGS[flag.strip("[]")])
     return parser
-
-
-def _require_out(args) -> Path:
-    if not args.out:
-        raise _UsageError("--out is required for this command")
-    return Path(args.out)
 
 
 def _load_schema(args):
@@ -160,10 +160,9 @@ def _synth_config(document, args, schema) -> SynthConfig:
 
 
 def _cmd_synth(args) -> int:
-    outdir = _require_out(args)
     schema = _load_schema(args)
     result = generate(_synth_config(read_json(args.config), args, schema), schema)
-    paths = write_synth(outdir, result, schema)
+    paths = write_synth(args.out, result, schema)
     print(f"identities: {len(result.profiles.identities)}")
     print(f"images: {len(result.records)}")
     for key in sorted(paths):
@@ -172,28 +171,23 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    out = _require_out(args)
-    cohort = load_cohort(args.embeddings, None, default_schema())
-    policy = TrialPolicy(
-        positives_per_identity=None if args.all_positives else args.positives,
-        negatives_per_identity=args.negatives,
-    )
-    trials = generate_trials(cohort, policy, args.seed if args.seed is not None else 0)
-    write_trials_csv(out, trials, None)
+    cohort = load_cohort(args.embeddings)
+    policy = TrialPolicy(positives_per_identity=args.positives, negatives_per_identity=args.negatives)
+    trials = generate_trials(cohort, policy, args.seed or 0)
+    write_trials_csv(args.out, trials, None)
     print(f"genuine pairs: {trials.n_genuine}")
     print(f"impostor pairs: {trials.n_impostor}")
-    print(f"pairs file: {out}")
+    print(f"pairs file: {args.out}")
     return 0
 
 
 def _cmd_score(args) -> int:
-    out = _require_out(args)
-    cohort = load_cohort(args.embeddings, None, default_schema())
+    cohort = load_cohort(args.embeddings)
     trials, _ = read_trials_csv(args.pairs, cohort)
     scores = score_trials(cohort, trials)
-    write_trials_csv(out, trials, scores)
+    write_trials_csv(args.out, trials, scores)
     print(f"scored pairs: {len(scores)}")
-    print(f"scores file: {out}")
+    print(f"scores file: {args.out}")
     return 0
 
 
@@ -212,13 +206,7 @@ def _cmd_calibrate(args) -> int:
     curve = sweep_rates(scores[labels], scores[~labels])
     policies = args.threshold_policy or AuditOptions().policies
     points = [calibrate(curve, policy) for policy in policies]
-    payload = {
-        "operating_points": [
-            {"policy": op.policy, "tau": op.tau, "far": op.far, "frr": op.frr}
-            for op in points
-        ]
-    }
-    text = dump_payload(payload)
+    text = dump_payload({"operating_points": list(map(op_payload, points))})
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"operating points: {args.out}")
@@ -227,26 +215,23 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _audit_like(args, explain: bool) -> int:
-    outdir = _require_out(args)
+def _audit_like(args, options: AuditOptions) -> int:
     schema = _load_schema(args)
-    options = _with_flags(AuditOptions(explain=explain, standardize=args.standardize), args)
+    options = _with_flags(options, args)
     schema.check_grouping(options.group_by, group_key="--group-by")
     if args.embeddings:
-        cohort = load_cohort(args.embeddings, args.attributes, schema)
+        cohort = load_cohort(args.embeddings)
+        profiles = aggregate_profiles(cohort, read_attributes(args.attributes, schema), schema)
         trials, scores = read_trials_csv(args.scores, cohort)
-        profiles = aggregate_profiles(cohort, schema)
     else:
         trials, scores = read_trials_csv(args.scores)
-        table = read_attributes(args.attributes, schema)
-        profiles = profiles_from_rows(table, trials, schema)
+        profiles = profiles_from_rows(read_attributes(args.attributes, schema), trials, schema)
     if np.isnan(scores).any():
         raise DataError(f"{args.scores}: contains unscored pairs; run score first")
-    seed = args.seed if args.seed is not None else 0
-    return _finish(outdir, run_audit(trials, scores, profiles, schema, options, seed))
+    return _finish(args.out, run_audit(trials, scores, profiles, schema, options))
 
 
-def _finish(outdir: Path, results: AuditResults) -> int:
+def _finish(outdir: str | Path, results: AuditResults) -> int:
     """Write the report bundle and print one summary line per policy."""
     written = emit_bundle(outdir, results)
     for analysis in results.analyses:
@@ -257,15 +242,14 @@ def _finish(outdir: Path, results: AuditResults) -> int:
 
 
 def _cmd_report(args) -> int:
-    outdir = _require_out(args)
-    written = render_from_file(args.results, outdir)
+    written = render_from_file(args.results, args.out)
     print(f"tables: {len(written['tables'])}")
     print(f"figures: {len(written['figures'])}")
     return 0
 
 
 def _cmd_run_all(args) -> int:
-    outdir = _require_out(args)
+    outdir = Path(args.out)
     data = read_json(args.config)
     if not isinstance(data, dict) or "synth" not in data:
         raise DataError(f"{args.config}: run-all config needs a 'synth' section")
@@ -286,7 +270,7 @@ def _cmd_run_all(args) -> int:
 
     result = generate(config, schema)
     write_synth(outdir / "data", result, schema)  # for inspection; the audit reads none of it
-    cohort = build_cohort(result.records, result.attributes)
+    cohort = build_cohort(result.records)
     trials = generate_trials(cohort, policy, config.seed)
     scores = score_trials(cohort, trials)
     write_trials_csv(outdir / "trials.csv", trials, scores)
@@ -298,8 +282,10 @@ _DISPATCH = {
     "pairs": _cmd_pairs,
     "score": _cmd_score,
     "calibrate": _cmd_calibrate,
-    "audit": lambda args: _audit_like(args, explain=False),
-    "explain": lambda args: _audit_like(args, explain=True),
+    "audit": lambda args: _audit_like(args, AuditOptions()),
+    "explain": lambda args: _audit_like(
+        args, AuditOptions(explain=True, standardize=args.standardize)
+    ),
     "report": _cmd_report,
     "run-all": _cmd_run_all,
 }
@@ -313,9 +299,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return _DISPATCH[args.command](args)
-    except _UsageError as exc:
-        print(f"faceaudit {args.command}: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"faceaudit {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,9 @@ level name or its index.  In memory the rows form one
 
 Cohorts: a ``Cohort`` is the image table trials use (images identity by
 identity, identities sorted, each identity's images sorted) with the
-embedding matrix in the same row order, plus the ``AttributeTable``.
+embedding matrix in the same row order.  It holds no attribute rows:
+pairing and scoring read none, and an audit reads them once, into the
+profiles.
 
 Profiles: each identity aggregates its images' rows in sorted image-id
 order, so neither the row nor the column order of the file changes a
@@ -136,11 +138,9 @@ class Cohort(ImageTable):
 
     The image table holds every embedded image, each identity's images
     sorted; ``vectors[i]`` is the embedding of ``image_ids[i]``.
-    ``images`` holds the attribute rows; an image may have none.
     """
 
     vectors: np.ndarray  # float32, shape (n_images, dim)
-    images: AttributeTable
 
 
 def write_embeddings_binary(path: str | Path, table: EmbeddingTable) -> None:
@@ -359,12 +359,8 @@ def write_attributes(path: str | Path, table: AttributeTable, schema: AttributeS
         fh.writelines(map("{}\n".format, rows))
 
 
-def build_cohort(embeddings: EmbeddingTable, attributes: AttributeTable | None = None) -> Cohort:
-    """Assemble and validate a cohort from in-memory pieces.
-
-    Every attribute row must reference a known embedding; embeddings
-    without an attribute row are allowed.
-    """
+def build_cohort(embeddings: EmbeddingTable) -> Cohort:
+    """Order an embedding table into a cohort; image ids must be distinct."""
     if not len(embeddings):
         raise DataError("no embedding records")
     embedded: set[str] = set()
@@ -372,16 +368,6 @@ def build_cohort(embeddings: EmbeddingTable, attributes: AttributeTable | None =
         if image_id in embedded:
             raise DataError(f"duplicate image_id {image_id!r} among embeddings")
         embedded.add(image_id)
-
-    if attributes is None:
-        attributes = AttributeTable(image_ids=(), values=np.empty((0, 0)))
-    attributed: set[str] = set()
-    for image_id in attributes.image_ids:
-        if image_id not in embedded:
-            raise DataError(f"attribute row for {image_id!r} has no matching embedding")
-        if image_id in attributed:
-            raise DataError(f"duplicate attribute row for {image_id!r}")
-        attributed.add(image_id)
 
     image_ids, identity_ids = embeddings.image_ids, embeddings.identity_ids
     identities = tuple(sorted(set(identity_ids)))
@@ -392,25 +378,15 @@ def build_cohort(embeddings: EmbeddingTable, attributes: AttributeTable | None =
         identity_codes=positions(identities, identity_ids)[order],
         identities=identities,
         vectors=embeddings.vectors if in_order else embeddings.vectors[order],
-        images=attributes,
     )
 
 
-def load_cohort(
-    embedding_path: str | Path,
-    attribute_path: str | Path | None,
-    schema: AttributeSchema,
-) -> Cohort:
-    """Load embeddings + attributes into a validated cohort.
-
-    Passing no attribute path loads a bare cohort (pairing and scoring
-    need no attributes).
-    """
-    embeddings = load_embeddings(embedding_path)
+def load_cohort(path: str | Path) -> Cohort:
+    """Load an embedding file into a cohort."""
+    embeddings = load_embeddings(path)
     if not len(embeddings):
-        raise DataError(f"{embedding_path}: no embedding records")
-    table = None if attribute_path is None else read_attributes(attribute_path, schema)
-    return build_cohort(embeddings, table)
+        raise DataError(f"{path}: no embedding records")
+    return build_cohort(embeddings)
 
 
 def aggregate_table(
@@ -464,9 +440,24 @@ def aggregate_table(
     return out
 
 
-def aggregate_profiles(cohort: Cohort, schema: AttributeSchema) -> ProfileTable:
-    """One profile row per cohort identity; missing per-image values are skipped."""
+def aggregate_profiles(
+    cohort: ImageTable, table: AttributeTable, schema: AttributeSchema
+) -> ProfileTable:
+    """One profile row per cohort identity from the rows of ``table``;
+    missing per-image values are skipped.
+
+    Every row must belong to a cohort image, at most once; an image may
+    have no row.
+    """
+    embedded = set(cohort.image_ids)
+    attributed: set[str] = set()
+    for image_id in table.image_ids:
+        if image_id not in embedded:
+            raise DataError(f"attribute row for {image_id!r} has no matching embedding")
+        if image_id in attributed:
+            raise DataError(f"duplicate attribute row for {image_id!r}")
+        attributed.add(image_id)
     values = aggregate_table(
-        cohort.images, cohort.image_ids, cohort.identity_codes, len(cohort.identities), schema
+        table, cohort.image_ids, cohort.identity_codes, len(cohort.identities), schema
     )
     return ProfileTable(cohort.identities, values)

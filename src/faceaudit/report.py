@@ -51,27 +51,26 @@ def _format_cell(value: float) -> str:
 def render_group_table(groups: list[GroupRates], metric: str) -> str:
     """Grid of group rates for one metric as delimited text.
 
-    One grouping attribute gives a two-column table; two attributes give
-    rows for the first attribute's levels and columns for the second's,
-    union rows/columns labelled ``all``.
+    Two grouping attributes give rows for the first attribute's levels
+    and columns for the second's.  Any other count gives the long table:
+    a column per attribute plus one for the metric, and a row per group.
+    Union levels are labelled ``all``.
     """
     if metric not in ("far", "frr"):
         raise DataError(f"metric must be 'far' or 'frr', got {metric!r}")
     if not groups:
         raise DataError("no groups to render")
     attrs = groups[0].group.attributes
-    if len(attrs) > 2:
-        raise DataError("group tables render one or two grouping attributes")
 
     def label(level: str | None) -> str:
         return "all" if level is None else level
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if len(attrs) == 1:
-        writer.writerow([attrs[0], metric])
+    if len(attrs) != 2:
+        writer.writerow([*attrs, metric])
         for g in groups:
-            writer.writerow([label(g.group.levels[0]), _format_cell(getattr(g, metric))])
+            writer.writerow([*map(label, g.group.levels), _format_cell(getattr(g, metric))])
         return buf.getvalue()
 
     # Levels in order of first appearance; a later cell with the same levels wins.
@@ -201,7 +200,7 @@ def _sanitize(obj):
     return obj
 
 
-def _op_payload(op):
+def op_payload(op):
     return {"policy": op.policy, "tau": op.tau, "far": op.far, "frr": op.frr}
 
 
@@ -248,7 +247,7 @@ def _fit_payload(fit):
 def _explain_payload(rep):
     return {
         "metric": rep.metric,
-        "operating_point": _op_payload(rep.operating_point),
+        "operating_point": op_payload(rep.operating_point),
         "n_cases": rep.n_cases,
         "correlations": {
             "entries": [
@@ -283,7 +282,7 @@ def to_payload(results: AuditResults) -> dict:
         "notes": dict(results.notes),
         "analyses": [
             {
-                "operating_point": _op_payload(a.operating_point),
+                "operating_point": op_payload(a.operating_point),
                 "groups": [_group_payload(g) for g in a.groups],
                 "deltas": {
                     "extreme_far": _delta_payload(a.deltas.extreme_far),
@@ -452,9 +451,12 @@ def _check_payload(payload) -> None:
     the lists they read side by side agree in length."""
     _check_shape(payload, {"analyses": [_ANALYSIS]}, "")
     for i, analysis in enumerate(payload["analyses"]):
+        groups = analysis["groups"]
+        for k, g in enumerate(groups):
+            if g["attributes"] != groups[0]["attributes"]:
+                raise DataError(f"analyses[{i}].groups[{k}].attributes differ from groups[0]'s")
         parallel = [  # (where, list, lists of the same length)
-            (f"groups[{k}]", g["attributes"], g["levels"])
-            for k, g in enumerate(analysis["groups"])
+            (f"groups[{k}]", g["attributes"], g["levels"]) for k, g in enumerate(groups)
         ]
         for metric, rep in (analysis.get("explain") or {}).items():
             if fit := rep.get("regression"):

@@ -8,7 +8,6 @@ from faceaudit.cohort import (
     EmbeddingTable,
     ImageTable,
     ProfileTable,
-    aggregate_profiles,
     build_cohort,
 )
 from faceaudit.inputs import to_json
@@ -22,7 +21,7 @@ def synth_cohort(config, schema=None):
     """Generate a cohort and return (cohort, synth_result)."""
     schema = schema or default_schema()
     result = generate(config, schema)
-    return build_cohort(result.records, result.attributes), result
+    return build_cohort(result.records), result
 
 
 def embedding_table(records):
@@ -31,11 +30,9 @@ def embedding_table(records):
     return EmbeddingTable(image_ids, identity_ids, np.array(vectors))
 
 
-def cohort_audit(cohort, trials, scores, options, seed=0):
-    """run_audit with the cohort's own profiles, as run-all audits."""
-    schema = default_schema()
-    profiles = aggregate_profiles(cohort, schema)
-    return run_audit(trials, scores, profiles, schema, options, seed)
+def cohort_audit(result, trials, scores, options, seed=0):
+    """run_audit with a synth result's own profiles, as run-all audits."""
+    return run_audit(trials, scores, result.profiles, default_schema(), options, seed)
 
 
 def scored_trials(cohort, seed=0, policy=None):

@@ -14,7 +14,7 @@ import pytest
 
 from faceaudit.calibration import calibrate, sweep_rates
 from faceaudit.cli import main
-from faceaudit.cohort import aggregate_profiles, build_cohort
+from faceaudit.cohort import build_cohort
 from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import (
     Group,
@@ -50,7 +50,7 @@ def _audited_far_rates(config, trial_seed=0, negatives=50):
     """Generate, pair, score, calibrate at EER; return (rates, profiles, op)."""
     schema = default_schema()
     result = generate(config, schema)
-    cohort = build_cohort(result.records, result.attributes)
+    cohort = build_cohort(result.records)
     trials = generate_trials(
         cohort, TrialPolicy(negatives_per_identity=negatives), seed=trial_seed
     )
@@ -59,8 +59,7 @@ def _audited_far_rates(config, trial_seed=0, negatives=50):
     op = calibrate(sweep_rates(census.genuine_scores, census.impostor_scores), "eer")
     far, frr = individual_rates(census, op.tau)
     # The trials cover every cohort identity, so the rates align with the profile rows.
-    profiles = aggregate_profiles(cohort, schema)
-    return {"far": far, "frr": frr}, profiles, op
+    return {"far": far, "frr": frr}, result.profiles, op
 
 
 def test_criterion_01_pair_protocol_arithmetic():
@@ -70,7 +69,7 @@ def test_criterion_01_pair_protocol_arithmetic():
         seed=0,
     )
     result = generate(config)
-    cohort = build_cohort(result.records, result.attributes)
+    cohort = build_cohort(result.records)
     trials = generate_trials(cohort, TrialPolicy(), seed=0)
     probe = trials.probe_codes
     genuine = np.bincount(probe[trials.genuine], minlength=len(trials.identities))
@@ -223,11 +222,10 @@ def test_criterion_07_composition_reversal():
     for seed in range(10):
         config = simpson_config(seed=seed)
         result = generate(config, schema)
-        cohort = build_cohort(result.records, result.attributes)
+        cohort = build_cohort(result.records)
         trials = generate_trials(cohort, TrialPolicy(), seed=seed)
         scores = score_trials(cohort, trials)
-        profiles = aggregate_profiles(cohort, schema)
-        results = run_audit(trials, scores, profiles, schema, AuditOptions(policies=("eer",)))
+        results = run_audit(trials, scores, result.profiles, schema, AuditOptions(policies=("eer",)))
         payload = to_payload(results)
         deltas = payload["analyses"][0]["deltas"]["one_axis"]
         marginal = next(

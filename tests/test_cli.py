@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import schema_document
-from faceaudit.cli import main
+from faceaudit.cli import build_parser, main
 from faceaudit.cohort import EmbeddingTable, load_embeddings, write_embeddings_binary
 from faceaudit.schema import load_schema
 from faceaudit.trials import read_trials_csv
@@ -90,15 +90,84 @@ class TestUsageErrors:
             main(["calibrate", "--scores", "x.csv", "--threshold-policy", "frr@0.1"])
         assert exc.value.code == 1
 
-    def test_negative_seed(self):
+    def test_negative_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["pairs", "--embeddings", "x.freb", "--seed", "-1"])
+            main(["pairs", "--embeddings", "x.freb", "--seed", "-1", "--out", "p.csv"])
         assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "faceaudit pairs: argument --seed: expected an integer >= 0, got '-1'\n"
+        )
 
     def test_missing_out_is_usage_error(self, workspace, capsys):
-        rc = main(["pairs", "--embeddings", str(workspace["embeddings"])])
-        assert rc == 1
-        assert "--out" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["pairs", "--embeddings", str(workspace["embeddings"])])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "faceaudit pairs: the following arguments are required: --out\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("synth", "--group-by", "gender"),
+            ("score", "--seed", "1"),
+            ("report", "--threshold-policy", "eer"),
+            ("audit", "--seed", "1"),
+            ("audit", "--standardize", None),
+            ("pairs", "--all-positives", None),
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, workspace, tmp_path, capsys, command, flag, value):
+        # each command takes only the flags it reads; any other one is refused
+        inputs = {
+            "synth": ["--config", workspace["config"]],
+            "score": ["--embeddings", workspace["embeddings"], "--pairs", workspace["pairs"]],
+            "report": ["--results", tmp_path / "report.json"],
+            "audit": ["--scores", workspace["scored"], "--attributes", workspace["attributes"]],
+            "pairs": ["--embeddings", workspace["embeddings"]],
+        }[command]
+        out = tmp_path / "out"
+        argv = [command, *inputs, flag, *([value] if value else []), "--out", out]
+        with pytest.raises(SystemExit) as exc:
+            main([str(arg) for arg in argv])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert "unrecognized arguments" in err
+        assert not out.exists()
+
+    def test_flags_per_command(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {
+            name: sorted(a.option_strings[0] for a in p._actions if a.dest != "help")
+            for name, p in sub.choices.items()
+        }
+        audit = ["--attributes", "--embeddings", "--group-by", "--out"]
+        audit += ["--schema", "--scores", "--threshold-policy"]
+        assert flags == {
+            "synth": ["--config", "--out", "--schema", "--seed"],
+            "pairs": ["--embeddings", "--negatives", "--out", "--positives", "--seed"],
+            "score": ["--embeddings", "--out", "--pairs"],
+            "calibrate": ["--out", "--scores", "--threshold-policy"],
+            "audit": audit,
+            "explain": sorted([*audit, "--standardize"]),
+            "report": ["--out", "--results"],
+            "run-all": ["--config", "--group-by", "--out", "--schema", "--seed", "--threshold-policy"],
+        }
+        assert sum(map(len, flags.values())) == 38
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_positives_named(self, workspace, tmp_path, capsys, value):
+        out = tmp_path / "pairs.csv"
+        argv = ["pairs", "--embeddings", str(workspace["embeddings"]), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--positives", value])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            f"faceaudit pairs: argument --positives: expected an integer >= 1 or 'all', "
+            f"got {value!r}\n"
+        )
+        assert not out.exists()
 
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
@@ -666,6 +735,22 @@ class TestPipeline:
         assert trials.n_impostor == 28 * 50
         assert np.isnan(scores).all()
 
+    def test_positives_all_keeps_every_genuine_pair(self, tmp_path):
+        config = tmp_path / "synth.json"
+        config.write_text(
+            json.dumps({"identities_per_group": {"man,asian": 12}, "images_per_identity": 5}),
+            encoding="utf-8",
+        )
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        embeddings = str(tmp_path / "data" / "embeddings.freb")
+        counts = {}
+        for value in ("6", "all"):
+            out = tmp_path / f"pairs-{value}.csv"
+            argv = ["pairs", "--embeddings", embeddings, "--negatives", "5", "--out", str(out)]
+            assert main([*argv, "--positives", value]) == 0
+            counts[value] = read_trials_csv(out)[0].n_genuine
+        assert counts == {"6": 12 * 6, "all": 12 * 10}  # 5 images: 10 pairs
+
     def test_scored_file_complete(self, workspace):
         _, scores = read_trials_csv(workspace["scored"])
         assert not np.isnan(scores).any()
@@ -771,6 +856,16 @@ class TestPipeline:
         assert explain["far"]["correlations"]["entries"]
         assert (outdir / "figures" / "eer_correlations.svg").exists()
 
+    def test_three_grouping_attributes(self, workspace, tmp_path):
+        outdir = tmp_path / "explain"
+        argv = ["explain", "--scores", str(workspace["scored"])]
+        argv += ["--attributes", str(workspace["attributes"]), "--out", str(outdir)]
+        assert main([*argv, "--group-by", "gender,ethnicity,forehead_occluded"]) == 0
+        report = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+        table = (outdir / "tables" / "eer_far.csv").read_text(encoding="utf-8").splitlines()
+        assert table[0] == "gender,ethnicity,forehead_occluded,far"
+        assert len(table) == 1 + len(report["analyses"][0]["groups"])
+
     def test_report_rerenders_identically(self, workspace, tmp_path):
         outdir = tmp_path / "audit"
         args = [
@@ -843,10 +938,15 @@ class TestReportResults:
                 "analyses[0].explain.far.correlations.entries[0].r has",
             ),
             (_set(["analyses", 0, "kruskal", "frr", "labels"], "ab"), "kruskal.frr.labels must"),
+            (
+                _set(["analyses", 0, "groups", 1, "attributes"], ["gender"]),
+                "analyses[0].groups[1].attributes differ from groups[0]'s",
+            ),
         ],
         ids=[
             "no-groups", "string-far", "analyses-object", "group-list", "short-levels",
             "null-operating-point", "short-p", "short-p-values", "string-r", "string-labels",
+            "mixed-attributes",
         ],
     )
     def test_malformed_payload_one_line(self, explain_report, tmp_path, capsys, edit, message):

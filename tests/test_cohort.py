@@ -157,7 +157,7 @@ class TestTextFormat:
         path.write_text("\n\n", encoding="utf-8")
         assert len(read_embeddings_text(path)) == 0
         with pytest.raises(DataError, match=f"^{path}: no embedding records$"):
-            load_cohort(path, None, default_schema())
+            load_cohort(path)
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "emb.csv"
@@ -384,23 +384,26 @@ class TestBuildCohort:
         assert cohort.vectors is records.vectors
 
     def test_unattributed_listed(self):
+        # an image without an attribute row stays in the cohort and its profile
         records = _records(n_identities=1, images_each=2)
         rows = attribute_table({"id0_img0": {"blur": 0.5}})
-        cohort = build_cohort(records, rows)
+        cohort = build_cohort(records)
         assert cohort.image_ids == ("id0_img0", "id0_img1")
-        assert cohort.images.image_ids == ("id0_img0",)
+        assert profile_rows(aggregate_profiles(cohort, rows, default_schema())) == {
+            "id0": {"blur": 0.5}
+        }
 
     def test_orphan_attribute_row_rejected(self):
-        records = _records(n_identities=1, images_each=1)
+        cohort = build_cohort(_records(n_identities=1, images_each=1))
         rows = attribute_table({"ghost": {"blur": 0.5}})
         with pytest.raises(DataError, match="^attribute row for 'ghost' has no matching"):
-            build_cohort(records, rows)
+            aggregate_profiles(cohort, rows, default_schema())
 
     def test_duplicate_attribute_row_rejected(self):
-        records = _records(n_identities=1, images_each=1)
+        cohort = build_cohort(_records(n_identities=1, images_each=1))
         rows = AttributeTable(("id0_img0", "id0_img0"), np.full((2, 20), 0.5))
         with pytest.raises(DataError, match="^duplicate attribute row for 'id0_img0'$"):
-            build_cohort(records, rows)
+            aggregate_profiles(cohort, rows, default_schema())
 
     def test_duplicate_image_id_rejected(self):
         table = embedding_table([("a", "x", np.ones(3)), ("b", "x", np.ones(3))] * 2)
@@ -412,7 +415,7 @@ class TestBuildCohort:
         path = tmp_path / "emb.csv"
         path.write_text("a,x,1.0,1.0,1.0\nb,x,1.0,1.0,1.0,1.0,1.0\n", encoding="utf-8")
         with pytest.raises(DataError, match="^dimension mismatch: 'b' has 5, expected 3$"):
-            load_cohort(path, None, default_schema())
+            load_cohort(path)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -426,17 +429,17 @@ class TestBuildCohort:
         attrs = tmp_path / "attrs.csv"
         write_embeddings_binary(emb, records)
         write_attributes(attrs, rows, schema)
-        cohort = load_cohort(emb, attrs, schema)
+        cohort = load_cohort(emb)
         assert len(cohort.image_ids) == 4
-        assert attribute_rows(cohort.images)["id1_img0"] == {"blur": 0.3}
+        profiles = aggregate_profiles(cohort, read_attributes(attrs, schema), schema)
+        assert profile_rows(profiles)["id1"] == {"blur": 0.3}
 
     def test_load_cohort_without_attributes(self, tmp_path):
         records = _records(n_identities=2, images_each=2)
         emb = tmp_path / "emb.freb"
         write_embeddings_binary(emb, records)
-        cohort = load_cohort(emb, None, default_schema())
+        cohort = load_cohort(emb)
         assert cohort.image_ids == tuple(sorted(records.image_ids))
-        assert cohort.images.image_ids == ()
 
 
 def aggregate_rows(rows, schema):
@@ -509,8 +512,7 @@ class TestAggregation:
         schema = default_schema()
         records = _records(n_identities=3, images_each=2)
         rows = attribute_table({image: {"blur": 0.5} for image in records.image_ids[:4]})
-        cohort = build_cohort(records, rows)
-        profiles = aggregate_profiles(cohort, schema)
+        profiles = aggregate_profiles(build_cohort(records), rows, schema)
         assert profiles.identities == ("id0", "id1", "id2")
         values = profile_rows(profiles)
         assert values["id0"]["blur"] == 0.5
@@ -523,7 +525,7 @@ class TestAggregation:
         records = _records(n_identities=1, images_each=4)
         # only 2 of 4 images have attribute rows
         rows = attribute_table({records.image_ids[i]: {"blur": v} for i, v in ((0, 0.2), (1, 0.4))})
-        profiles = aggregate_profiles(build_cohort(records, rows), schema)
+        profiles = aggregate_profiles(build_cohort(records), rows, schema)
         assert _row_dict(profiles.values[0], schema) == {"blur": pytest.approx(0.3)}
 
 

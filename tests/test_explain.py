@@ -12,7 +12,6 @@ from conftest import (
     synth_cohort,
     trial_set,
 )
-from faceaudit.cohort import aggregate_profiles
 from faceaudit.errors import DataError, RankDeficiencyError, SchemaError
 from faceaudit.explain import (
     build_design,
@@ -299,11 +298,9 @@ class TestExplanatoryReport:
         config = small_config(
             identities_per_group={("man", "asian"): 14, ("woman", "asian"): 14}
         )
-        cohort, _ = synth_cohort(config)
+        cohort, result = synth_cohort(config)
         trials, scores = scored_trials(cohort)
-        profiles = profile_table(
-            {**profile_rows(aggregate_profiles(cohort, SCHEMA)), **random_rows(12)}
-        )
+        profiles = profile_table({**profile_rows(result.profiles), **random_rows(12)})
         options = AuditOptions(policies=("eer", "far@0.01"), explain=True)
         results = run_audit(trials, scores, profiles, SCHEMA, options)
         for analysis in results.analyses:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from conftest import small_config
 
-from faceaudit.cohort import aggregate_profiles, build_cohort
+from faceaudit.cohort import build_cohort
 from faceaudit.pipeline import AuditOptions, run_audit
 from faceaudit.report import emit_bundle
 from faceaudit.schema import default_schema
@@ -63,14 +63,12 @@ def test_item_counts_read_real_results(tmp_path):
     schema = default_schema()
     config = small_config(n=3)
     result = generate(config, schema)
-    cohort = build_cohort(result.records, result.attributes)
+    cohort = build_cohort(result.records)
     trials = generate_trials(cohort, TrialPolicy(negatives_per_identity=5), 0)
     scores = score_trials(cohort, trials)
     path = tmp_path / "trials.csv"
     write_trials_csv(path, trials, scores)
-    audit = run_audit(
-        trials, scores, aggregate_profiles(cohort, schema), schema, AuditOptions(), 0
-    )
+    audit = run_audit(trials, scores, result.profiles, schema, AuditOptions(), 0)
     calls = {
         "synth.generate": ((config, schema), result),
         "trials.generate": ((cohort, TrialPolicy(negatives_per_identity=5), 0), trials),

@@ -34,9 +34,9 @@ def cohort_and_scores():
     config = small_config(
         identities_per_group={("man", "asian"): 14, ("woman", "asian"): 14}
     )
-    cohort, _ = synth_cohort(config)
+    cohort, result = synth_cohort(config)
     trials, scores = scored_trials(cohort)
-    return cohort, trials, scores
+    return result, trials, scores
 
 
 class TestAuditOptions:
@@ -88,8 +88,8 @@ class TestProfilesFromRows:
 
 class TestRunAudit:
     def test_result_census(self, cohort_and_scores):
-        cohort, trials, scores = cohort_and_scores
-        results = cohort_audit(cohort, trials, scores, AuditOptions(), seed=5)
+        result, trials, scores = cohort_and_scores
+        results = cohort_audit(result, trials, scores, AuditOptions(), seed=5)
         assert results.n_identities == 28
         assert results.n_genuine == 28 * 6
         assert results.n_impostor == 28 * 50
@@ -98,9 +98,9 @@ class TestRunAudit:
         assert results.notes["multiple_comparison_correction"] == "none"
 
     def test_one_analysis_per_policy(self, cohort_and_scores):
-        cohort, trials, scores = cohort_and_scores
+        result, trials, scores = cohort_and_scores
         options = AuditOptions(policies=("eer", "far@0.01", "far@0.001"))
-        results = cohort_audit(cohort, trials, scores, options)
+        results = cohort_audit(result, trials, scores, options)
         assert [a.operating_point.policy for a in results.analyses] == [
             "eer",
             "far@0.01",
@@ -110,13 +110,13 @@ class TestRunAudit:
     def test_group_rates_match_manual_recount(self, cohort_and_scores):
         from faceaudit.metrics import individual_rates, trial_census
 
-        cohort, trials, scores = cohort_and_scores
-        results = cohort_audit(cohort, trials, scores, AuditOptions())
+        result, trials, scores = cohort_and_scores
+        results = cohort_audit(result, trials, scores, AuditOptions())
         analysis = results.analyses[0]
         census = trial_census(trials, scores)
         far, _ = individual_rates(census, analysis.operating_point.tau)
         by_id = dict(zip(census.identities, far))
-        profiles = aggregate_profiles(cohort, default_schema())
+        profiles = result.profiles
         for g in analysis.groups:
             if g.is_empty:
                 continue
@@ -124,14 +124,14 @@ class TestRunAudit:
             assert g.far == pytest.approx(want, abs=1e-12)
 
     def test_explain_disabled_by_default(self, cohort_and_scores):
-        cohort, trials, scores = cohort_and_scores
-        results = cohort_audit(cohort, trials, scores, AuditOptions())
+        result, trials, scores = cohort_and_scores
+        results = cohort_audit(result, trials, scores, AuditOptions())
         assert results.analyses[0].explain == {}
 
     def test_explain_reports_when_enabled(self, cohort_and_scores):
-        cohort, trials, scores = cohort_and_scores
+        result, trials, scores = cohort_and_scores
         options = AuditOptions(explain=True)
-        results = cohort_audit(cohort, trials, scores, options)
+        results = cohort_audit(result, trials, scores, options)
         explain = results.analyses[0].explain
         assert set(explain) == {"far", "frr"}
         assert explain["far"].n_cases == 28
@@ -141,12 +141,12 @@ class TestRunAudit:
         config = small_config(
             identities_per_group={("man", "asian"): 4, ("woman", "asian"): 4}
         )
-        cohort, _ = synth_cohort(config)
+        cohort, result = synth_cohort(config)
         trials, scores = scored_trials(
             cohort, policy=TrialPolicy(negatives_per_identity=20)
         )
         options = AuditOptions(explain=True)
-        results = cohort_audit(cohort, trials, scores, options)
+        results = cohort_audit(result, trials, scores, options)
         skipped = results.analyses[0].skipped_analyses
         assert "explain_far" in skipped and "explain_frr" in skipped
         assert results.analyses[0].explain == {}
@@ -154,10 +154,10 @@ class TestRunAudit:
     def test_rank_deficiency_recorded_not_fatal(self):
         # two cells that differ in both gender and ethnicity: the design's
         # gender=woman and ethnicity=caucasian columns are the same column
-        cohort, _ = synth_cohort(small_config())
+        cohort, result = synth_cohort(small_config())
         trials, scores = scored_trials(cohort)
         options = AuditOptions(policies=("eer", "far@0.01"), explain=True)
-        results = cohort_audit(cohort, trials, scores, options)
+        results = cohort_audit(result, trials, scores, options)
         for analysis in results.analyses:
             assert analysis.explain == {}
             for metric in ("far", "frr"):
@@ -170,30 +170,30 @@ class TestRunAudit:
             assert [g.n_members for g in cells] == [12, 12]
 
     def test_missing_scores_rejected(self, cohort_and_scores):
-        cohort, trials, scores = cohort_and_scores
+        result, trials, scores = cohort_and_scores
         holey = scores.copy()
         holey[0] = np.nan
         with pytest.raises(DataError):
-            cohort_audit(cohort, trials, holey, AuditOptions())
+            cohort_audit(result, trials, holey, AuditOptions())
 
     def test_length_mismatch_rejected(self, cohort_and_scores):
-        cohort, trials, scores = cohort_and_scores
+        result, trials, scores = cohort_and_scores
         with pytest.raises(DataError):
-            cohort_audit(cohort, trials, scores[:-1], AuditOptions())
+            cohort_audit(result, trials, scores[:-1], AuditOptions())
 
     def test_continuous_group_by_rejected(self, cohort_and_scores):
-        cohort, trials, scores = cohort_and_scores
+        result, trials, scores = cohort_and_scores
         from faceaudit.errors import SchemaError
 
         with pytest.raises(SchemaError):
-            cohort_audit(cohort, trials, scores, AuditOptions(group_by=("age",)))
+            cohort_audit(result, trials, scores, AuditOptions(group_by=("age",)))
 
     def test_run_audit_with_external_profiles(self, cohort_and_scores):
-        cohort, trials, scores = cohort_and_scores
+        result, trials, scores = cohort_and_scores
         schema = default_schema()
-        profiles = profiles_from_rows(cohort.images, trials, schema)
+        profiles = profiles_from_rows(result.attributes, trials, schema)
         direct = run_audit(trials, scores, profiles, schema, AuditOptions())
-        wrapped = cohort_audit(cohort, trials, scores, AuditOptions())
+        wrapped = cohort_audit(result, trials, scores, AuditOptions())
         assert direct.analyses[0].operating_point == wrapped.analyses[0].operating_point
         for a, b in zip(direct.analyses[0].groups, wrapped.analyses[0].groups):
             assert a.n_members == b.n_members
@@ -226,7 +226,7 @@ def mixed_audit():
         image_ids=tuple(attributes.image_ids[i] for i in keep),
         values=attributes.values[keep],
     )
-    cohort = build_cohort(lone, lone_rows)
+    cohort = build_cohort(lone)
     with pytest.warns(UserWarning, match="fewer than two images"):
         trials, scores = scored_trials(cohort)
     excluded = trials.identities[3]
@@ -238,7 +238,7 @@ def mixed_audit():
         trials.pairs[keep],
         trials.skipped_identities,
     )
-    rows = profile_rows(aggregate_profiles(cohort, default_schema()))
+    rows = profile_rows(aggregate_profiles(cohort, lone_rows, default_schema()))
     identities = list(rows)
     del rows[identities[5]]["ethnicity"]
     del rows[identities[6]]["blur"]
@@ -276,12 +276,12 @@ class TestHoistedState:
         config = small_config(
             identities_per_group={("man", "asian"): 4, ("woman", "asian"): 4}
         )
-        cohort, _ = synth_cohort(config)
+        cohort, result = synth_cohort(config)
         trials, scores = scored_trials(
             cohort, policy=TrialPolicy(negatives_per_identity=20)
         )
         options = AuditOptions(policies=("eer", "far@0.1", "far@0.01"), explain=True)
-        results = cohort_audit(cohort, trials, scores, options)
+        results = cohort_audit(result, trials, scores, options)
         messages = {
             (a.skipped_analyses["explain_far"], a.skipped_analyses["explain_frr"])
             for a in results.analyses

@@ -43,10 +43,10 @@ def audit_results():
     config = small_config(
         identities_per_group={("man", "asian"): 14, ("woman", "asian"): 14}
     )
-    cohort, _ = synth_cohort(config)
+    cohort, result = synth_cohort(config)
     trials, scores = scored_trials(cohort)
     options = AuditOptions(policies=("eer", "far@0.01"), explain=True)
-    return cohort_audit(cohort, trials, scores, options)
+    return cohort_audit(result, trials, scores, options)
 
 
 class TestGroupTable:
@@ -101,10 +101,26 @@ class TestGroupTable:
         with pytest.raises(DataError):
             render_group_table([], "far")
 
-    def test_three_axes_rejected(self):
-        g = _cell(("man", "asian", "1"), 0.1, 0.1, attrs=("gender", "ethnicity", "glasses"))
-        with pytest.raises(DataError):
-            render_group_table([g], "far")
+    def test_three_axes_long_table(self):
+        # one column per attribute, then the metric; one row per group
+        attrs = ("gender", "ethnicity", "forehead_occluded")
+        groups = [
+            _cell(("man", "asian", "1"), 0.1, 0.2, attrs=attrs),
+            _cell(("woman", None, "0"), math.nan, 0.0625, attrs=attrs),
+            _cell((None, None, None), 0.25, 0.5, attrs=attrs),
+        ]
+        assert render_group_table(groups, "frr") == (
+            "gender,ethnicity,forehead_occluded,frr\n"
+            "man,asian,1,0.200\n"
+            "woman,all,0,0.062\n"
+            "all,all,all,0.500\n"
+        )
+        assert _parse_table(render_group_table(groups, "far"))[2] == ["woman", "all", "0", "—"]
+
+    def test_one_axis_is_the_long_table(self):
+        levels = (("asian", 0.1), (None, 0.3))
+        groups = [_cell((level,), far, 0.0, attrs=("ethnicity",)) for level, far in levels]
+        assert render_group_table(groups, "far") == "ethnicity,far\nasian,0.100\nall,0.300\n"
 
     def test_half_even_rounding(self):
         # ties round to the even neighbour: 62.5 -> 62, 187.5 -> 188

@@ -14,6 +14,7 @@ from faceaudit.cohort import (
     aggregate_table,
     build_cohort,
     load_cohort,
+    read_attributes,
 )
 from faceaudit.errors import DataError, SchemaError
 from faceaudit.inputs import from_json
@@ -47,7 +48,7 @@ def _profile_column(result, name):
 def _mean_rates(config, policy="eer", seed=0):
     """Pooled far/frr of a generated cohort at the calibrated threshold."""
     result = generate(config)
-    cohort = build_cohort(result.records, result.attributes)
+    cohort = build_cohort(result.records)
     trials = generate_trials(
         cohort, TrialPolicy(negatives_per_identity=20), seed=seed
     )
@@ -174,7 +175,7 @@ class TestGenerate:
         # run-all audits with these profiles instead of aggregating again
         schema = default_schema()
         result = generate(_two_cell_config(n=4))
-        profiles = aggregate_profiles(build_cohort(result.records, result.attributes), schema)
+        profiles = aggregate_profiles(build_cohort(result.records), result.attributes, schema)
         assert result.profiles.identities == profiles.identities
         assert result.profiles.values.tobytes() == profiles.values.tobytes()
 
@@ -428,18 +429,19 @@ class TestWriteSynth:
         result = generate(_two_cell_config(n=4))
         paths = write_synth(tmp_path / "cohort", result, schema)
         assert sorted(paths) == ["attributes", "embeddings", "ground_truth", "schema"]
-        cohort = load_cohort(paths["embeddings"], paths["attributes"], schema)
+        cohort = load_cohort(paths["embeddings"])
         assert len(cohort.identities) == 8
-        assert cohort.images.image_ids == cohort.image_ids
+        table = read_attributes(paths["attributes"], schema)
+        assert table.image_ids == cohort.image_ids
         # run-all audits the cohort in memory: the files hold the same one
-        held = build_cohort(result.records, result.attributes)
+        held = build_cohort(result.records)
         assert cohort.image_ids == held.image_ids
         assert cohort.identities == held.identities
         assert cohort.identity_codes.tolist() == held.identity_codes.tolist()
         assert cohort.vectors.dtype == held.vectors.dtype == np.float32
         assert cohort.vectors.tobytes() == held.vectors.tobytes()
-        assert cohort.images.image_ids == held.images.image_ids
-        np.testing.assert_array_equal(cohort.images.values, held.images.values)  # NaN == NaN
+        assert table.image_ids == result.attributes.image_ids
+        np.testing.assert_array_equal(table.values, result.attributes.values)  # NaN == NaN
         assert load_schema(paths["schema"]) == schema
         truth = json.loads(paths["ground_truth"].read_text(encoding="utf-8"))
         assert truth == result.ground_truth
