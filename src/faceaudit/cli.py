@@ -69,7 +69,7 @@ def _at_least(text: str, least: int, alternative: str = "") -> int:
     return value
 
 
-def _seed_arg(text: str) -> int:
+def _non_negative_arg(text: str) -> int:
     return _at_least(text, 0)
 
 
@@ -77,13 +77,20 @@ def _positives_arg(text: str) -> int | None:
     return None if text == "all" else _at_least(text, 1, " or 'all'")
 
 
+def _group_by_arg(text: str) -> tuple[str, ...]:
+    names = tuple(part.strip() for part in text.split(","))
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"expected comma-separated attribute names, got {text!r}")
+    return names
+
+
 # Every flag a command may take, with its argparse settings.
 _FLAGS = {
     "--config": {"metavar": "PATH", "help": "config JSON"},
-    "--seed": {"type": _seed_arg, "help": "generator seed (default: the config's, or 0)"},
+    "--seed": {"type": _non_negative_arg, "help": "generator seed (default: the config's, or 0)"},
     "--embeddings": {"metavar": "PATH", "help": "embedding file"},
     "--positives": {"type": _positives_arg, "default": 6, "metavar": "N|all"},
-    "--negatives": {"type": int, "default": 50, "metavar": "N"},
+    "--negatives": {"type": _non_negative_arg, "default": 50, "metavar": "N"},
     "--pairs": {"metavar": "PATH", "help": "pair file"},
     "--scores": {"metavar": "PATH", "help": "scored pair file"},
     "--attributes": {"metavar": "PATH", "help": "attribute file"},
@@ -95,6 +102,7 @@ _FLAGS = {
         "help": "eer or far@<rate>; repeat for several operating points",
     },
     "--group-by": {
+        "type": _group_by_arg,
         "metavar": "ATTRS",
         "help": "comma-separated grouping attributes (default gender,ethnicity)",
     },
@@ -140,8 +148,7 @@ def _with_flags(options: AuditOptions, args) -> AuditOptions:
     if args.threshold_policy:
         options = dataclasses.replace(options, policies=tuple(args.threshold_policy))
     if args.group_by:
-        group_by = tuple(part.strip() for part in args.group_by.split(",") if part.strip())
-        options = dataclasses.replace(options, group_by=group_by)
+        options = dataclasses.replace(options, group_by=args.group_by)
     return options
 
 

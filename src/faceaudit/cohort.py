@@ -48,7 +48,7 @@ from typing import NoReturn
 import numpy as np
 
 from faceaudit.errors import DataError, SchemaError
-from faceaudit.inputs import open_text
+from faceaudit.inputs import csv_columns, csv_header, csv_records, open_text
 from faceaudit.schema import AttributeSchema, Variable
 
 _MAGIC = b"FREB"
@@ -201,7 +201,7 @@ def read_embeddings_text(path: str | Path) -> EmbeddingTable:
     components = array("d")
     dim = 0
     with open_text(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in csv_records(fh, path):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < 3:
@@ -250,10 +250,10 @@ def _parse_column(var: Variable, cells: Sequence[str]) -> tuple[np.ndarray, bool
     lookup = {"": math.nan}  # empty cells are missing; level names map to their index
     for index, level in enumerate(var.levels):
         lookup.setdefault(level, float(index))
+    # Without level names or empty cells, the lookup would give back every cell.
+    texts = map(lookup.get, cells, cells) if len(lookup) > 1 or "" in cells else cells
     try:
-        values = np.fromiter(
-            map(float, map(lookup.get, cells, cells)), dtype=np.float64, count=len(cells)
-        )
+        values = np.fromiter(map(float, texts), dtype=np.float64, count=len(cells))
     except ValueError:  # a cell that is no number
         return np.full(len(cells), np.nan), False
     # float() reads "1_0" as 10.0; level names may hold underscores.
@@ -263,16 +263,19 @@ def _parse_column(var: Variable, cells: Sequence[str]) -> tuple[np.ndarray, bool
     ok = np.isfinite(values) & (lo <= values) & (values <= hi)
     if not var.is_continuous:
         ok &= values == np.trunc(values)
+    if ok.all():
+        return values, True
     empty = np.fromiter(map(operator.not_, cells), dtype=bool, count=len(cells))
     return values, bool((ok | empty).all())
 
 
-def _raise_first_fault(
-    path: str | Path, header: list[str], raw: list[list[str]], schema: AttributeSchema
-) -> NoReturn:
-    """Raise the first fault of an attribute file's rows, checked row by row."""
+def _raise_first_fault(path: str | Path, header: list[str], schema: AttributeSchema) -> NoReturn:
+    """Raise the first fault of an attribute file, reading it again:
+    every record is read first, then the rows are checked one by one."""
+    with open_text(path) as fh:
+        records = list(csv_records(fh, path))[1:]
     seen: set[str] = set()
-    for lineno, row in enumerate(raw, start=2):
+    for lineno, row in records:
         if not row:
             continue
         if len(row) != len(header):
@@ -291,42 +294,38 @@ def _raise_first_fault(
 
 
 def read_attributes(path: str | Path, schema: AttributeSchema) -> AttributeTable:
-    """Read an attribute file into a table, parsing it column by column.
+    """Read an attribute file into a table, a block of columns at a time;
+    each block's cells are parsed before the next block is read.
 
     When the file has faults, it is checked again row by row, so the
     one reported is the first a row-by-row reader meets.
     """
+    names = schema.names()
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty attribute file") from None
+        header = csv_header(fh, path, "attribute")
         if not header or header[0] != "image_id":
             raise DataError(f"{path}: first attribute column must be image_id")
-        known = set(schema.names())
+        known = set(names)
         for i, col in enumerate(header[1:], start=1):
             if col not in known:
                 raise SchemaError(f"{path}: unknown attribute column {col!r}")
             if col in header[1:i]:
                 raise DataError(f"{path}: duplicate attribute column {col!r}")
-        raw = list(reader)
-    rows = list(filter(None, raw))
-    columns = list(zip(*rows)) or [()] * len(header)
-    image_ids = columns[0]
-    ok = set(map(len, rows)) <= {len(header)} and len(set(image_ids)) == len(image_ids)
-    values = np.full((len(image_ids), len(schema.variables)), np.nan)
-    names = schema.names()
-    for col, cells in zip(header[1:], columns[1:]):
-        if not ok:
-            break
-        values[:, names.index(col)], ok = _parse_column(schema.variable(col), cells)
-    if not ok:
-        _raise_first_fault(path, header, raw, schema)
-    # Fresh copies of the ids: once the cells parsed beside them are
-    # freed, the memory they held can go back to the system.
-    image_ids = tuple(image.encode().decode() for image in image_ids)
-    return AttributeTable(image_ids=image_ids, values=values)
+        image_ids: list[str] = []
+        blocks = [np.empty((0, len(names)))]
+        for _, columns in csv_columns(fh, len(header)):
+            if columns is None:
+                _raise_first_fault(path, header, schema)
+            block = np.full((len(columns[0]), len(names)), np.nan)
+            for col, cells in zip(header[1:], columns[1:]):
+                block[:, names.index(col)], ok = _parse_column(schema.variable(col), cells)
+                if not ok:
+                    _raise_first_fault(path, header, schema)
+            image_ids += columns[0]
+            blocks.append(block)
+    if len(set(image_ids)) != len(image_ids):
+        _raise_first_fault(path, header, schema)
+    return AttributeTable(image_ids=tuple(image_ids), values=np.concatenate(blocks))
 
 
 def csv_cells(texts: Sequence[str]) -> list[str]:

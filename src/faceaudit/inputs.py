@@ -1,18 +1,22 @@
-"""Reading input files: UTF-8 text, and JSON documents typed by the
-annotations of the dataclass they build (``from_json``; ``to_json``
-writes one back).
+"""Reading input files: UTF-8 text, CSV records and columns, and JSON
+documents typed by the annotations of the dataclass they build
+(``from_json``; ``to_json`` writes one back).
 
-Every fault raises a ``DataError`` that names the file or the key path.
+Every fault raises a ``DataError`` that names the file, its line, or the
+key path.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import types
 import typing
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 
 from faceaudit.errors import DataError
@@ -30,6 +34,97 @@ def open_text(path: str | Path) -> Iterator[typing.TextIO]:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from None
+
+
+def csv_records(lines: Iterable[str], path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(file line, cells) of each record ``csv.reader`` reads from
+    ``lines``, a blank one as ``[]``.  A line is a record: one whose
+    quoted cell spans line breaks counts once.  A record the csv module
+    cannot read, such as one with a cell longer than
+    ``csv.field_size_limit()``, raises a DataError naming its line."""
+    reader = csv.reader(lines)
+    for lineno in count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        yield lineno, row
+
+
+def csv_header(fh: typing.TextIO, path: str | Path, what: str) -> list[str]:
+    """The first record of ``fh``, read up to its end and no further."""
+    for _, header in csv_records(fh, path):
+        return header
+    raise DataError(f"{path}: empty {what} file")
+
+
+_BLOCK_CHARS = 1 << 20  # text read per block
+_BLOCK_ROWS = 1 << 14  # records per block once csv.reader reads
+
+
+def csv_columns(fh: typing.TextIO, width: int) -> Iterator[tuple[int, list | None]]:
+    """The records after the header of ``fh``, a block at a time: the
+    file line of the block's first record, and the block's ``width``
+    columns of cells.  Blank records are skipped.
+
+    The columns are None when a record of the block has another number
+    of cells, or one the csv module cannot read, such as one with a cell
+    longer than ``csv.field_size_limit()``; the caller reads the rows
+    again with ``csv_records`` to name the fault.
+
+    Text free of quotes, carriage returns and NUL holds one record per
+    line and one cell per comma, as ``csv.reader`` reads it, so its
+    blocks are split with ``str.split``.  From the first block that
+    holds one of them, ``csv.reader`` reads the rest of the file.
+    """
+    limit = csv.field_size_limit()
+    first_line, text = 2, ""
+    while chunk := fh.read(_BLOCK_CHARS):
+        text += chunk
+        if '"' in text or "\r" in text or "\0" in text:
+            # The text's last line is completed from the file, so every
+            # line is split where iterating the file would split it.
+            reader = csv.reader(chain(io.StringIO(text + fh.readline(), newline=""), fh))
+            while True:
+                try:
+                    rows = list(islice(reader, _BLOCK_ROWS))
+                except csv.Error:  # named when the caller reads the rows again
+                    yield first_line, None
+                    return
+                if not rows:
+                    return
+                yield first_line, _columns(rows, width)
+                first_line += len(rows)
+        lines = text.split("\n")
+        text = lines.pop()  # the start of a line the next block ends
+        if lines:
+            yield first_line, _split_block(lines, width, limit)
+            first_line += len(lines)
+    if text:  # a last line without a line break
+        yield first_line, _split_block([text], width, limit)
+
+
+def _split_block(lines: list[str], width: int, limit: int) -> list | None:
+    """The columns of plain text lines, or None (see ``csv_columns``)."""
+    rows = list(filter(None, lines))
+    if not rows:
+        return [()] * width
+    if set(map(str.count, rows, repeat(","))) != {width - 1}:
+        return None
+    cells = ",".join(rows).split(",")
+    if max(map(len, rows)) > limit and max(map(len, cells)) > limit:
+        return None
+    return [cells[k::width] for k in range(width)]
+
+
+def _columns(rows: list[list[str]], width: int) -> list | None:
+    """The columns of csv records, or None (see ``csv_columns``)."""
+    rows = list(filter(None, rows))
+    if any(len(row) != width for row in rows):
+        return None
+    return list(zip(*rows)) or [()] * width
 
 
 def read_json(path: str | Path):

@@ -13,7 +13,6 @@ row per trial.
 
 from __future__ import annotations
 
-import csv
 import gc
 import warnings
 from array import array
@@ -28,7 +27,7 @@ import numpy as np
 
 from faceaudit.cohort import Cohort, ImageTable, csv_cells, positions
 from faceaudit.errors import DataError, TrialError
-from faceaudit.inputs import open_text
+from faceaudit.inputs import csv_columns, csv_header, csv_records, open_text
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,6 @@ def score_trials(cohort: Cohort, trials: TrialSet, chunk_size: int = 4096) -> np
 _CSV_HEADER = ["probe_image_id", "reference_image_id", "label", "score"]
 _LABELS = {True: "genuine", False: "impostor"}
 _GENUINE = {"genuine": 1, "impostor": 0}
-_CHUNK_ROWS = 32768
 
 
 def write_trials_csv(
@@ -237,7 +235,7 @@ def _line_of(path: str | Path, index: int) -> int:
     """File line of trial row ``index``, counted as ``read_trials_csv``
     counts lines.  The file is read again, so only error paths pay."""
     with open_text(path) as fh:
-        lines = (lineno for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        lines = (lineno for lineno, row in csv_records(fh, path) if row)
         return next(islice(lines, index + 1, None))  # + 1 skips the header
 
 
@@ -247,50 +245,42 @@ def _score(cell: str) -> float:
     return float(cell) if cell.strip() else float("nan")
 
 
-def _raise_row_fault(path: str | Path, chunk: list[list[str]], first_line: int) -> NoReturn:
-    """Raise the first fault of a chunk of trial rows, checked row by row."""
-    for lineno, row in enumerate(chunk, start=first_line):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 cells, got {len(row)}")
-        if row[2] not in _GENUINE:
-            raise DataError(f"{path}:{lineno}: bad label {row[2]!r}")
-        try:
-            _score(row[3])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad score {row[3]!r}") from None
-    raise AssertionError("no faulty row in the chunk")
+def _raise_row_fault(path: str | Path, first_line: int) -> NoReturn:
+    """Raise the first fault of the trial rows from file line
+    ``first_line`` on, reading the file again and checking row by row."""
+    with open_text(path) as fh:
+        for lineno, row in islice(csv_records(fh, path), first_line - 1, None):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 cells, got {len(row)}")
+            if row[2] not in _GENUINE:
+                raise DataError(f"{path}:{lineno}: bad label {row[2]!r}")
+            try:
+                _score(row[3])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad score {row[3]!r}") from None
+    raise AssertionError(f"no faulty trial row from line {first_line} on")
 
 
 def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """(image ids by code, (probe, reference) codes, stated genuine, scores).
 
-    Rows are read in chunks of ``_CHUNK_ROWS``; each chunk's image ids
+    Rows are read a block of columns at a time; each block's image ids
     are interned straight to integer codes, numbered in order of first
-    appearance, so no per-row Python objects outlive their chunk.
+    appearance, so no cell outlives its block.
     """
     code_of: dict[str, int] = defaultdict(count().__next__)  # a new id gets the next code
     probe_codes, reference_codes, scores = array("q"), array("q"), array("d")
     labels = bytearray()
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty trial file") from None
+        header = csv_header(fh, path, "trial")
         if header != _CSV_HEADER:
             raise DataError(f"{path}: unrecognised trial file header {header!r}")
-        for first_line in count(2, _CHUNK_ROWS):  # file line of the chunk's first row
-            chunk = list(islice(reader, _CHUNK_ROWS))
-            if not chunk:
-                break
-            rows = list(filter(None, chunk))
-            if not rows:
-                continue
-            if set(map(len, rows)) != {4}:
-                _raise_row_fault(path, chunk, first_line)
-            probes, references, label_cells, score_cells = zip(*rows)
+        for first_line, columns in csv_columns(fh, len(_CSV_HEADER)):
+            if columns is None:
+                _raise_row_fault(path, first_line)
+            probes, references, label_cells, score_cells = columns
             try:
                 labels += bytes(map(_GENUINE.get, label_cells))  # a bad label is a TypeError
                 if "_" in "".join(score_cells):  # float() reads "0_5" as 5.0
@@ -300,10 +290,11 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
                 except ValueError:  # empty (unscored) cells read as NaN
                     scores += array("d", map(_score, score_cells))
             except (TypeError, ValueError):
-                _raise_row_fault(path, chunk, first_line)
+                _raise_row_fault(path, first_line)
             probe_codes.extend(map(code_of.__getitem__, probes))
             reference_codes.extend(map(code_of.__getitem__, references))
-    pairs = np.stack([np.array(probe_codes), np.array(reference_codes)], axis=1).astype(np.intp)
+    pairs = np.empty((len(probe_codes), 2), dtype=np.intp)
+    pairs[:, 0], pairs[:, 1] = probe_codes, reference_codes
     genuine = np.frombuffer(labels, dtype=np.uint8).astype(bool)
     return list(code_of), pairs, genuine, np.array(scores, dtype=np.float64)
 

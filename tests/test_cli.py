@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, pipelines, determinism."""
 
+import csv
 import json
 import random
 import re
@@ -166,6 +167,36 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             f"faceaudit pairs: argument --positives: expected an integer >= 1 or 'all', "
             f"got {value!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "two"])
+    def test_bad_negatives_named(self, workspace, tmp_path, capsys, value):
+        out = tmp_path / "pairs.csv"
+        argv = ["pairs", "--embeddings", str(workspace["embeddings"]), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--negatives", value])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            f"faceaudit pairs: argument --negatives: expected an integer >= 0, got {value!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "run-all"])
+    @pytest.mark.parametrize("value", ["", "gender,,ethnicity", "gender,", " , "])
+    def test_empty_group_by_part_named(self, workspace, tmp_path, capsys, command, value):
+        # an empty name is refused, not dropped or read as the default grouping
+        inputs = {
+            "audit": ["--scores", workspace["scored"], "--attributes", workspace["attributes"]],
+            "run-all": ["--config", workspace["config"]],
+        }[command]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *map(str, inputs), "--group-by", value, "--out", str(out)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            f"faceaudit {command}: argument --group-by: "
+            f"expected comma-separated attribute names, got {value!r}\n"
         )
         assert not out.exists()
 
@@ -432,6 +463,44 @@ class TestNonUtf8Input:
         assert main([*map(str, argv), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{bad}: not UTF-8 text" in err
+        assert not out.exists()
+
+
+class TestOversizedCell:
+    """A cell longer than ``csv.field_size_limit()`` is named by file and
+    line, whether the block reader splits its text or, after a quoted
+    cell, the csv module reads it."""
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("case", ["trials", "attributes", "text-embeddings"])
+    def test_one_line_exit_2(self, workspace, tmp_path, capsys, case, quoted):
+        big = "x" * (csv.field_size_limit() + 1)
+        first = '"a,0"' if quoted else "a_0"
+        text, argv, line = {
+            "trials": (
+                f"probe_image_id,reference_image_id,label,score\n{first},b_0,impostor,0.1\n"
+                f"a_1,{big},impostor,0.2\n",
+                ["calibrate", "--scores"],
+                3,
+            ),
+            "attributes": (
+                f"image_id,blur\n{first},0.1\n\n{big},0.2\n",
+                ["explain", "--scores", workspace["scored"], "--attributes"],
+                4,
+            ),
+            "text-embeddings": (
+                f"{first},a,1.0,0.5\na_1,a,0.5,{big}\n",
+                ["pairs", "--embeddings"],
+                2,
+            ),
+        }[case]
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        bad.write_text(text, encoding="utf-8")
+        assert main([*map(str, argv), str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"faceaudit {argv[0]}: {bad}:{line}: "
+            f"field larger than field limit ({csv.field_size_limit()})\n"
+        )
         assert not out.exists()
 
 
