@@ -13,6 +13,7 @@ The runs:
 * ``explain`` at ``eer``, ``far@0.01`` and ``far@0.001`` on the inputs
   ``bench/explain_inputs.py --identities 120 --seed 0`` writes, which do
   not depend on the program;
+* ``calibrate`` at the same three policies on the same scores;
 * ``explain --embeddings`` at ``eer`` and ``far@0.01`` on the
   embeddings, attributes and trials of the runall-600 seed-0 run;
 * ``run-all`` at the config of acceptance criterion 10.
@@ -22,7 +23,7 @@ is the SHA-256 of the run's sorted ``<sha256> <path>`` lines, followed
 by those lines.  Output written by two checkouts of the program on one
 machine differs exactly where their outputs do.
 
-``GOLDEN_RUNS`` names the runs whose ``report.json`` and
+``GOLDEN_RUNS`` names the runs whose top-level ``*.json`` and
 ``tables/*.csv`` are committed under ``tests/golden/<run>/``;
 ``tests/test_golden.py`` regenerates them and compares.  ``--update``
 rewrites those files from the program as it is: a change that moves
@@ -83,16 +84,29 @@ def _run_all(config: dict, out: Path) -> None:
     _run(["run-all", "--config", path, "--out", out])
 
 
-def _explain(out: Path) -> None:
+def _explain_inputs(out: Path) -> tuple[Path, list]:
+    """Write the 120-identity seed-0 bench inputs beside ``out``; return
+    their directory and the three ``--threshold-policy`` flags."""
     spec = importlib.util.spec_from_file_location("explain_inputs", ROOT / "bench" / "explain_inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     inputs.write_inputs(out.with_suffix(".inputs"), 120, 0)
-    argv = ["explain", "--scores", out.with_suffix(".inputs") / "scores.csv"]
-    argv += ["--attributes", out.with_suffix(".inputs") / "attributes.csv", "--out", out]
+    policies = []
     for policy in ("eer", "far@0.01", "far@0.001"):
-        argv += ["--threshold-policy", policy]
-    _run(argv)
+        policies += ["--threshold-policy", policy]
+    return out.with_suffix(".inputs"), policies
+
+
+def _explain(out: Path) -> None:
+    inputs, policies = _explain_inputs(out)
+    argv = ["explain", "--scores", inputs / "scores.csv"]
+    _run([*argv, "--attributes", inputs / "attributes.csv", "--out", out, *policies])
+
+
+def _calibrate(out: Path) -> None:
+    inputs, policies = _explain_inputs(out)
+    out.mkdir(parents=True)
+    _run(["calibrate", "--scores", inputs / "scores.csv", "--out", out / "operating_points.json", *policies])
 
 
 def _explain_embeddings(out: Path) -> None:
@@ -107,12 +121,13 @@ GOLDEN_RUNS = {
     "criterion-10": lambda out: _run_all(CRITERION_10, out),
     "readme-every-key": lambda out: _run_all(_every_key_config(), out),
     "explain-120-seed0": _explain,
+    "calibrate-120-seed0": _calibrate,
 }
 
 
 def golden_files(out: Path) -> list[Path]:
-    """The files of a bundle that the golden corpus keeps."""
-    return [out / "report.json", *sorted((out / "tables").glob("*.csv"))]
+    """The files of a run's output that the golden corpus keeps."""
+    return [*sorted(out.glob("*.json")), *sorted((out / "tables").glob("*.csv"))]
 
 
 def _digests(out: Path) -> list[str]:

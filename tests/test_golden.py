@@ -2,10 +2,11 @@
 
 ``scripts/bundle_digests.py`` defines the runs (``GOLDEN_RUNS``) and
 ``--update`` rewrites ``tests/golden/``.  Each run is regenerated here
-through ``cli.main`` and compared: ``report.json`` by structure, with
-keys, strings, ints, booleans and nulls exact and floats to a relative
-1e-12 (BLAS kernels and SIMD dispatch may move last bits across
-machines), and the tables as text.  A difference fails naming its JSON
+through ``cli.main`` and compared: each JSON file (``report.json``, or
+the operating points ``calibrate`` writes) by structure, with keys,
+strings, ints, booleans and nulls exact and floats to a relative 1e-12
+(BLAS kernels and SIMD dispatch may move last bits across machines),
+and the tables as text.  A difference fails naming its JSON
 path.
 """
 
@@ -72,12 +73,14 @@ def test_bundle_matches_golden(tmp_path, name):
     assert sorted(files) == sorted(
         p.relative_to(golden).as_posix() for p in golden.rglob("*") if p.is_file()
     )
-    got = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    difference = first_difference(got, _golden_report(name))
-    assert difference is None, difference
-    for table in files[1:]:
-        text = (out / table).read_text(encoding="utf-8")
-        assert text == (golden / table).read_text(encoding="utf-8"), table
+    for file in files:
+        text = (out / file).read_text(encoding="utf-8")
+        want = (golden / file).read_text(encoding="utf-8")
+        if file.endswith(".json"):
+            difference = first_difference(json.loads(text), json.loads(want), file)
+            assert difference is None, difference
+        else:
+            assert text == want, file
 
 
 def _add_key(report):
