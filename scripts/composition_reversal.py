@@ -8,7 +8,7 @@ pooled and per-ethnicity gender gaps side by side.
 
 import argparse
 
-from faceaudit.calibration import calibrate, sweep_rates
+from faceaudit.calibration import calibrate
 from faceaudit.cohort import build_cohort
 from faceaudit.metrics import (
     group_membership,
@@ -30,7 +30,7 @@ def run(seed: int) -> None:
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
     census = trial_census(trials, scores)
-    op = calibrate(sweep_rates(census.genuine_scores, census.impostor_scores), "eer")
+    op = calibrate(census.genuine_scores, census.impostor_scores, "eer")
     far, frr = individual_rates(census, op.tau)
     # The trials cover every cohort identity, so the rates align with the profile rows.
     membership = group_membership(result.profiles, ("gender", "ethnicity"), schema)

@@ -8,7 +8,7 @@ blur row should dominate; everything else should sit near zero.
 
 import argparse
 
-from faceaudit.calibration import calibrate, sweep_rates
+from faceaudit.calibration import calibrate
 from faceaudit.cohort import build_cohort
 from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import individual_rates, trial_census
@@ -33,7 +33,7 @@ def run(seed: int, strength: float, n_per_group: int) -> None:
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
     census = trial_census(trials, scores)
-    op = calibrate(sweep_rates(census.genuine_scores, census.impostor_scores), "eer")
+    op = calibrate(census.genuine_scores, census.impostor_scores, "eer")
     far, frr = individual_rates(census, op.tau)
     # The trials cover every cohort identity, so the rates align with the profile rows.
     report = explanatory_report(build_design(result.profiles, schema), {"far": far, "frr": frr}, "far", op)

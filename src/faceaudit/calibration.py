@@ -6,12 +6,16 @@ A pair is accepted when its score strictly exceeds the threshold, so
     FRR(tau) = #(genuine scores <= tau) / #genuine
 
 Both rates are step functions that only change at observed score values;
-the candidate grid is therefore the sorted distinct pooled scores plus
-one sentinel below the minimum and one above the maximum.
+the candidate thresholds are therefore the distinct pooled scores plus
+one sentinel below the minimum and one above the maximum.  FAR is
+non-increasing and FRR non-decreasing over the candidates, so each
+policy's threshold is found by binary search on the two sorted score
+columns, without listing the candidates.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,32 +35,12 @@ class OperatingPoint:
     policy: str
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    thresholds: np.ndarray
-    far: np.ndarray
-    frr: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.thresholds) == len(self.far) == len(self.frr)):
-            raise DataError("threshold and rate arrays must share a length")
-
-
-def sweep_rates(genuine: np.ndarray, impostor: np.ndarray) -> RocCurve:
-    """Evaluate FAR and FRR on the full candidate threshold grid."""
-    gen = np.sort(np.asarray(genuine, dtype=np.float64))
-    imp = np.sort(np.asarray(impostor, dtype=np.float64))
-    if gen.size == 0 or imp.size == 0:
-        raise DataError("calibration requires both genuine and impostor scores")
-    if not (np.isfinite(gen).all() and np.isfinite(imp).all()):
-        raise DataError("scores must be finite")
-    pooled = np.unique(np.concatenate([gen, imp]))
-    thresholds = np.concatenate(
-        [[pooled[0] - _SENTINEL_GAP], pooled, [pooled[-1] + _SENTINEL_GAP]]
-    )
-    far = (imp.size - np.searchsorted(imp, thresholds, side="right")) / imp.size
-    frr = np.searchsorted(gen, thresholds, side="right") / gen.size
-    return RocCurve(thresholds=thresholds, far=far, frr=frr)
+def pooled_rates(genuine: np.ndarray, impostor: np.ndarray, tau):
+    """(FAR, FRR) at ``tau``, a threshold or an array of them, over the
+    ascending ``genuine`` and ``impostor`` scores."""
+    far = (impostor.size - np.searchsorted(impostor, tau, side="right")) / impostor.size
+    frr = np.searchsorted(genuine, tau, side="right") / genuine.size
+    return far, frr
 
 
 def parse_policy(text: str) -> tuple[str, float | None]:
@@ -74,25 +58,60 @@ def parse_policy(text: str) -> tuple[str, float | None]:
     raise DataError(f"unknown threshold policy {text!r}; expected 'eer' or 'far@<rate>'")
 
 
-def calibrate(curve: RocCurve, policy: str) -> OperatingPoint:
-    """Pick the operating threshold for a policy on a swept curve.
+def calibrate(genuine: np.ndarray, impostor: np.ndarray, policy: str) -> OperatingPoint:
+    """Pick the operating threshold for a policy.
 
-    ``eer`` selects the candidate minimising |FAR - FRR|, taking the
-    lowest threshold on ties.  ``far@t`` selects the smallest threshold
-    whose FAR does not exceed the target.  One ``sweep_rates`` curve
-    serves any number of policies.
+    ``genuine`` and ``impostor`` are the pooled scores of each kind,
+    sorted ascending (as ``metrics.TrialCensus`` holds them).  ``eer``
+    selects the candidate minimising |FAR - FRR|, taking the lowest
+    threshold on ties.  ``far@t`` selects the smallest threshold whose
+    FAR does not exceed the target.
     """
     kind, target = parse_policy(policy)
+    if genuine.size == 0 or impostor.size == 0:
+        raise DataError("calibration requires both genuine and impostor scores")
+    # Sorted, so an infinity sits at an end and NaN at the top end.
+    if not np.isfinite([genuine[0], genuine[-1], impostor[0], impostor[-1]]).all():
+        raise DataError("scores must be finite")
+    low = min(genuine[0], impostor[0]) - _SENTINEL_GAP
     if kind == "eer":
-        idx = int(np.argmin(np.abs(curve.far - curve.frr)))
+        tau = _eer_threshold(genuine, impostor, low)
     else:
-        eligible = np.flatnonzero(curve.far <= target)
-        # FAR is non-increasing in tau, so the feasible set is a suffix
-        # and is never empty: the top sentinel rejects everything.
-        idx = int(eligible[0])
-    return OperatingPoint(
-        tau=float(curve.thresholds[idx]),
-        far=float(curve.far[idx]),
-        frr=float(curve.frr[idx]),
-        policy=policy,
-    )
+        tau = _far_threshold(impostor, target, low)
+    far, frr = pooled_rates(genuine, impostor, tau)
+    return OperatingPoint(tau=float(tau), far=float(far), frr=float(frr), policy=policy)
+
+
+def _far_threshold(impostor: np.ndarray, target: float, low):
+    """The first candidate whose FAR is at most ``target``."""
+    n = impostor.size
+    # The most impostors a threshold may accept: the largest j with j / n <= target.
+    j = bisect.bisect_right(range(n + 1), target, key=lambda j: j / n) - 1
+    # Accepting at most j takes a threshold of at least impostor[n - j - 1];
+    # at the low sentinel FAR is n / n.
+    return low if j == n else impostor[n - j - 1]
+
+
+def _eer_threshold(genuine: np.ndarray, impostor: np.ndarray, low):
+    """The first candidate minimising |FAR - FRR|.
+
+    Over the candidates the gap FAR - FRR falls from 1 at the low
+    sentinel to -1 at the high one, and strictly: from one candidate to
+    the next, FAR or FRR moves by at least one over its number of
+    scores, far more than float rounding for fewer than 2**50 scores.
+    So the magnitude of the gap is least either at the first candidate
+    with a negative gap or at the one before it, which wins a tie.
+    """
+    columns = (genuine, impostor)
+    high = max(genuine[-1], impostor[-1]) + _SENTINEL_GAP
+
+    def gap(tau) -> float:
+        far, frr = pooled_rates(genuine, impostor, tau)
+        return float(far - frr)
+
+    # By bisection: from its first negative gap on, a column's scores all have one.
+    firsts = [bisect.bisect_left(scores, True, key=lambda s: gap(s) < 0) for scores in columns]
+    below = min((c[k] for c, k in zip(columns, firsts) if k < c.size), default=high)
+    lasts = [np.searchsorted(scores, below) for scores in columns]
+    above = max((c[k - 1] for c, k in zip(columns, lasts) if k), default=low)
+    return above if gap(above) <= -gap(below) else below

@@ -26,10 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from faceaudit import __version__
-from faceaudit.calibration import calibrate, parse_policy, sweep_rates
+from faceaudit.calibration import calibrate, parse_policy
 from faceaudit.cohort import aggregate_profiles, build_cohort, load_cohort, read_attributes
 from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.inputs import from_json, read_json
+from faceaudit.metrics import trial_census
 from faceaudit.pipeline import AuditOptions, AuditResults, profiles_from_rows, run_audit
 from faceaudit.report import dump_payload, emit_bundle, op_payload, render_from_file
 from faceaudit.schema import default_schema, load_schema
@@ -198,21 +199,15 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _split_scores(path):
-    trials, scores = read_trials_csv(path)
-    if np.isnan(scores).any():
-        raise DataError(f"{path}: contains unscored pairs; run score first")
-    labels = trials.genuine
-    if labels.all() or not labels.any():
-        raise DataError(f"{path}: needs both genuine and impostor pairs")
-    return scores, labels
-
-
 def _cmd_calibrate(args) -> int:
-    scores, labels = _split_scores(args.scores)
-    curve = sweep_rates(scores[labels], scores[~labels])
+    trials, scores = read_trials_csv(args.scores)
+    if np.isnan(scores).any():
+        raise DataError(f"{args.scores}: contains unscored pairs; run score first")
+    census = trial_census(trials, scores)
+    if not (census.genuine_scores.size and census.impostor_scores.size):
+        raise DataError(f"{args.scores}: needs both genuine and impostor pairs")
     policies = args.threshold_policy or AuditOptions().policies
-    points = [calibrate(curve, policy) for policy in policies]
+    points = [calibrate(census.genuine_scores, census.impostor_scores, p) for p in policies]
     text = dump_payload({"operating_points": list(map(op_payload, points))})
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -213,7 +213,9 @@ def read_embeddings_text(path: str | Path) -> EmbeddingTable:
             width = len(row) - 2
             dim = dim or width
             if width != dim:
-                raise DataError(f"dimension mismatch: {row[0]!r} has {width}, expected {dim}")
+                raise DataError(
+                    f"{path}:{lineno}: dimension mismatch: {row[0]!r} has {width}, expected {dim}"
+                )
             ids[0].append(row[0])
             ids[1].append(row[1])
     vectors = np.frombuffer(components, dtype=np.float64).astype(np.float32)

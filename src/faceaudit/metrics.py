@@ -2,9 +2,11 @@
 
 Individual rates are computed from that identity's own trials at a fixed
 threshold.  They are arrays aligned with identity codes: the
-threshold-free ``TrialCensus`` splits the trials by kind and counts
-them per identity once, and ``individual_rates`` then needs one count
-of the accepted or rejected trials per rate and threshold.  A group's
+threshold-free ``TrialCensus`` splits the trials by kind, sorts each
+kind by score and counts it per identity once.  At a threshold the
+accepted impostor trials are then a suffix of their column and the
+rejected genuine trials a prefix of theirs, so ``individual_rates``
+needs one binary search and one count per rate.  A group's
 rate is the unweighted mean over its member individuals, so every
 individual counts equally regardless of how many trials they
 contributed; members are profile rows, gathered by index.  Fairness
@@ -32,16 +34,18 @@ class TrialCensus:
     """The threshold-free part of per-identity rates.
 
     Trials are split by kind into their probes' identity codes and
-    scores, and counted per identity.  An identity is rated when it has
-    both genuine and impostor trials; one with trials of one kind only
-    is excluded.
+    scores, each kind sorted by ascending score, and counted per
+    identity.  The sorted score columns are also what
+    ``calibration.calibrate`` searches.  An identity is rated when it
+    has both genuine and impostor trials; one with trials of one kind
+    only is excluded.
     """
 
     identities: tuple[str, ...]
-    genuine_probes: np.ndarray  # identity code of each genuine trial's probe
-    genuine_scores: np.ndarray
+    genuine_probes: np.ndarray  # int32 identity code of each genuine trial's probe
+    genuine_scores: np.ndarray  # ascending
     impostor_probes: np.ndarray
-    impostor_scores: np.ndarray
+    impostor_scores: np.ndarray  # ascending
     n_genuine: np.ndarray  # per identity code
     n_impostor: np.ndarray
 
@@ -56,21 +60,34 @@ class TrialCensus:
 
 
 def trial_census(trials: TrialSet, scores: np.ndarray) -> TrialCensus:
-    """Split ``trials`` and their ``scores`` by kind and count them per identity."""
+    """Split ``trials`` and their finite ``scores`` by kind, sort each
+    kind by score and count it per identity."""
     if len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
     scores = np.asarray(scores)
-    probe, genuine = trials.probe_codes, trials.genuine
     n = len(trials.identities)
+    genuine_probes, genuine_scores = _by_score(trials, scores, trials.genuine)
+    impostor_probes, impostor_scores = _by_score(trials, scores, ~trials.genuine)
     return TrialCensus(
         identities=trials.identities,
-        genuine_probes=probe[genuine],
-        genuine_scores=scores[genuine],
-        impostor_probes=probe[~genuine],
-        impostor_scores=scores[~genuine],
-        n_genuine=np.bincount(probe[genuine], minlength=n),
-        n_impostor=np.bincount(probe[~genuine], minlength=n),
+        genuine_probes=genuine_probes,
+        genuine_scores=genuine_scores,
+        impostor_probes=impostor_probes,
+        impostor_scores=impostor_scores,
+        n_genuine=np.bincount(genuine_probes, minlength=n),
+        n_impostor=np.bincount(impostor_probes, minlength=n),
     )
+
+
+def _by_score(trials: TrialSet, scores: np.ndarray, kind: np.ndarray):
+    """The probe identity codes and the scores of the trials of one
+    ``kind``, by ascending score."""
+    rows = np.flatnonzero(kind)
+    rows = rows[np.argsort(scores[rows])]
+    kind_scores = scores[rows]
+    probe_images = trials.pairs[rows, 0]
+    del rows  # at most three arrays of this length alive at once
+    return trials.identity_codes.astype(np.int32)[probe_images], kind_scores
 
 
 def individual_rates(census: TrialCensus, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +98,11 @@ def individual_rates(census: TrialCensus, tau: float) -> tuple[np.ndarray, np.nd
     rates of identities that are not rated are NaN.
     """
     n = len(census.identities)
-    accepted = np.bincount(census.impostor_probes[census.impostor_scores > tau], minlength=n)
-    rejected = np.bincount(census.genuine_probes[~(census.genuine_scores > tau)], minlength=n)
+    # Scores ascend: impostor trials from k on are accepted, genuine ones before r rejected.
+    k = np.searchsorted(census.impostor_scores, tau, side="right")
+    r = np.searchsorted(census.genuine_scores, tau, side="right")
+    accepted = np.bincount(census.impostor_probes[k:], minlength=n)
+    rejected = np.bincount(census.genuine_probes[:r], minlength=n)
     rated = census.rated
     with np.errstate(divide="ignore", invalid="ignore"):
         far = np.where(rated, accepted / census.n_impostor, np.nan)
@@ -187,12 +207,14 @@ def group_rates(
 
     ``far`` and ``frr`` are aligned with the membership's profile rows,
     NaN for an identity without rates, which then never appears in a
-    group.  Means run over the members in identity order.
+    group.  Means run over the members in identity order.  A cell whose
+    rows all have rates keeps the membership's row array as its members.
     """
     rated = ~np.isnan(far)
     out = []
     for group, rows in membership.cells:
-        members = rows[rated[rows]]
+        keep = rated[rows]
+        members = rows if keep.all() else rows[keep]
         if members.size:
             cell_far = float(np.mean(far[members]))
             cell_frr = float(np.mean(frr[members]))

@@ -2,11 +2,12 @@
 into one audit result object that the report layer can render.
 
 An audit does its threshold-free work once: the trial census (trials
-split by kind and counted per identity) and one sweep of the pooled
-scores serve every threshold policy, group membership is assigned once,
-and the explanatory design is built once.  Each policy then computes
-only what depends on its threshold: two counts per identity for the
-rates, and index gathers of those rate arrays for the group means, the
+split by kind, sorted by score and counted per identity) serves every
+threshold policy, group membership is assigned once, and the
+explanatory design is built once.  Each policy then computes only what
+depends on its threshold: a binary search of the census's sorted
+scores for the threshold, two counts per identity for the rates, and
+index gathers of those rate arrays for the group means, the
 Kruskal-Wallis samples and the regression response.
 
 Every step here is deterministic given (inputs, seed).
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from faceaudit import __version__
-from faceaudit.calibration import OperatingPoint, calibrate, parse_policy, sweep_rates
+from faceaudit.calibration import OperatingPoint, calibrate, parse_policy
 from faceaudit.cohort import AttributeTable, ProfileTable, aggregate_table, positions
 from faceaudit.errors import DataError, RankDeficiencyError
 from faceaudit.explain import ExplanatoryReport, build_design, explanatory_report
@@ -146,7 +147,6 @@ def run_audit(
         raise DataError("audit requires fully scored trials (no missing scores)")
     schema.check_grouping(options.group_by, options.reference_levels)
     census = trial_census(trials, scores)
-    curve = sweep_rates(census.genuine_scores, census.impostor_scores)
     membership = group_membership(profiles, options.group_by, schema)
     code = positions(trials.identities, profiles.identities)  # -1: no trials
     found = code >= 0
@@ -162,7 +162,7 @@ def run_audit(
 
     analyses = []
     for policy in options.policies:
-        op = calibrate(curve, policy)
+        op = calibrate(census.genuine_scores, census.impostor_scores, policy)
         rates = {
             metric: np.where(found, values[code], np.nan)
             for metric, values in zip(_METRICS, individual_rates(census, op.tau))

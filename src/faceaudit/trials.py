@@ -72,11 +72,6 @@ class TrialSet(ImageTable):
         return codes[:, 0] == codes[:, 1]
 
     @property
-    def probe_codes(self) -> np.ndarray:
-        """Identity code of each trial's probe image."""
-        return self.identity_codes[self.pairs[:, 0]]
-
-    @property
     def n_genuine(self) -> int:
         return int(self.genuine.sum())
 
@@ -296,7 +291,7 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
     pairs = np.empty((len(probe_codes), 2), dtype=np.intp)
     pairs[:, 0], pairs[:, 1] = probe_codes, reference_codes
     genuine = np.frombuffer(labels, dtype=np.uint8).astype(bool)
-    return list(code_of), pairs, genuine, np.array(scores, dtype=np.float64)
+    return list(code_of), pairs, genuine, np.frombuffer(scores, dtype=np.float64)
 
 
 def _components(n: int, edges: np.ndarray) -> np.ndarray:

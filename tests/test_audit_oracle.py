@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from faceaudit import stats
-from faceaudit.calibration import calibrate, sweep_rates
+from faceaudit.calibration import calibrate
 from faceaudit.errors import DataError, NumericalError, RankDeficiencyError
 from faceaudit.explain import build_design, run_correlations, run_regression
 from faceaudit.metrics import (
@@ -49,7 +49,7 @@ POLICIES = ("eer", "far@0.1", "far@0.01")
 
 def _ref_individual_rates(trials, scores, tau):
     """({identity: (far, frr)} of the rated identities, excluded ids)."""
-    probe, genuine = trials.probe_codes, trials.genuine
+    probe, genuine = trials.identity_codes[trials.pairs[:, 0]], trials.genuine
     accepted = scores > tau
 
     def count(mask):
@@ -230,9 +230,9 @@ class TestColumnarAudit:
                 assert analysis.skipped_analyses["explain_frr"] == str(exc)
             return
         census = trial_census(trials, scores)
-        curve = sweep_rates(census.genuine_scores, census.impostor_scores)
         for policy in POLICIES:
-            rates, _ = _ref_individual_rates(trials, scores, calibrate(curve, policy).tau)
+            op = calibrate(census.genuine_scores, census.impostor_scores, policy)
+            rates, _ = _ref_individual_rates(trials, scores, op.tau)
             want, failure = {}, None
             for i, metric in enumerate(("far", "frr")):
                 y = np.array([rates[identity][i] for identity in design.row_ids])

@@ -311,6 +311,24 @@ class TestDataErrors:
         assert err.count("\n") == 1 and err.startswith("faceaudit calibrate:")
         assert reason in err
 
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            ("a_0,a,1.0,2.0\na_1,a,3.0\nb_0,b,5.0,6.0\n", ":2: dimension mismatch: 'a_1' has 1, expected 2"),
+            ("a_0,a,1.0,2.0\n\na_1,a,3.0,4.0,5.0\n", ":3: dimension mismatch: 'a_1' has 3, expected 2"),
+            ("a_0,a,1.0,2.0\na_1,a\n", ":2: expected image_id, identity_id, values..."),
+            ("a_0,a,1.0,2.0\na_1,a,1_0,2.0\n", ":2: bad vector component: "),
+        ],
+        ids=["short-row", "long-row-after-blank", "no-values", "component-underscore"],
+    )
+    def test_malformed_text_embeddings_one_line(self, tmp_path, capsys, body, reason):
+        path, out = tmp_path / "emb.csv", tmp_path / "pairs.csv"
+        path.write_text(body, encoding="utf-8")
+        assert main(["pairs", "--embeddings", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"faceaudit pairs: {path}{reason}")
+        assert not out.exists()
+
     def test_unknown_group_by_attribute(self, workspace, tmp_path, capsys):
         rc = main(
             [

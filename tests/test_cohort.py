@@ -182,7 +182,7 @@ class TestTextFormat:
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "emb.csv"
         path.write_text("a,x,1.0,2.0\nb,x,3.0\n", encoding="utf-8")
-        with pytest.raises(DataError, match="^dimension mismatch: 'b' has 1, expected 2$"):
+        with pytest.raises(DataError, match=f"^{path}:2: dimension mismatch: 'b' has 1, expected 2$"):
             read_embeddings_text(path)
 
     def test_non_finite_rejected(self, tmp_path):
@@ -414,7 +414,7 @@ class TestBuildCohort:
         # a float32 matrix cannot be ragged, so the reader rejects the row
         path = tmp_path / "emb.csv"
         path.write_text("a,x,1.0,1.0,1.0\nb,x,1.0,1.0,1.0,1.0,1.0\n", encoding="utf-8")
-        with pytest.raises(DataError, match="^dimension mismatch: 'b' has 5, expected 3$"):
+        with pytest.raises(DataError, match=f"^{path}:2: dimension mismatch: 'b' has 5, expected 3$"):
             load_cohort(path)
 
     def test_empty_rejected(self):

@@ -161,6 +161,46 @@ class TestIndividualRates:
             assert r.frr == pytest.approx(sum(1 for s in gen if s <= tau) / len(gen))
             assert r.far == pytest.approx(sum(1 for s in imp if s > tau) / len(imp))
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # probe identity
+                st.integers(0, 3),  # reference identity
+                st.integers(-4, 4).map(lambda k: k / 4),  # few distinct scores: long ties
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_plain_loop_recount_at_every_score(self, drawn):
+        # Taus equal to a score check the strict ">": such a trial is an
+        # accepted impostor or a rejected genuine pair only if it is above or
+        # at tau respectively.
+        pairs = [
+            (f"p{a}_0", f"p{b}_{k + 1}", f"p{a}", f"p{b}") for k, (a, b, _) in enumerate(drawn)
+        ]
+        scores = np.array([score for _, _, score in drawn])
+        census = trial_census(_trial_set(pairs), scores)
+        for tau in (-2.0, *sorted(set(scores.tolist())), 0.3, 2.0):
+            far, frr = individual_rates(census, tau)
+            for code, identity in enumerate(census.identities):
+                accepted = impostor = rejected = genuine = 0
+                for (_, _, probe, reference), score in zip(pairs, scores.tolist()):
+                    if probe != identity:
+                        continue
+                    if probe == reference:
+                        genuine += 1
+                        rejected += not score > tau
+                    else:
+                        impostor += 1
+                        accepted += score > tau
+                if genuine and impostor:
+                    assert far[code] == accepted / impostor
+                    assert frr[code] == rejected / genuine
+                else:
+                    assert math.isnan(far[code]) and math.isnan(frr[code])
+
     def test_length_mismatch_rejected(self):
         pairs = [("a0", "a1", "a", "a")]
         with pytest.raises(DataError):

@@ -230,7 +230,7 @@ def mixed_audit():
     with pytest.warns(UserWarning, match="fewer than two images"):
         trials, scores = scored_trials(cohort)
     excluded = trials.identities[3]
-    keep = trials.genuine | (trials.probe_codes != 3)
+    keep = trials.genuine | (trials.identity_codes[trials.pairs[:, 0]] != 3)
     trials = TrialSet(
         trials.image_ids,
         trials.identity_codes,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import attribute_rows
 
-from faceaudit.calibration import calibrate, sweep_rates
+from faceaudit.calibration import calibrate
 from faceaudit.cli import main
 from faceaudit.cohort import (
     AttributeTable,
@@ -53,9 +53,9 @@ def _mean_rates(config, policy="eer", seed=0):
         cohort, TrialPolicy(negatives_per_identity=20), seed=seed
     )
     scores = score_trials(cohort, trials)
-    genuine = scores[trials.genuine]
-    impostor = scores[~trials.genuine]
-    return calibrate(sweep_rates(genuine, impostor), policy)
+    genuine = np.sort(scores[trials.genuine])
+    impostor = np.sort(scores[~trials.genuine])
+    return calibrate(genuine, impostor, policy)
 
 
 class TestConfigValidation:
