@@ -106,7 +106,8 @@ def _explain(out: Path) -> None:
 def _calibrate(out: Path) -> None:
     inputs, policies = _explain_inputs(out)
     out.mkdir(parents=True)
-    _run(["calibrate", "--scores", inputs / "scores.csv", "--out", out / "operating_points.json", *policies])
+    argv = ["calibrate", "--scores", inputs / "scores.csv"]
+    _run([*argv, "--out", out / "operating_points.json", *policies])
 
 
 def _explain_embeddings(out: Path) -> None:

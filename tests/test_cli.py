@@ -314,8 +314,14 @@ class TestDataErrors:
     @pytest.mark.parametrize(
         "body, reason",
         [
-            ("a_0,a,1.0,2.0\na_1,a,3.0\nb_0,b,5.0,6.0\n", ":2: dimension mismatch: 'a_1' has 1, expected 2"),
-            ("a_0,a,1.0,2.0\n\na_1,a,3.0,4.0,5.0\n", ":3: dimension mismatch: 'a_1' has 3, expected 2"),
+            (
+                "a_0,a,1.0,2.0\na_1,a,3.0\nb_0,b,5.0,6.0\n",
+                ":2: dimension mismatch: 'a_1' has 1, expected 2",
+            ),
+            (
+                "a_0,a,1.0,2.0\n\na_1,a,3.0,4.0,5.0\n",
+                ":3: dimension mismatch: 'a_1' has 3, expected 2",
+            ),
             ("a_0,a,1.0,2.0\na_1,a\n", ":2: expected image_id, identity_id, values..."),
             ("a_0,a,1.0,2.0\na_1,a,1_0,2.0\n", ":2: bad vector component: "),
         ],
