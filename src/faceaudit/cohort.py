@@ -128,7 +128,7 @@ class ImageTable:
     """
 
     image_ids: tuple[str, ...]
-    identity_codes: np.ndarray  # int, one per image
+    identity_codes: np.ndarray  # int32, one per image
     identities: tuple[str, ...]  # sorted
 
 
@@ -376,7 +376,7 @@ def build_cohort(embeddings: EmbeddingTable) -> Cohort:
     in_order = order == list(range(len(order)))  # as synth writes: share the matrix, no copy
     return Cohort(
         image_ids=tuple(map(image_ids.__getitem__, order)),
-        identity_codes=positions(identities, identity_ids)[order],
+        identity_codes=positions(identities, identity_ids)[order].astype(np.int32),
         identities=identities,
         vectors=embeddings.vectors if in_order else embeddings.vectors[order],
     )
@@ -409,12 +409,13 @@ def aggregate_table(
     """
     found = positions(table.image_ids, image_ids)
     have = found >= 0
-    data = table.values[found[have]].reshape(-1, len(schema.variables))
+    rows = found[have]
     codes = np.asarray(codes, dtype=np.intp)[have]
-    out = np.full((n_groups, data.shape[1]), np.nan)
+    out = np.full((n_groups, len(schema.variables)), np.nan)
     for j, var in enumerate(schema.variables):
-        present = ~np.isnan(data[:, j])
-        column, group = data[present, j], codes[present]
+        column = table.values[rows, j]  # one column at a time: no copy of the whole table
+        present = ~np.isnan(column)
+        column, group = column[present], codes[present]
         counts = np.bincount(group, minlength=n_groups)
         if var.is_continuous:
             # Groups with k values form a C-contiguous (m, k) block, whose

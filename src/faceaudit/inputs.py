@@ -60,8 +60,8 @@ def csv_header(fh: typing.TextIO, path: str | Path, what: str) -> list[str]:
     raise DataError(f"{path}: empty {what} file")
 
 
-_BLOCK_CHARS = 1 << 20  # text read per block
-_BLOCK_ROWS = 1 << 14  # records per block once csv.reader reads
+_BLOCK_CHARS = 1 << 16  # text read per block
+_BLOCK_ROWS = 1 << 10  # records per block once csv.reader reads: about 64 KiB of trial rows
 
 
 def csv_columns(fh: typing.TextIO, width: int) -> Iterator[tuple[int, list | None]]:
@@ -78,6 +78,11 @@ def csv_columns(fh: typing.TextIO, width: int) -> Iterator[tuple[int, list | Non
     line and one cell per comma, as ``csv.reader`` reads it, so its
     blocks are split with ``str.split``.  From the first block that
     holds one of them, ``csv.reader`` reads the rest of the file.
+
+    Blocks are bounded on both paths, so the cells of one block at most
+    are alive at once: ``_BLOCK_CHARS`` characters of text, completed to
+    the end of their last line, on the first; ``_BLOCK_ROWS`` records on
+    the second.
     """
     limit = csv.field_size_limit()
     first_line, text = 2, ""

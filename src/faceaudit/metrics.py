@@ -87,7 +87,7 @@ def _by_score(trials: TrialSet, scores: np.ndarray, kind: np.ndarray):
     kind_scores = scores[rows]
     probe_images = trials.pairs[rows, 0]
     del rows  # at most three arrays of this length alive at once
-    return trials.identity_codes.astype(np.int32)[probe_images], kind_scores
+    return trials.identity_codes[probe_images], kind_scores
 
 
 def individual_rates(census: TrialCensus, tau: float) -> tuple[np.ndarray, np.ndarray]:

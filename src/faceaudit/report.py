@@ -228,7 +228,6 @@ def _kruskal_payload(tests):
 
 
 def _fit_payload(fit):
-    residuals = np.asarray(fit.residuals)
     return {
         "columns": list(fit.column_names),
         "coefficients": list(fit.coefficients),
@@ -240,7 +239,7 @@ def _fit_payload(fit):
         "f_p_value": fit.f_p_value,
         "dof_residual": fit.dof_residual,
         "n_rows": fit.n_rows,
-        "residual_rms": float(np.sqrt(np.mean(residuals**2))),
+        "residual_rms": fit.residual_rms,
     }
 
 

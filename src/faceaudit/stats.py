@@ -310,14 +310,15 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """OLS fit with per-coefficient inference and residual diagnostics."""
+    """OLS fit with per-coefficient inference and residual diagnostics;
+    ``residual_rms`` is the root mean square of the residuals."""
 
     column_names: tuple[str, ...]
     coefficients: np.ndarray
     std_errors: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
-    residuals: np.ndarray
+    residual_rms: float
     r_squared: float
     f_statistic: float
     f_p_value: float
@@ -403,7 +404,7 @@ def fit_ols(design: DesignMatrix, y) -> RegressionFit:
         std_errors=std_errors,
         t_stats=t_stats,
         p_values=p_values,
-        residuals=residuals,
+        residual_rms=float(np.sqrt(np.mean(residuals**2))),
         r_squared=r_squared,
         f_statistic=f_statistic,
         f_p_value=f_p_value,

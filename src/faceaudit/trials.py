@@ -7,7 +7,7 @@ Scores are cosine similarities in [-1, 1]; a pair is accepted when the
 score is strictly greater than the decision threshold.
 
 Trials are columnar: a ``TrialSet`` is an image table, laid out as the
-cohort's, plus an integer array of (probe, reference) image rows, one
+cohort's, plus an int32 array of (probe, reference) image rows, one
 row per trial.
 """
 
@@ -62,14 +62,14 @@ class TrialSet(ImageTable):
     reference)``; it is genuine when both images share an identity.
     """
 
-    pairs: np.ndarray  # int, shape (n_pairs, 2)
+    pairs: np.ndarray  # int32, shape (n_pairs, 2)
     skipped_identities: tuple[str, ...] = field(default=())
 
     @cached_property
     def genuine(self) -> np.ndarray:
         """Boolean mask aligned with ``pairs``: True for same-identity trials."""
-        codes = self.identity_codes[self.pairs]
-        return codes[:, 0] == codes[:, 1]
+        codes = self.identity_codes
+        return codes[self.pairs[:, 0]] == codes[self.pairs[:, 1]]
 
     @property
     def n_genuine(self) -> int:
@@ -146,7 +146,7 @@ def generate_trials(cohort: Cohort, policy: TrialPolicy, seed: int) -> TrialSet:
     n_images = len(cohort.image_ids)
     rng = np.random.Generator(np.random.PCG64(seed))
     n_pairs = sum(policy.n_genuine(n) + policy.negatives_per_identity for n in sizes if n >= 2)
-    pairs = np.empty((n_pairs, 2), dtype=np.intp)
+    pairs = np.empty((n_pairs, 2), dtype=np.int32)
     start = row = 0
     for identity, n_own in zip(cohort.identities, sizes):
         if n_own >= 2:
@@ -263,10 +263,11 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
 
     Rows are read a block of columns at a time; each block's image ids
     are interned straight to integer codes, numbered in order of first
-    appearance, so no cell outlives its block.
+    appearance, so no cell outlives its block.  Each row's two codes are
+    stored side by side, so the code buffer is the int32 pair array.
     """
     code_of: dict[str, int] = defaultdict(count().__next__)  # a new id gets the next code
-    probe_codes, reference_codes, scores = array("q"), array("q"), array("d")
+    codes, scores = array("i"), array("d")
     labels = bytearray()
     with open_text(path) as fh:
         header = csv_header(fh, path, "trial")
@@ -286,11 +287,11 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
                     scores += array("d", map(_score, score_cells))
             except (TypeError, ValueError):
                 _raise_row_fault(path, first_line)
-            probe_codes.extend(map(code_of.__getitem__, probes))
-            reference_codes.extend(map(code_of.__getitem__, references))
-    pairs = np.empty((len(probe_codes), 2), dtype=np.intp)
-    pairs[:, 0], pairs[:, 1] = probe_codes, reference_codes
-    genuine = np.frombuffer(labels, dtype=np.uint8).astype(bool)
+            both = [None] * (2 * len(probes))
+            both[::2], both[1::2] = probes, references
+            codes.extend(map(code_of.__getitem__, both))
+    pairs = np.frombuffer(codes, dtype=np.intc).reshape(-1, 2)  # C int is int32
+    genuine = np.frombuffer(labels, dtype=np.bool_)
     return list(code_of), pairs, genuine, np.frombuffer(scores, dtype=np.float64)
 
 
@@ -334,8 +335,7 @@ def read_trials_csv(
     by_name = sorted(range(n), key=names.__getitem__)  # image codes in image id order
     rank = np.empty(n, dtype=np.intp)
     rank[by_name] = np.arange(n)
-    same = pairs[:, 0] == pairs[:, 1]
-    unknown, contradicts = np.zeros_like(pairs, dtype=bool), np.zeros_like(same)
+    faulty = pairs[:, 0] == pairs[:, 1]
     if table is None:
         root = _components(n, pairs[stated])
         smallest = np.full(n, n, dtype=np.intp)  # rank of each component's smallest id
@@ -347,30 +347,34 @@ def read_trials_csv(
         labels = np.where(at >= 0, table.identity_codes[at], -1)
         used = np.unique(labels[at >= 0])
         identities = tuple(map(table.identities.__getitem__, used.tolist()))
-        codes = np.where(at >= 0, np.searchsorted(used, labels), -1)
-        pair_codes = codes[pairs]
-        unknown = pair_codes < 0
-        contradicts = stated != (pair_codes[:, 0] == pair_codes[:, 1])
-    faults = np.flatnonzero(unknown.any(axis=1) | contradicts | same)
+        codes = np.where(at >= 0, np.searchsorted(used, labels), -1).astype(np.int32)
+        probe, reference = codes[pairs[:, 0]], codes[pairs[:, 1]]
+        faulty |= (probe < 0) | (reference < 0) | (stated != (probe == reference))
+        del probe, reference
+    faults = np.flatnonzero(faulty)
     if faults.size:
         i = int(faults[0])
         where = f"{path}:{_line_of(path, i)}"
-        if unknown[i].any():
-            image = names[pairs[i, 0] if unknown[i, 0] else pairs[i, 1]]
+        probe, reference = pairs[i].tolist()
+        if table is not None and min(codes[probe], codes[reference]) < 0:
+            image = names[probe if codes[probe] < 0 else reference]
             raise DataError(f"{where}: unknown image_id {image!r}")
-        if contradicts[i]:
+        if table is not None and stated[i] != (codes[probe] == codes[reference]):
             raise DataError(f"{where}: label contradicts the identity map")
-        raise DataError(
-            f"{where}: genuine pair cannot reuse image {names[pairs[i, 0]]!r} on both sides"
-        )
+        raise DataError(f"{where}: genuine pair cannot reuse image {names[probe]!r} on both sides")
     # The image table: identity by identity, each identity's images sorted.
     order = np.lexsort((rank, codes))
-    row = np.empty(n, dtype=np.intp)
+    row = np.empty(n, dtype=np.int32)
     row[order] = np.arange(n)
+    # Image codes become table rows in place, a slice at a time: row[pairs]
+    # would be a second pair array.
+    for start in range(0, len(pairs), 1 << 15):
+        part = pairs[start : start + (1 << 15)]
+        part[...] = row[part]
     trials = TrialSet(
         image_ids=tuple(map(names.__getitem__, order.tolist())),
-        identity_codes=codes[order],
+        identity_codes=codes[order].astype(np.int32),
         identities=identities,
-        pairs=row[pairs],
+        pairs=pairs,
     )
     return trials, scores

@@ -57,7 +57,7 @@ def image_table(identity_of):
     images = sorted(identity_of, key=lambda i: (identity_of[i], i))
     identities = tuple(sorted(set(identity_of.values())))
     codes = [identities.index(identity_of[i]) for i in images]
-    return ImageTable(tuple(images), np.array(codes, dtype=np.intp), identities)
+    return ImageTable(tuple(images), np.array(codes, dtype=np.int32), identities)
 
 
 def trial_set(pairs, identity_of):
@@ -70,7 +70,7 @@ def trial_set(pairs, identity_of):
         image_ids=table.image_ids,
         identity_codes=table.identity_codes,
         identities=table.identities,
-        pairs=np.array([(row[p], row[r]) for p, r in pairs], dtype=np.intp).reshape(-1, 2),
+        pairs=np.array([(row[p], row[r]) for p, r in pairs], dtype=np.int32).reshape(-1, 2),
     )
 
 

@@ -319,10 +319,11 @@ class TestFitOls:
         design = _design(X)
         shared = [fit_ols(design, y) for y in responses]
         assert len(calls) == 1
-        for a, b in zip(fresh, shared):
-            for name in ("coefficients", "std_errors", "t_stats", "p_values", "residuals"):
+        for y, a, b in zip(responses, fresh, shared):
+            for name in ("coefficients", "std_errors", "t_stats", "p_values"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-            for name in ("r_squared", "f_statistic", "f_p_value"):
+            assert (y - X @ a.coefficients).tobytes() == (y - X @ b.coefficients).tobytes()
+            for name in ("r_squared", "f_statistic", "f_p_value", "residual_rms"):
                 assert getattr(a, name) == getattr(b, name)
 
     def test_noiseless_recovery(self):
@@ -359,7 +360,7 @@ class TestFitOls:
         X = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
         y = X @ np.array([1.0, 0.5, 0.0]) + rng.normal(scale=0.5, size=50)
         fit = fit_ols(_design(X), y)
-        resid = np.asarray(fit.residuals)
+        resid = y - X @ fit.coefficients
         rss = resid @ resid
         tss = ((y - y.mean()) ** 2).sum()
         F = ((tss - rss) / 2) / (rss / (50 - 3))
@@ -380,7 +381,9 @@ class TestFitOls:
         X = np.column_stack([np.ones(45), rng.normal(size=(45, 4))])
         y = rng.normal(size=45)
         fit = fit_ols(_design(X), y)
-        assert np.abs(X.T @ np.asarray(fit.residuals)).max() < 1e-9
+        resid = y - X @ fit.coefficients
+        assert np.abs(X.T @ resid).max() < 1e-9
+        assert fit.residual_rms == float(np.sqrt(np.mean(resid**2)))
 
     def test_intercept_only_model(self):
         y = np.array([1.0, 2.0, 3.0, 6.0])

@@ -1,7 +1,10 @@
 """Tests for trial-pair generation, scoring, decisions, and CSV round-trips."""
 
 import csv
+import importlib.util
+import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -656,3 +659,67 @@ class TestTrialCsv:
         write_trials_csv(path, trials, scores)
         _, loaded = read_trials_csv(path, cohort)
         assert all(a == b for a, b in zip(scores, loaded))
+
+
+def _write_bench_inputs(outdir, identities, seed):
+    """Write the benchmark's explain inputs (``bench/explain_inputs.py``)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "explain_inputs.py"
+    spec = importlib.util.spec_from_file_location("explain_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.write_inputs(outdir, identities, seed)
+
+
+class TestTrialRows:
+    """Both paths give int32 trial rows, and a file read keeps a bounded working set."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        # 600 identities give 33,600 pairs: the read spans many text
+        # blocks, and the in-place row remap more than one slice
+        cohort = _cohort(n_identities=600, images_each=4)
+        trials = generate_trials(cohort, TrialPolicy(), seed=4)
+        path = tmp_path_factory.mktemp("rows") / "trials.csv"
+        write_trials_csv(path, trials, score_trials(cohort, trials))
+        return cohort, trials, path
+
+    def test_pairs_and_codes_are_int32(self, written):
+        cohort, trials, path = written
+        for got in (trials, read_trials_csv(path)[0], read_trials_csv(path, cohort)[0]):
+            assert got.pairs.dtype == np.int32
+            assert got.pairs.shape == trials.pairs.shape
+            assert got.identity_codes.dtype == np.int32
+
+    def test_round_trip_with_the_cohort_keeps_the_pairs(self, written):
+        cohort, trials, path = written
+        got, _ = read_trials_csv(path, cohort)
+        assert got.image_ids == trials.image_ids
+        assert got.identities == trials.identities
+        np.testing.assert_array_equal(got.identity_codes, trials.identity_codes)
+        np.testing.assert_array_equal(got.pairs, trials.pairs)
+
+    def test_genuine_matches_a_per_trial_loop(self, written):
+        cohort, trials, path = written
+        for got in (trials, read_trials_csv(path)[0], read_trials_csv(path, cohort)[0]):
+            codes = got.identity_codes.tolist()
+            loop = [codes[probe] == codes[reference] for probe, reference in got.pairs.tolist()]
+            assert got.genuine.tolist() == loop
+            np.testing.assert_array_equal(got.genuine, trials.genuine)
+
+    def test_read_peak_is_bounded(self, tmp_path):
+        # The traced peak of reading the 2,400-identity benchmark trial
+        # file (6.3 MB): 5.8 MB with 64 KiB blocks and int32 rows, so the
+        # bound is that plus 25%.  1 MiB blocks and intp rows took 19.1 MB.
+        _write_bench_inputs(tmp_path, 2400, 0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            read_trials_csv(tmp_path / "scores.csv")
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 7.3 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
