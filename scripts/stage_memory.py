@@ -17,7 +17,7 @@ twice, each time in a fresh child process with one BLAS thread:
   traced peak and the traced size left when it returns.
 
 Last come the stage with the highest traced peak and the first stage
-after which ``VmHWM`` reads its final value.  ``--json``
+after which ``VmHWM`` reads its final value, to 0.1 MB.  ``--json``
 prints one JSON object instead of the table.
 """
 
@@ -138,9 +138,10 @@ def main() -> int:
     stages = {
         name: {**figures, **traced["stages"][name]} for name, figures in plain["stages"].items()
     }
-    peaks = {  # the stage of the highest traced peak, and the first to reach the final VmHWM
+    final = max(round(f["vmhwm_mb"], 1) for f in stages.values())
+    peaks = {
         "traced": max(stages, key=lambda name: stages[name]["traced_peak_mb"]),
-        "vmhwm": max(stages, key=lambda name: stages[name]["vmhwm_mb"]),
+        "vmhwm": next(name for name, f in stages.items() if round(f["vmhwm_mb"], 1) == final),
     }
     if args.json:
         print(json.dumps({"vmhwm_start_mb": plain["vmhwm_start_mb"], "stages": stages, "peak": peaks}))

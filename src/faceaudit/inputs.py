@@ -61,7 +61,7 @@ def csv_header(fh: typing.TextIO, path: str | Path, what: str) -> list[str]:
 
 
 _BLOCK_CHARS = 1 << 16  # text read per block
-_BLOCK_ROWS = 1 << 10  # records per block once csv.reader reads: about 64 KiB of trial rows
+_BLOCK_ROWS = 1 << 10  # records per block once csv.reader reads: about a text block of trial rows
 
 
 def csv_columns(fh: typing.TextIO, width: int) -> Iterator[tuple[int, list | None]]:
