@@ -44,12 +44,12 @@ def run(seed: int, strength: float, n_per_group: int) -> None:
     )
     print(f"{'column':<22}{'pearson r':>12}{'p':>12}{'coef':>12}{'p':>12}")
     fit = report.regression
-    for entry in report.correlations.entries:
-        coef = fit.coefficient(entry.column) if fit is not None else float("nan")
-        p = fit.p_value(entry.column) if fit is not None else float("nan")
-        marker = "  <-- planted" if entry.column == "blur" else ""
+    for column, entry in report.correlations.entries.items():
+        coef = fit.coefficient(column) if fit is not None else float("nan")
+        p = fit.p_value(column) if fit is not None else float("nan")
+        marker = "  <-- planted" if column == "blur" else ""
         print(
-            f"{entry.column:<22}{entry.r:>12.4f}{entry.p_value:>12.2e}"
+            f"{column:<22}{entry.r:>12.4f}{entry.p_value:>12.2e}"
             f"{coef:>12.4f}{p:>12.2e}{marker}"
         )
 

@@ -227,7 +227,11 @@ def _audit_like(args, options: AuditOptions) -> int:
         trials, scores = read_trials_csv(args.scores, cohort)
     else:
         trials, scores = read_trials_csv(args.scores)
-        profiles = profiles_from_rows(read_attributes(args.attributes, schema), trials, schema)
+        table = read_attributes(args.attributes, schema)
+        if set(trials.image_ids).isdisjoint(table.image_ids):
+            raise DataError(f"{args.attributes}: no attribute row names an image of {args.scores}")
+        profiles = profiles_from_rows(table, trials, schema)
+        del table  # the audit reads only the profiles: free the table first
     if np.isnan(scores).any():
         raise DataError(f"{args.scores}: contains unscored pairs; run score first")
     return _finish(args.out, run_audit(trials, scores, profiles, schema, options))

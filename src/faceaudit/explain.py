@@ -7,15 +7,15 @@ enter as reference-coded dummies, booleans as 0/1, continuous
 attributes raw (optionally standardised).
 
 The design depends only on the profiles, so it is built once per audit
-together with what every fit reuses: the profile row of each design row,
-from which the response is gathered by index, and the columns that hold
-one value, which the correlations skip and the regression drops.
+and every fit reuses it.  ``build_design`` leaves out the columns that
+hold one value as it encodes and names them: the correlations skip
+them and the regression drops them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from faceaudit.calibration import OperatingPoint
 from faceaudit.cohort import ProfileTable
 from faceaudit.errors import DataError
 from faceaudit.schema import AttributeSchema
-from faceaudit.stats import DesignMatrix, RegressionFit, fit_ols, pearson
+from faceaudit.stats import CorrelationResult, DesignMatrix, RegressionFit, fit_ols, pearson
 
 
 def _column_plan(schema: AttributeSchema, reference_levels: Mapping[str, str]):
@@ -45,30 +45,17 @@ def _column_plan(schema: AttributeSchema, reference_levels: Mapping[str, str]):
 
 @dataclass(frozen=True, eq=False)
 class Design(DesignMatrix):
-    """A regression design and what every fit against it reuses.
+    """A regression design: the intercept and the encoded columns that vary.
 
-    ``rows`` holds the profile row of each design row; ``incomplete``
-    names the identities left out for a missing value.  ``constant``
-    names the explanatory columns that hold one value, and ``varying``
-    is the design without them.
+    ``encoded`` names every encoded column in plan order, ``constant``
+    those left out for holding one value.  ``rows`` holds the profile row
+    of each design row; ``incomplete`` names the identities left out.
     """
 
     rows: np.ndarray
     incomplete: tuple[str, ...]
-    constant: tuple[str, ...] = field(init=False)
-    varying: DesignMatrix = field(init=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        m = self.matrix
-        keep = [0, *(j for j in range(1, m.shape[1]) if not np.all(m[:, j] == m[0, j]))]
-        varying = self
-        if len(keep) < self.n_columns:
-            names = tuple(self.column_names[j] for j in keep)
-            varying = DesignMatrix(matrix=m[:, keep], column_names=names, row_ids=self.row_ids)
-        constant = tuple(name for name in self.column_names if name not in varying.column_names)
-        object.__setattr__(self, "varying", varying)
-        object.__setattr__(self, "constant", constant)
+    encoded: tuple[str, ...]
+    constant: tuple[str, ...]
 
 
 def build_design(
@@ -100,7 +87,8 @@ def build_design(
         )
     names = schema.names()
     matrix = np.ones((len(rows), n_columns), dtype=np.float64)
-    for j, (_, var, level_idx) in enumerate(plan, start=1):
+    keep, constant = [0], []
+    for j, (name, var, level_idx) in enumerate(plan, start=1):
         raw = values[:, names.index(var.name)]
         if level_idx is not None:
             matrix[:, j] = (raw.astype(np.int64) == level_idx).astype(np.float64)
@@ -110,48 +98,30 @@ def build_design(
                 sd = matrix[:, j].std()
                 if sd > 0.0:
                     matrix[:, j] = (matrix[:, j] - matrix[:, j].mean()) / sd
+        if np.all(matrix[:, j] == matrix[0, j]):
+            constant.append(name)
+        else:
+            keep.append(j)
+    encoded = ("intercept", *(name for name, _, _ in plan))
     return Design(
-        matrix=matrix,
-        column_names=("intercept", *(name for name, _, _ in plan)),
+        matrix=matrix[:, keep] if constant else matrix,
+        column_names=tuple(encoded[j] for j in keep),
         row_ids=tuple(profiles.identities[r] for r in rows.tolist()),
         rows=rows,
         incomplete=incomplete,
+        encoded=encoded[1:],
+        constant=tuple(constant),
     )
-
-
-def response_vector(
-    design: Design, rates: Mapping[str, np.ndarray], metric: str
-) -> np.ndarray:
-    """The ``metric`` rates of the design rows, gathered from profile-aligned rates."""
-    if metric not in ("far", "frr"):
-        raise DataError(f"metric must be 'far' or 'frr', got {metric!r}")
-    y = np.asarray(rates[metric], dtype=np.float64)[design.rows]
-    missing = np.flatnonzero(np.isnan(y))
-    if missing.size:
-        ids = [design.row_ids[i] for i in missing[:5].tolist()]
-        raise DataError(f"no rates for design rows: {ids}")
-    return y
-
-
-@dataclass(frozen=True)
-class CorrelationEntry:
-    column: str
-    r: float
-    p_value: float
-    n: int
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    entries: tuple[CorrelationEntry, ...]
+    """Pearson r with each design column but the intercept, keyed by
+    column in design order; ``skipped`` names the columns left out."""
+
+    entries: Mapping[str, CorrelationResult]
     skipped: tuple[str, ...]
     constant_response: bool
-
-    def entry(self, column: str) -> CorrelationEntry:
-        for e in self.entries:
-            if e.column == column:
-                return e
-        raise KeyError(column)
 
 
 def run_correlations(design: Design, y: np.ndarray) -> CorrelationReport:
@@ -164,27 +134,12 @@ def run_correlations(design: Design, y: np.ndarray) -> CorrelationReport:
     if y.shape != (design.n_rows,):
         raise DataError("response length must match the design rows")
     if np.all(y == y[0]):
-        return CorrelationReport(
-            entries=(), skipped=design.column_names[1:], constant_response=True
-        )
-    entries = []
-    varying = design.varying
-    for j, name in enumerate(varying.column_names[1:], start=1):
-        result = pearson(varying.matrix[:, j], y)
-        entries.append(CorrelationEntry(name, result.r, result.p_value, result.n))
-    return CorrelationReport(
-        entries=tuple(entries), skipped=design.constant, constant_response=False
-    )
-
-
-def run_regression(design: Design, y: np.ndarray) -> tuple[RegressionFit, tuple[str, ...]]:
-    """Fit the joint linear model without the constant columns.
-
-    Returns the fit plus the names of the dropped columns.  Rank
-    deficiency beyond constant columns (e.g. collinear dummies) still
-    raises, naming the offending columns.
-    """
-    return fit_ols(design.varying, y), design.constant
+        return CorrelationReport(entries={}, skipped=design.encoded, constant_response=True)
+    entries = {
+        name: pearson(design.matrix[:, j], y)
+        for j, name in enumerate(design.column_names[1:], start=1)
+    }
+    return CorrelationReport(entries=entries, skipped=design.constant, constant_response=False)
 
 
 @dataclass(frozen=True)
@@ -210,20 +165,25 @@ def explanatory_report(
 
     ``rates`` maps each metric to per-identity rates aligned with the
     profile rows ``design`` was built from.  The design does not depend
-    on the threshold, so one build serves every operating point.
+    on the threshold, so one build serves every operating point.  A
+    constant response is not regressed; rank deficiency in the design
+    (e.g. collinear dummies) raises, naming the offending columns.
     """
-    y = response_vector(design, rates, metric)
+    if metric not in ("far", "frr"):
+        raise DataError(f"metric must be 'far' or 'frr', got {metric!r}")
+    y = np.asarray(rates[metric], dtype=np.float64)[design.rows]
+    missing = np.flatnonzero(np.isnan(y))
+    if missing.size:
+        ids = [design.row_ids[i] for i in missing[:5].tolist()]
+        raise DataError(f"no rates for design rows: {ids}")
     correlations = run_correlations(design, y)
-    if correlations.constant_response:
-        regression, dropped = None, ()
-    else:
-        regression, dropped = run_regression(design, y)
+    regression = None if correlations.constant_response else fit_ols(design, y)
     return ExplanatoryReport(
         metric=metric,
         operating_point=operating_point,
         n_cases=design.n_rows,
         correlations=correlations,
         regression=regression,
-        dropped_columns=dropped,
+        dropped_columns=() if regression is None else design.constant,
         incomplete_identities=design.incomplete,
     )

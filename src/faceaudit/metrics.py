@@ -142,8 +142,7 @@ class GroupRates:
     """Macro-averaged rates of one group; NaN rates mean the group is empty.
 
     ``members`` holds the profile rows of the members, in identity
-    order; it is empty on deserialized results, where ``n_members`` is
-    authoritative.
+    order, and ``n_members`` counts them.
     """
 
     group: Group
@@ -288,11 +287,6 @@ class PairwiseTests:
     labels: tuple[str, ...]
     h_values: np.ndarray
     p_values: np.ndarray
-
-    def p_value(self, label_a: str, label_b: str) -> float:
-        i = self.labels.index(label_a)
-        j = self.labels.index(label_b)
-        return float(self.p_values[i, j])
 
 
 def kruskal_pairwise(samples: dict[str, np.ndarray]) -> PairwiseTests:

@@ -94,7 +94,7 @@ class AuditResults:
     """Full audit output: cohort census plus one analysis per policy."""
 
     tool_version: str
-    seed: int
+    seed: int | None
     group_by: tuple[str, ...]
     n_identities: int
     n_genuine: int
@@ -130,11 +130,12 @@ def run_audit(
     profiles: ProfileTable,
     schema: AttributeSchema,
     options: AuditOptions,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> AuditResults:
     """Calibrate per policy, then compute group rates, gaps, tests, and
     (optionally) the explanatory analyses.  ``seed`` is the trial
-    generator seed, recorded in the results.
+    generator seed, recorded in the results; None when no seed played
+    a role, as for trials read from a file.
 
     Everything per identity lives in the rows of ``profiles``: the rates
     of each policy are moved there from the trial identity codes, NaN

@@ -27,7 +27,6 @@ import numpy as np
 
 from faceaudit.errors import DataError
 from faceaudit.inputs import read_json
-from faceaudit.metrics import Group, GroupRates
 from faceaudit.pipeline import AuditResults
 
 EMPTY_CELL = "—"
@@ -48,19 +47,20 @@ def _format_cell(value: float) -> str:
     return format(value, ".3f")
 
 
-def render_group_table(groups: list[GroupRates], metric: str) -> str:
+def render_group_table(groups: list[dict], metric: str) -> str:
     """Grid of group rates for one metric as delimited text.
 
-    Two grouping attributes give rows for the first attribute's levels
-    and columns for the second's.  Any other count gives the long table:
-    a column per attribute plus one for the metric, and a row per group.
+    ``groups`` are the group objects of one report.json analysis.  Two
+    grouping attributes give rows for the first attribute's levels and
+    columns for the second's.  Any other count gives the long table: a
+    column per attribute plus one for the metric, and a row per group.
     Union levels are labelled ``all``.
     """
     if metric not in ("far", "frr"):
         raise DataError(f"metric must be 'far' or 'frr', got {metric!r}")
     if not groups:
         raise DataError("no groups to render")
-    attrs = groups[0].group.attributes
+    attrs = groups[0]["attributes"]
 
     def label(level: str | None) -> str:
         return "all" if level is None else level
@@ -70,13 +70,13 @@ def render_group_table(groups: list[GroupRates], metric: str) -> str:
     if len(attrs) != 2:
         writer.writerow([*attrs, metric])
         for g in groups:
-            writer.writerow([*map(label, g.group.levels), _format_cell(getattr(g, metric))])
+            writer.writerow([*map(label, g["levels"]), _format_cell(g[metric])])
         return buf.getvalue()
 
     # Levels in order of first appearance; a later cell with the same levels wins.
-    row_levels = list(dict.fromkeys(g.group.levels[0] for g in groups))
-    col_levels = list(dict.fromkeys(g.group.levels[1] for g in groups))
-    cells = {g.group.levels: getattr(g, metric) for g in groups}
+    row_levels = list(dict.fromkeys(g["levels"][0] for g in groups))
+    col_levels = list(dict.fromkeys(g["levels"][1] for g in groups))
+    cells = {tuple(g["levels"]): g[metric] for g in groups}
     writer.writerow([f"{metric} {attrs[0]}|{attrs[1]}", *(label(c) for c in col_levels)])
     for r in row_levels:
         writer.writerow(
@@ -204,7 +204,7 @@ def op_payload(op):
     return {"policy": op.policy, "tau": op.tau, "far": op.far, "frr": op.frr}
 
 
-def _group_payload(g: GroupRates):
+def _group_payload(g):
     return {
         "attributes": list(g.group.attributes),
         "levels": list(g.group.levels),
@@ -250,8 +250,8 @@ def _explain_payload(rep):
         "n_cases": rep.n_cases,
         "correlations": {
             "entries": [
-                {"column": e.column, "r": e.r, "p_value": e.p_value, "n": e.n}
-                for e in rep.correlations.entries
+                {"column": column, "r": e.r, "p_value": e.p_value, "n": e.n}
+                for column, e in rep.correlations.entries.items()
             ],
             "skipped": list(rep.correlations.skipped),
             "constant_response": rep.correlations.constant_response,
@@ -305,18 +305,6 @@ def _policy_slug(policy: str) -> str:
     return policy.replace("@", "_at_")
 
 
-def _groups_from_payload(analysis: dict) -> list[GroupRates]:
-    return [
-        GroupRates(
-            group=Group(attributes=tuple(g["attributes"]), levels=tuple(g["levels"])),
-            far=_nan(g["far"]),
-            frr=_nan(g["frr"]),
-            n_members=g["n_members"],
-        )
-        for g in analysis["groups"]
-    ]
-
-
 def _nan(value) -> float:
     return math.nan if value is None else float(value)
 
@@ -327,10 +315,9 @@ def render_tables(payload: dict, outdir: Path) -> list[Path]:
     written = []
     for analysis in payload["analyses"]:
         slug = _policy_slug(analysis["operating_point"]["policy"])
-        groups = _groups_from_payload(analysis)
         for metric in ("far", "frr"):
             path = tables_dir / f"{slug}_{metric}.csv"
-            path.write_text(render_group_table(groups, metric), encoding="utf-8")
+            path.write_text(render_group_table(analysis["groups"], metric), encoding="utf-8")
             written.append(path)
     return written
 
@@ -398,6 +385,11 @@ def emit_bundle(outdir: str | Path, results: AuditResults) -> dict[str, object]:
     payload = to_payload(results)
     report_path = outdir / "report.json"
     report_path.write_text(dump_payload(payload), encoding="utf-8")
+    return _render(payload, report_path, outdir)
+
+
+def _render(payload: dict, report_path: Path, outdir: Path) -> dict[str, object]:
+    """Write the tables and figures of the payload of ``report_path``."""
     tables = render_tables(payload, outdir)
     figures = render_figures(payload, outdir)
     return {"report": report_path, "tables": tables, "figures": figures}
@@ -478,8 +470,4 @@ def render_from_file(report_path: str | Path, outdir: str | Path) -> dict[str, o
         raise DataError(f"{report_path}: {exc}") from None
     if not payload["analyses"]:
         raise DataError(f"{report_path}: payload holds no analyses")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tables = render_tables(payload, outdir)
-    figures = render_figures(payload, outdir)
-    return {"report": report_path, "tables": tables, "figures": figures}
+    return _render(payload, report_path, Path(outdir))

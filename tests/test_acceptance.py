@@ -270,7 +270,7 @@ def test_criterion_08_planted_effect_recovery():
         )
         rates, profiles, op = _audited_far_rates(config, trial_seed=seed)
         report = explanatory_report(build_design(profiles, schema), rates, "far", op)
-        entry = report.correlations.entry("blur")
+        entry = report.correlations.entries["blur"]
         fit = report.regression
         coef = fit.coefficient("blur")
         if premise_shift is None:

@@ -442,6 +442,21 @@ class TestDataErrors:
         assert err.count("\n") == 1 and "duplicate attribute column 'blur'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["audit", "explain"])
+    def test_attributes_naming_no_trial_image_rejected(self, workspace, tmp_path, capsys, command):
+        # every image id suffixed: the file describes images the trials never use
+        header, *rows = workspace["attributes"].read_text(encoding="utf-8").splitlines()
+        attributes = tmp_path / "attributes.csv"
+        rows = [row.replace(",", ".jpg,", 1) for row in rows]
+        attributes.write_text("".join(f"{line}\n" for line in [header, *rows]), encoding="utf-8")
+        scores, out = workspace["scored"], tmp_path / "o"
+        argv = [command, "--scores", str(scores), "--attributes", str(attributes)]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        want = f"{attributes}: no attribute row names an image of {scores}"
+        assert err == f"faceaudit {command}: {want}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [[], {"synth": {}, "trials": 5}])
     def test_run_all_config_shape_rejected(self, tmp_path, capsys, config):
         path = tmp_path / "bad.json"
@@ -843,6 +858,13 @@ class TestPipeline:
             assert main([*argv, "--positives", value]) == 0
             counts[value] = read_trials_csv(out)[0].n_genuine
         assert counts == {"6": 12 * 6, "all": 12 * 10}  # 5 images: 10 pairs
+
+    def test_file_audit_records_no_seed(self, workspace, tmp_path):
+        # no seed played a role in an audit of files; run-all records its own
+        out = tmp_path / "audit"
+        argv = ["audit", "--scores", str(workspace["scored"])]
+        assert main([*argv, "--attributes", str(workspace["attributes"]), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["seed"] is None
 
     def test_scored_file_complete(self, workspace):
         _, scores = read_trials_csv(workspace["scored"])

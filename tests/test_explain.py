@@ -13,16 +13,11 @@ from conftest import (
     trial_set,
 )
 from faceaudit.errors import DataError, RankDeficiencyError, SchemaError
-from faceaudit.explain import (
-    build_design,
-    explanatory_report,
-    response_vector,
-    run_correlations,
-    run_regression,
-)
+from faceaudit.explain import build_design, explanatory_report, run_correlations
 from faceaudit.calibration import OperatingPoint
 from faceaudit.pipeline import AuditOptions, run_audit
 from faceaudit.schema import default_schema
+from faceaudit.stats import fit_ols, pearson
 
 SCHEMA = default_schema()
 
@@ -164,13 +159,20 @@ class TestBuildDesign:
 
 
 class TestResponseVector:
+    """The response ``explanatory_report`` gathers from profile-aligned rates."""
+
+    OP = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
+
     def test_alignment(self):
         profiles = random_profiles(25)
-        design = build_design(profiles, SCHEMA)
-        rates = rates_for(profiles, lambda v: 0.5)
-        y = response_vector(design, rates, "far")
+        # design rows in another order than the profile rows
+        design = build_design(profiles, SCHEMA, rows=np.arange(25)[::-1])
+        rates = rates_for(profiles, lambda v: 0.05 + 0.4 * v["blur"])
+        report = explanatory_report(design, rates, "far", self.OP)
         by_id = dict(zip(profiles.identities, rates["far"]))
-        np.testing.assert_array_equal(y, [by_id[i] for i in design.row_ids])
+        y = np.array([by_id[i] for i in design.row_ids])
+        assert repr(report.correlations) == repr(run_correlations(design, y))
+        assert repr(report.regression) == repr(fit_ols(design, y))
 
     def test_missing_rate_rejected(self):
         profiles = random_profiles(25)
@@ -178,13 +180,23 @@ class TestResponseVector:
         rates = rates_for(profiles, lambda v: 0.5)
         rates["far"][-1] = np.nan  # the last identity has no rates
         with pytest.raises(DataError, match="id024"):
-            response_vector(design, rates, "far")
+            explanatory_report(design, rates, "far", self.OP)
+
+    def test_missing_rates_named_up_to_five(self):
+        profiles = random_profiles(25)
+        design = build_design(profiles, SCHEMA)
+        rates = rates_for(profiles, lambda v: 0.5)
+        rates["far"][:7] = np.nan
+        want = "no rates for design rows: ['id000', 'id001', 'id002', 'id003', 'id004']"
+        with pytest.raises(DataError) as exc:
+            explanatory_report(design, rates, "far", self.OP)
+        assert str(exc.value) == want
 
     def test_bad_metric_rejected(self):
         profiles = random_profiles(25)
         design = build_design(profiles, SCHEMA)
         with pytest.raises(DataError):
-            response_vector(design, rates_for(profiles, lambda v: 0.5), "precision")
+            explanatory_report(design, rates_for(profiles, lambda v: 0.5), "precision", self.OP)
 
 
 class TestRunCorrelations:
@@ -195,8 +207,9 @@ class TestRunCorrelations:
         y = rng.uniform(size=40)
         report = run_correlations(design, y)
         assert not report.constant_response
-        for entry in report.entries:
-            col = design.matrix[:, design.column_names.index(entry.column)]
+        assert tuple(report.entries) == design.column_names[1:]
+        for column, entry in report.entries.items():
+            col = design.matrix[:, design.column_names.index(column)]
             want_r, want_p = scipy.stats.pearsonr(col, y)
             assert entry.r == pytest.approx(want_r, abs=1e-10)
             assert entry.p_value == pytest.approx(want_p, abs=1e-10)
@@ -206,28 +219,30 @@ class TestRunCorrelations:
         profiles = random_profiles(30)
         design = build_design(profiles, SCHEMA)
         report = run_correlations(design, np.random.default_rng(0).uniform(size=30))
-        assert all(e.column != "intercept" for e in report.entries)
+        assert "intercept" not in report.entries
 
     def test_constant_column_skipped(self):
         profiles = with_values(random_rows(30), blur=0.5)  # constant across the cohort
         design = build_design(profiles, SCHEMA)
         report = run_correlations(design, np.random.default_rng(0).uniform(size=30))
         assert "blur" in report.skipped
-        assert all(e.column != "blur" for e in report.entries)
+        assert "blur" not in report.entries
 
     def test_constant_response_flagged(self):
         design = build_design(random_profiles(30), SCHEMA)
         report = run_correlations(design, np.full(30, 0.25))
         assert report.constant_response
-        assert report.entries == ()
+        assert report.entries == {}
         assert len(report.skipped) == 21
 
     def test_entry_lookup(self):
         design = build_design(random_profiles(30), SCHEMA)
-        report = run_correlations(design, np.random.default_rng(1).uniform(size=30))
-        assert report.entry("blur").column == "blur"
+        y = np.random.default_rng(1).uniform(size=30)
+        report = run_correlations(design, y)
+        j = design.column_names.index("blur")
+        assert report.entries["blur"].r == pearson(design.matrix[:, j], y).r
         with pytest.raises(KeyError):
-            report.entry("nonexistent")
+            report.entries["nonexistent"]
 
     def test_length_mismatch_rejected(self):
         design = build_design(random_profiles(30), SCHEMA)
@@ -236,26 +251,29 @@ class TestRunCorrelations:
 
 
 class TestRunRegression:
+    """``fit_ols`` on the design, as ``explanatory_report`` regresses."""
+
     def test_planted_coefficients_recovered(self):
         profiles = random_profiles(200, seed=7)
         design = build_design(profiles, SCHEMA)
         j_blur = design.column_names.index("blur")
         j_yaw = design.column_names.index("yaw")
         y = 0.1 + 0.6 * design.matrix[:, j_blur] + 0.002 * design.matrix[:, j_yaw]
-        fit, dropped = run_regression(design, y)
-        assert dropped == ()
+        fit = fit_ols(design, y)
+        assert design.constant == ()
         assert fit.coefficient("blur") == pytest.approx(0.6, abs=1e-8)
         assert fit.coefficient("yaw") == pytest.approx(0.002, abs=1e-8)
         assert fit.coefficient("intercept") == pytest.approx(0.1, abs=1e-8)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
 
     def test_constant_columns_dropped_not_fatal(self):
-        design = build_design(with_values(random_rows(60), smile=0.0), SCHEMA)
-        y = np.random.default_rng(2).uniform(size=60)
-        fit, dropped = run_regression(design, y)
-        assert dropped == ("smile",)
-        assert "smile" not in fit.column_names
-        assert len(fit.column_names) == 21
+        profiles = with_values(random_rows(60), smile=0.0)
+        rates = {"far": np.random.default_rng(2).uniform(size=60), "frr": np.zeros(60)}
+        op = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
+        report = explanatory_report(build_design(profiles, SCHEMA), rates, "far", op)
+        assert report.dropped_columns == ("smile",)
+        assert "smile" not in report.regression.column_names
+        assert len(report.regression.column_names) == 21
 
     def test_collinear_columns_still_raise(self):
         # two perfectly collinear continuous columns cannot be separated
@@ -264,14 +282,14 @@ class TestRunRegression:
         design = build_design(profiles, SCHEMA)
         y = np.random.default_rng(3).uniform(size=60)
         with pytest.raises(RankDeficiencyError):
-            run_regression(design, y)
+            fit_ols(design, y)
 
     def test_matches_reference_implementation(self):
         profiles = random_profiles(100, seed=11)
         design = build_design(profiles, SCHEMA)
         rng = np.random.default_rng(13)
         y = rng.uniform(size=100)
-        fit, _ = run_regression(design, y)
+        fit = fit_ols(design, y)
         want, *_ = np.linalg.lstsq(design.matrix, y, rcond=None)
         np.testing.assert_allclose(fit.coefficients, want, atol=1e-10)
 
@@ -285,7 +303,7 @@ class TestExplanatoryReport:
         assert report.metric == "far"
         assert report.n_cases == 120
         assert report.operating_point is op
-        blur_r = report.correlations.entry("blur")
+        blur_r = report.correlations.entries["blur"]
         assert blur_r.r > 0.5
         assert blur_r.p_value < 0.01
         assert report.regression is not None
@@ -313,6 +331,36 @@ class TestExplanatoryReport:
         report = explanatory_report(build_design(profiles, SCHEMA), rates, "far", op)
         assert report.correlations.constant_response
         assert report.regression is None
+
+    def test_constant_response_skips_every_encoded_column(self):
+        # a constant column and a constant response: every encoded column
+        # is skipped, in plan order, and none is dropped from a regression
+        plan = build_design(random_profiles(40), SCHEMA).column_names[1:]
+        profiles = with_values(random_rows(40), smile=0.0)
+        rates = {"far": np.zeros(40), "frr": np.zeros(40)}
+        op = OperatingPoint(tau=0.4, far=0.0, frr=0.0, policy="far@0.001")
+        report = explanatory_report(build_design(profiles, SCHEMA), rates, "far", op)
+        assert report.correlations.constant_response
+        assert report.correlations.skipped == plan
+        assert report.regression is None
+        assert report.dropped_columns == ()
+
+    def test_constant_columns_left_out_in_plan_order(self):
+        plan = build_design(random_profiles(40), SCHEMA).column_names[1:]
+        profiles = with_values(random_rows(40), smile=0.0, gender=0.0, blur=0.5)
+        design = build_design(profiles, SCHEMA)
+        assert design.encoded == plan
+        assert design.constant == ("gender=woman", "blur", "smile")
+        assert design.column_names == ("intercept", *(c for c in plan if c not in design.constant))
+        assert design.matrix.shape == (40, 19)
+        assert not any(np.all(column == column[0]) for column in design.matrix.T[1:])
+        rates = rates_for(profiles, lambda v: 0.05 + 0.4 * v["yaw"] / 90)
+        op = OperatingPoint(tau=0.4, far=0.05, frr=0.1, policy="eer")
+        report = explanatory_report(design, rates, "far", op)
+        assert report.correlations.skipped == design.constant
+        assert tuple(report.correlations.entries) == design.column_names[1:]
+        assert report.regression.column_names == design.column_names
+        assert report.dropped_columns == design.constant
 
     def test_incomplete_identities_surface(self):
         profiles = profile_table({**random_rows(40), "gap": {"blur": 0.2}})

@@ -600,8 +600,9 @@ class TestKruskalPairwise:
     def test_lookup_by_label(self):
         samples = {"a": np.arange(1.0, 6.0), "b": np.arange(6.0, 11.0)}
         tests = kruskal_pairwise(samples)
-        assert tests.p_value("a", "b") == tests.p_value("b", "a")
-        assert tests.p_value("a", "b") == pytest.approx(0.009023, abs=1e-5)
+        a, b = tests.labels.index("a"), tests.labels.index("b")
+        assert tests.p_values[a, b] == tests.p_values[b, a]
+        assert tests.p_values[a, b] == pytest.approx(0.009023, abs=1e-5)
 
     def test_single_group_rejected(self):
         with pytest.raises(DataError):

@@ -97,6 +97,11 @@ class TestRunAudit:
         assert len(results.analyses) == 1
         assert results.notes["multiple_comparison_correction"] == "none"
 
+    def test_seed_defaults_to_none(self, cohort_and_scores):
+        result, trials, scores = cohort_and_scores
+        results = run_audit(trials, scores, result.profiles, default_schema(), AuditOptions())
+        assert results.seed is None
+
     def test_one_analysis_per_policy(self, cohort_and_scores):
         result, trials, scores = cohort_and_scores
         options = AuditOptions(policies=("eer", "far@0.01", "far@0.001"))
