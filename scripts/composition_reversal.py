@@ -9,7 +9,6 @@ pooled and per-ethnicity gender gaps side by side.
 import argparse
 
 from faceaudit.calibration import calibrate
-from faceaudit.cohort import build_cohort
 from faceaudit.metrics import (
     group_membership,
     group_rates,
@@ -26,7 +25,7 @@ def run(seed: int) -> None:
     schema = default_schema()
     config = simpson_config(seed=seed)
     result = generate(config, schema)
-    cohort = build_cohort(result.records)
+    cohort = result.records
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
     census = trial_census(trials, scores)

@@ -11,7 +11,6 @@ import argparse
 import numpy as np
 
 from faceaudit.calibration import calibrate
-from faceaudit.cohort import build_cohort
 from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import individual_rates, trial_census
 from faceaudit.schema import default_schema
@@ -27,7 +26,7 @@ def run(seeds: int, n_identities: int) -> None:
             identities_per_group={("man", "asian"): n_identities}, dim=32, seed=seed
         )
         result = generate(config, schema)
-        cohort = build_cohort(result.records)
+        cohort = result.records
         trials = generate_trials(cohort, TrialPolicy(), seed=seed)
         scores = score_trials(cohort, trials)
         census = trial_census(trials, scores)

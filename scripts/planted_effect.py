@@ -9,7 +9,6 @@ blur row should dominate; everything else should sit near zero.
 import argparse
 
 from faceaudit.calibration import calibrate
-from faceaudit.cohort import build_cohort
 from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import individual_rates, trial_census
 from faceaudit.schema import default_schema
@@ -29,7 +28,7 @@ def run(seed: int, strength: float, n_per_group: int) -> None:
         attribute_effects=(AttributeEffect("blur", "far", strength),),
     )
     result = generate(config, schema)
-    cohort = build_cohort(result.records)
+    cohort = result.records
     trials = generate_trials(cohort, TrialPolicy(), seed=seed)
     scores = score_trials(cohort, trials)
     census = trial_census(trials, scores)

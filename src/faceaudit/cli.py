@@ -27,7 +27,7 @@ import numpy as np
 
 from faceaudit import __version__
 from faceaudit.calibration import calibrate, parse_policy
-from faceaudit.cohort import aggregate_profiles, build_cohort, load_cohort, read_attributes
+from faceaudit.cohort import aggregate_profiles, load_cohort, positions, read_attributes
 from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.inputs import from_json, read_json
 from faceaudit.metrics import trial_census
@@ -223,7 +223,12 @@ def _audit_like(args, options: AuditOptions) -> int:
     schema.check_grouping(options.group_by, group_key="--group-by")
     if args.embeddings:
         cohort = load_cohort(args.embeddings)
-        profiles = aggregate_profiles(cohort, read_attributes(args.attributes, schema), schema)
+        table = read_attributes(args.attributes, schema)
+        orphans = np.flatnonzero(positions(cohort.image_ids, table.image_ids) < 0)
+        if orphans.size:
+            image = table.image_ids[orphans[0]]
+            raise DataError(f"{args.attributes}: row for {image!r} has no matching embedding")
+        profiles = aggregate_profiles(cohort, table, schema)
         trials, scores = read_trials_csv(args.scores, cohort)
     else:
         trials, scores = read_trials_csv(args.scores)
@@ -276,9 +281,8 @@ def _cmd_run_all(args) -> int:
 
     result = generate(config, schema)
     write_synth(outdir / "data", result, schema)  # for inspection; the audit reads none of it
-    cohort = build_cohort(result.records)
-    trials = generate_trials(cohort, policy, config.seed)
-    scores = score_trials(cohort, trials)
+    trials = generate_trials(result.records, policy, config.seed)
+    scores = score_trials(result.records, trials)
     write_trials_csv(outdir / "trials.csv", trials, scores)
     return _finish(outdir, run_audit(trials, scores, result.profiles, schema, options, config.seed))
 

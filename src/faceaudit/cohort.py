@@ -9,9 +9,9 @@ little-endian float32 values.
 
 Embeddings, tabular: delimited text, one row per record:
 ``image_id, identity_id, v0, ..., v{dim-1}`` (no header).  Components
-are plain decimals; one holding ``_`` is rejected, although ``float()``
-reads ``1_0`` as 10.  Either format reads into one ``EmbeddingTable``:
-the ids in file order and one float32 ``(n_images, dim)`` matrix.
+are decimals as ``inputs.decimal`` reads them.  Either format reads
+into one ``Cohort``; the binary writer lists its images in cohort
+order.
 
 Attributes: delimited text with a header row ``image_id`` followed by
 schema variable names, each at most once, in any order; an empty cell
@@ -19,16 +19,17 @@ means the value is missing.  Categorical cells may hold either the
 level name or its index.  In memory the rows form one
 ``AttributeTable`` with its columns in schema order.
 
-Cohorts: a ``Cohort`` is the image table trials use (images identity by
-identity, identities sorted, each identity's images sorted) with the
-embedding matrix in the same row order.  It holds no attribute rows:
-pairing and scoring read none, and an audit reads them once, into the
-profiles.
+Cohorts: a ``Cohort`` is an embedding set as the image table trials use
+(images identity by identity, identities sorted, each identity's images
+sorted) with the embedding matrix in the same row order.  It holds no
+attribute rows: pairing and scoring read none, and an audit reads them
+once, into the profiles.
 
-Profiles: each identity aggregates its images' rows in sorted image-id
-order, so neither the row nor the column order of the file changes a
-profile; continuous means are ``np.mean`` of the present values.  The
-profiles of a cohort form one ``ProfileTable``, a row per identity.
+Profiles: each identity of an image table, a cohort's or a trial set's,
+aggregates its images' rows in sorted image-id order, so neither the
+row nor the column order of the file changes a profile; continuous
+means are ``np.mean`` of the present values.  The profiles form one
+``ProfileTable``, a row per identity.
 """
 
 from __future__ import annotations
@@ -48,36 +49,11 @@ from typing import NoReturn
 import numpy as np
 
 from faceaudit.errors import DataError, SchemaError
-from faceaudit.inputs import csv_columns, csv_header, csv_records, open_text
+from faceaudit.inputs import csv_columns, csv_header, csv_records, decimal, open_text
 from faceaudit.schema import AttributeSchema, Variable
 
 _MAGIC = b"FREB"
 _VERSION = 1
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingTable:
-    """The records of one embedding file, in file order: image
-    ``image_ids[i]`` of identity ``identity_ids[i]`` has the embedding
-    ``vectors[i]``."""
-
-    image_ids: tuple[str, ...]
-    identity_ids: tuple[str, ...]
-    vectors: np.ndarray  # float32, shape (n_images, dim)
-
-    def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float32)
-        object.__setattr__(self, "vectors", vectors)
-        if not len(self.image_ids) == len(self.identity_ids) == len(vectors):
-            raise DataError("embedding table columns differ in length")
-        if len(vectors) and (vectors.ndim != 2 or vectors.shape[1] < 1):
-            raise DataError(f"embedding for {self.image_ids[0]!r} must be a 1-d vector")
-        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=-1))
-        if bad.size:
-            raise DataError(f"embedding for {self.image_ids[bad[0]]!r} contains non-finite values")
-
-    def __len__(self) -> int:
-        return len(self.image_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,16 +118,22 @@ class Cohort(ImageTable):
 
     vectors: np.ndarray  # float32, shape (n_images, dim)
 
+    def __len__(self) -> int:
+        return len(self.image_ids)
 
-def write_embeddings_binary(path: str | Path, table: EmbeddingTable) -> None:
-    if not len(table):
-        raise DataError("refusing to write an empty embedding file")
-    rows = table.vectors.astype("<f4", copy=False)
+
+# (image ids, identity ids, vectors) of an embedding file's records, in file order
+Records = tuple[tuple[str, ...], tuple[str, ...], np.ndarray]
+
+
+def write_embeddings_binary(path: str | Path, cohort: Cohort) -> None:
+    rows = cohort.vectors.astype("<f4", copy=False)
+    identity_ids = map(cohort.identities.__getitem__, cohort.identity_codes.tolist())
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(bytes([_VERSION]))
         fh.write(struct.pack("<II", *rows.shape))
-        for image_id, identity_id, row in zip(table.image_ids, table.identity_ids, rows):
+        for image_id, identity_id, row in zip(cohort.image_ids, identity_ids, rows):
             for text in (image_id, identity_id):
                 raw = text.encode("utf-8")
                 if len(raw) > 0xFFFF:
@@ -161,7 +143,7 @@ def write_embeddings_binary(path: str | Path, table: EmbeddingTable) -> None:
             fh.write(row.tobytes())
 
 
-def read_embeddings_binary(path: str | Path) -> EmbeddingTable:
+def read_embeddings_binary(path: str | Path) -> Records:
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise DataError(f"{path}: bad magic bytes, not an embedding file")
@@ -187,16 +169,10 @@ def read_embeddings_binary(path: str | Path) -> EmbeddingTable:
         raise DataError(f"{path}: truncated or corrupt embedding file: {exc}") from exc
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes after last record")
-    return EmbeddingTable(tuple(ids[0]), tuple(ids[1]), vectors)
+    return tuple(ids[0]), tuple(ids[1]), vectors
 
 
-def _component(cell: str) -> float:
-    if "_" in cell:  # float() reads "1_0" as 10.0
-        raise ValueError(f"could not convert string to float: {cell!r}")
-    return float(cell)
-
-
-def read_embeddings_text(path: str | Path) -> EmbeddingTable:
+def read_embeddings_text(path: str | Path) -> Records:
     ids: tuple[list[str], list[str]] = ([], [])
     components = array("d")
     dim = 0
@@ -207,7 +183,7 @@ def read_embeddings_text(path: str | Path) -> EmbeddingTable:
             if len(row) < 3:
                 raise DataError(f"{path}:{lineno}: expected image_id, identity_id, values...")
             try:
-                components.extend(map(_component, row[2:]))
+                components.extend(map(decimal, row[2:]))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad vector component: {exc}") from exc
             width = len(row) - 2
@@ -218,17 +194,9 @@ def read_embeddings_text(path: str | Path) -> EmbeddingTable:
                 )
             ids[0].append(row[0])
             ids[1].append(row[1])
-    vectors = np.frombuffer(components, dtype=np.float64).astype(np.float32)
-    return EmbeddingTable(tuple(ids[0]), tuple(ids[1]), vectors.reshape(len(ids[0]), dim))
-
-
-def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read embeddings from either the binary or the tabular format."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == _MAGIC:
-        return read_embeddings_binary(path)
-    return read_embeddings_text(path)
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, named below
+        vectors = np.frombuffer(components, dtype=np.float64).astype(np.float32)
+    return tuple(ids[0]), tuple(ids[1]), vectors.reshape(len(ids[0]), dim)
 
 
 def _parse_cell(var: Variable, raw: str) -> float:
@@ -236,9 +204,7 @@ def _parse_cell(var: Variable, raw: str) -> float:
     if var.kind == "categorical" and raw in var.levels:
         return float(var.levels.index(raw))
     try:
-        if "_" in raw:  # float() reads "1_0" as 10.0
-            raise ValueError(raw)
-        value = float(raw)
+        value = decimal(raw)
     except ValueError:
         raise SchemaError(f"variable {var.name!r}: cannot parse value {raw!r}") from None
     var.check_value(value)
@@ -307,9 +273,8 @@ def read_attributes(path: str | Path, schema: AttributeSchema) -> AttributeTable
         header = csv_header(fh, path, "attribute")
         if not header or header[0] != "image_id":
             raise DataError(f"{path}: first attribute column must be image_id")
-        known = set(names)
         for i, col in enumerate(header[1:], start=1):
-            if col not in known:
+            if col not in names:
                 raise SchemaError(f"{path}: unknown attribute column {col!r}")
             if col in header[1:i]:
                 raise DataError(f"{path}: duplicate attribute column {col!r}")
@@ -360,34 +325,46 @@ def write_attributes(path: str | Path, table: AttributeTable, schema: AttributeS
         fh.writelines(map("{}\n".format, rows))
 
 
-def build_cohort(embeddings: EmbeddingTable) -> Cohort:
-    """Order an embedding table into a cohort; image ids must be distinct."""
-    if not len(embeddings):
+def build_cohort(image_ids: Sequence[str], identity_ids: Sequence[str], vectors) -> Cohort:
+    """Order embedding records into a cohort: image ``image_ids[i]`` of
+    identity ``identity_ids[i]`` has the embedding ``vectors[i]``.  Image
+    ids must be distinct, and each embedding a finite vector."""
+    vectors = np.asarray(vectors, dtype=np.float32)
+    if not len(image_ids) == len(identity_ids) == len(vectors):
+        raise DataError("embedding table columns differ in length")
+    if not len(vectors):
         raise DataError("no embedding records")
+    if vectors.ndim != 2 or vectors.shape[1] < 1:
+        raise DataError(f"embedding for {image_ids[0]!r} must be a 1-d vector")
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=-1))
+    if bad.size:
+        raise DataError(f"embedding for {image_ids[bad[0]]!r} contains non-finite values")
     embedded: set[str] = set()
-    for image_id in embeddings.image_ids:
+    for image_id in image_ids:
         if image_id in embedded:
             raise DataError(f"duplicate image_id {image_id!r} among embeddings")
         embedded.add(image_id)
 
-    image_ids, identity_ids = embeddings.image_ids, embeddings.identity_ids
     identities = tuple(sorted(set(identity_ids)))
     order = sorted(range(len(image_ids)), key=lambda i: (identity_ids[i], image_ids[i]))
-    in_order = order == list(range(len(order)))  # as synth writes: share the matrix, no copy
+    in_order = order == list(range(len(order)))  # as synth draws them: share the matrix
     return Cohort(
         image_ids=tuple(map(image_ids.__getitem__, order)),
         identity_codes=positions(identities, identity_ids)[order].astype(np.int32),
         identities=identities,
-        vectors=embeddings.vectors if in_order else embeddings.vectors[order],
+        vectors=vectors if in_order else vectors[order],
     )
 
 
 def load_cohort(path: str | Path) -> Cohort:
-    """Load an embedding file into a cohort."""
-    embeddings = load_embeddings(path)
-    if not len(embeddings):
+    """Load an embedding file, in either format, into a cohort."""
+    with open(path, "rb") as fh:
+        head = fh.read(4)
+    read = read_embeddings_binary if head == _MAGIC else read_embeddings_text
+    image_ids, identity_ids, vectors = read(path)
+    if not image_ids:
         raise DataError(f"{path}: no embedding records")
-    return build_cohort(embeddings)
+    return build_cohort(image_ids, identity_ids, vectors)
 
 
 def aggregate_table(
@@ -443,23 +420,12 @@ def aggregate_table(
 
 
 def aggregate_profiles(
-    cohort: ImageTable, table: AttributeTable, schema: AttributeSchema
+    images: ImageTable, table: AttributeTable, schema: AttributeSchema
 ) -> ProfileTable:
-    """One profile row per cohort identity from the rows of ``table``;
-    missing per-image values are skipped.
-
-    Every row must belong to a cohort image, at most once; an image may
-    have no row.
-    """
-    embedded = set(cohort.image_ids)
-    attributed: set[str] = set()
-    for image_id in table.image_ids:
-        if image_id not in embedded:
-            raise DataError(f"attribute row for {image_id!r} has no matching embedding")
-        if image_id in attributed:
-            raise DataError(f"duplicate attribute row for {image_id!r}")
-        attributed.add(image_id)
+    """One profile row per identity of ``images``, a cohort or a trial
+    set, from the rows of ``table``; missing values, images without a
+    row and rows of other images are skipped."""
     values = aggregate_table(
-        table, cohort.image_ids, cohort.identity_codes, len(cohort.identities), schema
+        table, images.image_ids, images.identity_codes, len(images.identities), schema
     )
-    return ProfileTable(cohort.identities, values)
+    return ProfileTable(images.identities, values)

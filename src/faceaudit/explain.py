@@ -104,6 +104,9 @@ def build_design(
             keep.append(j)
     encoded = ("intercept", *(name for name, _, _ in plan))
     return Design(
+        # The layout is kept: fit_ols's last bits, so report.json's bytes, follow
+        # the memory order, C here and Fortran in the copy matrix[:, keep] makes.
+        # The criterion-10 and readme-every-key golden designs leave columns out.
         matrix=matrix[:, keep] if constant else matrix,
         column_names=tuple(encoded[j] for j in keep),
         row_ids=tuple(profiles.identities[r] for r in rows.tolist()),

@@ -53,6 +53,13 @@ def csv_records(lines: Iterable[str], path: str | Path) -> Iterator[tuple[int, l
         yield lineno, row
 
 
+def decimal(cell: str) -> float:
+    """``float(cell)``, but a cell holding ``_`` is no number: float() reads "1_0" as 10."""
+    if "_" in cell:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
 def csv_header(fh: typing.TextIO, path: str | Path, what: str) -> list[str]:
     """The first record of ``fh``, read up to its end and no further."""
     for _, header in csv_records(fh, path):
@@ -133,10 +140,11 @@ def _columns(rows: list[list[str]], width: int) -> list | None:
 
 
 def read_json(path: str | Path):
+    """The JSON value of ``path``; a 300+ digit integer, which int() may refuse, is a float."""
     with open_text(path) as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, parse_int=lambda s: int(s) if len(s) < 300 else float(s))
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: malformed JSON: {exc}") from exc
 
 

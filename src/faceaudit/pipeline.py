@@ -21,7 +21,7 @@ import numpy as np
 
 from faceaudit import __version__
 from faceaudit.calibration import OperatingPoint, calibrate, parse_policy
-from faceaudit.cohort import AttributeTable, ProfileTable, aggregate_table, positions
+from faceaudit.cohort import AttributeTable, ProfileTable, aggregate_profiles, positions
 from faceaudit.errors import DataError, RankDeficiencyError
 from faceaudit.explain import ExplanatoryReport, build_design, explanatory_report
 from faceaudit.metrics import (
@@ -109,19 +109,8 @@ class AuditResults:
 def profiles_from_rows(
     table: AttributeTable, trials: TrialSet, schema: AttributeSchema
 ) -> ProfileTable:
-    """Aggregate per-image attribute rows into one profile row per trial identity.
-
-    Used when auditing precomputed scores without embeddings; the
-    identities then come from the trial file itself.  Each identity
-    aggregates the rows of its images in the trial image table's
-    (sorted) order; an identity none of whose images has a row gets an
-    all-missing profile, and rows of images outside the trials are
-    ignored.
-    """
-    values = aggregate_table(
-        table, trials.image_ids, trials.identity_codes, len(trials.identities), schema
-    )
-    return ProfileTable(trials.identities, values)
+    """The profiles of the trial identities, for audits without embeddings."""
+    return aggregate_profiles(trials, table, schema)
 
 
 def run_audit(

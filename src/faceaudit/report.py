@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from faceaudit.calibration import parse_policy
 from faceaudit.errors import DataError
 from faceaudit.inputs import read_json
 from faceaudit.pipeline import AuditResults
@@ -349,7 +350,7 @@ def render_figures(payload: dict, outdir: Path) -> list[Path]:
     for analysis in payload["analyses"]:
         slug = _policy_slug(analysis["operating_point"]["policy"])
         explain = analysis.get("explain") or {}
-        metrics = [m for m in ("far", "frr") if m in explain]
+        metrics = [m for m in ("far", "frr") if explain.get(m)]
         correlations, coefficients = {}, {}
         for m in metrics:
             entries = explain[m]["correlations"]["entries"]
@@ -442,6 +443,10 @@ def _check_payload(payload) -> None:
     the lists they read side by side agree in length."""
     _check_shape(payload, {"analyses": [_ANALYSIS]}, "")
     for i, analysis in enumerate(payload["analyses"]):
+        parse_policy(analysis["operating_point"]["policy"])  # it names the bundle's files
+        for key in ("explain", "kruskal"):
+            if set(analysis.get(key) or {}) - {"far", "frr"}:
+                raise DataError(f"analyses[{i}].{key} may only hold far and frr")
         groups = analysis["groups"]
         for k, g in enumerate(groups):
             if g["attributes"] != groups[0]["attributes"]:
@@ -450,7 +455,7 @@ def _check_payload(payload) -> None:
             (f"groups[{k}]", g["attributes"], g["levels"]) for k, g in enumerate(groups)
         ]
         for metric, rep in (analysis.get("explain") or {}).items():
-            if fit := rep.get("regression"):
+            if fit := (rep or {}).get("regression"):
                 lists = fit["columns"], fit["coefficients"], fit["p_values"]
                 parallel.append((f"explain.{metric}.regression", *lists))
         for metric, tests in (analysis.get("kruskal") or {}).items():

@@ -72,12 +72,10 @@ class Variable:
 
     def bounds(self) -> tuple[float, float]:
         """Numeric range of valid values for this variable."""
-        if self.kind == "continuous_unit":
+        if self.kind in ("continuous_unit", "boolean"):
             return 0.0, 1.0
         if self.kind == "continuous_range":
             return float(self.lo), float(self.hi)
-        if self.kind == "boolean":
-            return 0.0, 1.0
         return 0.0, float(len(self.levels) - 1)
 
     def check_value(self, value: float) -> None:

@@ -32,9 +32,10 @@ import numpy as np
 
 from faceaudit.cohort import (
     AttributeTable,
-    EmbeddingTable,
+    Cohort,
     ProfileTable,
     aggregate_table,
+    build_cohort,
     write_attributes,
     write_embeddings_binary,
 )
@@ -134,7 +135,7 @@ class SynthResult:
     """A generated cohort; ``ground_truth`` is what ``ground_truth.json``
     holds: the config and each identity's cell, hub pull and scatter."""
 
-    records: EmbeddingTable
+    records: Cohort
     attributes: AttributeTable
     profiles: ProfileTable
     ground_truth: dict
@@ -226,7 +227,7 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
 
     identities = list(identity_truth)
     identity_ids = tuple(identity for identity in identities for _ in range(per))
-    records = EmbeddingTable(image_ids, identity_ids, vectors)
+    records = build_cohort(image_ids, identity_ids, vectors)
     order = sorted(range(len(identities)), key=identities.__getitem__)  # "u100000" < "u99999"
     profiles = ProfileTable(tuple(identities[i] for i in order), aggregated[order])
     ground_truth = {"synth": to_json(config), "identities": identity_truth}

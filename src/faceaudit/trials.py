@@ -27,7 +27,7 @@ import numpy as np
 
 from faceaudit.cohort import Cohort, ImageTable, csv_cells, positions
 from faceaudit.errors import DataError, TrialError
-from faceaudit.inputs import csv_columns, csv_header, csv_records, open_text
+from faceaudit.inputs import csv_columns, csv_header, csv_records, decimal, open_text
 
 
 @dataclass(frozen=True)
@@ -235,9 +235,7 @@ def _line_of(path: str | Path, index: int) -> int:
 
 
 def _score(cell: str) -> float:
-    if "_" in cell:  # float() reads "0_5" as 5.0
-        raise ValueError(cell)
-    return float(cell) if cell.strip() else float("nan")
+    return decimal(cell) if cell.strip() else float("nan")
 
 
 def _raise_row_fault(path: str | Path, first_line: int) -> NoReturn:

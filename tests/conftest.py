@@ -3,13 +3,7 @@ attribute tables for tests."""
 
 import numpy as np
 
-from faceaudit.cohort import (
-    AttributeTable,
-    EmbeddingTable,
-    ImageTable,
-    ProfileTable,
-    build_cohort,
-)
+from faceaudit.cohort import AttributeTable, ImageTable, ProfileTable, build_cohort
 from faceaudit.inputs import to_json
 from faceaudit.pipeline import run_audit
 from faceaudit.schema import default_schema
@@ -21,13 +15,13 @@ def synth_cohort(config, schema=None):
     """Generate a cohort and return (cohort, synth_result)."""
     schema = schema or default_schema()
     result = generate(config, schema)
-    return build_cohort(result.records), result
+    return result.records, result
 
 
-def embedding_table(records):
-    """An EmbeddingTable of (image id, identity id, vector) triples."""
+def cohort_of(records):
+    """The Cohort of (image id, identity id, vector) triples."""
     image_ids, identity_ids, vectors = zip(*records)
-    return EmbeddingTable(image_ids, identity_ids, np.array(vectors))
+    return build_cohort(image_ids, identity_ids, np.array(vectors))
 
 
 def cohort_audit(result, trials, scores, options, seed=0):

@@ -14,7 +14,6 @@ import pytest
 
 from faceaudit.calibration import calibrate, pooled_rates
 from faceaudit.cli import main
-from faceaudit.cohort import build_cohort
 from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import (
     Group,
@@ -50,7 +49,7 @@ def _audited_far_rates(config, trial_seed=0, negatives=50):
     """Generate, pair, score, calibrate at EER; return (rates, profiles, op)."""
     schema = default_schema()
     result = generate(config, schema)
-    cohort = build_cohort(result.records)
+    cohort = result.records
     trials = generate_trials(
         cohort, TrialPolicy(negatives_per_identity=negatives), seed=trial_seed
     )
@@ -69,7 +68,7 @@ def test_criterion_01_pair_protocol_arithmetic():
         seed=0,
     )
     result = generate(config)
-    cohort = build_cohort(result.records)
+    cohort = result.records
     trials = generate_trials(cohort, TrialPolicy(), seed=0)
     probe = trials.identity_codes[trials.pairs[:, 0]]
     genuine = np.bincount(probe[trials.genuine], minlength=len(trials.identities))
@@ -225,7 +224,7 @@ def test_criterion_07_composition_reversal():
     for seed in range(10):
         config = simpson_config(seed=seed)
         result = generate(config, schema)
-        cohort = build_cohort(result.records)
+        cohort = result.records
         trials = generate_trials(cohort, TrialPolicy(), seed=seed)
         scores = score_trials(cohort, trials)
         results = run_audit(trials, scores, result.profiles, schema, AuditOptions(policies=("eer",)))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, pipelines, determinism."""
 
 import csv
+import dataclasses
 import json
 import random
 import re
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import schema_document
 from faceaudit.cli import build_parser, main
-from faceaudit.cohort import EmbeddingTable, load_embeddings, write_embeddings_binary
+from faceaudit.cohort import load_cohort, write_embeddings_binary
 from faceaudit.schema import load_schema
 from faceaudit.trials import read_trials_csv
 
@@ -455,6 +456,20 @@ class TestDataErrors:
         err = capsys.readouterr().err
         want = f"{attributes}: no attribute row names an image of {scores}"
         assert err == f"faceaudit {command}: {want}\n"
+        assert not out.exists()
+
+    def test_attribute_row_without_embedding_rejected(self, workspace, tmp_path, capsys):
+        # with --embeddings every attribute row must name an embedded image
+        attributes = tmp_path / "attributes.csv"
+        text = workspace["attributes"].read_text(encoding="utf-8")
+        attributes.write_text(text + "zz_ghost" + "," * text.split("\n")[0].count(",") + "\n")
+        out = tmp_path / "o"
+        argv = ["explain", "--embeddings", str(workspace["embeddings"]), "--scores",
+                str(workspace["scored"]), "--attributes", str(attributes), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"faceaudit explain: {attributes}: ")
+        assert "'zz_ghost'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("config", [[], {"synth": {}, "trials": 5}])
@@ -1164,11 +1179,11 @@ def _without_attribute_rows(workspace, tmp_path, identity):
 def _renamed(inputs, outdir, prefix):
     """``inputs`` with ``prefix`` put before every identity and image id."""
     outdir.mkdir()
-    table = load_embeddings(inputs["embeddings"])
-    renamed = EmbeddingTable(
-        tuple(prefix + image for image in table.image_ids),
-        tuple(prefix + identity for identity in table.identity_ids),
-        table.vectors,
+    cohort = load_cohort(inputs["embeddings"])
+    renamed = dataclasses.replace(  # one prefix keeps the cohort order
+        cohort,
+        image_ids=tuple(prefix + image for image in cohort.image_ids),
+        identities=tuple(prefix + identity for identity in cohort.identities),
     )
     write_embeddings_binary(outdir / "embeddings.freb", renamed)
     out = {**inputs, "embeddings": outdir / "embeddings.freb"}

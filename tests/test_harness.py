@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 from conftest import small_config
 
-from faceaudit.cohort import build_cohort
 from faceaudit.pipeline import AuditOptions, run_audit
 from faceaudit.report import emit_bundle
 from faceaudit.schema import default_schema
@@ -29,7 +28,6 @@ _GONE = {
     "faceaudit.cli.score_parallel",
     "faceaudit.pipeline.score_trials",
     "faceaudit.cli.audit_cohort",
-    "faceaudit.pipeline.aggregate_profiles",
 }
 
 
@@ -63,7 +61,7 @@ def test_item_counts_read_real_results(tmp_path):
     schema = default_schema()
     config = small_config(n=3)
     result = generate(config, schema)
-    cohort = build_cohort(result.records)
+    cohort = result.records
     trials = generate_trials(cohort, TrialPolicy(negatives_per_identity=5), 0)
     scores = score_trials(cohort, trials)
     path = tmp_path / "trials.csv"

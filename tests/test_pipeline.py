@@ -8,7 +8,7 @@ import pytest
 from conftest import (
     attribute_table,
     cohort_audit,
-    embedding_table,
+    cohort_of,
     profile_rows,
     profile_table,
     scored_trials,
@@ -16,7 +16,7 @@ from conftest import (
     synth_cohort,
     trial_set,
 )
-from faceaudit.cohort import aggregate_profiles, build_cohort
+from faceaudit.cohort import aggregate_profiles
 from faceaudit.errors import DataError
 from faceaudit.pipeline import AuditOptions, profiles_from_rows, run_audit
 from faceaudit.report import dump_payload, to_payload
@@ -223,15 +223,13 @@ def mixed_audit():
     # the first identity keeps one of its images
     records, attributes = result.records, result.attributes
     keep = [0, *range(4, len(records))]
-    lone = embedding_table(
-        (records.image_ids[i], records.identity_ids[i], records.vectors[i]) for i in keep
-    )
+    identity_ids = [records.identities[code] for code in records.identity_codes]
+    cohort = cohort_of((records.image_ids[i], identity_ids[i], records.vectors[i]) for i in keep)
     lone_rows = dataclasses.replace(
         attributes,
         image_ids=tuple(attributes.image_ids[i] for i in keep),
         values=attributes.values[keep],
     )
-    cohort = build_cohort(lone)
     with pytest.warns(UserWarning, match="fewer than two images"):
         trials, scores = scored_trials(cohort)
     excluded = trials.identities[3]

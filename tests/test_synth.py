@@ -12,7 +12,6 @@ from faceaudit.cohort import (
     AttributeTable,
     aggregate_profiles,
     aggregate_table,
-    build_cohort,
     load_cohort,
     read_attributes,
 )
@@ -48,7 +47,7 @@ def _profile_column(result, name):
 def _mean_rates(config, policy="eer", seed=0):
     """Pooled far/frr of a generated cohort at the calibrated threshold."""
     result = generate(config)
-    cohort = build_cohort(result.records)
+    cohort = result.records
     trials = generate_trials(
         cohort, TrialPolicy(negatives_per_identity=20), seed=seed
     )
@@ -131,7 +130,8 @@ class TestGenerate:
         a = generate(_two_cell_config(seed=5))
         b = generate(_two_cell_config(seed=5))
         assert a.records.image_ids == b.records.image_ids
-        assert a.records.identity_ids == b.records.identity_ids
+        assert a.records.identities == b.records.identities
+        assert a.records.identity_codes.tolist() == b.records.identity_codes.tolist()
         assert a.records.vectors.tobytes() == b.records.vectors.tobytes()
         assert a.attributes.image_ids == b.attributes.image_ids
         np.testing.assert_array_equal(a.attributes.values, b.attributes.values)
@@ -146,9 +146,9 @@ class TestGenerate:
         result = generate(_two_cell_config(n=3))
         assert len(result.records) == 2 * 3 * 4  # cells x identities x images
         assert result.attributes.image_ids == result.records.image_ids
-        assert set(result.records.identity_ids) == {f"u{i:05d}" for i in range(6)}
+        assert result.records.identities == tuple(f"u{i:05d}" for i in range(6))
         assert result.records.image_ids[0] == "u00000_00"
-        assert result.records.identity_ids[4] == "u00001"
+        assert result.records.identities[result.records.identity_codes[4]] == "u00001"
         assert result.records.vectors.shape == (24, 24)
 
     def test_unit_norm_embeddings(self):
@@ -175,7 +175,7 @@ class TestGenerate:
         # run-all audits with these profiles instead of aggregating again
         schema = default_schema()
         result = generate(_two_cell_config(n=4))
-        profiles = aggregate_profiles(build_cohort(result.records), result.attributes, schema)
+        profiles = aggregate_profiles(result.records, result.attributes, schema)
         assert result.profiles.identities == profiles.identities
         assert result.profiles.values.tobytes() == profiles.values.tobytes()
 
@@ -434,7 +434,7 @@ class TestWriteSynth:
         table = read_attributes(paths["attributes"], schema)
         assert table.image_ids == cohort.image_ids
         # run-all audits the cohort in memory: the files hold the same one
-        held = build_cohort(result.records)
+        held = result.records
         assert cohort.image_ids == held.image_ids
         assert cohort.identities == held.identities
         assert cohort.identity_codes.tolist() == held.identity_codes.tolist()

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embedding_table, identity_map, image_table, trial_set
+from conftest import cohort_of, identity_map, image_table, trial_set
 
-from faceaudit.cohort import build_cohort
 from faceaudit.errors import DataError, TrialError
 from faceaudit.metrics import individual_rates, trial_census
 from faceaudit.trials import (
@@ -32,7 +31,7 @@ def _cohort(n_identities=8, images_each=4, dim=16, seed=0):
         for i in range(n_identities)
         for k in range(images_each)
     ]
-    return build_cohort(embedding_table(records))
+    return cohort_of(records)
 
 
 def _image_pairs(trials):
@@ -54,7 +53,7 @@ def _by_identity(trials):
 
 def _pair_score(u, v):
     """score_trials on one genuine pair whose images hold vectors u and v."""
-    cohort = build_cohort(embedding_table([("a_0", "a", u), ("a_1", "a", v)]))
+    cohort = cohort_of([("a_0", "a", u), ("a_1", "a", v)])
     trials = trial_set([("a_0", "a_1")], {"a_0": "a", "a_1": "a"})
     return float(score_trials(cohort, trials)[0])
 
@@ -103,7 +102,7 @@ def _uneven_cohort():
         for name, size in sizes.items()
         for k in range(size)
     ]
-    return build_cohort(embedding_table(records))
+    return cohort_of(records)
 
 
 class TestTrialPair:
@@ -309,7 +308,7 @@ class TestGenerateTrials:
             for k in range(3)
         ]
         records.append(("lone_0", "lone", rng.normal(size=8).astype(np.float32)))
-        cohort = build_cohort(embedding_table(records))
+        cohort = cohort_of(records)
         with pytest.warns(UserWarning, match="lone"):
             trials = generate_trials(
                 cohort, TrialPolicy(negatives_per_identity=8), seed=0
@@ -326,7 +325,7 @@ class TestGenerateTrials:
             ("a_1", "a", rng.normal(size=8).astype(np.float32)),
             ("b_0", "b", rng.normal(size=8).astype(np.float32)),
         ]
-        cohort = build_cohort(embedding_table(records))
+        cohort = cohort_of(records)
         with pytest.warns(UserWarning):
             with pytest.raises(DataError):
                 generate_trials(cohort, TrialPolicy(negatives_per_identity=1), seed=0)
@@ -406,7 +405,7 @@ class TestScoreTrials:
             for k in range(2)
         ]
         records[3] = ("p1_1", "p1", np.zeros(4, dtype=np.float32))
-        cohort = build_cohort(embedding_table(records))
+        cohort = cohort_of(records)
         trials = generate_trials(cohort, TrialPolicy(negatives_per_identity=4), seed=0)
         with pytest.raises(DataError, match="p1_1"):
             score_trials(cohort, trials)
@@ -420,7 +419,7 @@ class TestScoreTrials:
         ]
         records[3] = ("p1_1", "p1", np.zeros(4, dtype=np.float32))
         records[6] = ("p3_0", "p3", np.zeros(4, dtype=np.float32))
-        cohort = build_cohort(embedding_table(records))
+        cohort = cohort_of(records)
         # p1_1 comes first in the image table, p3_0 first among the pairs
         trials = trial_set([("p2_0", "p2_1"), ("p3_0", "p1_1")], identity_map(cohort))
         with pytest.raises(DataError, match="^cannot score zero-norm embedding 'p3_0'$"):
@@ -445,11 +444,9 @@ class TestScoreTrials:
         # read-back trials hold a table of their own images, not the cohort's
         cohort = _cohort(n_identities=6, images_each=4)
         kept = [i for i, image in enumerate(cohort.image_ids) if not image.startswith("p01")]
-        part = build_cohort(
-            embedding_table(
-                (cohort.image_ids[i], cohort.identities[cohort.identity_codes[i]], cohort.vectors[i])
-                for i in kept
-            )
+        part = cohort_of(
+            (cohort.image_ids[i], cohort.identities[cohort.identity_codes[i]], cohort.vectors[i])
+            for i in kept
         )
         trials = generate_trials(part, TrialPolicy(negatives_per_identity=3), seed=1)
         path = tmp_path / "pairs.csv"
