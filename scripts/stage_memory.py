@@ -7,9 +7,11 @@ Writes the explain-files inputs with ``bench/explain_inputs.py`` (run as
 a child process) into a temporary directory; ``--quote-ids`` then quotes
 every image id cell of both files, so the readers take their
 ``csv.reader`` path.  It then runs the stages ``explain`` runs on them
-(``read_trials_csv``, ``read_attributes``, ``profiles_from_rows``,
-``run_audit``, ``emit_bundle``) at the benchmark's 8 threshold policies,
-twice, each time in a fresh child process with one BLAS thread:
+(``read_trials_csv``, ``trial_census``, ``read_attributes``,
+``profiles_from_rows``, ``run_audit``, ``emit_bundle``) in its order, the
+trial rows freed once the census is built, at the benchmark's 8
+threshold policies, twice, each time in a fresh child process with one
+BLAS thread:
 
 * plain: each stage's wall time, and the process's ``VmHWM`` after it
   (from ``/proc/self/status``; elsewhere ``ru_maxrss``);
@@ -66,11 +68,13 @@ def _stages(inputs: Path, traced: bool) -> dict:
     and the figures of each stage."""
     from faceaudit.cli import (
         AuditOptions,
+        ImageTable,
         emit_bundle,
         profiles_from_rows,
         read_attributes,
         read_trials_csv,
         run_audit,
+        trial_census,
     )
     from faceaudit.schema import default_schema
 
@@ -96,10 +100,13 @@ def _stages(inputs: Path, traced: bool) -> dict:
 
     with tempfile.TemporaryDirectory() as out:
         trials, scores = stage("read_trials_csv", read_trials_csv, inputs / "scores.csv")
+        census = stage("trial_census", trial_census, trials, scores)
+        images = ImageTable(trials.image_ids, trials.identity_codes, trials.identities)
+        del trials, scores  # as explain frees them
         table = stage("read_attributes", read_attributes, inputs / "attributes.csv", schema)
-        profiles = stage("profiles_from_rows", profiles_from_rows, table, trials, schema)
-        del table  # as explain frees it
-        results = stage("run_audit", run_audit, trials, scores, profiles, schema, options)
+        profiles = stage("profiles_from_rows", profiles_from_rows, table, images, schema)
+        del table, images
+        results = stage("run_audit", run_audit, census, profiles, schema, options)
         stage("emit_bundle", emit_bundle, Path(out), results)
     return {"vmhwm_start_mb": start, "stages": figures}
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from faceaudit.errors import DataError
+from faceaudit.inputs import decimal
 
 _SENTINEL_GAP = 1.0
 
@@ -49,7 +50,9 @@ def parse_policy(text: str) -> tuple[str, float | None]:
         return ("eer", None)
     if text.startswith("far@"):
         try:
-            target = float(text[4:])
+            if text[4:] != text[4:].strip():  # the policy names the bundle's files
+                raise ValueError(text)
+            target = decimal(text[4:])
         except ValueError:
             raise DataError(f"malformed threshold policy {text!r}") from None
         if not 0.0 <= target <= 1.0:

@@ -27,10 +27,16 @@ import numpy as np
 
 from faceaudit import __version__
 from faceaudit.calibration import calibrate, parse_policy
-from faceaudit.cohort import aggregate_profiles, load_cohort, positions, read_attributes
+from faceaudit.cohort import (
+    ImageTable,
+    aggregate_profiles,
+    load_cohort,
+    positions,
+    read_attributes,
+)
 from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.inputs import from_json, read_json
-from faceaudit.metrics import trial_census
+from faceaudit.metrics import TrialCensus, trial_census
 from faceaudit.pipeline import AuditOptions, AuditResults, profiles_from_rows, run_audit
 from faceaudit.report import dump_payload, emit_bundle, op_payload, render_from_file
 from faceaudit.schema import default_schema, load_schema
@@ -217,6 +223,17 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def _scored_census(path, trials, scores) -> TrialCensus | DataError:
+    """The census of the trials read from ``path``, or, for a file that
+    is not fully scored, the fault to raise once the other inputs pass."""
+    if np.isnan(scores).any():
+        return DataError(f"{path}: contains unscored pairs; run score first")
+    try:
+        return trial_census(trials, scores)
+    except DataError as exc:
+        return exc
+
+
 def _audit_like(args, options: AuditOptions) -> int:
     schema = _load_schema(args)
     options = _with_flags(options, args)
@@ -229,17 +246,23 @@ def _audit_like(args, options: AuditOptions) -> int:
             image = table.image_ids[orphans[0]]
             raise DataError(f"{args.attributes}: row for {image!r} has no matching embedding")
         profiles = aggregate_profiles(cohort, table, schema)
-        trials, scores = read_trials_csv(args.scores, cohort)
+        del table
+        census = _scored_census(args.scores, *read_trials_csv(args.scores, cohort))
     else:
         trials, scores = read_trials_csv(args.scores)
+        census = _scored_census(args.scores, trials, scores)
+        # The audit reads the census: keep only the image table, so the
+        # pairs and scores are freed before the attribute read.
+        images = ImageTable(trials.image_ids, trials.identity_codes, trials.identities)
+        del trials, scores
         table = read_attributes(args.attributes, schema)
-        if set(trials.image_ids).isdisjoint(table.image_ids):
+        if set(images.image_ids).isdisjoint(table.image_ids):
             raise DataError(f"{args.attributes}: no attribute row names an image of {args.scores}")
-        profiles = profiles_from_rows(table, trials, schema)
-        del table  # the audit reads only the profiles: free the table first
-    if np.isnan(scores).any():
-        raise DataError(f"{args.scores}: contains unscored pairs; run score first")
-    return _finish(args.out, run_audit(trials, scores, profiles, schema, options))
+        profiles = profiles_from_rows(table, images, schema)
+        del table, images  # the audit reads only the census and the profiles
+    if isinstance(census, DataError):
+        raise census
+    return _finish(args.out, run_audit(census, profiles, schema, options))
 
 
 def _finish(outdir: str | Path, results: AuditResults) -> int:
@@ -284,7 +307,10 @@ def _cmd_run_all(args) -> int:
     trials = generate_trials(result.records, policy, config.seed)
     scores = score_trials(result.records, trials)
     write_trials_csv(outdir / "trials.csv", trials, scores)
-    return _finish(outdir, run_audit(trials, scores, result.profiles, schema, options, config.seed))
+    census = trial_census(trials, scores)
+    profiles = result.profiles
+    del result, trials, scores  # the audit reads the census and the profiles
+    return _finish(outdir, run_audit(census, profiles, schema, options, config.seed))
 
 
 _DISPATCH = {

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import types
 import typing
 from collections.abc import Iterable, Iterator
@@ -58,6 +59,17 @@ def decimal(cell: str) -> float:
     if "_" in cell:
         raise ValueError(f"could not convert string to float: {cell!r}")
     return float(cell)
+
+
+# A character outside XML 1.0's Char production, which no SVG label can hold.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def check_xml_text(text: str, where: str) -> None:
+    """Raise a DataError naming ``where`` when ``text`` holds a character
+    that XML 1.0 cannot carry, such as a control character."""
+    if bad := _NOT_XML.search(text):
+        raise DataError(f"{where} holds {bad.group()!r}, which XML 1.0 cannot carry")
 
 
 def csv_header(fh: typing.TextIO, path: str | Path, what: str) -> list[str]:

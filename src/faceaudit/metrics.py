@@ -38,7 +38,8 @@ class TrialCensus:
     identity.  The sorted score columns are also what
     ``calibration.calibrate`` searches.  An identity is rated when it
     has both genuine and impostor trials; one with trials of one kind
-    only is excluded.
+    only is excluded.  ``skipped_identities`` are those the trial set
+    left out, for too few images.
     """
 
     identities: tuple[str, ...]
@@ -48,6 +49,7 @@ class TrialCensus:
     impostor_scores: np.ndarray  # ascending
     n_genuine: np.ndarray  # per identity code
     n_impostor: np.ndarray
+    skipped_identities: tuple[str, ...] = ()
 
     @property
     def rated(self) -> np.ndarray:
@@ -60,11 +62,16 @@ class TrialCensus:
 
 
 def trial_census(trials: TrialSet, scores: np.ndarray) -> TrialCensus:
-    """Split ``trials`` and their finite ``scores`` by kind, sort each
-    kind by score and count it per identity."""
+    """Split ``trials`` and their ``scores`` by kind, sort each kind by
+    score and count it per identity.  Every pair needs a finite score.
+
+    The census holds copies only, so the trials' pairs and the scores
+    may be freed once it is built."""
     if len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
     scores = np.asarray(scores)
+    if not np.isfinite(scores).all():
+        raise DataError("scores must be finite")
     n = len(trials.identities)
     genuine_probes, genuine_scores = _by_score(trials, scores, trials.genuine)
     impostor_probes, impostor_scores = _by_score(trials, scores, ~trials.genuine)
@@ -76,6 +83,7 @@ def trial_census(trials: TrialSet, scores: np.ndarray) -> TrialCensus:
         impostor_scores=impostor_scores,
         n_genuine=np.bincount(genuine_probes, minlength=n),
         n_impostor=np.bincount(impostor_probes, minlength=n),
+        skipped_identities=trials.skipped_identities,
     )
 
 

@@ -21,23 +21,28 @@ import numpy as np
 
 from faceaudit import __version__
 from faceaudit.calibration import OperatingPoint, calibrate, parse_policy
-from faceaudit.cohort import AttributeTable, ProfileTable, aggregate_profiles, positions
+from faceaudit.cohort import (
+    AttributeTable,
+    ImageTable,
+    ProfileTable,
+    aggregate_profiles,
+    positions,
+)
 from faceaudit.errors import DataError, RankDeficiencyError
 from faceaudit.explain import ExplanatoryReport, build_design, explanatory_report
 from faceaudit.metrics import (
     FairnessDelta,
     GroupRates,
     PairwiseTests,
+    TrialCensus,
     extreme_delta,
     group_membership,
     group_rates,
     individual_rates,
     kruskal_pairwise,
     one_axis_deltas,
-    trial_census,
 )
 from faceaudit.schema import AttributeSchema
-from faceaudit.trials import TrialSet
 
 _METRICS = ("far", "frr")
 
@@ -107,38 +112,33 @@ class AuditResults:
 
 
 def profiles_from_rows(
-    table: AttributeTable, trials: TrialSet, schema: AttributeSchema
+    table: AttributeTable, images: ImageTable, schema: AttributeSchema
 ) -> ProfileTable:
     """The profiles of the trial identities, for audits without embeddings."""
-    return aggregate_profiles(trials, table, schema)
+    return aggregate_profiles(images, table, schema)
 
 
 def run_audit(
-    trials: TrialSet,
-    scores: np.ndarray,
+    census: TrialCensus,
     profiles: ProfileTable,
     schema: AttributeSchema,
     options: AuditOptions,
     seed: int | None = None,
 ) -> AuditResults:
     """Calibrate per policy, then compute group rates, gaps, tests, and
-    (optionally) the explanatory analyses.  ``seed`` is the trial
-    generator seed, recorded in the results; None when no seed played
-    a role, as for trials read from a file.
+    (optionally) the explanatory analyses of the scored trials in
+    ``census``.  ``seed`` is the trial generator seed, recorded in the
+    results; None when no seed played a role, as for trials read from a
+    file.
 
     Everything per identity lives in the rows of ``profiles``: the rates
-    of each policy are moved there from the trial identity codes, NaN
+    of each policy are moved there from the census's identity codes, NaN
     for a profiled identity without rates.  The explanatory design is
     built over the rated identities, who are the same at every
     threshold."""
-    if len(scores) != len(trials.pairs):
-        raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
-    if not np.isfinite(scores).all():
-        raise DataError("audit requires fully scored trials (no missing scores)")
     schema.check_grouping(options.group_by, options.reference_levels)
-    census = trial_census(trials, scores)
     membership = group_membership(profiles, options.group_by, schema)
-    code = positions(trials.identities, profiles.identities)  # -1: no trials
+    code = positions(census.identities, profiles.identities)  # -1: no trials
     found = code >= 0
     design = design_error = None
     if options.explain:
@@ -208,7 +208,7 @@ def run_audit(
         n_impostor=len(census.impostor_scores),
         excluded_identities=census.excluded,
         unassigned_identities=membership.unassigned,
-        skipped_identities=trials.skipped_identities,
+        skipped_identities=census.skipped_identities,
         analyses=tuple(analyses),
         notes={"multiple_comparison_correction": "none"},
     )

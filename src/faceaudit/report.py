@@ -27,7 +27,7 @@ import numpy as np
 
 from faceaudit.calibration import parse_policy
 from faceaudit.errors import DataError
-from faceaudit.inputs import read_json
+from faceaudit.inputs import check_xml_text, read_json
 from faceaudit.pipeline import AuditResults
 
 EMPTY_CELL = "—"
@@ -454,15 +454,26 @@ def _check_payload(payload) -> None:
         parallel = [  # (where, list, lists of the same length)
             (f"groups[{k}]", g["attributes"], g["levels"]) for k, g in enumerate(groups)
         ]
+        labels = []  # (where, label) of each row and column label a figure draws
         for metric, rep in (analysis.get("explain") or {}).items():
-            if fit := (rep or {}).get("regression"):
+            if rep is None:
+                continue
+            where = f"explain.{metric}.correlations.entries"
+            entries = rep["correlations"]["entries"]
+            labels += [(f"{where}[{k}].column", e["column"]) for k, e in enumerate(entries)]
+            if fit := rep.get("regression"):
                 lists = fit["columns"], fit["coefficients"], fit["p_values"]
                 parallel.append((f"explain.{metric}.regression", *lists))
+                where = f"explain.{metric}.regression.columns"
+                labels += [(f"{where}[{k}]", column) for k, column in enumerate(fit["columns"])]
         for metric, tests in (analysis.get("kruskal") or {}).items():
             parallel.append((f"kruskal.{metric}.p", tests["labels"], tests["p"], *tests["p"]))
+            labels += [(f"kruskal.{metric}.labels[{k}]", x) for k, x in enumerate(tests["labels"])]
         for where, first, *others in parallel:
             if any(len(other) != len(first) for other in others):
                 raise DataError(f"analyses[{i}].{where}: lists differ in length")
+        for where, label in labels:
+            check_xml_text(label, f"analyses[{i}].{where}")
 
 
 def render_from_file(report_path: str | Path, outdir: str | Path) -> dict[str, object]:

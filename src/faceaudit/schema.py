@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from faceaudit.errors import SchemaError
-from faceaudit.inputs import from_json, read_json, to_json
+from faceaudit.inputs import check_xml_text, from_json, read_json, to_json
 
 FAMILIES = (
     "protected",
@@ -184,5 +184,12 @@ def save_schema(schema: AttributeSchema, path: str | Path) -> None:
 
 
 def load_schema(path: str | Path) -> AttributeSchema:
-    """Read a schema file; a bad document raises a DataError naming the key path."""
-    return from_json(AttributeSchema, read_json(path), "schema")
+    """Read a schema file; a bad document raises a DataError naming the
+    key path.  Names and levels label the figures, so a character XML
+    cannot carry raises one naming the file too."""
+    schema = from_json(AttributeSchema, read_json(path), "schema")
+    for i, var in enumerate(schema.variables):
+        check_xml_text(var.name, f"{path}: schema.variables[{i}].name")
+        for k, level in enumerate(var.levels):
+            check_xml_text(level, f"{path}: schema.variables[{i}].levels[{k}]")
+    return schema

@@ -166,19 +166,24 @@ def generate_trials(cohort: Cohort, policy: TrialPolicy, seed: int) -> TrialSet:
     )
 
 
-def score_trials(cohort: Cohort, trials: TrialSet, chunk_size: int = 4096) -> np.ndarray:
+_GATHER_BYTES = 1 << 20  # per float64 scratch buffer of score_trials
+
+
+def score_trials(cohort: Cohort, trials: TrialSet, chunk_size: int | None = None) -> np.ndarray:
     """Cosine similarity per pair, float64, aligned with ``trials.pairs``.
 
     Vectors are gathered from the float32 matrix into float64 one chunk
-    at a time, so no float64 copy of the matrix is made; each score
-    depends only on its own two vectors, so the chunk size never changes
-    the result.
+    of ``chunk_size`` rows at a time, so no float64 copy of the matrix
+    is made.  By default a chunk holds as many rows as fit in 1 MiB of
+    float64, whatever the dimension; each score depends only on its own
+    two vectors, so the chunk size never changes the result.
     """
     at = positions(cohort.image_ids, trials.image_ids)
     if (at < 0).any():
         image = trials.image_ids[int(np.argmin(at))]
         raise DataError(f"cannot score image {image!r}: it has no embedding")
     vectors = cohort.vectors
+    chunk_size = chunk_size or max(1, _GATHER_BYTES // (8 * vectors.shape[1]))
     blocks = range(0, len(vectors), chunk_size)
     norms = np.concatenate(
         [np.linalg.norm(vectors[b : b + chunk_size].astype(float), axis=1) for b in blocks]
@@ -191,15 +196,18 @@ def score_trials(cohort: Cohort, trials: TrialSet, chunk_size: int = 4096) -> np
         raise DataError(f"cannot score zero-norm embedding {which!r}")
     scores = np.empty(len(pairs), dtype=np.float64)
     # float64 rows of one chunk, reused: a fresh allocation per chunk costs page faults
-    gathered = np.empty((2, min(chunk_size, len(pairs)), vectors.shape[1]))
+    gathered = np.empty((2, max(2, min(chunk_size, len(pairs))), vectors.shape[1]))
     for start in range(0, len(pairs), chunk_size):
-        probe, reference = pairs[start : start + chunk_size].T
+        chunk = pairs[start : start + chunk_size]
+        n = len(chunk)
+        if n == 1:  # einsum sums a lone row of over 8,192 values in another order
+            chunk = chunk.repeat(2, axis=0)
+        probe, reference = chunk.T
         u, v = gathered[:, : len(probe)]
         u[...] = vectors[probe]
         v[...] = vectors[reference]
-        scores[start : start + len(probe)] = np.clip(
-            np.einsum("ij,ij->i", u, v) / (norms[probe] * norms[reference]), -1.0, 1.0
-        )
+        cosine = np.einsum("ij,ij->i", u, v) / (norms[probe] * norms[reference])
+        scores[start : start + n] = np.clip(cosine[:n], -1.0, 1.0)
     return scores
 
 
@@ -302,10 +310,11 @@ def _components(n: int, edges: np.ndarray) -> np.ndarray:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for a, b in edges.tolist():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    for start in range(0, len(edges), 4096):  # no Python list of every edge at once
+        for a, b in edges[start : start + 4096].tolist():
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
     return np.array([find(x) for x in range(n)], dtype=np.intp)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 
 from faceaudit.cohort import AttributeTable, ImageTable, ProfileTable, build_cohort
 from faceaudit.inputs import to_json
+from faceaudit.metrics import trial_census
 from faceaudit.pipeline import run_audit
 from faceaudit.schema import default_schema
 from faceaudit.synth import SynthConfig, generate
@@ -26,7 +27,7 @@ def cohort_of(records):
 
 def cohort_audit(result, trials, scores, options, seed=0):
     """run_audit with a synth result's own profiles, as run-all audits."""
-    return run_audit(trials, scores, result.profiles, default_schema(), options, seed)
+    return run_audit(trial_census(trials, scores), result.profiles, default_schema(), options, seed)
 
 
 def scored_trials(cohort, seed=0, policy=None):

@@ -227,7 +227,8 @@ def test_criterion_07_composition_reversal():
         cohort = result.records
         trials = generate_trials(cohort, TrialPolicy(), seed=seed)
         scores = score_trials(cohort, trials)
-        results = run_audit(trials, scores, result.profiles, schema, AuditOptions(policies=("eer",)))
+        census = trial_census(trials, scores)
+        results = run_audit(census, result.profiles, schema, AuditOptions(policies=("eer",)))
         payload = to_payload(results)
         deltas = payload["analyses"][0]["deltas"]["one_axis"]
         marginal = next(

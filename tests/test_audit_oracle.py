@@ -171,7 +171,7 @@ def _audit_cases(draw):
 
 def _audit(trials, scores, profiles, explain):
     options = AuditOptions(policies=POLICIES, explain=explain)
-    return run_audit(trials, scores, profiles, SCHEMA, options)
+    return run_audit(trial_census(trials, scores), profiles, SCHEMA, options)
 
 
 class TestColumnarAudit:
@@ -249,7 +249,7 @@ class TestColumnarAudit:
                 want[metric] = (len(y), correlations, fit)
             options = AuditOptions(policies=(policy,), explain=True)
             try:
-                (analysis,) = run_audit(trials, scores, profiles, SCHEMA, options).analyses
+                (analysis,) = run_audit(census, profiles, SCHEMA, options).analyses
             except NumericalError as exc:
                 assert str(exc) == failure
                 continue

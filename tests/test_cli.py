@@ -8,12 +8,14 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import schema_document
+from faceaudit import cli
 from faceaudit.cli import build_parser, main
 from faceaudit.cohort import load_cohort, write_embeddings_binary
 from faceaudit.schema import load_schema
@@ -91,6 +93,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["calibrate", "--scores", "x.csv", "--threshold-policy", "frr@0.1"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("policy", ["far@0_1", "far@ 0.1", "far@\x0b0.1"])
+    def test_far_target_read_as_a_decimal(self, capsys, policy):
+        # float() reads "0_1" as 1.0 and skips the spaces around a number
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--scores", "x.csv", "--threshold-policy", policy])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "faceaudit calibrate: argument --threshold-policy: "
+            f"malformed threshold policy {policy!r}\n"
+        )
 
     def test_negative_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -675,6 +688,7 @@ _MALFORMED = [
         "audit.reference_levels['blur']",
     ),
     ("policy-out-of-range", "audit", {"policies": ["eer", "far@2"]}, "audit.policies"),
+    ("policy-underscore", "audit", {"policies": ["eer", "far@0_1"]}, "audit.policies"),
     (
         "cell-unknown-level",
         "synth",
@@ -1095,6 +1109,83 @@ class TestReportResults:
         assert main(["report", "--results", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+class TestLabelsAndFarTargets:
+    """Input that no bundle can hold is refused before anything is
+    written: a FAR target that is no decimal, or a figure label, from a
+    report.json or a schema, holding a character that XML 1.0, and so
+    an SVG, cannot carry."""
+
+    @staticmethod
+    def _render(payload, tmp_path, capsys):
+        """(exit code, stderr, report path) of ``report`` on ``payload``;
+        asserts that nothing was written."""
+        path, out = tmp_path / "report.json", tmp_path / "out"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(["report", "--results", str(path), "--out", str(out)])
+        assert not out.exists()
+        return rc, capsys.readouterr().err, path
+
+    def test_far_target(self, explain_report, tmp_path, capsys):
+        payload = json.loads(json.dumps(explain_report))
+        payload["analyses"][0]["operating_point"]["policy"] = "far@0_1"
+        rc, err, path = self._render(payload, tmp_path, capsys)
+        assert rc == 2
+        assert err == f"faceaudit report: {path}: malformed threshold policy 'far@0_1'\n"
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("explain.far.correlations.entries[1].column", "\x01a"),
+            ("explain.frr.regression.columns[1]", "\ud800"),
+            ("kruskal.far.labels[0]", "\x1b[0m"),
+        ],
+        ids=["correlation-column", "regression-surrogate", "kruskal-label"],
+    )
+    def test_label(self, explain_report, tmp_path, capsys, where, value):
+        payload = json.loads(json.dumps(explain_report))
+        *parents, last = [int(k) if k.isdigit() else k for k in re.split(r"[.\[\]]+", where) if k]
+        item = payload["analyses"][0]
+        for key in parents:
+            item = item[key]
+        item[last] = value
+        rc, err, path = self._render(payload, tmp_path, capsys)
+        assert rc == 2
+        assert err == (
+            f"faceaudit report: {path}: analyses[0].{where} holds {value[0]!r}, "
+            "which XML 1.0 cannot carry\n"
+        )
+
+    @pytest.mark.parametrize("command", ["explain", "run-all"])
+    @pytest.mark.parametrize(
+        "variable, key, value, where, char",
+        [
+            (3, "name", "must\x01ache", "schema.variables[3].name", "\x01"),
+            (0, "levels", ["man", "wo\x00man"], "schema.variables[0].levels[1]", "\x00"),
+        ],
+        ids=["name", "level"],
+    )
+    def test_schema_label(
+        self, workspace, tmp_path, capsys, command, variable, key, value, where, char
+    ):
+        document = schema_document()
+        document["variables"][variable][key] = value
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(document), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"identities_per_group": _CELLS}}), "utf-8")
+        inputs = {
+            "explain": ["--scores", workspace["scored"], "--attributes", workspace["attributes"]],
+            "run-all": ["--config", config],
+        }[command]
+        out = tmp_path / "out"
+        argv = [command, *map(str, inputs), "--schema", str(schema), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"faceaudit {command}: {schema}: {where} holds {char!r}, which XML 1.0 cannot carry\n"
+        )
+        assert not out.exists()
+
+
 def _shuffled_rows(text, seed=0):
     """The header, then the data rows in a seeded random order."""
     header, *rows = text.splitlines()
@@ -1301,6 +1392,50 @@ class TestRunAll:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"audit": {}}), encoding="utf-8")
         assert main(["run-all", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestTrialRowsFreed:
+    """The audit reads the census of the scored trials: the trial pairs
+    and the scores are freed before it starts."""
+
+    @pytest.mark.parametrize("command", ["audit", "explain", "explain-embeddings", "run-all"])
+    def test_dead_when_the_audit_starts(self, workspace, tmp_path, monkeypatch, command):
+        refs, audits = [], []
+        read_trials_csv, score_trials = cli.read_trials_csv, cli.score_trials
+        run_audit = cli.run_audit
+
+        def keep(trials, scores):
+            refs.extend([weakref.ref(trials.pairs), weakref.ref(scores)])
+
+        def reading(*args):
+            trials, scores = read_trials_csv(*args)
+            keep(trials, scores)
+            return trials, scores
+
+        def scoring(cohort, trials):
+            scores = score_trials(cohort, trials)
+            keep(trials, scores)
+            return scores
+
+        def auditing(*args):
+            assert refs and not [ref for ref in refs if ref() is not None]
+            audits.append(args)
+            return run_audit(*args)
+
+        monkeypatch.setattr(cli, "read_trials_csv", reading)
+        monkeypatch.setattr(cli, "score_trials", scoring)
+        monkeypatch.setattr(cli, "run_audit", auditing)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"identities_per_group": _CELLS}}), "utf-8")
+        files = ["--scores", workspace["scored"], "--attributes", workspace["attributes"]]
+        argv = {
+            "audit": ["audit", *files],
+            "explain": ["explain", *files],
+            "explain-embeddings": ["explain", *files, "--embeddings", workspace["embeddings"]],
+            "run-all": ["run-all", "--config", config],
+        }[command]
+        assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 0
+        assert len(audits) == 1
 
 
 class TestModuleEntryPoint:

@@ -15,6 +15,7 @@ from conftest import (
 from faceaudit.errors import DataError, RankDeficiencyError, SchemaError
 from faceaudit.explain import build_design, explanatory_report, run_correlations
 from faceaudit.calibration import OperatingPoint
+from faceaudit.metrics import trial_census
 from faceaudit.pipeline import AuditOptions, run_audit
 from faceaudit.schema import default_schema
 from faceaudit.stats import fit_ols, pearson
@@ -128,7 +129,7 @@ class TestBuildDesign:
         trials = trial_set([("a_0", "a_1")], {"a_0": "a", "a_1": "a"})
         options = AuditOptions(explain=True, reference_levels={"gender": "other"})
         with pytest.raises(SchemaError, match=r"reference_levels\['gender'\]: .* no level 'other'"):
-            run_audit(trials, np.array([0.5]), random_profiles(30), SCHEMA, options)
+            run_audit(trial_census(trials, np.array([0.5])), random_profiles(30), SCHEMA, options)
 
     def test_incomplete_profiles_dropped(self):
         rows = random_rows(30)
@@ -320,7 +321,7 @@ class TestExplanatoryReport:
         trials, scores = scored_trials(cohort)
         profiles = profile_table({**profile_rows(result.profiles), **random_rows(12)})
         options = AuditOptions(policies=("eer", "far@0.01"), explain=True)
-        results = run_audit(trials, scores, profiles, SCHEMA, options)
+        results = run_audit(trial_census(trials, scores), profiles, SCHEMA, options)
         for analysis in results.analyses:
             assert analysis.explain["frr"].n_cases == 28
 

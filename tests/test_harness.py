@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from conftest import small_config
 
+from faceaudit.metrics import trial_census
 from faceaudit.pipeline import AuditOptions, run_audit
 from faceaudit.report import emit_bundle
 from faceaudit.schema import default_schema
@@ -66,7 +67,7 @@ def test_item_counts_read_real_results(tmp_path):
     scores = score_trials(cohort, trials)
     path = tmp_path / "trials.csv"
     write_trials_csv(path, trials, scores)
-    audit = run_audit(trials, scores, result.profiles, schema, AuditOptions(), 0)
+    audit = run_audit(trial_census(trials, scores), result.profiles, schema, AuditOptions(), 0)
     calls = {
         "synth.generate": ((config, schema), result),
         "trials.generate": ((cohort, TrialPolicy(negatives_per_identity=5), 0), trials),

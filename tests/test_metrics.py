@@ -1,5 +1,6 @@
 """Tests for per-identity rates, group aggregation, deltas, and pairwise tests."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -203,8 +204,20 @@ class TestIndividualRates:
 
     def test_length_mismatch_rejected(self):
         pairs = [("a0", "a1", "a", "a")]
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^3 scores for 1 pairs$"):
             trial_census(_trial_set(pairs), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        pairs = [("a0", "a1", "a", "a"), ("a0", "b0", "a", "b")]
+        with pytest.raises(DataError, match="^scores must be finite$"):
+            trial_census(_trial_set(pairs), np.array([0.5, bad]))
+
+    def test_carries_skipped_identities(self):
+        trials = _trial_set([("a0", "a1", "a", "a"), ("a0", "b0", "a", "b")])
+        assert trial_census(trials, np.zeros(2)).skipped_identities == ()
+        trials = dataclasses.replace(trials, skipped_identities=("c",))
+        assert trial_census(trials, np.zeros(2)).skipped_identities == ("c",)
 
 
 class TestGroupSpec:

@@ -18,6 +18,7 @@ from conftest import (
 )
 from faceaudit.cohort import aggregate_profiles
 from faceaudit.errors import DataError
+from faceaudit.metrics import trial_census
 from faceaudit.pipeline import AuditOptions, profiles_from_rows, run_audit
 from faceaudit.report import dump_payload, to_payload
 from faceaudit.schema import default_schema
@@ -99,7 +100,8 @@ class TestRunAudit:
 
     def test_seed_defaults_to_none(self, cohort_and_scores):
         result, trials, scores = cohort_and_scores
-        results = run_audit(trials, scores, result.profiles, default_schema(), AuditOptions())
+        census = trial_census(trials, scores)
+        results = run_audit(census, result.profiles, default_schema(), AuditOptions())
         assert results.seed is None
 
     def test_one_analysis_per_policy(self, cohort_and_scores):
@@ -197,7 +199,7 @@ class TestRunAudit:
         result, trials, scores = cohort_and_scores
         schema = default_schema()
         profiles = profiles_from_rows(result.attributes, trials, schema)
-        direct = run_audit(trials, scores, profiles, schema, AuditOptions())
+        direct = run_audit(trial_census(trials, scores), profiles, schema, AuditOptions())
         wrapped = cohort_audit(result, trials, scores, AuditOptions())
         assert direct.analyses[0].operating_point == wrapped.analyses[0].operating_point
         for a, b in zip(direct.analyses[0].groups, wrapped.analyses[0].groups):
@@ -253,18 +255,18 @@ class TestHoistedState:
         trials, scores, profiles, _ = mixed_audit
         schema = default_schema()
         options = AuditOptions(policies=tuple(reversed(BENCH_POLICIES)), explain=True)
-        together = to_payload(run_audit(trials, scores, profiles, schema, options))
+        together = to_payload(run_audit(trial_census(trials, scores), profiles, schema, options))
         by_policy = {a["operating_point"]["policy"]: a for a in together["analyses"]}
         for policy in BENCH_POLICIES:
             one = dataclasses.replace(options, policies=(policy,))
-            alone = to_payload(run_audit(trials, scores, profiles, schema, one))
+            alone = to_payload(run_audit(trial_census(trials, scores), profiles, schema, one))
             assert dump_payload(alone["analyses"][0]) == dump_payload(by_policy[policy])
             assert alone["exclusions"] == together["exclusions"]
 
     def test_set_apart_identities_reported(self, mixed_audit):
         trials, scores, profiles, excluded = mixed_audit
         options = AuditOptions(policies=BENCH_POLICIES, explain=True)
-        results = run_audit(trials, scores, profiles, default_schema(), options)
+        results = run_audit(trial_census(trials, scores), profiles, default_schema(), options)
         assert results.excluded_identities == (excluded,)
         assert results.unassigned_identities == (profiles.identities[5],)
         assert len(results.skipped_identities) == 1

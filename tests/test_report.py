@@ -369,8 +369,8 @@ _VALUES = st.one_of(
 
 def _render_or_reject(text):
     """render_from_file of a report.json holding ``text``: the files written,
-    all inside the output directory, or a DataError (SchemaError is one)
-    and no other exception."""
+    all inside the output directory, each figure well-formed XML, or a
+    DataError (SchemaError is one) and no other exception."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "report.json", Path(tmp) / "out"
         path.write_text(text, encoding="utf-8")
@@ -380,6 +380,8 @@ def _render_or_reject(text):
             return None
         files = [*written["tables"], *written["figures"]]
         assert all(out.resolve() in Path(f).resolve().parents for f in files), files
+        for figure in written["figures"]:
+            ET.parse(figure)
         return written
 
 
@@ -397,6 +399,8 @@ class TestRenderFromFileFuzz:
     @example(("analyses", 0, "explain"), "add", 0)
     @example(("analyses", 0, "explain", "far"), "set", None)
     @example(("analyses", 0, "groups", 0, "far"), "set", 10**400)
+    @example(("analyses", 0, "kruskal", "far", "labels", 0), "set", "\x01")
+    @example(("analyses", 0, "kruskal", "frr", "labels", 1), "set", "\ud800")
     @settings(max_examples=120, deadline=None)
     def test_edited_value(self, path, how, value):
         payload = json.loads(_REPORT)

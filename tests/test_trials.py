@@ -17,6 +17,7 @@ from faceaudit.errors import DataError, TrialError
 from faceaudit.metrics import individual_rates, trial_census
 from faceaudit.trials import (
     TrialPolicy,
+    _components,
     generate_trials,
     read_trials_csv,
     score_trials,
@@ -391,11 +392,16 @@ class TestScoreTrials:
             assert score == pytest.approx(want, abs=1e-12)
 
     def test_chunk_size_is_invisible(self):
-        cohort = _cohort(n_identities=5, images_each=4)
-        trials = generate_trials(cohort, TrialPolicy(), seed=0)
-        a = score_trials(cohort, trials, chunk_size=7)
-        b = score_trials(cohort, trials, chunk_size=4096)
-        np.testing.assert_array_equal(a, b)
+        # By default a chunk holds 1 MiB of float64 rows: 8,192 at dim 16,
+        # and one row at dim 150,000, past the budget of a single row.
+        for dim in (16, 150_000):
+            cohort = _cohort(n_identities=5, images_each=4, dim=dim)
+            trials = generate_trials(cohort, TrialPolicy(), seed=0)
+            a = score_trials(cohort, trials, chunk_size=7)
+            b = score_trials(cohort, trials, chunk_size=4096)
+            c = score_trials(cohort, trials)
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
 
     def test_zero_norm_named(self):
         rng = np.random.default_rng(0)
@@ -481,6 +487,21 @@ class TestDecide:
     def test_negative_scores(self):
         assert _accepted(-0.2, -0.3) is True
         assert _accepted(-0.3, -0.2) is False
+
+
+class TestComponents:
+    def test_matches_connected_components(self):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(0)
+        n = 12_000
+        edges = rng.integers(0, n, size=(9_000, 2))  # more than one 4,096-edge chunk
+        root = _components(n, edges)
+        graph = coo_matrix((np.ones(len(edges)), edges.T), shape=(n, n))
+        _, labels = connected_components(graph, directed=False)
+        _, first = np.unique(labels, return_index=True)  # each component's smallest node
+        np.testing.assert_array_equal(root, first[labels])
 
 
 class TestTrialCsv:
