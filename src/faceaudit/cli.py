@@ -9,7 +9,6 @@ runnable standalone:
     calibrate  pick operating thresholds from scored pairs
     audit      group rates, gaps, and rank tests from scored pairs
     explain    audit plus correlation/regression analyses
-    report     re-render tables and figures from a report.json
     run-all    synth + pairs + score + audit + explain + bundle
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
@@ -38,7 +37,7 @@ from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.inputs import from_json, read_json
 from faceaudit.metrics import TrialCensus, trial_census
 from faceaudit.pipeline import AuditOptions, AuditResults, profiles_from_rows, run_audit
-from faceaudit.report import dump_payload, emit_bundle, op_payload, render_from_file
+from faceaudit.report import dump_payload, emit_bundle, op_payload
 from faceaudit.schema import default_schema, load_schema
 from faceaudit.synth import SynthConfig, generate, write_synth
 from faceaudit.trials import (
@@ -101,7 +100,6 @@ _FLAGS = {
     "--pairs": {"metavar": "PATH", "help": "pair file"},
     "--scores": {"metavar": "PATH", "help": "scored pair file"},
     "--attributes": {"metavar": "PATH", "help": "attribute file"},
-    "--results": {"metavar": "PATH", "help": "report.json path"},
     "--threshold-policy": {
         "action": "append",
         "type": _policy_arg,
@@ -127,7 +125,6 @@ _COMMANDS = {
     "calibrate": ("pick operating thresholds", "--scores [--threshold-policy] [--out]"),
     "audit": ("group rates, fairness gaps, rank tests", _AUDIT),
     "explain": ("audit plus correlations and regression", f"{_AUDIT} [--standardize]"),
-    "report": ("re-render an existing report", "--results --out"),
     "run-all": (
         "full pipeline from a config",
         "--config [--seed] [--threshold-policy] [--group-by] [--schema] --out",
@@ -275,13 +272,6 @@ def _finish(outdir: str | Path, results: AuditResults) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    written = render_from_file(args.results, args.out)
-    print(f"tables: {len(written['tables'])}")
-    print(f"figures: {len(written['figures'])}")
-    return 0
-
-
 def _cmd_run_all(args) -> int:
     outdir = Path(args.out)
     data = read_json(args.config)
@@ -322,7 +312,6 @@ _DISPATCH = {
     "explain": lambda args: _audit_like(
         args, AuditOptions(explain=True, standardize=args.standardize)
     ),
-    "report": _cmd_report,
     "run-all": _cmd_run_all,
 }
 

@@ -25,9 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from faceaudit.calibration import parse_policy
 from faceaudit.errors import DataError
-from faceaudit.inputs import check_xml_text, read_json
 from faceaudit.pipeline import AuditResults
 
 EMPTY_CELL = "—"
@@ -43,7 +41,7 @@ _FONT = 11
 
 
 def _format_cell(value: float) -> str:
-    if value is None or math.isnan(value):
+    if math.isnan(value):
         return EMPTY_CELL
     return format(value, ".3f")
 
@@ -87,7 +85,7 @@ def render_group_table(groups: list[dict], metric: str) -> str:
 
 
 def _diverging_color(value: float, bound: float) -> str:
-    if value is None or math.isnan(value):
+    if math.isnan(value):
         return _NAN_FILL
     t = 0.0 if bound <= 0 else max(-1.0, min(1.0, value / bound))
     target = _BLUE if t < 0 else _RED
@@ -99,8 +97,6 @@ def _diverging_color(value: float, bound: float) -> str:
 
 
 def _glyphs_for(p: float) -> str:
-    if p is None or math.isnan(p):
-        return ""
     return "".join(glyph for alpha, glyph in GLYPH_POLICY if p < alpha)
 
 
@@ -306,10 +302,6 @@ def _policy_slug(policy: str) -> str:
     return policy.replace("@", "_at_")
 
 
-def _nan(value) -> float:
-    return math.nan if value is None else float(value)
-
-
 def render_tables(payload: dict, outdir: Path) -> list[Path]:
     tables_dir = outdir / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
@@ -332,7 +324,7 @@ def _heatmap_cells(metrics: list[str], cells: dict) -> tuple[np.ndarray, np.ndar
     for j, m in enumerate(metrics):
         for name, value, p in cells[m]:
             i = rows.index(name)
-            values[i, j], p_values[i, j] = _nan(value), _nan(p)
+            values[i, j], p_values[i, j] = value, p
     return values, p_values, rows
 
 
@@ -349,14 +341,14 @@ def render_figures(payload: dict, outdir: Path) -> list[Path]:
 
     for analysis in payload["analyses"]:
         slug = _policy_slug(analysis["operating_point"]["policy"])
-        explain = analysis.get("explain") or {}
-        metrics = [m for m in ("far", "frr") if explain.get(m)]
+        explain = analysis["explain"]
+        metrics = [m for m in ("far", "frr") if m in explain]
         correlations, coefficients = {}, {}
         for m in metrics:
             entries = explain[m]["correlations"]["entries"]
             correlations[m] = [(e["column"], e["r"], e["p_value"]) for e in entries]
-            fit = explain[m].get("regression") or {}
-            cells = zip(fit.get("columns", ()), fit.get("coefficients", ()), fit.get("p_values", ()))
+            fit = explain[m]["regression"]
+            cells = () if fit is None else zip(fit["columns"], fit["coefficients"], fit["p_values"])
             coefficients[m] = list(cells)[1:]  # the intercept is not drawn
         for kind, cells, title in (
             ("correlations", correlations, "pearson r"),
@@ -365,9 +357,9 @@ def render_figures(payload: dict, outdir: Path) -> list[Path]:
             values, p_values, rows = _heatmap_cells(metrics, cells)
             if rows:
                 write(f"{slug}_{kind}", values, p_values, rows, metrics, f"{title} ({slug})")
-        for metric, tests in sorted((analysis.get("kruskal") or {}).items()):
+        for metric, tests in sorted(analysis["kruskal"].items()):
             labels = tests["labels"]
-            p = np.array([[_nan(v) for v in row] for row in tests["p"]], dtype=np.float64)
+            p = np.array(tests["p"], dtype=np.float64)
             title = f"kruskal-wallis p, {metric} ({slug})"
             write(f"{slug}_kruskal_{metric}", p, p, labels, labels, title)
     return written
@@ -386,104 +378,7 @@ def emit_bundle(outdir: str | Path, results: AuditResults) -> dict[str, object]:
     payload = to_payload(results)
     report_path = outdir / "report.json"
     report_path.write_text(dump_payload(payload), encoding="utf-8")
-    return _render(payload, report_path, outdir)
-
-
-def _render(payload: dict, report_path: Path, outdir: Path) -> dict[str, object]:
-    """Write the tables and figures of the payload of ``report_path``."""
     tables = render_tables(payload, outdir)
     figures = render_figures(payload, outdir)
     return {"report": report_path, "tables": tables, "figures": figures}
 
-
-# The part of report.json that re-rendering reads.  A dict maps keys to
-# shapes ("?" marks a key that may be absent or null, "*" any key), a
-# one-item list is a list of that shape, and types are JSON scalars.
-_NUMBER = (int, float, type(None))
-_FIT = {"columns": [str], "coefficients": [_NUMBER], "p_values": [_NUMBER]}
-_CORRELATION = {"column": str, "r": _NUMBER, "p_value": _NUMBER}
-_EXPLAIN = {"correlations": {"entries": [_CORRELATION]}, "regression?": _FIT}
-_GROUP = {"attributes": [str], "levels": [(str, type(None))], "far": _NUMBER, "frr": _NUMBER}
-_ANALYSIS = {
-    "operating_point": {"policy": str},
-    "groups": [{**_GROUP, "n_members": int}],
-    "explain?": {"far?": _EXPLAIN, "frr?": _EXPLAIN},
-    "kruskal?": {"*": {"labels": [str], "p": [[_NUMBER]]}},
-}
-
-
-def _check_shape(value, shape, path: str) -> None:
-    """Raise a DataError naming the first place where ``value`` departs from ``shape``."""
-    if isinstance(shape, dict):
-        if not isinstance(value, dict):
-            raise DataError(f"{path or 'payload'} must be a JSON object")
-        for key, inner in shape.items():
-            if key == "*":
-                for sub, item in value.items():
-                    _check_shape(item, inner, f"{path}.{sub}")
-                continue
-            name = key.rstrip("?")
-            where = f"{path}.{name}" if path else name
-            if key.endswith("?") and value.get(name) is None:
-                continue
-            if name not in value:
-                raise DataError(f"{where} is missing")
-            _check_shape(value[name], inner, where)
-    elif isinstance(shape, list):
-        if not isinstance(value, list):
-            raise DataError(f"{path} must be a list")
-        for i, item in enumerate(value):
-            _check_shape(item, shape[0], f"{path}[{i}]")
-    elif not isinstance(value, shape):
-        raise DataError(f"{path} has the wrong type: {json.dumps(value)}")
-
-
-def _check_payload(payload) -> None:
-    """Check that ``payload`` has the shape the renderers read, and that
-    the lists they read side by side agree in length."""
-    _check_shape(payload, {"analyses": [_ANALYSIS]}, "")
-    for i, analysis in enumerate(payload["analyses"]):
-        parse_policy(analysis["operating_point"]["policy"])  # it names the bundle's files
-        for key in ("explain", "kruskal"):
-            if set(analysis.get(key) or {}) - {"far", "frr"}:
-                raise DataError(f"analyses[{i}].{key} may only hold far and frr")
-        groups = analysis["groups"]
-        for k, g in enumerate(groups):
-            if g["attributes"] != groups[0]["attributes"]:
-                raise DataError(f"analyses[{i}].groups[{k}].attributes differ from groups[0]'s")
-        parallel = [  # (where, list, lists of the same length)
-            (f"groups[{k}]", g["attributes"], g["levels"]) for k, g in enumerate(groups)
-        ]
-        labels = []  # (where, label) of each row and column label a figure draws
-        for metric, rep in (analysis.get("explain") or {}).items():
-            if rep is None:
-                continue
-            where = f"explain.{metric}.correlations.entries"
-            entries = rep["correlations"]["entries"]
-            labels += [(f"{where}[{k}].column", e["column"]) for k, e in enumerate(entries)]
-            if fit := rep.get("regression"):
-                lists = fit["columns"], fit["coefficients"], fit["p_values"]
-                parallel.append((f"explain.{metric}.regression", *lists))
-                where = f"explain.{metric}.regression.columns"
-                labels += [(f"{where}[{k}]", column) for k, column in enumerate(fit["columns"])]
-        for metric, tests in (analysis.get("kruskal") or {}).items():
-            parallel.append((f"kruskal.{metric}.p", tests["labels"], tests["p"], *tests["p"]))
-            labels += [(f"kruskal.{metric}.labels[{k}]", x) for k, x in enumerate(tests["labels"])]
-        for where, first, *others in parallel:
-            if any(len(other) != len(first) for other in others):
-                raise DataError(f"analyses[{i}].{where}: lists differ in length")
-        for where, label in labels:
-            check_xml_text(label, f"analyses[{i}].{where}")
-
-
-def render_from_file(report_path: str | Path, outdir: str | Path) -> dict[str, object]:
-    """Re-render tables and figures from an existing report.json."""
-    report_path = Path(report_path)
-    payload = read_json(report_path)
-    try:
-        _check_payload(payload)
-    except DataError as exc:
-        raise DataError(f"{report_path}: {exc}") from None
-    if not payload["analyses"]:
-        raise DataError(f"{report_path}: payload holds no analyses")
-    return _render(payload, report_path, Path(outdir))

@@ -324,12 +324,13 @@ def read_trials_csv(
     """Read pairs back; returns (trials, scores), unscored cells as NaN.
 
     The file format carries no identity column.  When an image
-    ``table``, such as a cohort, is given it supplies the labels (and
-    the stated genuine/impostor labels are checked against it), and the
+    ``table``, such as a cohort, is given it supplies the labels, and the
     trials keep the identities the file names; otherwise identities are the
     connected components of the genuine pairs, each named by its
     smallest image id, which reproduces the original grouping up to
     renaming when the genuine pairs connect each identity's images.
+    Either way a stated label that the identities contradict, such as an
+    impostor row whose images the genuine pairs connect, is refused.
     """
     enabled = gc.isenabled()
     gc.disable()  # the parse makes many objects and no reference cycles
@@ -342,41 +343,41 @@ def read_trials_csv(
     by_name = sorted(range(n), key=names.__getitem__)  # image codes in image id order
     rank = np.empty(n, dtype=np.intp)
     rank[by_name] = np.arange(n)
-    faulty = pairs[:, 0] == pairs[:, 1]
     if table is None:
         root = _components(n, pairs[stated])
         smallest = np.full(n, n, dtype=np.intp)  # rank of each component's smallest id
         np.minimum.at(smallest, root, rank)
         firsts, codes = np.unique(smallest[root], return_inverse=True)
         identities = tuple(names[by_name[r]] for r in firsts.tolist())
+        source = "the genuine pairs"
     else:
         at = positions(table.image_ids, names)
         labels = np.where(at >= 0, table.identity_codes[at], -1)
         used = np.unique(labels[at >= 0])
         identities = tuple(map(table.identities.__getitem__, used.tolist()))
         codes = np.where(at >= 0, np.searchsorted(used, labels), -1).astype(np.int32)
-        probe, reference = codes[pairs[:, 0]], codes[pairs[:, 1]]
-        faulty |= (probe < 0) | (reference < 0) | (stated != (probe == reference))
-        del probe, reference
-    faults = np.flatnonzero(faulty)
-    if faults.size:
-        i = int(faults[0])
-        where = f"{path}:{_line_of(path, i)}"
-        probe, reference = pairs[i].tolist()
-        if table is not None and min(codes[probe], codes[reference]) < 0:
-            image = names[probe if codes[probe] < 0 else reference]
-            raise DataError(f"{where}: unknown image_id {image!r}")
-        if table is not None and stated[i] != (codes[probe] == codes[reference]):
-            raise DataError(f"{where}: label contradicts the identity map")
-        raise DataError(f"{where}: genuine pair cannot reuse image {names[probe]!r} on both sides")
+        source = "the identity map"
     # The image table: identity by identity, each identity's images sorted.
     order = np.lexsort((rank, codes))
     row = np.empty(n, dtype=np.int32)
     row[order] = np.arange(n)
-    # Image codes become table rows in place, a slice at a time: row[pairs]
-    # would be a second pair array.
-    for start in range(0, len(pairs), 1 << 15):
-        part = pairs[start : start + (1 << 15)]
+    # A slice at a time, rows are checked and their image codes become
+    # table rows in place: row[pairs] would be a second pair array.
+    step = 1 << 15
+    for start in range(0, len(pairs), step):
+        part = pairs[start : start + step]
+        probe, reference = codes[part[:, 0]], codes[part[:, 1]]
+        faulty = (probe < 0) | (reference < 0) | (part[:, 0] == part[:, 1])
+        faulty |= stated[start : start + step] != (probe == reference)
+        if faulty.any():
+            i = int(faulty.argmax())
+            where = f"{path}:{_line_of(path, start + i)}"
+            a, b = part[i].tolist()
+            if min(codes[a], codes[b]) < 0:
+                raise DataError(f"{where}: unknown image_id {names[a if codes[a] < 0 else b]!r}")
+            if a == b:
+                raise DataError(f"{where}: pair compares image {names[a]!r} with itself")
+            raise DataError(f"{where}: label contradicts {source}")
         part[...] = row[part]
     trials = TrialSet(
         image_ids=tuple(map(names.__getitem__, order.tolist())),

@@ -79,10 +79,13 @@ class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
 
-    def test_unknown_subcommand(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["defragment"])
-        assert exc.value.code == 1
+    def test_unknown_subcommand(self, capsys):
+        for command in ("defragment", "report"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--out", "out"])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"invalid choice: '{command}'" in err
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -126,7 +129,6 @@ class TestUsageErrors:
         [
             ("synth", "--group-by", "gender"),
             ("score", "--seed", "1"),
-            ("report", "--threshold-policy", "eer"),
             ("audit", "--seed", "1"),
             ("audit", "--standardize", None),
             ("pairs", "--all-positives", None),
@@ -137,7 +139,6 @@ class TestUsageErrors:
         inputs = {
             "synth": ["--config", workspace["config"]],
             "score": ["--embeddings", workspace["embeddings"], "--pairs", workspace["pairs"]],
-            "report": ["--results", tmp_path / "report.json"],
             "audit": ["--scores", workspace["scored"], "--attributes", workspace["attributes"]],
             "pairs": ["--embeddings", workspace["embeddings"]],
         }[command]
@@ -166,10 +167,9 @@ class TestUsageErrors:
             "calibrate": ["--out", "--scores", "--threshold-policy"],
             "audit": audit,
             "explain": sorted([*audit, "--standardize"]),
-            "report": ["--out", "--results"],
             "run-all": ["--config", "--group-by", "--out", "--schema", "--seed", "--threshold-policy"],
         }
-        assert sum(map(len, flags.values())) == 38
+        assert sum(map(len, flags.values())) == 36
 
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
     def test_bad_positives_named(self, workspace, tmp_path, capsys, value):
@@ -312,10 +312,24 @@ class TestDataErrors:
             (
                 "probe_image_id,reference_image_id,label,score\n"
                 "a_0,a_1,genuine,0.9\na_1,a_1,genuine,1.0\na_0,b_0,impostor,0.1\n",
-                "cannot reuse image 'a_1'",
+                ":3: pair compares image 'a_1' with itself",
+            ),
+            (
+                "probe_image_id,reference_image_id,label,score\n"
+                "a_0,a_1,genuine,0.9\na_1,a_1,impostor,1.0\na_0,b_0,impostor,0.1\n",
+                ":3: pair compares image 'a_1' with itself",
+            ),
+            (
+                "probe_image_id,reference_image_id,label,score\n"
+                "a1,a2,genuine,0.9\na2,a3,genuine,0.8\na1,a3,impostor,0.7\n"
+                "b1,b2,genuine,0.9\na1,b1,impostor,0.1\na2,b2,impostor,0.2\n",
+                ":4: label contradicts the genuine pairs",
             ),
         ],
-        ids=["header", "short-row", "label", "score", "score-underscore", "genuine-same-image"],
+        ids=[
+            "header", "short-row", "label", "score", "score-underscore", "genuine-same-image",
+            "impostor-same-image", "label-contradicts-genuine-pairs",
+        ],
     )
     def test_malformed_trial_csv_one_line(self, tmp_path, capsys, body, reason):
         path = tmp_path / "scores.csv"
@@ -506,7 +520,6 @@ def _bad_input_argv(case, workspace, bad):
         "text-embeddings": b"a_0,a,1.0,0.5\na_1,a,0.5,1.0\nb_0,b,1.0,1.0\nb_1,b,0.0,1.0\n",
         "run-all-config": json.dumps({"synth": {"identities_per_group": _CELLS}}).encode(),
         "schema": workspace["schema"].read_bytes(),
-        "report-results": json.dumps({"analyses": []}).encode(),
     }
     bad.write_bytes(texts[case].rstrip(b"\n") + b"\xff\n")
     return {
@@ -515,14 +528,13 @@ def _bad_input_argv(case, workspace, bad):
         "text-embeddings": ["pairs", "--embeddings", bad],
         "run-all-config": ["run-all", "--config", bad],
         "schema": ["explain", "--scores", scores, "--attributes", attributes, "--schema", bad],
-        "report-results": ["report", "--results", bad],
     }[case]
 
 
 class TestNonUtf8Input:
     @pytest.mark.parametrize(
         "case",
-        ["attributes", "trials", "text-embeddings", "run-all-config", "schema", "report-results"],
+        ["attributes", "trials", "text-embeddings", "run-all-config", "schema"],
     )
     def test_one_line_exit_2(self, workspace, tmp_path, capsys, case):
         bad, out = tmp_path / "bad", tmp_path / "out"
@@ -748,6 +760,41 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"faceaudit {command}: {path}")
         assert not out.exists()  # rejected before any work
+
+
+class TestJsonLimits:
+    """Every JSON input goes through one reader: nesting past the
+    recursion limit, and an integer too long for int(), end in one line."""
+
+    @pytest.mark.parametrize("case", ["run-all-config", "schema"])
+    def test_deep_nesting_one_line_exit_2(self, tmp_path, capsys, case):
+        bad, config, out = tmp_path / "bad.json", tmp_path / "config.json", tmp_path / "out"
+        bad.write_text("[" * 100_000, encoding="utf-8")
+        config.write_text(json.dumps({"synth": {"identities_per_group": _CELLS}}), "utf-8")
+        argv = {
+            "run-all-config": ["--config", bad],
+            "schema": ["--config", config, "--schema", bad],
+        }[case]
+        assert main(["run-all", *map(str, argv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"faceaudit run-all: {bad}: malformed JSON: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, digits, message",
+        [
+            ("seed", "9" * 300, "synth.seed must be an integer, got 1e+300"),
+            ("dim", "9" * 5000, "synth.dim must be an integer, got Infinity"),  # past int()'s limit
+        ],
+        ids=["300-digits", "5000-digits"],
+    )
+    def test_long_integer_reads_as_float(self, tmp_path, capsys, key, digits, message):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        text = json.dumps({"synth": {"identities_per_group": _CELLS, key: 0}})
+        config.write_text(text.replace(f'"{key}": 0', f'"{key}": {digits}'), encoding="utf-8")
+        assert main(["run-all", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"faceaudit run-all: {message}\n"
+        assert not out.exists()
 
 
 def _readme():
@@ -1010,150 +1057,22 @@ class TestPipeline:
         assert table[0] == "gender,ethnicity,forehead_occluded,far"
         assert len(table) == 1 + len(report["analyses"][0]["groups"])
 
-    def test_report_rerenders_identically(self, workspace, tmp_path):
-        outdir = tmp_path / "audit"
-        args = [
-            "audit",
-            "--scores",
-            str(workspace["scored"]),
-            "--attributes",
-            str(workspace["attributes"]),
-            "--embeddings",
-            str(workspace["embeddings"]),
-            "--out",
-            str(outdir),
-        ]
-        assert main(args) == 0
-        rerender = tmp_path / "rerender"
-        rc = main(["report", "--results", str(outdir / "report.json"), "--out", str(rerender)])
-        assert rc == 0
-        for name in ("tables/eer_far.csv", "tables/eer_frr.csv"):
-            assert (rerender / name).read_bytes() == (outdir / name).read_bytes()
-
-
-@pytest.fixture(scope="module")
-def explain_report(workspace, tmp_path_factory):
-    """A report.json payload with groups, Kruskal-Wallis tests and explain."""
-    outdir = tmp_path_factory.mktemp("explain")
-    argv = ["explain", "--scores", str(workspace["scored"]), "--attributes"]
-    assert main([*argv, str(workspace["attributes"]), "--out", str(outdir)]) == 0
-    return json.loads((outdir / "report.json").read_text(encoding="utf-8"))
-
-
-def _set(path, value):
-    """An edit of a payload that sets the item at key ``path`` to ``value``."""
-
-    def edit(payload):
-        *parents, last = path
-        for key in parents:
-            payload = payload[key]
-        payload[last] = value
-
-    return edit
-
-
-def _drop(path):
-    def edit(payload):
-        *parents, last = path
-        for key in parents:
-            payload = payload[key]
-        del payload[last]
-
-    return edit
-
-
-class TestReportResults:
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (_drop(["analyses", 0, "groups"]), "analyses[0].groups is missing"),
-            (_set(["analyses", 0, "groups", 0, "far"], "0.1"), "analyses[0].groups[0].far has"),
-            (_set(["analyses"], {}), "analyses must be a list"),
-            (_set(["analyses", 0, "groups", 1], []), "analyses[0].groups[1] must be a JSON object"),
-            (_set(["analyses", 0, "groups", 0, "levels"], ["man"]), "analyses[0].groups[0]: lists"),
-            (_set(["analyses", 0, "operating_point"], None), "analyses[0].operating_point must"),
-            (_drop(["analyses", 0, "kruskal", "far", "p", 0]), "analyses[0].kruskal.far.p: lists"),
-            (
-                _set(["analyses", 0, "explain", "frr", "regression", "p_values"], [0.5]),
-                "analyses[0].explain.frr.regression: lists",
-            ),
-            (
-                _set(["analyses", 0, "explain", "far", "correlations", "entries", 0, "r"], "x"),
-                "analyses[0].explain.far.correlations.entries[0].r has",
-            ),
-            (_set(["analyses", 0, "kruskal", "frr", "labels"], "ab"), "kruskal.frr.labels must"),
-            (
-                _set(["analyses", 0, "groups", 1, "attributes"], ["gender"]),
-                "analyses[0].groups[1].attributes differ from groups[0]'s",
-            ),
-        ],
-        ids=[
-            "no-groups", "string-far", "analyses-object", "group-list", "short-levels",
-            "null-operating-point", "short-p", "short-p-values", "string-r", "string-labels",
-            "mixed-attributes",
-        ],
-    )
-    def test_malformed_payload_one_line(self, explain_report, tmp_path, capsys, edit, message):
-        payload = json.loads(json.dumps(explain_report))
-        edit(payload)
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert main(["report", "--results", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"faceaudit report: {path}: ")
-        assert message in err
-
-    def test_well_formed_payload_renders(self, explain_report, tmp_path):
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(explain_report), encoding="utf-8")
-        assert main(["report", "--results", str(path), "--out", str(tmp_path / "out")]) == 0
-
 
 class TestLabelsAndFarTargets:
     """Input that no bundle can hold is refused before anything is
     written: a FAR target that is no decimal, or a figure label, from a
-    report.json or a schema, holding a character that XML 1.0, and so
-    an SVG, cannot carry."""
+    schema name or level, holding a character that XML 1.0, and so an
+    SVG, cannot carry."""
 
-    @staticmethod
-    def _render(payload, tmp_path, capsys):
-        """(exit code, stderr, report path) of ``report`` on ``payload``;
-        asserts that nothing was written."""
-        path, out = tmp_path / "report.json", tmp_path / "out"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        rc = main(["report", "--results", str(path), "--out", str(out)])
-        assert not out.exists()
-        return rc, capsys.readouterr().err, path
-
-    def test_far_target(self, explain_report, tmp_path, capsys):
-        payload = json.loads(json.dumps(explain_report))
-        payload["analyses"][0]["operating_point"]["policy"] = "far@0_1"
-        rc, err, path = self._render(payload, tmp_path, capsys)
-        assert rc == 2
-        assert err == f"faceaudit report: {path}: malformed threshold policy 'far@0_1'\n"
-
-    @pytest.mark.parametrize(
-        "where, value",
-        [
-            ("explain.far.correlations.entries[1].column", "\x01a"),
-            ("explain.frr.regression.columns[1]", "\ud800"),
-            ("kruskal.far.labels[0]", "\x1b[0m"),
-        ],
-        ids=["correlation-column", "regression-surrogate", "kruskal-label"],
-    )
-    def test_label(self, explain_report, tmp_path, capsys, where, value):
-        payload = json.loads(json.dumps(explain_report))
-        *parents, last = [int(k) if k.isdigit() else k for k in re.split(r"[.\[\]]+", where) if k]
-        item = payload["analyses"][0]
-        for key in parents:
-            item = item[key]
-        item[last] = value
-        rc, err, path = self._render(payload, tmp_path, capsys)
-        assert rc == 2
-        assert err == (
-            f"faceaudit report: {path}: analyses[0].{where} holds {value[0]!r}, "
-            "which XML 1.0 cannot carry\n"
+    def test_far_target(self, tmp_path, capsys):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        audit = {"policies": ["eer", "far@0_1"]}
+        config.write_text(json.dumps({"synth": {"identities_per_group": _CELLS}, "audit": audit}))
+        assert main(["run-all", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "faceaudit run-all: audit.policies: malformed threshold policy 'far@0_1'\n"
         )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["explain", "run-all"])
     @pytest.mark.parametrize(

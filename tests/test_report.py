@@ -4,13 +4,11 @@ import csv
 import io
 import json
 import math
-import tempfile
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cohort_audit, scored_trials, small_config, synth_cohort
@@ -20,7 +18,6 @@ from faceaudit.report import (
     EMPTY_CELL,
     dump_payload,
     emit_bundle,
-    render_from_file,
     render_group_table,
     render_heatmap_svg,
     to_payload,
@@ -80,9 +77,6 @@ class TestGroupTable:
         rows = _parse_table(render_group_table(self._groups(), "far"))
         assert rows[2][2] == EMPTY_CELL
         assert EMPTY_CELL == "—"
-        # a payload read back from report.json holds null for NaN
-        groups = [{**g, "far": None} if g["n_members"] == 0 else g for g in self._groups()]
-        assert render_group_table(groups, "far") == render_group_table(self._groups(), "far")
 
     def test_one_axis_layout(self):
         groups = [
@@ -310,130 +304,3 @@ class TestEmitBundle:
         )
         with pytest.raises(DataError):
             emit_bundle(tmp_path / "nope", empty)
-
-
-class TestRenderFromFile:
-    def test_round_trip_equivalence(self, audit_results, tmp_path):
-        original = emit_bundle(tmp_path / "orig", audit_results)
-        rendered = render_from_file(original["report"], tmp_path / "again")
-        for pa, pb in zip(sorted(original["tables"]), sorted(rendered["tables"])):
-            assert pa.name == pb.name
-            assert pa.read_bytes() == pb.read_bytes()
-        for pa, pb in zip(sorted(original["figures"]), sorted(rendered["figures"])):
-            assert pa.name == pb.name
-            assert pa.read_bytes() == pb.read_bytes()
-
-    def test_invalid_json_rejected(self, tmp_path):
-        bad = tmp_path / "report.json"
-        bad.write_text("{broken", encoding="utf-8")
-        with pytest.raises(DataError):
-            render_from_file(bad, tmp_path / "out")
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(DataError):
-            render_from_file(tmp_path / "absent.json", tmp_path / "out")
-
-    def test_payload_without_analyses_rejected(self, tmp_path):
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps({"analyses": []}), encoding="utf-8")
-        with pytest.raises(DataError):
-            render_from_file(path, tmp_path / "out")
-
-
-
-_REPORT = (Path(__file__).parent / "golden" / "readme-every-key" / "report.json").read_text(
-    encoding="utf-8"
-)
-
-
-def _paths(node, path=()):
-    """The path of ``node`` and of every value in it, lists cut to two items."""
-    yield path
-    items = node.items() if isinstance(node, dict) else enumerate(node[:2]) if isinstance(node, list) else ()
-    for key, item in items:
-        yield from _paths(item, (*path, key))
-
-
-_PATHS = tuple(_paths(json.loads(_REPORT)))
-# JSON values, and values that have broken a renderer: a path separator or
-# NUL where a file name is made, an integer beyond a float's range.
-_VALUES = st.one_of(
-    st.sampled_from(["a/b", "x\0", "..", "far@0.5", "far", 10**400, {"far": None}]),
-    st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-        max_leaves=6,
-    ),
-)
-
-
-def _render_or_reject(text):
-    """render_from_file of a report.json holding ``text``: the files written,
-    all inside the output directory, each figure well-formed XML, or a
-    DataError (SchemaError is one) and no other exception."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "report.json", Path(tmp) / "out"
-        path.write_text(text, encoding="utf-8")
-        try:
-            written = render_from_file(path, out)
-        except DataError:
-            return None
-        files = [*written["tables"], *written["figures"]]
-        assert all(out.resolve() in Path(f).resolve().parents for f in files), files
-        for figure in written["figures"]:
-            ET.parse(figure)
-        return written
-
-
-class TestRenderFromFileFuzz:
-    """Whatever a report.json holds, render_from_file renders it or raises
-    a DataError."""
-
-    def test_seed_report_renders(self):
-        assert _render_or_reject(_REPORT) is not None
-
-    @given(st.sampled_from(_PATHS[1:]), st.sampled_from(["set", "delete", "add"]), _VALUES)
-    @example(("analyses", 0, "operating_point", "policy"), "set", "../../x")
-    @example(("analyses", 0, "operating_point", "policy"), "set", "x\0")
-    @example(("analyses", 0, "kruskal"), "add", {"labels": [], "p": []})
-    @example(("analyses", 0, "explain"), "add", 0)
-    @example(("analyses", 0, "explain", "far"), "set", None)
-    @example(("analyses", 0, "groups", 0, "far"), "set", 10**400)
-    @example(("analyses", 0, "kruskal", "far", "labels", 0), "set", "\x01")
-    @example(("analyses", 0, "kruskal", "frr", "labels", 1), "set", "\ud800")
-    @settings(max_examples=120, deadline=None)
-    def test_edited_value(self, path, how, value):
-        payload = json.loads(_REPORT)
-        *parents, last = path
-        parent = payload
-        for key in parents:
-            parent = parent[key]
-        if how == "delete":
-            del parent[last]
-        elif how == "set":
-            parent[last] = value
-        elif isinstance(parent[last], dict):
-            parent[last]["a/b"] = value
-        elif isinstance(parent[last], list):
-            parent[last].append(value)
-        _render_or_reject(json.dumps(payload))
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, len(_REPORT)),
-                st.integers(0, 6),
-                st.text('{}[]",:-.0123456789eE/nul', max_size=6),
-            ),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    @example([(0, 0, "[" * 100_000)])  # nested past the recursion limit
-    @example([(_REPORT.index('"n_members": ') + 13, 0, "9" * 5000)])  # past int()'s digit limit
-    @settings(max_examples=100, deadline=None)
-    def test_edited_text(self, edits):
-        text = _REPORT
-        for at, length, insert in edits:
-            text = text[:at] + insert + text[at + length :]
-        _render_or_reject(text)

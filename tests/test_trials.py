@@ -128,7 +128,7 @@ class TestTrialPair:
             encoding="utf-8",
         )
         for table in (None, image_table({"a_0": "a", "a_1": "a"})):
-            with pytest.raises(DataError, match="cannot reuse image 'a_0'"):
+            with pytest.raises(DataError, match="compares image 'a_0' with itself"):
                 read_trials_csv(path, table)
 
 
@@ -565,6 +565,17 @@ class TestTrialCsv:
         with pytest.raises(DataError):
             read_trials_csv(path, image_table({"a_0": "a", "a_1": "a"}))
 
+    @pytest.mark.parametrize("identified", [False, True], ids=["components", "identity-map"])
+    def test_labels_checked_past_the_first_slice(self, tmp_path, identified):
+        # rows are checked 32,768 at a time; the contradiction is in the second slice
+        rows = ["a_0,a_1,genuine,0.9", *["a_0,b_0,impostor,0.1"] * 40_000, "a_1,a_0,impostor,0.9"]
+        path = tmp_path / "trials.csv"
+        path.write_text("probe_image_id,reference_image_id,label,score\n" + "\n".join(rows) + "\n")
+        table = image_table({"a_0": "a", "a_1": "a", "b_0": "b"}) if identified else None
+        with pytest.raises(DataError) as info:
+            read_trials_csv(path, table)
+        assert str(info.value).startswith(f"{path}:40003: label contradicts the ")
+
     def test_unknown_image_rejected(self, tmp_path):
         path = tmp_path / "trials.csv"
         path.write_text(
@@ -580,9 +591,14 @@ class TestTrialCsv:
         [
             ("a_0,c_0,impostor,0.1", {"a_0": "a", "a_1": "a", "b_0": "b"}, "unknown image_id"),
             ("a_0,a_1,impostor,0.9", {"a_0": "a", "a_1": "a", "b_0": "b"}, "contradicts"),
-            ("a_1,a_1,genuine,1.0", None, "cannot reuse image 'a_1'"),
+            ("a_1,a_1,genuine,1.0", None, "compares image 'a_1' with itself"),
+            ("a_1,a_1,impostor,1.0", {"a_0": "a", "a_1": "a", "b_0": "b"}, "with itself"),
+            ("a_1,a_0,impostor,0.9", None, "label contradicts the genuine pairs"),
         ],
-        ids=["unknown-image", "label-contradiction", "same-image"],
+        ids=[
+            "unknown-image", "label-contradiction", "same-image", "impostor-same-image",
+            "components-contradiction",
+        ],
     )
     def test_identity_errors_name_the_file_line(self, tmp_path, row, identity_of, reason):
         # the bad row is on line 5, after two blank lines
