@@ -6,12 +6,11 @@
 Writes the explain-files inputs with ``bench/explain_inputs.py`` (run as
 a child process) into a temporary directory; ``--quote-ids`` then quotes
 every image id cell of both files, so the readers take their
-``csv.reader`` path.  It then runs the stages ``explain`` runs on them
-(``read_trials_csv``, ``trial_census``, ``read_attributes``,
-``profiles_from_rows``, ``run_audit``, ``emit_bundle``) in its order, the
-trial rows freed once the census is built, at the benchmark's 8
-threshold policies, twice, each time in a fresh child process with one
-BLAS thread:
+``csv.reader`` path.  It then runs ``explain`` itself (``cli.main``) on
+them at the benchmark's 8 threshold policies, twice, each time in a
+fresh child process with one BLAS thread.  Each of ``STAGES`` is wrapped
+under the name ``faceaudit.cli`` calls it by, so the stages are the
+CLI's own, in its order:
 
 * plain: each stage's wall time, and the process's ``VmHWM`` after it
   (from ``/proc/self/status``; elsewhere ``ru_maxrss``);
@@ -20,12 +19,16 @@ BLAS thread:
 
 Last come the stage with the highest traced peak and the first stage
 after which ``VmHWM`` reads its final value, to 0.1 MB.  ``--json``
-prints one JSON object instead of the table.
+prints one JSON object instead of the table.  A stage that ``explain``
+never calls, or an ``explain`` that fails, exits 1 with one line that
+names it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -37,6 +40,14 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+STAGES = (
+    "read_trials_csv",
+    "trial_census",
+    "read_attributes",
+    "profiles_from_rows",
+    "run_audit",
+    "emit_bundle",
+)
 POLICIES = ("eer", "far@0.1", "far@0.05", "far@0.02", "far@0.01", "far@0.005", "far@0.002", "far@0.001")
 MB = 1 << 20
 
@@ -64,57 +75,51 @@ def _quote_ids(path: Path, n_ids: int) -> None:
 
 
 def _stages(inputs: Path, traced: bool) -> dict:
-    """Run the explain stages on ``inputs``; ``VmHWM`` after the imports
-    and the figures of each stage."""
-    from faceaudit.cli import (
-        AuditOptions,
-        ImageTable,
-        emit_bundle,
-        profiles_from_rows,
-        read_attributes,
-        read_trials_csv,
-        run_audit,
-        trial_census,
-    )
-    from faceaudit.schema import default_schema
+    """Run ``explain`` on ``inputs``; ``VmHWM`` after the imports and the
+    figures of each stage."""
+    from faceaudit import cli
 
-    schema = default_schema()
-    options = AuditOptions(policies=POLICIES, group_by=("gender", "ethnicity"), explain=True)
     figures: dict[str, dict[str, float]] = {}
+
+    def stage(name, fn):
+        def timed(*args, **kwargs):
+            if traced:
+                tracemalloc.reset_peak()
+            began = time.perf_counter()
+            result = fn(*args, **kwargs)
+            wall = time.perf_counter() - began
+            if traced:
+                current, peak = tracemalloc.get_traced_memory()
+                figures[name] = {"traced_peak_mb": peak / MB, "traced_current_mb": current / MB}
+            else:
+                figures[name] = {"wall_s": wall, "vmhwm_mb": _vmhwm_mb()}
+            return result
+
+        return timed
+
+    for name in STAGES:
+        setattr(cli, name, stage(name, getattr(cli, name)))
+    files = ["--scores", str(inputs / "scores.csv"), "--attributes", str(inputs / "attributes.csv")]
+    policies = [f"--threshold-policy={policy}" for policy in POLICIES]
     start = _vmhwm_mb()
     if traced:
         tracemalloc.start()
-
-    def stage(name, fn, *args):
-        if traced:
-            tracemalloc.reset_peak()
-        began = time.perf_counter()
-        result = fn(*args)
-        wall = time.perf_counter() - began
-        if traced:
-            current, peak = tracemalloc.get_traced_memory()
-            figures[name] = {"traced_peak_mb": peak / MB, "traced_current_mb": current / MB}
-        else:
-            figures[name] = {"wall_s": wall, "vmhwm_mb": _vmhwm_mb()}
-        return result
-
-    with tempfile.TemporaryDirectory() as out:
-        trials, scores = stage("read_trials_csv", read_trials_csv, inputs / "scores.csv")
-        census = stage("trial_census", trial_census, trials, scores)
-        images = ImageTable(trials.image_ids, trials.identity_codes, trials.identities)
-        del trials, scores  # as explain frees them
-        table = stage("read_attributes", read_attributes, inputs / "attributes.csv", schema)
-        profiles = stage("profiles_from_rows", profiles_from_rows, table, images, schema)
-        del table, images
-        results = stage("run_audit", run_audit, census, profiles, schema, options)
-        stage("emit_bundle", emit_bundle, Path(out), results)
-    return {"vmhwm_start_mb": start, "stages": figures}
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["explain", *files, *policies, "--out", out])
+    if code:
+        sys.exit(f"stage_memory: explain exited with {code}")
+    for name in STAGES:
+        if name not in figures:
+            sys.exit(f"stage_memory: explain never called the stage {name}")
+    return {"vmhwm_start_mb": start, "stages": figures}  # in the order explain called them
 
 
 def _child(inputs: Path, mode: str) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     argv = [sys.executable, __file__, "--inputs", str(inputs), "--mode", mode]
-    done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(done.stderr.strip() or f"stage_memory: {mode} run exited with {done.returncode}")
     return json.loads(done.stdout)
 
 

@@ -26,13 +26,7 @@ import numpy as np
 
 from faceaudit import __version__
 from faceaudit.calibration import calibrate, parse_policy
-from faceaudit.cohort import (
-    ImageTable,
-    aggregate_profiles,
-    load_cohort,
-    positions,
-    read_attributes,
-)
+from faceaudit.cohort import ImageTable, load_cohort, positions, read_attributes
 from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.inputs import from_json, read_json
 from faceaudit.metrics import TrialCensus, trial_census
@@ -202,13 +196,26 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    trials, scores = read_trials_csv(args.scores)
+def _images(table: ImageTable) -> ImageTable:
+    """The image table alone of ``table``, a cohort or a trial set."""
+    return ImageTable(table.image_ids, table.identity_codes, table.identities)
+
+
+def _read_census(path, identities: ImageTable | None = None) -> tuple[TrialCensus, ImageTable]:
+    """The census of the scored trials in ``path``, identities from
+    ``identities`` if given, and the trials' image table; the pairs and
+    scores are freed when it returns."""
+    trials, scores = read_trials_csv(path, identities)
     if np.isnan(scores).any():
-        raise DataError(f"{args.scores}: contains unscored pairs; run score first")
+        raise DataError(f"{path}: contains unscored pairs; run score first")
     census = trial_census(trials, scores)
     if not (census.genuine_scores.size and census.impostor_scores.size):
-        raise DataError(f"{args.scores}: needs both genuine and impostor pairs")
+        raise DataError(f"{path}: needs both genuine and impostor pairs")
+    return census, _images(trials)
+
+
+def _cmd_calibrate(args) -> int:
+    census, _ = _read_census(args.scores)
     policies = args.threshold_policy or AuditOptions().policies
     points = [calibrate(census.genuine_scores, census.impostor_scores, p) for p in policies]
     text = dump_payload({"operating_points": list(map(op_payload, points))})
@@ -220,45 +227,23 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _scored_census(path, trials, scores) -> TrialCensus | DataError:
-    """The census of the trials read from ``path``, or, for a file that
-    is not fully scored, the fault to raise once the other inputs pass."""
-    if np.isnan(scores).any():
-        return DataError(f"{path}: contains unscored pairs; run score first")
-    try:
-        return trial_census(trials, scores)
-    except DataError as exc:
-        return exc
-
-
 def _audit_like(args, options: AuditOptions) -> int:
     schema = _load_schema(args)
     options = _with_flags(options, args)
     schema.check_grouping(options.group_by, group_key="--group-by")
-    if args.embeddings:
-        cohort = load_cohort(args.embeddings)
-        table = read_attributes(args.attributes, schema)
-        orphans = np.flatnonzero(positions(cohort.image_ids, table.image_ids) < 0)
+    # The embedding file serves as an identity map: its vectors are freed at once.
+    identities = _images(load_cohort(args.embeddings)) if args.embeddings else None
+    census, images = _read_census(args.scores, identities)
+    table = read_attributes(args.attributes, schema)
+    if identities:
+        orphans = np.flatnonzero(positions(identities.image_ids, table.image_ids) < 0)
         if orphans.size:
             image = table.image_ids[orphans[0]]
             raise DataError(f"{args.attributes}: row for {image!r} has no matching embedding")
-        profiles = aggregate_profiles(cohort, table, schema)
-        del table
-        census = _scored_census(args.scores, *read_trials_csv(args.scores, cohort))
-    else:
-        trials, scores = read_trials_csv(args.scores)
-        census = _scored_census(args.scores, trials, scores)
-        # The audit reads the census: keep only the image table, so the
-        # pairs and scores are freed before the attribute read.
-        images = ImageTable(trials.image_ids, trials.identity_codes, trials.identities)
-        del trials, scores
-        table = read_attributes(args.attributes, schema)
-        if set(images.image_ids).isdisjoint(table.image_ids):
-            raise DataError(f"{args.attributes}: no attribute row names an image of {args.scores}")
-        profiles = profiles_from_rows(table, images, schema)
-        del table, images  # the audit reads only the census and the profiles
-    if isinstance(census, DataError):
-        raise census
+    elif set(images.image_ids).isdisjoint(table.image_ids):
+        raise DataError(f"{args.attributes}: no attribute row names an image of {args.scores}")
+    profiles = profiles_from_rows(table, identities or images, schema)
+    del table, images, identities  # the audit reads only the census and the profiles
     return _finish(args.out, run_audit(census, profiles, schema, options))
 
 

@@ -25,11 +25,11 @@ from faceaudit.errors import DataError
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[typing.TextIO]:
-    """``path`` opened as UTF-8 text for the csv module.  A file that
-    cannot be opened, or a byte that is not UTF-8 met anywhere in the
-    ``with`` block, raises a DataError."""
+    """``path`` opened as UTF-8 text for the csv module, less a byte-order
+    mark that starts it.  A file that cannot be opened, or a byte that is
+    not UTF-8 met anywhere in the ``with`` block, raises a DataError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None

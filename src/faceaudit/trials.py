@@ -14,12 +14,13 @@ row per trial.
 from __future__ import annotations
 
 import gc
+import math
 import warnings
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import count, islice, repeat
+from itertools import count, islice, tee
 from pathlib import Path
 from typing import NoReturn
 
@@ -169,21 +170,21 @@ def generate_trials(cohort: Cohort, policy: TrialPolicy, seed: int) -> TrialSet:
 _GATHER_BYTES = 1 << 20  # per float64 scratch buffer of score_trials
 
 
-def score_trials(cohort: Cohort, trials: TrialSet, chunk_size: int | None = None) -> np.ndarray:
+def score_trials(cohort: Cohort, trials: TrialSet) -> np.ndarray:
     """Cosine similarity per pair, float64, aligned with ``trials.pairs``.
 
     Vectors are gathered from the float32 matrix into float64 one chunk
-    of ``chunk_size`` rows at a time, so no float64 copy of the matrix
-    is made.  By default a chunk holds as many rows as fit in 1 MiB of
-    float64, whatever the dimension; each score depends only on its own
-    two vectors, so the chunk size never changes the result.
+    of rows at a time, so no float64 copy of the matrix is made.  A chunk
+    holds as many rows as fit in 1 MiB of float64, whatever the
+    dimension; each score depends only on its own two vectors, so the
+    chunk size never changes the result.
     """
     at = positions(cohort.image_ids, trials.image_ids)
     if (at < 0).any():
         image = trials.image_ids[int(np.argmin(at))]
         raise DataError(f"cannot score image {image!r}: it has no embedding")
     vectors = cohort.vectors
-    chunk_size = chunk_size or max(1, _GATHER_BYTES // (8 * vectors.shape[1]))
+    chunk_size = max(1, _GATHER_BYTES // (8 * vectors.shape[1]))
     blocks = range(0, len(vectors), chunk_size)
     norms = np.concatenate(
         [np.linalg.norm(vectors[b : b + chunk_size].astype(float), axis=1) for b in blocks]
@@ -219,7 +220,7 @@ _GENUINE = {"genuine": 1, "impostor": 0}
 def write_trials_csv(
     path: str | Path, trials: TrialSet, scores: np.ndarray | None = None
 ) -> None:
-    """Export pairs as delimited text; the score cell is empty when unscored."""
+    """Export pairs as delimited text; an absent or NaN score is an empty cell."""
     if scores is not None and len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
     # Rows are produced lazily, so no per-row Python objects pile up;
@@ -228,7 +229,9 @@ def write_trials_csv(
     probes = map(ids.__getitem__, trials.pairs[:, 0])
     references = map(ids.__getitem__, trials.pairs[:, 1])
     labels = map(_LABELS.__getitem__, trials.genuine.tolist())
-    cells = repeat("") if scores is None else map(float.__repr__, np.asarray(scores, float))
+    scores = np.full(len(trials.pairs), np.nan) if scores is None else np.asarray(scores, float)
+    keys, texts = tee(map(float.__repr__, scores))
+    cells = map({"nan": ""}.get, keys, texts)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
         fh.writelines(map("{},{},{},{}\n".format, probes, references, labels, cells))
@@ -243,7 +246,12 @@ def _line_of(path: str | Path, index: int) -> int:
 
 
 def _score(cell: str) -> float:
-    return decimal(cell) if cell.strip() else float("nan")
+    """An empty cell is unscored (NaN); any other must be a finite decimal."""
+    if not cell.strip():
+        return math.nan
+    if not math.isfinite(value := decimal(cell)):
+        raise ValueError(f"not a finite score: {cell!r}")
+    return value
 
 
 def _raise_row_fault(path: str | Path, first_line: int) -> NoReturn:
@@ -285,12 +293,13 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
             probes, references, label_cells, score_cells = columns
             try:
                 labels += bytes(map(_GENUINE.get, label_cells))  # a bad label is a TypeError
-                if "_" in "".join(score_cells):  # float() reads "0_5" as 5.0
-                    raise ValueError(score_cells)
-                try:
-                    scores += array("d", map(float, score_cells))
-                except ValueError:  # empty (unscored) cells read as NaN
-                    scores += array("d", map(_score, score_cells))
+                try:  # float() reads "0_5" as 5.0, and "nan" or "inf" are no scores
+                    block = array("d", map(float, score_cells))
+                    if "_" in "".join(score_cells) or not np.isfinite(block).all():
+                        raise ValueError(score_cells)
+                except ValueError:  # empty (unscored) cells read as NaN; _score refuses the rest
+                    block = array("d", map(_score, score_cells))
+                scores += block
             except (TypeError, ValueError):
                 _raise_row_fault(path, first_line)
             both = [None] * (2 * len(probes))

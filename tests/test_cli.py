@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, pipelines, determinism."""
 
+import codecs
 import csv
 import dataclasses
 import json
@@ -309,6 +310,16 @@ class TestDataErrors:
                 "a_0,a_1,genuine,0.9\na_0,b_0,impostor,0_5\n",
                 ":3: bad score '0_5'",
             ),
+            *(
+                (
+                    "probe_image_id,reference_image_id,label,score\n"
+                    f"a_0,a_1,genuine,{first}\na_0,b_0,impostor,{cell}\n",
+                    f":3: bad score '{cell}'",
+                )
+                # after a scored cell float() reads the block; after an empty one, _score
+                for first in ("0.9", "")
+                for cell in ("nan", "inf", "-inf", "1e999", "NaN")
+            ),
             (
                 "probe_image_id,reference_image_id,label,score\n"
                 "a_0,a_1,genuine,0.9\na_1,a_1,genuine,1.0\na_0,b_0,impostor,0.1\n",
@@ -327,7 +338,10 @@ class TestDataErrors:
             ),
         ],
         ids=[
-            "header", "short-row", "label", "score", "score-underscore", "genuine-same-image",
+            "header", "short-row", "label", "score", "score-underscore",
+            *(f"{cell}-after-{first}" for first in ("scored", "unscored")
+              for cell in ("nan", "inf", "-inf", "1e999", "NaN")),
+            "genuine-same-image",
             "impostor-same-image", "label-contradicts-genuine-pairs",
         ],
     )
@@ -499,6 +513,35 @@ class TestDataErrors:
         assert "'zz_ghost'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["audit", "explain"])
+    @pytest.mark.parametrize("kind", ["genuine", "impostor"])
+    def test_one_kind_of_pair_rejected(self, workspace, tmp_path, capsys, command, kind):
+        scores, out = _one_kind(workspace, tmp_path / "scores.csv", kind), tmp_path / "o"
+        argv = [command, "--scores", scores, "--attributes", workspace["attributes"]]
+        assert main([*map(str, argv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"faceaudit {command}: {scores}: needs both genuine and impostor pairs\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("embeddings", [False, True], ids=["trial-ids", "embeddings"])
+    @pytest.mark.parametrize("unscored", [True, False], ids=["unscored", "genuine-only"])
+    def test_trial_faults_before_attribute_faults(
+        self, workspace, tmp_path, capsys, embeddings, unscored
+    ):
+        if unscored:
+            scores, message = workspace["pairs"], "contains unscored pairs"
+        else:
+            scores = _one_kind(workspace, tmp_path / "scores.csv", "genuine")
+            message = "needs both genuine and impostor pairs"
+        attributes, out = tmp_path / "attributes.csv", tmp_path / "o"
+        attributes.write_text("who,gender\na,man\n", encoding="utf-8")  # a bad header
+        argv = ["explain", "--scores", scores, "--attributes", attributes]
+        if embeddings:
+            argv += ["--embeddings", workspace["embeddings"]]
+        assert main([*map(str, argv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"faceaudit explain: {scores}: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [[], {"synth": {}, "trials": 5}])
     def test_run_all_config_shape_rejected(self, tmp_path, capsys, config):
         path = tmp_path / "bad.json"
@@ -510,9 +553,20 @@ class TestDataErrors:
 _CELLS = {"man,asian": 4, "woman,asian": 4}
 
 
-def _bad_input_argv(case, workspace, bad):
-    """A command line whose ``case`` input is the file ``bad``, written
-    here as a valid input whose last line ends in a byte that is not UTF-8."""
+def _one_kind(workspace, path, kind):
+    """``path``, written as the scored pairs of ``workspace`` whose label is ``kind``."""
+    header, *rows = workspace["scored"].read_text(encoding="utf-8").splitlines()
+    kept = [row for row in rows if row.split(",")[2] == kind]
+    path.write_text("".join(f"{line}\n" for line in [header, *kept]), encoding="utf-8")
+    return path
+
+
+_TEXT_INPUTS = ["attributes", "trials", "text-embeddings", "run-all-config", "schema"]
+
+
+def _input_argv(case, workspace, path, edit):
+    """A command line whose ``case`` input is the file ``path``, written
+    here as a valid input with ``edit`` applied to its bytes."""
     scores, attributes = workspace["scored"], workspace["attributes"]
     texts = {
         "attributes": attributes.read_bytes(),
@@ -521,28 +575,46 @@ def _bad_input_argv(case, workspace, bad):
         "run-all-config": json.dumps({"synth": {"identities_per_group": _CELLS}}).encode(),
         "schema": workspace["schema"].read_bytes(),
     }
-    bad.write_bytes(texts[case].rstrip(b"\n") + b"\xff\n")
+    path.write_bytes(edit(texts[case]))
     return {
-        "attributes": ["explain", "--scores", scores, "--attributes", bad],
-        "trials": ["explain", "--scores", bad, "--attributes", attributes],
-        "text-embeddings": ["pairs", "--embeddings", bad],
-        "run-all-config": ["run-all", "--config", bad],
-        "schema": ["explain", "--scores", scores, "--attributes", attributes, "--schema", bad],
+        "attributes": ["explain", "--scores", scores, "--attributes", path],
+        "trials": ["explain", "--scores", path, "--attributes", attributes],
+        "text-embeddings": ["pairs", "--embeddings", path, "--negatives", "2"],
+        "run-all-config": ["run-all", "--config", path],
+        "schema": ["explain", "--scores", scores, "--attributes", attributes, "--schema", path],
     }[case]
 
 
 class TestNonUtf8Input:
-    @pytest.mark.parametrize(
-        "case",
-        ["attributes", "trials", "text-embeddings", "run-all-config", "schema"],
-    )
+    @pytest.mark.parametrize("case", _TEXT_INPUTS)
     def test_one_line_exit_2(self, workspace, tmp_path, capsys, case):
         bad, out = tmp_path / "bad", tmp_path / "out"
-        argv = _bad_input_argv(case, workspace, bad)
+        # a valid input whose last line ends in a byte that is not UTF-8
+        argv = _input_argv(case, workspace, bad, lambda text: text.rstrip(b"\n") + b"\xff\n")
         assert main([*map(str, argv), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{bad}: not UTF-8 text" in err
         assert not out.exists()
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark that starts a text input is dropped."""
+
+    @pytest.mark.parametrize("case", _TEXT_INPUTS)
+    def test_read_as_without_it(self, workspace, tmp_path, case):
+        outputs = []
+        for name, mark in [("plain", b""), ("marked", codecs.BOM_UTF8)]:
+            (tmp_path / name).mkdir()
+            path, out = tmp_path / name / "input", tmp_path / name / "out"
+            argv = _input_argv(case, workspace, path, lambda text: mark + text)
+            assert main([*map(str, argv), "--out", str(out)]) == 0
+            outputs.append(_walk_bytes(out) if out.is_dir() else out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_one_after_the_start_is_data(self, tmp_path):
+        path = tmp_path / "embeddings.csv"
+        path.write_text("\ufeffa_0,a,1.0,0.5\n\ufeffa_1,a,0.5,1.0\n", encoding="utf-8")
+        assert load_cohort(path).image_ids == ("a_0", "\ufeffa_1")
 
 
 class TestOversizedCell:
@@ -1271,7 +1343,7 @@ class TestRunAll:
 
         monkeypatch.setattr("faceaudit.cli.load_cohort", refuse)
         monkeypatch.setattr("faceaudit.cli.read_attributes", refuse)
-        monkeypatch.setattr("faceaudit.cli.aggregate_profiles", refuse)
+        monkeypatch.setattr("faceaudit.cli.profiles_from_rows", refuse)
         config = self._config(tmp_path)
         out = tmp_path / "run"
         assert main(["run-all", "--config", str(config), "--out", str(out)]) == 0
@@ -1355,6 +1427,28 @@ class TestTrialRowsFreed:
         }[command]
         assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 0
         assert len(audits) == 1
+
+    def test_vectors_dead_when_the_trials_are_read(self, workspace, tmp_path, monkeypatch):
+        # the embedding file serves explain as an identity map only
+        refs, reads = [], []
+        load_cohort, read_trials_csv = cli.load_cohort, cli.read_trials_csv
+
+        def loading(path):
+            cohort = load_cohort(path)
+            refs.append(weakref.ref(cohort.vectors))
+            return cohort
+
+        def reading(*args):
+            assert refs and refs[0]() is None
+            reads.append(args)
+            return read_trials_csv(*args)
+
+        monkeypatch.setattr(cli, "load_cohort", loading)
+        monkeypatch.setattr(cli, "read_trials_csv", reading)
+        argv = ["explain", "--scores", workspace["scored"], "--attributes",
+                workspace["attributes"], "--embeddings", workspace["embeddings"]]
+        assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 0
+        assert len(reads) == 1
 
 
 class TestModuleEntryPoint:

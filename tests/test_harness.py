@@ -29,6 +29,7 @@ _GONE = {
     "faceaudit.cli.score_parallel",
     "faceaudit.pipeline.score_trials",
     "faceaudit.cli.audit_cohort",
+    "faceaudit.cli.aggregate_profiles",
 }
 
 

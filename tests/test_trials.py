@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import cohort_of, identity_map, image_table, trial_set
 
+import faceaudit.trials
 from faceaudit.errors import DataError, TrialError
 from faceaudit.metrics import individual_rates, trial_census
 from faceaudit.trials import (
@@ -391,15 +392,20 @@ class TestScoreTrials:
             want = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
             assert score == pytest.approx(want, abs=1e-12)
 
-    def test_chunk_size_is_invisible(self):
+    def test_chunk_size_is_invisible(self, monkeypatch):
         # By default a chunk holds 1 MiB of float64 rows: 8,192 at dim 16,
         # and one row at dim 150,000, past the budget of a single row.
+        def scored(cohort, trials, rows):
+            dim = cohort.vectors.shape[1]
+            monkeypatch.setattr(faceaudit.trials, "_GATHER_BYTES", rows * 8 * dim)
+            return score_trials(cohort, trials)
+
         for dim in (16, 150_000):
             cohort = _cohort(n_identities=5, images_each=4, dim=dim)
             trials = generate_trials(cohort, TrialPolicy(), seed=0)
-            a = score_trials(cohort, trials, chunk_size=7)
-            b = score_trials(cohort, trials, chunk_size=4096)
             c = score_trials(cohort, trials)
+            a = scored(cohort, trials, 7)
+            b = scored(cohort, trials, 4096)
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, c)
 
@@ -431,8 +437,9 @@ class TestScoreTrials:
         with pytest.raises(DataError, match="^cannot score zero-norm embedding 'p3_0'$"):
             score_trials(cohort, trials)
 
-    def test_matches_one_float64_matrix(self):
+    def test_matches_one_float64_matrix(self, monkeypatch):
         # per-chunk gathers give the bits of one float64 copy of the matrix
+        monkeypatch.setattr(faceaudit.trials, "_GATHER_BYTES", 100 * 8 * 64)  # 100 rows
         cohort = _cohort(n_identities=30, images_each=5, dim=64)
         trials = generate_trials(cohort, TrialPolicy(), seed=2)
         vectors = cohort.vectors.astype(np.float64)
@@ -444,7 +451,7 @@ class TestScoreTrials:
             -1.0,
             1.0,
         )
-        assert score_trials(cohort, trials, chunk_size=100).tobytes() == want.tobytes()
+        assert score_trials(cohort, trials).tobytes() == want.tobytes()
 
     def test_read_back_trials_rescored(self, tmp_path):
         # read-back trials hold a table of their own images, not the cohort's
@@ -525,6 +532,19 @@ class TestTrialCsv:
         assert _image_pairs(got) == _image_pairs(trials)
         assert identity_map(got) == identity_map(cohort)
         assert np.isnan(scores).all()
+
+    def test_nan_score_written_unscored(self, tmp_path):
+        # an empty cell is the one spelling of "unscored"; "nan" is no score
+        cohort = _cohort(n_identities=5, images_each=4)
+        trials = generate_trials(cohort, TrialPolicy(), seed=3)
+        scores = score_trials(cohort, trials)
+        scores[::3] = np.nan
+        path = tmp_path / "trials.csv"
+        write_trials_csv(path, trials, scores)
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.endswith(",") for row in rows] == np.isnan(scores).tolist()
+        _, loaded = read_trials_csv(path, cohort)
+        np.testing.assert_array_equal(loaded, scores)
 
     def test_header_and_columns(self, tmp_path):
         cohort = _cohort(n_identities=5, images_each=2)
