@@ -17,8 +17,10 @@ CLI's own, in its order:
 * traced: ``tracemalloc`` started after the imports, and each stage's
   traced peak and the traced size left when it returns.
 
-Last come the stage with the highest traced peak and the first stage
-after which ``VmHWM`` reads its final value, to 0.1 MB.  ``--json``
+Last come the stage with the highest traced peak and the stage after
+which ``VmHWM`` reads its final value.  ``VmHWM`` readings carry about
+0.1 MB of slack, so when more than one stage reads within ``SLACK_MB``
+of that value, all of them are listed.  ``--json``
 prints one JSON object instead of the table.  A stage that ``explain``
 never calls, or an ``explain`` that fails, exits 1 with one line that
 names it.
@@ -50,6 +52,7 @@ STAGES = (
 )
 POLICIES = ("eer", "far@0.1", "far@0.05", "far@0.02", "far@0.01", "far@0.005", "far@0.002", "far@0.001")
 MB = 1 << 20
+SLACK_MB = 0.2  # VmHWM readings this close to the final one may be that one
 
 
 def _vmhwm_mb() -> float:
@@ -150,10 +153,10 @@ def main() -> int:
     stages = {
         name: {**figures, **traced["stages"][name]} for name, figures in plain["stages"].items()
     }
-    final = max(round(f["vmhwm_mb"], 1) for f in stages.values())
+    final = max(f["vmhwm_mb"] for f in stages.values())
     peaks = {
         "traced": max(stages, key=lambda name: stages[name]["traced_peak_mb"]),
-        "vmhwm": next(name for name, f in stages.items() if round(f["vmhwm_mb"], 1) == final),
+        "vmhwm": [name for name, f in stages.items() if final - f["vmhwm_mb"] < SLACK_MB],
     }
     if args.json:
         print(json.dumps({"vmhwm_start_mb": plain["vmhwm_start_mb"], "stages": stages, "peak": peaks}))
@@ -165,7 +168,9 @@ def main() -> int:
             f"{name:<20} {f['wall_s']:>7.3f} {f['traced_peak_mb']:>15.1f} "
             f"{f['traced_current_mb']:>18.1f} {f['vmhwm_mb']:>9.1f}"
         )
-    print(f"traced peak in: {peaks['traced']}; VmHWM reached in: {peaks['vmhwm']}")
+    near = peaks["vmhwm"]
+    reached = near[0] if len(near) == 1 else f"one of {', '.join(near)} (within {SLACK_MB} MB)"
+    print(f"traced peak in: {peaks['traced']}; VmHWM reached in: {reached}")
     return 0
 
 

@@ -237,20 +237,16 @@ def _parse_column(var: Variable, cells: Sequence[str]) -> tuple[np.ndarray, bool
     return values, bool((ok | empty).all())
 
 
-def _raise_first_fault(path: str | Path, header: list[str], schema: AttributeSchema) -> NoReturn:
-    """Raise the first fault of an attribute file, reading it again:
-    every record is read first, then the rows are checked one by one."""
-    with open_text(path) as fh:
-        records = list(csv_records(fh, path))[1:]
-    seen: set[str] = set()
-    for lineno, row in records:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-        if row[0] in seen:
+def _raise_first_fault(
+    path: str | Path, lines: Sequence[int], columns: list, header: list[str],
+    schema: AttributeSchema, ids: dict[str, None],
+) -> NoReturn:
+    """Raise the first fault of the attribute rows on file ``lines``, row
+    by row: an image id that ``ids`` holds already, or a cell ``_parse_cell`` refuses."""
+    for lineno, row in zip(lines, zip(*columns)):
+        if row[0] in ids:
             raise DataError(f"{path}:{lineno}: duplicate image_id {row[0]!r}")
-        seen.add(row[0])
+        ids[row[0]] = None
         for col, cell in zip(header[1:], row[1:]):
             if not cell.strip():
                 continue
@@ -258,15 +254,15 @@ def _raise_first_fault(path: str | Path, header: list[str], schema: AttributeSch
                 _parse_cell(schema.variable(col), cell)
             except SchemaError as exc:
                 raise SchemaError(f"{path}:{lineno}: image {row[0]!r}: {exc}") from None
-    raise AssertionError("no faulty row in the attribute file")
+    raise AssertionError("no faulty row in the attribute block")
 
 
 def read_attributes(path: str | Path, schema: AttributeSchema) -> AttributeTable:
     """Read an attribute file into a table, a block of columns at a time;
     each block's cells are parsed before the next block is read.
 
-    When the file has faults, it is checked again row by row, so the
-    one reported is the first a row-by-row reader meets.
+    A block with a fault is checked again row by row, so the fault
+    reported is the first a row-by-row reader meets.
     """
     names = schema.names()
     with open_text(path) as fh:
@@ -278,21 +274,20 @@ def read_attributes(path: str | Path, schema: AttributeSchema) -> AttributeTable
                 raise SchemaError(f"{path}: unknown attribute column {col!r}")
             if col in header[1:i]:
                 raise DataError(f"{path}: duplicate attribute column {col!r}")
-        image_ids: list[str] = []
+        ids: dict[str, None] = {}  # image ids in file order: a dict finds a duplicate
         blocks = [np.empty((0, len(names)))]
-        for _, columns in csv_columns(fh, len(header)):
-            if columns is None:
-                _raise_first_fault(path, header, schema)
+        for lines, columns in csv_columns(fh, len(header), path):
+            fresh = dict.fromkeys(columns[0])
+            ok = len(fresh) == len(columns[0]) and ids.keys().isdisjoint(fresh)
             block = np.full((len(columns[0]), len(names)), np.nan)
             for col, cells in zip(header[1:], columns[1:]):
-                block[:, names.index(col)], ok = _parse_column(schema.variable(col), cells)
-                if not ok:
-                    _raise_first_fault(path, header, schema)
-            image_ids += columns[0]
+                block[:, names.index(col)], parsed = _parse_column(schema.variable(col), cells)
+                ok &= parsed
+            if not ok:
+                _raise_first_fault(path, lines, columns, header, schema, ids)
+            ids |= fresh
             blocks.append(block)
-    if len(set(image_ids)) != len(image_ids):
-        _raise_first_fault(path, header, schema)
-    return AttributeTable(image_ids=tuple(image_ids), values=np.concatenate(blocks))
+    return AttributeTable(image_ids=tuple(ids), values=np.concatenate(blocks))
 
 
 def csv_cells(texts: Sequence[str]) -> list[str]:

@@ -17,7 +17,7 @@ import types
 import typing
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 
 from faceaudit.errors import DataError
@@ -83,20 +83,21 @@ _BLOCK_CHARS = 1 << 16  # text read per block
 _BLOCK_ROWS = 1 << 10  # records per block once csv.reader reads: about a text block of trial rows
 
 
-def csv_columns(fh: typing.TextIO, width: int) -> Iterator[tuple[int, list | None]]:
+def csv_columns(fh: typing.TextIO, width: int, path: str | Path) -> Iterator[tuple]:
     """The records after the header of ``fh``, a block at a time: the
-    file line of the block's first record, and the block's ``width``
-    columns of cells.  Blank records are skipped.
+    file line of each record (a ``range`` when the block holds no blank
+    record, which is skipped) and the block's ``width`` columns of cells.
 
-    The columns are None when a record of the block has another number
-    of cells, or one the csv module cannot read, such as one with a cell
-    longer than ``csv.field_size_limit()``; the caller reads the rows
-    again with ``csv_records`` to name the fault.
+    A record of another number of cells, or one the csv module cannot
+    read, raises a DataError naming its line once the records before it
+    are yielded, so a caller that checks each block as it arrives names
+    the first faulty record of the file.
 
     Text free of quotes, carriage returns and NUL holds one record per
     line and one cell per comma, as ``csv.reader`` reads it, so its
     blocks are split with ``str.split``.  From the first block that
-    holds one of them, ``csv.reader`` reads the rest of the file.
+    holds one of them, or a line longer than ``csv.field_size_limit()``,
+    ``csv.reader`` reads the rest of the file; it refuses a longer cell.
 
     Blocks are bounded on both paths, so the cells of one block at most
     are alive at once: ``_BLOCK_CHARS`` characters of text, completed to
@@ -107,48 +108,49 @@ def csv_columns(fh: typing.TextIO, width: int) -> Iterator[tuple[int, list | Non
     first_line, text = 2, ""
     while chunk := fh.read(_BLOCK_CHARS):
         text += chunk
-        if '"' in text or "\r" in text or "\0" in text:
+        lines = text.split("\n")
+        if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > limit:
             # The text's last line is completed from the file, so every
             # line is split where iterating the file would split it.
             reader = csv.reader(chain(io.StringIO(text + fh.readline(), newline=""), fh))
             while True:
-                try:
-                    rows = list(islice(reader, _BLOCK_ROWS))
-                except csv.Error:  # named when the caller reads the rows again
-                    yield first_line, None
-                    return
+                rows: list[list[str]] = []
+                try:  # extend keeps the records read before a csv.Error
+                    rows.extend(islice(reader, _BLOCK_ROWS))
+                except csv.Error as exc:
+                    yield from _row_block(rows, first_line, width, path)
+                    raise DataError(f"{path}:{first_line + len(rows)}: {exc}") from None
                 if not rows:
                     return
-                yield first_line, _columns(rows, width)
+                yield from _row_block(rows, first_line, width, path)
                 first_line += len(rows)
-        lines = text.split("\n")
         text = lines.pop()  # the start of a line the next block ends
-        if lines:
-            yield first_line, _split_block(lines, width, limit)
-            first_line += len(lines)
-    if text:  # a last line without a line break
-        yield first_line, _split_block([text], width, limit)
+        yield from _split_block(lines, first_line, width, path)
+        first_line += len(lines)
+    yield from _split_block([text], first_line, width, path)
 
 
-def _split_block(lines: list[str], width: int, limit: int) -> list | None:
-    """The columns of plain text lines, or None (see ``csv_columns``)."""
-    rows = list(filter(None, lines))
-    if not rows:
-        return [()] * width
-    if set(map(str.count, rows, repeat(","))) != {width - 1}:
-        return None
-    cells = ",".join(rows).split(",")
-    if max(map(len, rows)) > limit and max(map(len, cells)) > limit:
-        return None
-    return [cells[k::width] for k in range(width)]
+def _split_block(lines: list[str], first_line: int, width: int, path: str | Path) -> Iterator:
+    """``csv_columns``'s block of plain text lines, if one holds a record."""
+    if "" in lines or set(map(str.count, lines, repeat(","))) - {width - 1}:
+        yield from _row_block([line and line.split(",") for line in lines], first_line, width, path)
+    elif lines:
+        cells = ",".join(lines).split(",")
+        yield range(first_line, first_line + len(lines)), [cells[k::width] for k in range(width)]
 
 
-def _columns(rows: list[list[str]], width: int) -> list | None:
-    """The columns of csv records, or None (see ``csv_columns``)."""
-    rows = list(filter(None, rows))
-    if any(len(row) != width for row in rows):
-        return None
-    return list(zip(*rows)) or [()] * width
+def _row_block(rows: list, first_line: int, width: int, path: str | Path) -> Iterator:
+    """``csv_columns``'s block of csv records, a blank one empty, if one holds a record."""
+    kept = list(filter(None, rows))
+    if any(len(row) != width for row in kept):
+        end = next(i for i, row in enumerate(rows) if row and len(row) != width)
+        yield from _row_block(rows[:end], first_line, width, path)
+        raise DataError(f"{path}:{first_line + end}: expected {width} cells, got {len(rows[end])}")
+    lines = range(first_line, first_line + len(rows))
+    if len(kept) < len(rows):
+        lines = list(compress(lines, rows))
+    if kept:
+        yield lines, list(zip(*kept))
 
 
 def read_json(path: str | Path):

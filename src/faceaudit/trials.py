@@ -18,6 +18,7 @@ import math
 import warnings
 from array import array
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import count, islice, tee
@@ -254,22 +255,17 @@ def _score(cell: str) -> float:
     return value
 
 
-def _raise_row_fault(path: str | Path, first_line: int) -> NoReturn:
-    """Raise the first fault of the trial rows from file line
-    ``first_line`` on, reading the file again and checking row by row."""
-    with open_text(path) as fh:
-        for lineno, row in islice(csv_records(fh, path), first_line - 1, None):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 cells, got {len(row)}")
-            if row[2] not in _GENUINE:
-                raise DataError(f"{path}:{lineno}: bad label {row[2]!r}")
-            try:
-                _score(row[3])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad score {row[3]!r}") from None
-    raise AssertionError(f"no faulty trial row from line {first_line} on")
+def _raise_row_fault(path: str | Path, lines: Sequence[int], columns: list) -> NoReturn:
+    """Raise the first label or score fault of a block of trial rows,
+    checking row by row; ``lines`` are the rows' file lines."""
+    for lineno, label, cell in zip(lines, columns[2], columns[3]):
+        if label not in _GENUINE:
+            raise DataError(f"{path}:{lineno}: bad label {label!r}")
+        try:
+            _score(cell)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad score {cell!r}") from None
+    raise AssertionError("no faulty row in the trial block")
 
 
 def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -287,9 +283,7 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
         header = csv_header(fh, path, "trial")
         if header != _CSV_HEADER:
             raise DataError(f"{path}: unrecognised trial file header {header!r}")
-        for first_line, columns in csv_columns(fh, len(_CSV_HEADER)):
-            if columns is None:
-                _raise_row_fault(path, first_line)
+        for lines, columns in csv_columns(fh, len(_CSV_HEADER), path):
             probes, references, label_cells, score_cells = columns
             try:
                 labels += bytes(map(_GENUINE.get, label_cells))  # a bad label is a TypeError
@@ -301,7 +295,7 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
                     block = array("d", map(_score, score_cells))
                 scores += block
             except (TypeError, ValueError):
-                _raise_row_fault(path, first_line)
+                _raise_row_fault(path, lines, columns)
             both = [None] * (2 * len(probes))
             both[::2], both[1::2] = probes, references
             codes.extend(map(code_of.__getitem__, both))

@@ -1,6 +1,9 @@
 """Shared helpers: assemble small synthetic cohorts, trial sets and
 attribute tables for tests."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from faceaudit.cohort import AttributeTable, ImageTable, ProfileTable, build_cohort
@@ -121,3 +124,12 @@ def schema_document(top=None, **changes):
     first = {key: value for key, value in first.items() if value is not None}
     document["variables"] = [first, *document["variables"][1:]]
     return document
+
+
+def write_bench_inputs(outdir, identities, seed):
+    """Write the benchmark's explain inputs (``bench/explain_inputs.py``)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "explain_inputs.py"
+    spec = importlib.util.spec_from_file_location("explain_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.write_inputs(outdir, identities, seed)

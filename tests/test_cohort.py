@@ -297,6 +297,12 @@ class TestAttributeCsv:
             ("a,man,0.1\nb,man,x\nc,alien,0.2\n", r":3: image 'b': variable 'blur'"),
             # float() would read 0_1 as 1.0
             ("a,man,0.1\nb,man,0_1\n", r":3: image 'b': variable 'blur': cannot parse value '0_1'"),
+            # a row fault comes before a later cell the csv module cannot read
+            pytest.param(
+                f"a,man,1.5\nb,{'x' * (csv.field_size_limit() + 1)},0.2\n",
+                r":2: image 'a': variable 'blur'",
+                id="before-an-oversized-cell",
+            ),
         ],
     )
     def test_first_fault_named(self, tmp_path, body, match):

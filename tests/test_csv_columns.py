@@ -1,22 +1,29 @@
 """Tests for the block CSV reader both input readers share: with any
 block size it reads the rows and line numbers ``csv.reader`` reads and
-flags the block of the first fault, and the trial and attribute readers
-built on it give the same result whatever the block size."""
+names the first record it cannot split into columns; the trial and
+attribute readers built on it give, whatever the block size, the result
+and the first fault a row-by-row reader gives, and read a faulty file
+once."""
 
 import csv
 import io
+import re
+import tracemalloc
 from contextlib import contextmanager
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from faceaudit import inputs
-from faceaudit.cohort import read_attributes
+from conftest import write_bench_inputs
+
+from faceaudit import cohort, inputs, trials
+from faceaudit.cohort import _parse_cell, read_attributes
 from faceaudit.errors import DataError, SchemaError
-from faceaudit.inputs import csv_columns, csv_header
+from faceaudit.inputs import csv_columns, csv_header, csv_records, open_text
 from faceaudit.schema import default_schema
-from faceaudit.trials import read_trials_csv
+from faceaudit.trials import _GENUINE, _score, read_trials_csv
 
 _LIMIT = csv.field_size_limit()
 
@@ -100,33 +107,32 @@ class TestCsvColumns:
         monkeypatch.setattr(inputs, "_BLOCK_CHARS", block_chars)
         monkeypatch.setattr(inputs, "_BLOCK_ROWS", block_rows)
         text = "h\n" + body
-        blocks = []
+        blocks, raised = [], None
         with _field_limit(limit):
             records, error = _reference(text)
             fh = io.StringIO(text, newline="")
             assert csv_header(fh, "f", "test") == ["h"]
-            for first_line, columns in csv_columns(fh, width):
-                blocks.append((first_line, columns))
-                if columns is None:
-                    break
-        records = records[1:]  # the header
-        faults = [line for line, row in records if row and len(row) != width]
-        fault = min(faults + ([error[0]] if error else []), default=None)
+            try:
+                blocks.extend(csv_columns(fh, width, "f"))
+            except DataError as exc:
+                raised = str(exc)
+        records = [(line, row) for line, row in records[1:] if row]  # less the header
+        faults = [(line, f"expected {width} cells, got {len(row)}")
+                  for line, row in records if len(row) != width]
+        fault = min(faults + ([error] if error else []), default=None)
+        if fault is None:
+            assert raised is None
+        else:  # named once every record before it is yielded
+            assert raised == f"f:{fault[0]}: {fault[1]}"
+            records = [(line, row) for line, row in records if line < fault[0]]
 
-        starts = [first_line for first_line, _ in blocks]
-        assert starts == sorted(set(starts)) and starts[:1] in ([], [2])
-        if blocks and blocks[-1][1] is None:  # a fault the caller names by reading again
-            assert fault is not None and fault >= starts[-1]
-            blocks = blocks[:-1]
-        else:  # every record read
-            assert fault is None
-            starts.append(float("inf"))
-            read = [row for _, columns in blocks for row in zip(*columns)]
-            assert read == [tuple(row) for _, row in records if row]
-        for (first_line, columns), end in zip(blocks, starts[1:]):
-            expected = [tuple(row) for line, row in records if row and first_line <= line < end]
-            assert len(columns) == width
-            assert list(zip(*columns)) == expected
+        read = []
+        for lines, columns in blocks:
+            assert len(columns) == width and len(lines) == len(columns[0]) > 0
+            if isinstance(lines, range):
+                assert lines.step == 1
+            read += zip(lines, zip(*columns))
+        assert read == [(line, tuple(row)) for line, row in records]
 
 
 _TRIAL_HEADER = "probe_image_id,reference_image_id,label,score"
@@ -135,6 +141,8 @@ _TRIAL_CELL = st.sampled_from(["a", "b", "c", 'q"x', "c,d", "e\nf", "g\rh", "gen
 _ATTRIBUTE_HEADER = "image_id,gender,blur"
 _ATTRIBUTE_CELL = st.sampled_from(["a", "b", "c", 'q"x', "c,d", "e\nf", "g\rh", "man", "woman",
                                    "1", "alien", "", "0.1", "1.5", "0_1", "nan", " 0.25 "])
+# Cells every attribute column takes, so rows pass and image ids repeat
+_ATTRIBUTE_PLAIN = st.sampled_from(["1", ""])
 
 
 def _outcome(read, path):
@@ -156,24 +164,76 @@ def _attributes(path):
     return table.image_ids, table.values.tobytes()
 
 
+# Reference readers: the first fault of each file, found by reading its
+# records one by one and checking each row in turn.
+
+
+def _trial_fault(path):
+    with open_text(path) as fh:
+        for lineno, row in islice(csv_records(fh, path), 1, None):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 cells, got {len(row)}")
+            if row[2] not in _GENUINE:
+                raise DataError(f"{path}:{lineno}: bad label {row[2]!r}")
+            try:
+                _score(row[3])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad score {row[3]!r}") from None
+
+
+def _attribute_fault(path):
+    schema, header, seen = default_schema(), _ATTRIBUTE_HEADER.split(","), set()
+    with open_text(path) as fh:
+        for lineno, row in islice(csv_records(fh, path), 1, None):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            if row[0] in seen:
+                raise DataError(f"{path}:{lineno}: duplicate image_id {row[0]!r}")
+            seen.add(row[0])
+            for col, cell in zip(header[1:], row[1:]):
+                if not cell.strip():
+                    continue
+                try:
+                    _parse_cell(schema.variable(col), cell)
+                except SchemaError as exc:
+                    raise SchemaError(f"{path}:{lineno}: image {row[0]!r}: {exc}") from None
+
+
+# Faults the trial reader finds only once every row is read.
+_AFTER_PARSE = re.compile(r":\d+: (pair compares image .* with itself|label contradicts .*)$")
+
+
 class TestReadersIgnoreBlockSize:
     @pytest.mark.parametrize(
-        "read, header, cells",
-        [(_trials, _TRIAL_HEADER, _TRIAL_CELL), (_attributes, _ATTRIBUTE_HEADER, _ATTRIBUTE_CELL)],
+        "read, fault, header, cells",
+        [
+            (_trials, _trial_fault, _TRIAL_HEADER, _TRIAL_CELL),
+            (_attributes, _attribute_fault, _ATTRIBUTE_HEADER,
+             st.one_of(_ATTRIBUTE_PLAIN, _ATTRIBUTE_CELL)),
+        ],
         ids=["trials", "attributes"],
     )
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(data=st.data())
-    def test_same_outcome(self, tmp_path_factory, monkeypatch, read, header, cells, data):
+    def test_same_outcome(self, tmp_path_factory, monkeypatch, read, fault, header, cells, data):
         width = header.count(",") + 1
         body = data.draw(st.one_of(_written(cells, st.just(width)), _RAW), label="body")
         limit = data.draw(st.sampled_from([4, _LIMIT]), label="limit")
         path = tmp_path_factory.getbasetemp() / "body.csv"
         path.write_text(header + "\n" + body, encoding="utf-8", newline="")
         with _field_limit(limit):
+            first = _outcome(fault, path)
             whole = _outcome(read, path)
+            if first is not None:  # the reference's fault
+                assert whole == first
+            elif whole[0] in ("DataError", "SchemaError"):  # rows well formed
+                assert read is _trials and _AFTER_PARSE.search(whole[1]), whole
             monkeypatch.setattr(inputs, "_BLOCK_CHARS", data.draw(st.integers(1, 12), label="chars"))
             monkeypatch.setattr(inputs, "_BLOCK_ROWS", data.draw(st.integers(1, 4), label="rows"))
             assert _outcome(read, path) == whole
@@ -226,3 +286,76 @@ class TestMessages:
             monkeypatch.setattr(inputs, "_BLOCK_CHARS", chars)
             assert _trials(path) == whole
         assert len(whole[2]) == 3
+
+
+def _traced_peak(read, *args):
+    """The traced peak of ``read(*args)`` above the memory live before it,
+    and what it returns or raises."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        try:
+            outcome = read(*args)
+        except (DataError, SchemaError) as exc:
+            outcome = exc
+        return tracemalloc.get_traced_memory()[1] - live, outcome
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestFaultPaths:
+    """A fault is named from the block that holds it: the file is opened
+    once, and the search for the fault keeps no more than a clean read."""
+
+    def test_attribute_fault_peak(self, tmp_path):
+        # Measured on the 2,400-identity benchmark file: the clean read's
+        # traced peak 3.8 MB; a bad last row's 16.7 MB when the fault was
+        # found by reading every record again, 3.0 MB from its block.
+        write_bench_inputs(tmp_path, 2400, 0)
+        clean = tmp_path / "attributes.csv"
+        lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[-1].split(",")
+        cells[3] = "200"  # age, in [1, 100]
+        faulty = _write(tmp_path / "faulty.csv", "".join(lines[:-1]) + ",".join(cells))
+        clean_peak, table = _traced_peak(read_attributes, clean, default_schema())
+        assert len(table.image_ids) == len(lines) - 1
+        faulty_peak, error = _traced_peak(read_attributes, faulty, default_schema())
+        assert isinstance(error, SchemaError)
+        assert str(error).startswith(f"{faulty}:{len(lines)}: image {cells[0]!r}: variable 'age'")
+        assert faulty_peak <= 1.25 * clean_peak, (faulty_peak / 2**20, clean_peak / 2**20)
+
+    @pytest.mark.parametrize(
+        "read, module, header, row",
+        [
+            (_trials, trials, _TRIAL_HEADER, "a_9,b_9,genuine"),
+            (_trials, trials, _TRIAL_HEADER, "a_9,b_9,maybe,0.1"),
+            (_trials, trials, _TRIAL_HEADER, "a_9,b_9,genuine,0_1"),
+            (_trials, trials, _TRIAL_HEADER, f"a_9,{'x' * (_LIMIT + 1)},genuine,0.1"),
+            (_attributes, cohort, _ATTRIBUTE_HEADER, "a_9,man"),
+            (_attributes, cohort, _ATTRIBUTE_HEADER, "a_1,man,0.5"),
+            (_attributes, cohort, _ATTRIBUTE_HEADER, "a_9,alien,0.5"),
+            (_attributes, cohort, _ATTRIBUTE_HEADER, "a_9,man,1.5"),
+        ],
+        ids=["width", "label", "score", "oversized", "cells", "duplicate", "level", "value"],
+    )
+    @pytest.mark.parametrize("chars", [1 << 16, 64], ids=["one-block", "blocks"])
+    def test_faulty_file_is_opened_once(self, tmp_path, monkeypatch, read, module, header, row,
+                                        chars):
+        good = [f"a_{i},b_{i},impostor,0.{i}" if read is _trials else f"a_{i},woman,0.{i}"
+                for i in range(8)]
+        path = _write(tmp_path / "f.csv", "\n".join([header, *good, row, *good[:2]]) + "\n")
+        opened = []
+
+        def counted(name):
+            opened.append(name)
+            return open_text(name)
+
+        monkeypatch.setattr(module, "open_text", counted)
+        monkeypatch.setattr(inputs, "_BLOCK_CHARS", chars)
+        outcome = _outcome(read, path)
+        assert outcome[1].startswith(f"{path}:10: "), outcome
+        assert opened == [path]

@@ -4,10 +4,13 @@
 ``--update`` rewrites ``tests/golden/``.  Each run is regenerated here
 through ``cli.main`` and compared: each JSON file (``report.json``, or
 the operating points ``calibrate`` writes) by structure, with keys,
-strings, ints, booleans and nulls exact and floats to a relative 1e-12
-(BLAS kernels and SIMD dispatch may move last bits across machines),
-and the tables as text.  A difference fails naming its JSON
-path.
+strings, ints, booleans and nulls exact and floats to a relative 1e-12,
+and the tables as text.  A difference fails naming its JSON path.
+
+The tolerance does not make the comparison machine-independent.
+numpy's SIMD dispatch moves no bytes, but OpenBLAS picks its kernels
+by CPU, and under the Haswell, Zen or Sandybridge kernels two of these
+tests fail: ROADMAP item 15 has the measurements and the fix.
 """
 
 import importlib.util

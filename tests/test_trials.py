@@ -1,17 +1,15 @@
 """Tests for trial-pair generation, scoring, decisions, and CSV round-trips."""
 
 import csv
-import importlib.util
 import tracemalloc
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cohort_of, identity_map, image_table, trial_set
+from conftest import cohort_of, identity_map, image_table, trial_set, write_bench_inputs
 
 import faceaudit.trials
 from faceaudit.errors import DataError, TrialError
@@ -715,15 +713,6 @@ class TestTrialCsv:
         assert all(a == b for a, b in zip(scores, loaded))
 
 
-def _write_bench_inputs(outdir, identities, seed):
-    """Write the benchmark's explain inputs (``bench/explain_inputs.py``)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "explain_inputs.py"
-    spec = importlib.util.spec_from_file_location("explain_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    module.write_inputs(outdir, identities, seed)
-
-
 class TestTrialRows:
     """Both paths give int32 trial rows, and a file read keeps a bounded working set."""
 
@@ -764,7 +753,7 @@ class TestTrialRows:
         # The traced peak of reading the 2,400-identity benchmark trial
         # file (6.3 MB): 5.8 MB with 64 KiB blocks and int32 rows, so the
         # bound is that plus 25%.  1 MiB blocks and intp rows took 19.1 MB.
-        _write_bench_inputs(tmp_path, 2400, 0)
+        write_bench_inputs(tmp_path, 2400, 0)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
