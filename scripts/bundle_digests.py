@@ -16,6 +16,10 @@ The runs:
 * ``calibrate`` at the same three policies on the same scores;
 * ``explain --embeddings`` at ``eer`` and ``far@0.01`` on the
   embeddings, attributes and trials of the runall-600 seed-0 run;
+* the same on a sparse ``run-all``: four cells of 30 identities, 8
+  images, dim 32, seed 5, 1 genuine and 2 impostor pairs per identity,
+  so that many embedded images are in no trial.  Its profiles aggregate
+  the embedding file's images, and its digests show whether they still do;
 * ``run-all`` at the config of acceptance criterion 10.
 
 Each run prints a line ``<run>  tree <digest>``, where the tree digest
@@ -110,9 +114,21 @@ def _calibrate(out: Path) -> None:
     _run([*argv, "--out", out / "operating_points.json", *policies])
 
 
-def _explain_embeddings(out: Path) -> None:
+SPARSE = {
+    "synth": {
+        "identities_per_group": {cell: 30 for cell in CELLS if "caucasian" not in cell},
+        "images_per_identity": 8,
+        "dim": 32,
+        "seed": 5,
+    },
+    "trials": {"positives_per_identity": 1, "negatives_per_identity": 2},
+    "audit": {"policies": ["eer", "far@0.01"]},
+}
+
+
+def _explain_embeddings(config: dict, out: Path) -> None:
     source = out.with_suffix(".run-all")
-    _run_all(_bench_config(600, 0), source)
+    _run_all(config, source)
     argv = ["explain", "--embeddings", source / "data" / "embeddings.freb"]
     argv += ["--scores", source / "trials.csv", "--attributes", source / "data" / "attributes.csv"]
     _run([*argv, "--threshold-policy", "eer", "--threshold-policy", "far@0.01", "--out", out])
@@ -157,7 +173,9 @@ def main() -> int:
         for n in (600, 2400)
         for seed in (0, 1, 2)
     }
-    runs = {**runs, "explain-embeddings-600-seed0": _explain_embeddings, **GOLDEN_RUNS}
+    runs["explain-embeddings-600-seed0"] = lambda out: _explain_embeddings(_bench_config(600, 0), out)
+    runs["explain-embeddings-sparse-seed5"] = lambda out: _explain_embeddings(SPARSE, out)
+    runs.update(GOLDEN_RUNS)
     with tempfile.TemporaryDirectory() as scratch:
         if args.update:
             _update(Path(scratch))

@@ -26,7 +26,7 @@ import numpy as np
 
 from faceaudit import __version__
 from faceaudit.calibration import calibrate, parse_policy
-from faceaudit.cohort import ImageTable, load_cohort, positions, read_attributes
+from faceaudit.cohort import ImageTable, load_cohort, read_attributes
 from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.inputs import from_json, read_json
 from faceaudit.metrics import TrialCensus, trial_census
@@ -142,10 +142,10 @@ def _load_schema(args):
 
 
 def _with_flags(options: AuditOptions, args) -> AuditOptions:
-    """``options`` with the ``--threshold-policy`` and ``--group-by`` flags applied."""
+    """``options`` with the command's ``--threshold-policy`` and ``--group-by`` flags applied."""
     if args.threshold_policy:
         options = dataclasses.replace(options, policies=tuple(args.threshold_policy))
-    if args.group_by:
+    if getattr(args, "group_by", None):
         options = dataclasses.replace(options, group_by=args.group_by)
     return options
 
@@ -202,21 +202,21 @@ def _images(table: ImageTable) -> ImageTable:
 
 
 def _read_census(path, identities: ImageTable | None = None) -> tuple[TrialCensus, ImageTable]:
-    """The census of the scored trials in ``path``, identities from
-    ``identities`` if given, and the trials' image table; the pairs and
-    scores are freed when it returns."""
+    """The census of the scored trials in ``path`` and the image table of
+    their identities: ``identities`` if given, else the trial file's own;
+    the pairs and scores are freed when it returns."""
     trials, scores = read_trials_csv(path, identities)
     if np.isnan(scores).any():
         raise DataError(f"{path}: contains unscored pairs; run score first")
     census = trial_census(trials, scores)
     if not (census.genuine_scores.size and census.impostor_scores.size):
         raise DataError(f"{path}: needs both genuine and impostor pairs")
-    return census, _images(trials)
+    return census, identities or _images(trials)
 
 
 def _cmd_calibrate(args) -> int:
+    policies = _with_flags(AuditOptions(), args).policies
     census, _ = _read_census(args.scores)
-    policies = args.threshold_policy or AuditOptions().policies
     points = [calibrate(census.genuine_scores, census.impostor_scores, p) for p in policies]
     text = dump_payload({"operating_points": list(map(op_payload, points))})
     if args.out:
@@ -235,14 +235,10 @@ def _audit_like(args, options: AuditOptions) -> int:
     identities = _images(load_cohort(args.embeddings)) if args.embeddings else None
     census, images = _read_census(args.scores, identities)
     table = read_attributes(args.attributes, schema)
-    if identities:
-        orphans = np.flatnonzero(positions(identities.image_ids, table.image_ids) < 0)
-        if orphans.size:
-            image = table.image_ids[orphans[0]]
-            raise DataError(f"{args.attributes}: row for {image!r} has no matching embedding")
-    elif set(images.image_ids).isdisjoint(table.image_ids):
-        raise DataError(f"{args.attributes}: no attribute row names an image of {args.scores}")
-    profiles = profiles_from_rows(table, identities or images, schema)
+    if set(images.image_ids).isdisjoint(table.image_ids):  # rows of other images are ignored
+        source = args.embeddings or args.scores
+        raise DataError(f"{args.attributes}: no attribute row names an image of {source}")
+    profiles = profiles_from_rows(table, images, schema)
     del table, images, identities  # the audit reads only the census and the profiles
     return _finish(args.out, run_audit(census, profiles, schema, options))
 

@@ -15,6 +15,7 @@ import json
 import re
 import types
 import typing
+from array import array
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from itertools import chain, compress, count, islice, repeat
@@ -85,8 +86,8 @@ _BLOCK_ROWS = 1 << 10  # records per block once csv.reader reads: about a text b
 
 def csv_columns(fh: typing.TextIO, width: int, path: str | Path) -> Iterator[tuple]:
     """The records after the header of ``fh``, a block at a time: the
-    file line of each record (a ``range`` when the block holds no blank
-    record, which is skipped) and the block's ``width`` columns of cells.
+    file line of each record (a ``range``; an ``array("i")`` if the block
+    holds a blank record, which is skipped) and its ``width`` columns.
 
     A record of another number of cells, or one the csv module cannot
     read, raises a DataError naming its line once the records before it
@@ -148,7 +149,7 @@ def _row_block(rows: list, first_line: int, width: int, path: str | Path) -> Ite
         raise DataError(f"{path}:{first_line + end}: expected {width} cells, got {len(rows[end])}")
     lines = range(first_line, first_line + len(rows))
     if len(kept) < len(rows):
-        lines = list(compress(lines, rows))
+        lines = array("i", compress(lines, rows))
     if kept:
         yield lines, list(zip(*kept))
 

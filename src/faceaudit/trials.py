@@ -21,7 +21,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import count, islice, tee
+from itertools import chain, count, islice, tee
 from pathlib import Path
 from typing import NoReturn
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from faceaudit.cohort import Cohort, ImageTable, csv_cells, positions
 from faceaudit.errors import DataError, TrialError
-from faceaudit.inputs import csv_columns, csv_header, csv_records, decimal, open_text
+from faceaudit.inputs import csv_columns, csv_header, decimal, open_text
 
 
 @dataclass(frozen=True)
@@ -238,14 +238,6 @@ def write_trials_csv(
         fh.writelines(map("{},{},{},{}\n".format, probes, references, labels, cells))
 
 
-def _line_of(path: str | Path, index: int) -> int:
-    """File line of trial row ``index``, counted as ``read_trials_csv``
-    counts lines.  The file is read again, so only error paths pay."""
-    with open_text(path) as fh:
-        lines = (lineno for lineno, row in csv_records(fh, path) if row)
-        return next(islice(lines, index + 1, None))  # + 1 skips the header
-
-
 def _score(cell: str) -> float:
     """An empty cell is unscored (NaN); any other must be a finite decimal."""
     if not cell.strip():
@@ -268,8 +260,9 @@ def _raise_row_fault(path: str | Path, lines: Sequence[int], columns: list) -> N
     raise AssertionError("no faulty row in the trial block")
 
 
-def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """(image ids by code, (probe, reference) codes, stated genuine, scores).
+def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, list]:
+    """(image ids by code, (probe, reference) codes, stated genuine,
+    scores, the file lines of each block's rows from ``csv_columns``).
 
     Rows are read a block of columns at a time; each block's image ids
     are interned straight to integer codes, numbered in order of first
@@ -278,7 +271,7 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
     """
     code_of: dict[str, int] = defaultdict(count().__next__)  # a new id gets the next code
     codes, scores = array("i"), array("d")
-    labels = bytearray()
+    labels, line_blocks = bytearray(), []
     with open_text(path) as fh:
         header = csv_header(fh, path, "trial")
         if header != _CSV_HEADER:
@@ -296,12 +289,13 @@ def _parse_trials(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, 
                 scores += block
             except (TypeError, ValueError):
                 _raise_row_fault(path, lines, columns)
+            line_blocks.append(lines)
             both = [None] * (2 * len(probes))
             both[::2], both[1::2] = probes, references
             codes.extend(map(code_of.__getitem__, both))
     pairs = np.frombuffer(codes, dtype=np.intc).reshape(-1, 2)  # C int is int32
     genuine = np.frombuffer(labels, dtype=np.bool_)
-    return list(code_of), pairs, genuine, np.frombuffer(scores, dtype=np.float64)
+    return list(code_of), pairs, genuine, np.frombuffer(scores, dtype=np.float64), line_blocks
 
 
 def _components(n: int, edges: np.ndarray) -> np.ndarray:
@@ -332,13 +326,14 @@ def read_trials_csv(
     connected components of the genuine pairs, each named by its
     smallest image id, which reproduces the original grouping up to
     renaming when the genuine pairs connect each identity's images.
-    Either way a stated label that the identities contradict, such as an
-    impostor row whose images the genuine pairs connect, is refused.
+    Either way a row that names an image outside ``table``, compares an
+    image with itself, or states a label the identities contradict is
+    refused, named by the file line recorded in the one read of the file.
     """
     enabled = gc.isenabled()
     gc.disable()  # the parse makes many objects and no reference cycles
     try:
-        names, pairs, stated, scores = _parse_trials(path)
+        names, pairs, stated, scores, line_blocks = _parse_trials(path)
     finally:
         if enabled:
             gc.enable()
@@ -374,7 +369,7 @@ def read_trials_csv(
         faulty |= stated[start : start + step] != (probe == reference)
         if faulty.any():
             i = int(faulty.argmax())
-            where = f"{path}:{_line_of(path, start + i)}"
+            where = f"{path}:{next(islice(chain.from_iterable(line_blocks), start + i, None))}"
             a, b = part[i].tolist()
             if min(codes[a], codes[b]) < 0:
                 raise DataError(f"{where}: unknown image_id {names[a if codes[a] < 0 else b]!r}")

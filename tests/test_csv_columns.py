@@ -2,16 +2,18 @@
 block size it reads the rows and line numbers ``csv.reader`` reads and
 names the first record it cannot split into columns; the trial and
 attribute readers built on it give, whatever the block size, the result
-and the first fault a row-by-row reader gives, and read a faulty file
-once."""
+and the first fault a row-by-row reader gives, name an identity fault by
+the line a row-by-row reader counts, and read a faulty file once."""
 
 import csv
 import io
+import random
 import re
 import tracemalloc
 from contextlib import contextmanager
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import write_bench_inputs
 
 from faceaudit import cohort, inputs, trials
-from faceaudit.cohort import _parse_cell, read_attributes
+from faceaudit.cohort import ImageTable, _parse_cell, read_attributes
 from faceaudit.errors import DataError, SchemaError
 from faceaudit.inputs import csv_columns, csv_header, csv_records, open_text
 from faceaudit.schema import default_schema
@@ -154,9 +156,16 @@ def _outcome(read, path):
         return type(exc).__name__, str(exc)
 
 
-def _trials(path):
-    trials, scores = read_trials_csv(path)
+def _trials(path, table=None):
+    trials, scores = read_trials_csv(path, table)
     return trials.image_ids, trials.identities, trials.pairs.tolist(), scores.tobytes()
+
+
+def _mapped_trials(path):
+    """``_trials`` with an image table in which a_i and b_i are identity p_i, for i < 10."""
+    images = tuple(f"{s}_{i}" for i in range(10) for s in "ab")
+    codes = np.repeat(np.arange(10, dtype=np.int32), 2)
+    return _trials(path, ImageTable(images, codes, tuple(f"p_{i}" for i in range(10))))
 
 
 def _attributes(path):
@@ -203,6 +212,14 @@ def _attribute_fault(path):
                     raise SchemaError(f"{path}:{lineno}: image {row[0]!r}: {exc}") from None
 
 
+def _line_of(path, index):
+    """File line of trial row ``index``, counted by reading the file's
+    records one by one, as ``read_trials_csv`` counts lines."""
+    with open_text(path) as fh:
+        lines = (lineno for lineno, row in csv_records(fh, path) if row)
+        return next(islice(lines, index + 1, None))  # + 1 skips the header
+
+
 # Faults the trial reader finds only once every row is read.
 _AFTER_PARSE = re.compile(r":\d+: (pair compares image .* with itself|label contradicts .*)$")
 
@@ -242,6 +259,61 @@ class TestReadersIgnoreBlockSize:
 def _write(path, text):
     path.write_text(text, encoding="utf-8", newline="")
     return path
+
+
+# Image id prefixes.  csv.writer quotes an id that starts with any but
+# the plain ones under both line terminators below, so the reader takes
+# its csv.reader path from that row on.
+_ID_PREFIXES = ["", "", 'q"', "c,", "e\n", " "]
+
+
+def _planted_body(rng):
+    """The text of a trial file whose rows agree with their identities:
+    genuine pairs within an identity, impostor pairs across identities,
+    as csv.writer writes them, with blank lines put in.  One row, at
+    ``index``, is planted: a self-pair, or an impostor row on the images
+    of a genuine row.  Returns (text, index, the fault message's tail)."""
+    images = [[f"{rng.choice(_ID_PREFIXES)}{k}_{j}" for j in range(rng.randint(2, 4))]
+              for k in range(rng.randint(2, 4))]
+    rows = []
+    for k, own in enumerate(images):
+        for i in range(len(own)):
+            rows += [[own[i], b, "genuine"] for b in own[i + 1 :] if rng.random() < 0.4]
+        rows += [[rng.choice(own), rng.choice(rng.choice(images[:k] + images[k + 1 :])),
+                  "impostor"] for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    genuine = [row for row in rows if row[2] == "genuine"]
+    if genuine and rng.random() < 0.5:
+        a, b, _ = rng.choice(genuine)
+        planted, tail = [*rng.sample([a, b], 2), "impostor"], "label contradicts the genuine pairs"
+    else:
+        image = rng.choice(rng.choice(images))
+        planted = [image, image, rng.choice(["genuine", "impostor"])]
+        tail = f"pair compares image {image!r} with itself"
+    index = rng.randint(0, len(rows))
+    rows.insert(index, planted)
+    terminator = rng.choice(["\n", "\r\n"])
+    lines = [_rows_as_written([[*row, repr(rng.random())]], terminator) for row in rows]
+    for at in sorted(rng.choices(range(len(lines) + 1), k=rng.randint(0, 3)), reverse=True):
+        lines.insert(at, terminator)
+    return _TRIAL_HEADER + terminator + "".join(lines), index, tail
+
+
+class TestIdentityFaultLines:
+    def test_reader_names_the_reference_line(self, tmp_path, monkeypatch):
+        # The trial reader names a fault found after the parse by the file
+        # line it recorded as it read; the reference counts records again.
+        path = tmp_path / "t.csv"
+        for seed in range(3000):
+            text, index, tail = _planted_body(random.Random(seed))
+            _write(path, text)
+            want = f"{path}:{_line_of(path, index)}: {tail}"
+            for chars, rows in [(1 << 16, 1 << 10), (64, 4), (5, 1)]:
+                monkeypatch.setattr(inputs, "_BLOCK_CHARS", chars)
+                monkeypatch.setattr(inputs, "_BLOCK_ROWS", rows)
+                with pytest.raises(DataError) as info:
+                    read_trials_csv(path)
+                assert str(info.value) == want, (seed, chars)
 
 
 class TestMessages:
@@ -308,8 +380,10 @@ def _traced_peak(read, *args):
 
 
 class TestFaultPaths:
-    """A fault is named from the block that holds it: the file is opened
-    once, and the search for the fault keeps no more than a clean read."""
+    """A row fault is named from the block that holds it, and an identity
+    fault found after the parse from the file lines the read recorded: the
+    file is opened once, and the search for the fault keeps no more than a
+    clean read."""
 
     def test_attribute_fault_peak(self, tmp_path):
         # Measured on the 2,400-identity benchmark file: the clean read's
@@ -335,17 +409,22 @@ class TestFaultPaths:
             (_trials, trials, _TRIAL_HEADER, "a_9,b_9,maybe,0.1"),
             (_trials, trials, _TRIAL_HEADER, "a_9,b_9,genuine,0_1"),
             (_trials, trials, _TRIAL_HEADER, f"a_9,{'x' * (_LIMIT + 1)},genuine,0.1"),
+            (_trials, trials, _TRIAL_HEADER, "a_9,a_9,impostor,0.1"),
+            (_trials, trials, _TRIAL_HEADER, "b_1,a_1,impostor,0.1"),
+            (_mapped_trials, trials, _TRIAL_HEADER, "a_9,c_9,genuine,0.1"),
+            (_mapped_trials, trials, _TRIAL_HEADER, "a_9,b_8,genuine,0.1"),
             (_attributes, cohort, _ATTRIBUTE_HEADER, "a_9,man"),
             (_attributes, cohort, _ATTRIBUTE_HEADER, "a_1,man,0.5"),
             (_attributes, cohort, _ATTRIBUTE_HEADER, "a_9,alien,0.5"),
             (_attributes, cohort, _ATTRIBUTE_HEADER, "a_9,man,1.5"),
         ],
-        ids=["width", "label", "score", "oversized", "cells", "duplicate", "level", "value"],
+        ids=["width", "label", "score", "oversized", "self-pair", "contradiction", "unknown",
+             "mapped-contradiction", "cells", "duplicate", "level", "value"],
     )
     @pytest.mark.parametrize("chars", [1 << 16, 64], ids=["one-block", "blocks"])
     def test_faulty_file_is_opened_once(self, tmp_path, monkeypatch, read, module, header, row,
                                         chars):
-        good = [f"a_{i},b_{i},impostor,0.{i}" if read is _trials else f"a_{i},woman,0.{i}"
+        good = [f"a_{i},b_{i},genuine,0.{i}" if read is not _attributes else f"a_{i},woman,0.{i}"
                 for i in range(8)]
         path = _write(tmp_path / "f.csv", "\n".join([header, *good, row, *good[:2]]) + "\n")
         opened = []
