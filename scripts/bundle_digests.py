@@ -20,6 +20,10 @@ The runs:
   images, dim 32, seed 5, 1 genuine and 2 impostor pairs per identity,
   so that many embedded images are in no trial.  Its profiles aggregate
   the embedding file's images, and its digests show whether they still do;
+* ``pairs``, then ``score``, on the runall-600 seed-0 embeddings: one
+  unscored and one scored trial file;
+* ``run-all`` at the runall-600 seed-0 config grouped by gender alone,
+  300 identities a gender, so that every identity draws its ethnicity;
 * ``run-all`` at the config of acceptance criterion 10.
 
 Each run prints a line ``<run>  tree <digest>``, where the tree digest
@@ -134,6 +138,21 @@ def _explain_embeddings(config: dict, out: Path) -> None:
     _run([*argv, "--threshold-policy", "eer", "--threshold-policy", "far@0.01", "--out", out])
 
 
+def _pairs_score(config: dict, out: Path) -> None:
+    source = out.with_suffix(".run-all")
+    _run_all(config, source)
+    out.mkdir(parents=True)
+    embeddings = source / "data" / "embeddings.freb"
+    _run(["pairs", "--embeddings", embeddings, "--out", out / "pairs.csv"])
+    _run(["score", "--embeddings", embeddings, "--pairs", out / "pairs.csv", "--out", out / "scores.csv"])
+
+
+def _gender_only(seed: int) -> dict:
+    config = _bench_config(600, seed)
+    config["synth"].update(identities_per_group={"man": 300, "woman": 300}, group_attributes=["gender"])
+    return config
+
+
 GOLDEN_RUNS = {
     "criterion-10": lambda out: _run_all(CRITERION_10, out),
     "readme-every-key": lambda out: _run_all(_every_key_config(), out),
@@ -175,6 +194,8 @@ def main() -> int:
     }
     runs["explain-embeddings-600-seed0"] = lambda out: _explain_embeddings(_bench_config(600, 0), out)
     runs["explain-embeddings-sparse-seed5"] = lambda out: _explain_embeddings(SPARSE, out)
+    runs["pairs-score-600-seed0"] = lambda out: _pairs_score(_bench_config(600, 0), out)
+    runs["runall-600-gender-seed0"] = lambda out: _run_all(_gender_only(0), out)
     runs.update(GOLDEN_RUNS)
     with tempfile.TemporaryDirectory() as scratch:
         if args.update:

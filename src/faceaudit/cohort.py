@@ -39,9 +39,9 @@ import math
 import operator
 import struct
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat, tee
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn
@@ -301,23 +301,36 @@ def csv_cells(texts: Sequence[str]) -> list[str]:
     return [line[:-3] if line[0] == '"' else text for text, line in zip(texts, lines)]
 
 
-def _cells(var: Variable, column: np.ndarray) -> Iterator[str]:
-    """A column's cells as the attribute file holds them, made lazily."""
+# Cells of text a writer builds at once, 1,024 trial rows: a larger block
+# of small strings can leave its memory behind once written.
+WRITE_CELLS = 4096
+
+
+def float_cells(column: np.ndarray) -> list[str]:
+    """Each value as ``repr`` writes it; a NaN, a missing value, is an empty cell."""
+    return [f"{value!r}" if value == value else "" for value in column.tolist()]
+
+
+def _cells(var: Variable, column: np.ndarray) -> list[str]:
+    """A block of a column's cells as the attribute file holds them."""
     if var.is_continuous:
-        keys, texts = tee(map(float.__repr__, column))
-        return map({"nan": ""}.get, keys, texts)  # a missing value is an empty cell
+        return float_cells(column)
     labels = csv_cells((*(var.levels if var.kind == "categorical" else ("0", "1")), ""))
     codes = np.where(np.isnan(column), len(labels) - 1, column).astype(np.intp)
-    return map(labels.__getitem__, codes.tolist())
+    return list(map(labels.__getitem__, codes.tolist()))
 
 
 def write_attributes(path: str | Path, table: AttributeTable, schema: AttributeSchema) -> None:
-    """Write the table; each image id and level label is quoted once."""
-    columns = [_cells(var, column) for var, column in zip(schema.variables, table.values.T)]
+    """Write the table, ``WRITE_CELLS`` cells at a time; each image id is quoted once."""
+    ids = csv_cells(table.image_ids)
+    step = max(1, WRITE_CELLS // (1 + len(schema.variables)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["image_id", *schema.names()])
-        rows = map(",".join, zip(csv_cells(table.image_ids), *columns))
-        fh.writelines(map("{}\n".format, rows))
+        for start in range(0, len(ids), step):
+            block = table.values[start : start + step].T
+            columns = [_cells(var, column) for var, column in zip(schema.variables, block)]
+            rows = zip(ids[start : start + step], *columns)
+            fh.write("".join([f"{','.join(row)}\n" for row in rows]))
 
 
 def build_cohort(image_ids: Sequence[str], identity_ids: Sequence[str], vectors) -> Cohort:

@@ -62,8 +62,10 @@ def decimal(cell: str) -> float:
     return float(cell)
 
 
-# A character outside XML 1.0's Char production, which no SVG label can hold.
-_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# A character outside XML 1.0's Char production, which no SVG label can hold:
+# the complement of [\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff],
+# which compiles ten times slower.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def check_xml_text(text: str, where: str) -> None:

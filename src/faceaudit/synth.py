@@ -25,6 +25,7 @@ where ``xtilde`` rescales the identity's aggregated attribute value to
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -146,16 +147,21 @@ def _rescaled(value: float, var) -> float:
     return (2.0 * value - lo - hi) / (hi - lo)
 
 
-def _trait(var, level: str | None, rng) -> float:
-    """An identity's value of ``var``: its cell's ``level``, else a draw."""
-    if level is not None:
-        return float(var.levels.index(level) if var.kind == "categorical" else int(level))
-    if var.kind == "boolean":
-        return 1.0 if rng.random() < 0.15 else 0.0
-    if var.kind == "categorical":
-        return float(rng.integers(len(var.levels)))
-    lo, hi = var.bounds()
-    return float(rng.uniform(lo, hi))
+def _draw_plan(drawn) -> list[tuple[int, int, int]]:
+    """One identity's trait draws over the ``drawn`` variables, in stream
+    order, as ``(start, stop, levels)`` spans of their columns.  A run of
+    continuous and boolean variables (``levels`` 0) takes one double
+    apiece from one ``random`` call; each categorical breaks the run
+    with one ``integers(levels)`` call."""
+    plan: list[tuple[int, int, int]] = []
+    for i, var in enumerate(drawn):
+        if var.kind == "categorical":
+            plan.append((i, i + 1, len(var.levels)))
+        elif plan and not plan[-1][2]:
+            plan[-1] = (plan[-1][0], i + 1, 0)
+        else:
+            plan.append((i, i + 1, 0))
+    return plan
 
 
 def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> SynthResult:
@@ -164,32 +170,60 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
     schema = schema or default_schema()
     config.validate_schema(schema)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    hub = np.ones(config.dim) / np.sqrt(config.dim)
+    root_dim = np.sqrt(config.dim)
+    hub = np.ones(config.dim) / root_dim
     base_pull = 1.0 - config.base_margin
 
     # The planted effects need each identity's aggregated attributes,
     # which are computed for all identities at once.  So the attributes
     # are drawn first; each identity's residual and scatter draws are
     # skipped then and drawn again below from the saved generator state.
-    # Jitter and scatter are drawn one block per identity, which takes
-    # the values one call per value would: the stream is unchanged.
+    # Each identity draws its traits by the plan and its jitter with one
+    # call; the values are scaled once all are drawn.  Both take the
+    # values one call per value would: the stream is unchanged.
     counts = config.identities_per_group
     cells = [cell for cell in sorted(counts) for _ in range(counts[cell])]
     per = config.images_per_identity
-    continuous = [j for j, var in enumerate(schema.variables) if var.is_continuous]
-    lo, hi = np.array([schema.variables[j].bounds() for j in continuous]).reshape(-1, 2).T
-    jitter_sd = np.tile(0.03 * (hi - lo), (per, 1))  # one row per image
-    traits = np.empty((len(cells), len(schema.variables)))
+    variables, names = schema.variables, schema.names()
+    continuous = [j for j, var in enumerate(variables) if var.is_continuous]
+    lo, hi = np.array([variables[j].bounds() for j in continuous]).reshape(-1, 2).T
+    fixed = [names.index(name) for name in dict.fromkeys(config.group_attributes)]
+    drawn = [j for j in range(len(variables)) if j not in fixed]
+    plan = _draw_plan([variables[j] for j in drawn])
+    doubles = np.empty((len(cells), len(drawn)))
     jitter = np.empty((len(cells), per, len(continuous)))
-    states = []  # generator state before each identity's residual draw
+    # The generator state before each identity's residual draw, kept as
+    # the three values that change: a whole state dict is ~600 bytes.
+    saved = rng.bit_generator.state
+    states = []
     skipped = np.empty((1 + per, config.dim))
-    for u, cell in enumerate(cells):
-        cell_levels = dict(zip(config.group_attributes, cell))
-        traits[u] = [_trait(var, cell_levels.get(var.name), rng) for var in schema.variables]
-        jitter[u] = rng.normal(0.0, jitter_sd)
-        states.append(rng.bit_generator.state)
+    for u, row in enumerate(doubles):
+        for start, stop, levels in plan:
+            if levels:
+                row[start] = rng.integers(levels)
+            else:
+                rng.random(out=row[start:stop])
+        rng.standard_normal(out=jitter[u])
+        state = rng.bit_generator.state
+        states.append((state["state"]["state"], state["has_uint32"], state["uinteger"]))
         rng.standard_normal(out=skipped)
+    traits = np.empty((len(cells), len(variables)))
+    for j, column in zip(drawn, doubles.T):
+        if variables[j].kind == "boolean":
+            traits[:, j] = column < 0.15
+        elif variables[j].is_continuous:
+            low, high = variables[j].bounds()
+            traits[:, j] = low + (high - low) * column  # as ``uniform(low, high)`` computes it
+        else:
+            traits[:, j] = column
+    fixed_codes = {}  # cell -> the level codes it fixes, in ``fixed`` order
+    for cell in counts:
+        cell_levels = dict(zip(config.group_attributes, cell)).items()
+        fixed_codes[cell] = [schema.variable(n).discrete_levels().index(v) for n, v in cell_levels]
+    traits[:, fixed] = [fixed_codes[cell] for cell in cells]
     # Each image's continuous values drift from its identity's traits.
+    jitter *= 0.03 * (hi - lo)
+    jitter += 0.0  # as ``normal(0.0, sd)`` computes it, which turns -0.0 to 0.0
     values = np.repeat(traits, per, axis=0)
     drifted = values[:, continuous] + jitter.reshape(-1, len(continuous))
     values[:, continuous] = np.minimum(np.maximum(drifted, lo), hi)
@@ -214,14 +248,15 @@ def generate(config: SynthConfig, schema: AttributeSchema | None = None) -> Synt
                 noise += shift
         pull, noise = max(pull, _MIN_PULL), max(noise, _MIN_NOISE)
 
-        rng.bit_generator.state = states[u]
+        saved["state"]["state"], saved["has_uint32"], saved["uinteger"] = states[u]
+        rng.bit_generator.state = saved
         residual = rng.standard_normal(config.dim)
-        residual /= np.linalg.norm(residual)
+        residual /= math.sqrt(residual.dot(residual))  # as ``np.linalg.norm`` computes it
         centroid = residual + pull * hub
-        centroid /= np.linalg.norm(centroid)
-        images = centroid + noise * (rng.standard_normal((per, config.dim)) / np.sqrt(config.dim))
+        centroid /= math.sqrt(centroid.dot(centroid))
+        images = centroid + noise * (rng.standard_normal((per, config.dim)) / root_dim)
         for vec in images:
-            vec /= np.linalg.norm(vec)  # row by row: a 2-D norm sums in another order
+            vec /= math.sqrt(vec.dot(vec))  # row by row: a 2-D norm sums in another order
         vectors[u * per : (u + 1) * per] = images
         identity_truth[f"u{u:05d}"] = {"cell": list(cell), "pull": pull, "noise": noise}
 

@@ -20,14 +20,14 @@ from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import chain, count, islice, tee
+from functools import cache, cached_property, lru_cache
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
-from faceaudit.cohort import Cohort, ImageTable, csv_cells, positions
+from faceaudit.cohort import WRITE_CELLS, Cohort, ImageTable, csv_cells, float_cells, positions
 from faceaudit.errors import DataError, TrialError
 from faceaudit.inputs import csv_columns, csv_header, decimal, open_text
 
@@ -99,6 +99,15 @@ def _genuine_pairs(start: int, n_own: int, policy: TrialPolicy, rng) -> np.ndarr
     return start + pairs
 
 
+@lru_cache(maxsize=256)
+def _bounds(n_own: int, n_other: int, count: int) -> np.ndarray:
+    """``integers`` bounds of ``count`` (probe, reference) draws,
+    alternating ``(n_own, n_other)``; shared, so read-only."""
+    bounds = np.tile((n_own, n_other), count)
+    bounds.flags.writeable = False
+    return bounds
+
+
 def _impostor_pairs(
     identity: str, start: int, n_own: int, n_images: int, policy: TrialPolicy, rng
 ) -> np.ndarray:
@@ -122,7 +131,7 @@ def _impostor_pairs(
         )
     keys: dict[int, None] = {}  # probe * n_images + reference, first draws first
     while len(keys) < need:
-        bounds = np.tile((n_own, n_other), need - len(keys))
+        bounds = _bounds(n_own, n_other, need - len(keys))
         probe, reference = rng.integers(0, bounds).reshape(-1, 2).T
         reference += (reference >= start) * n_own
         keys.update(dict.fromkeys(((start + probe) * n_images + reference).tolist()))
@@ -214,7 +223,6 @@ def score_trials(cohort: Cohort, trials: TrialSet) -> np.ndarray:
 
 
 _CSV_HEADER = ["probe_image_id", "reference_image_id", "label", "score"]
-_LABELS = {True: "genuine", False: "impostor"}
 _GENUINE = {"genuine": 1, "impostor": 0}
 
 
@@ -224,18 +232,20 @@ def write_trials_csv(
     """Export pairs as delimited text; an absent or NaN score is an empty cell."""
     if scores is not None and len(scores) != len(trials.pairs):
         raise DataError(f"{len(scores)} scores for {len(trials.pairs)} pairs")
-    # Rows are produced lazily, so no per-row Python objects pile up;
-    # each image id is quoted once, as csv.writer would quote it.
-    ids = csv_cells(trials.image_ids)
-    probes = map(ids.__getitem__, trials.pairs[:, 0])
-    references = map(ids.__getitem__, trials.pairs[:, 1])
-    labels = map(_LABELS.__getitem__, trials.genuine.tolist())
     scores = np.full(len(trials.pairs), np.nan) if scores is None else np.asarray(scores, float)
-    keys, texts = tee(map(float.__repr__, scores))
-    cells = map({"nan": ""}.get, keys, texts)
+    # Rows are built WRITE_CELLS cells at a time, so no per-row Python
+    # objects pile up; each image id is quoted once, as csv.writer would.
+    ids = csv_cells(trials.image_ids)
+    labels = ("impostor", "genuine")
+    step = WRITE_CELLS // len(_CSV_HEADER)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
-        fh.writelines(map("{},{},{},{}\n".format, probes, references, labels, cells))
+        for start in range(0, len(trials.pairs), step):
+            stop = start + step
+            probes, references = trials.pairs[start:stop].T.tolist()
+            genuine = trials.genuine[start:stop].tolist()
+            rows = zip(probes, references, genuine, float_cells(scores[start:stop]))
+            fh.write("".join([f"{ids[p]},{ids[r]},{labels[g]},{cell}\n" for p, r, g, cell in rows]))
 
 
 def _score(cell: str) -> float:

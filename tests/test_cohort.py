@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faceaudit.cohort import (
+    WRITE_CELLS,
     aggregate_profiles,
     aggregate_table,
     build_cohort,
@@ -217,7 +218,8 @@ class TestAttributeCsv:
 
     def test_quoted_cells_match_csv_writer(self, tmp_path):
         # ids and level labels holding the delimiter, a quote or a line
-        # break are quoted as csv.writer quotes them, and read back
+        # break are quoted as csv.writer quotes them, a missing value is
+        # an empty cell, and all is read back
         schema = AttributeSchema(
             variables=(
                 Variable("group", "protected", "categorical", levels=("a,b", 'say "hi"', "plain")),
@@ -232,6 +234,10 @@ class TestAttributeCsv:
             "z\n3": {"group": 2.0, "glasses": 0.0},
             '"w"': {"blur": 5e-324},
         }
+        # ids that hold ",nan" and a line break, over several write blocks
+        patterns = list(rows.values())
+        for i in range(3 * WRITE_CELLS // 4):  # 4 cells a row
+            rows[f"v{i},nan\n"] = patterns[i % len(patterns)]
         path = tmp_path / "attrs.csv"
         write_attributes(path, attribute_table(rows, schema), schema)
         reference = tmp_path / "reference.csv"

@@ -1,10 +1,11 @@
-"""Tests for ``to_json``, the inverse of the typed config loader."""
+"""Tests for ``to_json``, the inverse of the typed config loader, and the XML text check."""
 
 import json
+import re
 
 import pytest
 
-from faceaudit.inputs import from_json, to_json
+from faceaudit.inputs import _NOT_XML, from_json, to_json
 from faceaudit.pipeline import AuditOptions
 from faceaudit.schema import AttributeSchema, Variable, default_schema
 from faceaudit.synth import AttributeEffect, SynthConfig
@@ -72,3 +73,13 @@ class TestToJson:
             "lo": 1.0, "hi": 100.0,
         }
         assert variables[3] == {"name": "mustache", "family": "facial_hair", "kind": "continuous_unit"}
+
+
+def test_not_xml_is_the_complement_of_xml_chars():
+    # the class lists the excluded characters; XML 1.0's Char production
+    # lists the allowed ones, and the two must split Unicode alike
+    chars = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+    every = "".join(map(chr, range(0x110000)))
+    found = [match.start() for match in _NOT_XML.finditer(every)]
+    assert found == [match.start() for match in chars.finditer(every)]
+    assert len(found) == 2079  # 29 controls, 2,048 surrogates, U+FFFE and U+FFFF

@@ -17,7 +17,7 @@ from faceaudit.cohort import (
 )
 from faceaudit.errors import DataError, SchemaError
 from faceaudit.inputs import from_json
-from faceaudit.schema import default_schema, load_schema
+from faceaudit.schema import AttributeSchema, Variable, default_schema, load_schema
 from faceaudit.synth import (
     AttributeEffect,
     SynthConfig,
@@ -311,6 +311,40 @@ class TestLoopReference:
         assert result.attributes.values.tobytes() == values.tobytes()
         assert result.profiles.values.tobytes() == profiles.tobytes()
         assert json.dumps(result.ground_truth["identities"]) == json.dumps(truth)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_drawn_categorical_breaks_the_run(self, seed):
+        # grouped by gender alone, each identity draws a categorical
+        # between two runs of one-double variables, and another at the end
+        schema = AttributeSchema(
+            variables=(
+                Variable("tilt", "orientation", "continuous_range", lo=-30.0, hi=45.5),
+                Variable("gender", "protected", "categorical", levels=("man", "woman")),
+                Variable("site", "protected", "categorical", levels=("north", "south", "east")),
+                Variable("masked", "occlusion", "boolean"),
+                Variable("blur", "distortion", "continuous_unit"),
+                Variable("lighting", "distortion", "categorical", levels=("dim", "bright")),
+            ),
+            protected=("gender", "site"),
+        )
+        config = SynthConfig(
+            identities_per_group={("man",): 5, ("woman",): 4},
+            group_attributes=("gender",),
+            images_per_identity=3,
+            dim=16,
+            seed=seed,
+            attribute_effects=(
+                AttributeEffect("tilt", "far", 0.2),
+                AttributeEffect("masked", "frr", 0.3),
+            ),
+        )
+        result = generate(config, schema)
+        vectors, values, profiles, truth = _loop_generate(config, schema)
+        assert result.records.vectors.tobytes() == vectors.tobytes()
+        assert result.attributes.values.tobytes() == values.tobytes()
+        assert result.profiles.values.tobytes() == profiles.tobytes()
+        assert json.dumps(result.ground_truth["identities"]) == json.dumps(truth)
+        assert len(set(values[:, 2].tolist())) == 3  # every site level drawn
 
 
 # Sets every SynthConfig key; integers stand in for two float fields.

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import cohort_of, identity_map, image_table, trial_set, write_bench_inputs
 
 import faceaudit.trials
+from faceaudit.cohort import WRITE_CELLS
 from faceaudit.errors import DataError, TrialError
 from faceaudit.metrics import individual_rates, trial_census
 from faceaudit.trials import (
@@ -202,6 +203,41 @@ class TestBatchedDraws:
         block = batched.standard_normal((3, 5))
         rows = [scalar.standard_normal(5) for _ in range(3)]
         assert block.tobytes() == np.array(rows).tobytes()
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_scaled_standard_normals_match_normal(self, seed):
+        # synth scales the standard normals itself; 0.0 + keeps the sign
+        # of zero that normal(0.0, sd) gives where sd * z is -0.0
+        batched, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        sd = np.tile([0.03, 0.0, 0.03 * 99.0, 0.03 * 360.0], (5, 1))
+        drawn = 0.0 + sd * batched.standard_normal(sd.shape)
+        assert drawn.tobytes() == scalar.normal(0.0, sd).tobytes()
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_one_double_per_value_matches_uniform_and_random(self, seed):
+        # synth draws a run of continuous and boolean traits with one
+        # random(k) call, where it made a uniform or random call per value;
+        # a categorical breaks the run with its own integers call
+        bounds = [(0.0, 1.0), None, (0.0, 99.0), (-30.0, 45.5), None, (-180.0, 180.0)]
+        batched, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        for _ in range(20):
+            u = batched.random(len(bounds))
+            level = batched.integers(7)
+            expected = [
+                float(scalar.random() < 0.15) if pair is None else float(scalar.uniform(*pair))
+                for pair in bounds
+            ]
+            assert level == scalar.integers(7)
+            got = [
+                float(x < 0.15) if pair is None else pair[0] + (pair[1] - pair[0]) * x
+                for pair, x in zip(bounds, u.tolist())
+            ]
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+            lo, hi = np.array([pair for pair in bounds if pair]).T
+            columns = np.array([x for pair, x in zip(bounds, u.tolist()) if pair])
+            assert (lo + (hi - lo) * columns).tolist() == [e for pair, e in zip(bounds, expected) if pair]
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 
@@ -664,12 +700,18 @@ class TestTrialCsv:
             write_trials_csv(tmp_path / "x.csv", trials, np.zeros(3))
 
     def test_quoted_ids_match_csv_writer(self, tmp_path):
-        # ids holding the delimiter, a quote or a line break are quoted
-        # as csv.writer quotes them, and read back unchanged
+        # ids holding the delimiter, a quote or a line break are quoted as
+        # csv.writer quotes them, a NaN score is an empty cell whatever an
+        # id holds, and the rows span several write blocks
         identity_of = {'a,1': "a", 'a"2': "a", "b\n1": "b", '"b2"': "b", " c 1": "c", "c2,": "c"}
-        pairs = [('a,1', 'a"2'), ("b\n1", '"b2"'), (" c 1", "c2,"), ('a"2', "b\n1"), ("c2,", 'a,1')]
+        identity_of["d,nan\n1"] = "d"
+        base = [('a,1', 'a"2'), ("b\n1", '"b2"'), (" c 1", "c2,"), ('a"2', "b\n1"), ("c2,", 'a,1')]
+        base += [("d,nan\n1", "a,1"), ("c2,", "d,nan\n1")]
+        rows_per_block = WRITE_CELLS // 4
+        pairs = base * (3 * rows_per_block // len(base) + 2)
         trials = trial_set(pairs, identity_of)
-        scores = np.array([0.5, -0.25, 1 / 3, 1e-300, -0.0])
+        values = [0.5, -0.25, np.nan, 1 / 3, 1e-300, -0.0, np.nan, 2.0, np.nan]
+        scores = np.resize(values, len(pairs))
         for cells in (scores, None):
             path = tmp_path / "trials.csv"
             write_trials_csv(path, trials, cells)
@@ -677,7 +719,9 @@ class TestTrialCsv:
             with open(reference, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["probe_image_id", "reference_image_id", "label", "score"])
-                texts = [""] * 5 if cells is None else map(repr, scores.tolist())
+                texts = [""] * len(pairs)
+                if cells is not None:
+                    texts = ["" if np.isnan(score) else repr(score) for score in scores.tolist()]
                 for (probe, ref), genuine, text in zip(pairs, trials.genuine.tolist(), texts):
                     writer.writerow([probe, ref, "genuine" if genuine else "impostor", text])
             assert path.read_bytes() == reference.read_bytes()
