@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from faceaudit.cohort import ImageTable, load_cohort, read_attributes
 from faceaudit.errors import DataError, NumericalError, SchemaError
 from faceaudit.inputs import from_json, read_json
 from faceaudit.metrics import TrialCensus, trial_census
-from faceaudit.pipeline import AuditOptions, AuditResults, profiles_from_rows, run_audit
+from faceaudit.pipeline import AuditOptions, profiles_from_rows, run_audit
 from faceaudit.report import dump_payload, emit_bundle, op_payload
 from faceaudit.schema import default_schema, load_schema
 from faceaudit.synth import SynthConfig, generate, write_synth
@@ -230,7 +231,8 @@ def _cmd_calibrate(args) -> int:
 def _audit_like(args, options: AuditOptions) -> int:
     schema = _load_schema(args)
     options = _with_flags(options, args)
-    schema.check_grouping(options.group_by, group_key="--group-by")
+    default = f"default group-by {','.join(options.group_by)} (--group-by overrides it)"
+    schema.check_grouping(options.group_by, group_key="--group-by" if args.group_by else default)
     # The embedding file serves as an identity map: its vectors are freed at once.
     identities = _images(load_cohort(args.embeddings)) if args.embeddings else None
     census, images = _read_census(args.scores, identities)
@@ -243,12 +245,12 @@ def _audit_like(args, options: AuditOptions) -> int:
     return _finish(args.out, run_audit(census, profiles, schema, options))
 
 
-def _finish(outdir: str | Path, results: AuditResults) -> int:
+def _finish(outdir: str | Path, report: dict) -> int:
     """Write the report bundle and print one summary line per policy."""
-    written = emit_bundle(outdir, results)
-    for analysis in results.analyses:
-        op = analysis.operating_point
-        print(f"{op.policy}: tau={op.tau:.6f} far={op.far:.6f} frr={op.frr:.6f}")
+    written = emit_bundle(outdir, report)
+    for analysis in report["analyses"]:
+        op = analysis["operating_point"]
+        print(f"{op['policy']}: tau={op['tau']:.6f} far={op['far']:.6f} frr={op['frr']:.6f}")
     print(f"report: {written['report']}")
     return 0
 
@@ -303,8 +305,14 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+
+    def show(message, *_):  # one stderr line per warning
+        print(f"faceaudit {args.command}: warning: {message}", file=sys.stderr)
+
     try:
-        return _DISPATCH[args.command](args)
+        with warnings.catch_warnings():  # the caller's warnings state is restored
+            warnings.showwarning = show
+            return _DISPATCH[args.command](args)
     except DataError as exc:
         print(f"faceaudit {args.command}: {exc}", file=sys.stderr)
         return 2

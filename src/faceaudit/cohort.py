@@ -54,6 +54,7 @@ from faceaudit.schema import AttributeSchema, Variable
 
 _MAGIC = b"FREB"
 _VERSION = 1
+WRITE_RECORDS = 1024  # embedding records written at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,20 +128,25 @@ Records = tuple[tuple[str, ...], tuple[str, ...], np.ndarray]
 
 
 def write_embeddings_binary(path: str | Path, cohort: Cohort) -> None:
+    """Write ``cohort`` in the binary format, ``WRITE_RECORDS`` records a write."""
     rows = cohort.vectors.astype("<f4", copy=False)
     identity_ids = map(cohort.identities.__getitem__, cohort.identity_codes.tolist())
+    records = zip(cohort.image_ids, identity_ids, rows)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(bytes([_VERSION]))
-        fh.write(struct.pack("<II", *rows.shape))
-        for image_id, identity_id, row in zip(cohort.image_ids, identity_ids, rows):
+        fh.write(_MAGIC + bytes([_VERSION]) + struct.pack("<II", *rows.shape))
+        block = bytearray()
+        for k, (image_id, identity_id, row) in enumerate(records, 1):
             for text in (image_id, identity_id):
                 raw = text.encode("utf-8")
                 if len(raw) > 0xFFFF:
                     raise DataError(f"id too long for format: {text[:32]!r}...")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-            fh.write(row.tobytes())
+                block += struct.pack("<H", len(raw))
+                block += raw
+            block += row.tobytes()
+            if k % WRITE_RECORDS == 0:
+                fh.write(block)
+                block.clear()
+        fh.write(block)
 
 
 def read_embeddings_binary(path: str | Path) -> Records:

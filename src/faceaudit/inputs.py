@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import types
 import typing
@@ -201,6 +202,8 @@ def _typed(hint, value, path: str):
     accepted, expected = _JSON_SCALARS[hint]
     ok = isinstance(value, accepted) and isinstance(value, bool) == (hint is bool)
     _expect(ok, path, expected, value)
+    if hint is float:  # json reads NaN, Infinity and -Infinity as numbers
+        _expect(math.isfinite(value), path, "a finite number", value)
     return hint(value)
 
 

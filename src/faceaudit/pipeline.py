@@ -1,5 +1,7 @@
 """Orchestration: wire cohort, trials, calibration, metrics, and explain
-into one audit result object that the report layer can render.
+into the report document, the dict ``report.json`` holds.  This module
+builds the document, calling ``faceaudit.report``'s builders as it makes
+each record; ``report.emit_bundle`` writes and renders it.
 
 An audit does its threshold-free work once: the trial census (trials
 split by kind, sorted by score and counted per identity) serves every
@@ -20,20 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from faceaudit import __version__
-from faceaudit.calibration import OperatingPoint, calibrate, parse_policy
-from faceaudit.cohort import (
-    AttributeTable,
-    ImageTable,
-    ProfileTable,
-    aggregate_profiles,
-    positions,
-)
+from faceaudit.calibration import calibrate, parse_policy
+from faceaudit.cohort import AttributeTable, ImageTable, ProfileTable, aggregate_profiles, positions
 from faceaudit.errors import DataError, RankDeficiencyError
-from faceaudit.explain import ExplanatoryReport, build_design, explanatory_report
+from faceaudit.explain import build_design, explanatory_report
 from faceaudit.metrics import (
-    FairnessDelta,
-    GroupRates,
-    PairwiseTests,
     TrialCensus,
     extreme_delta,
     group_membership,
@@ -41,6 +34,13 @@ from faceaudit.metrics import (
     individual_rates,
     kruskal_pairwise,
     one_axis_deltas,
+)
+from faceaudit.report import (
+    delta_payload,
+    explain_payload,
+    group_payload,
+    kruskal_payload,
+    op_payload,
 )
 from faceaudit.schema import AttributeSchema
 
@@ -73,44 +73,6 @@ class AuditOptions:
             raise DataError("group_by: attributes must be distinct")
 
 
-@dataclass(frozen=True)
-class DeltaSummary:
-    """Extreme and single-axis rate gaps at one operating point."""
-
-    extreme_far: FairnessDelta | None
-    extreme_frr: FairnessDelta | None
-    one_axis: tuple[FairnessDelta, ...]
-
-
-@dataclass(frozen=True)
-class PolicyAnalysis:
-    """Everything computed at one operating point."""
-
-    operating_point: OperatingPoint
-    groups: tuple[GroupRates, ...]
-    deltas: DeltaSummary
-    kruskal: dict[str, PairwiseTests]
-    explain: dict[str, ExplanatoryReport]
-    skipped_analyses: dict[str, str]
-
-
-@dataclass(frozen=True)
-class AuditResults:
-    """Full audit output: cohort census plus one analysis per policy."""
-
-    tool_version: str
-    seed: int | None
-    group_by: tuple[str, ...]
-    n_identities: int
-    n_genuine: int
-    n_impostor: int
-    excluded_identities: tuple[str, ...]
-    unassigned_identities: tuple[str, ...]
-    skipped_identities: tuple[str, ...]
-    analyses: tuple[PolicyAnalysis, ...]
-    notes: dict[str, str] = field(default_factory=dict)
-
-
 def profiles_from_rows(
     table: AttributeTable, images: ImageTable, schema: AttributeSchema
 ) -> ProfileTable:
@@ -124,12 +86,13 @@ def run_audit(
     schema: AttributeSchema,
     options: AuditOptions,
     seed: int | None = None,
-) -> AuditResults:
-    """Calibrate per policy, then compute group rates, gaps, tests, and
-    (optionally) the explanatory analyses of the scored trials in
-    ``census``.  ``seed`` is the trial generator seed, recorded in the
-    results; None when no seed played a role, as for trials read from a
-    file.
+) -> dict:
+    """The report document of the scored trials in ``census``: calibrate
+    per policy, then compute group rates, gaps, tests, and (optionally)
+    the explanatory analyses.  The document is the dict ``report.json``
+    holds, with NaN where the file has null.  ``seed`` is the trial
+    generator seed, recorded in the document; None when no seed played
+    a role, as for trials read from a file.
 
     Everything per identity lives in the rows of ``profiles``: the rates
     of each policy are moved there from the census's identity codes, NaN
@@ -161,55 +124,57 @@ def run_audit(
 
         skipped: dict[str, str] = {}
         try:
-            ext_far = extreme_delta(groups, "far")
-            ext_frr = extreme_delta(groups, "frr")
+            deltas = {f"extreme_{m}": delta_payload(extreme_delta(groups, m)) for m in _METRICS}
         except DataError as exc:
-            ext_far = ext_frr = None
+            deltas = {"extreme_far": None, "extreme_frr": None}
             skipped["deltas"] = str(exc)
-        deltas = DeltaSummary(
-            extreme_far=ext_far, extreme_frr=ext_frr, one_axis=one_axis_deltas(groups)
-        )
+        deltas["one_axis"] = list(map(delta_payload, one_axis_deltas(groups)))
 
-        kruskal: dict[str, PairwiseTests] = {}
+        kruskal = {}
         testable = [g for g in groups if not g.group.is_union and g.n_members >= 2]
         if len(testable) >= 2:
             for metric in _METRICS:
                 samples = {g.group.label: rates[metric][g.members] for g in testable}
-                kruskal[metric] = kruskal_pairwise(samples)
+                kruskal[metric] = kruskal_payload(kruskal_pairwise(samples))
         else:
             skipped["kruskal"] = "fewer than two groups with two or more members"
 
-        explain: dict[str, ExplanatoryReport] = {}
+        explain = {}
         if options.explain:
             for metric in _METRICS:
                 if design_error is not None:
                     skipped[f"explain_{metric}"] = design_error
                     continue
                 try:
-                    explain[metric] = explanatory_report(design, rates, metric, op)
+                    report = explanatory_report(design, rates, metric, op)
                 except (DataError, RankDeficiencyError) as exc:
                     skipped[f"explain_{metric}"] = str(exc)
+                else:
+                    explain[metric] = explain_payload(report)
         analyses.append(
-            PolicyAnalysis(
-                operating_point=op,
-                groups=tuple(groups),
-                deltas=deltas,
-                kruskal=kruskal,
-                explain=explain,
-                skipped_analyses=skipped,
-            )
+            {
+                "operating_point": op_payload(op),
+                "groups": list(map(group_payload, groups)),
+                "deltas": deltas,
+                "kruskal": kruskal,
+                "explain": explain,
+                "skipped_analyses": skipped,
+            }
         )
-    return AuditResults(
-        tool_version=__version__,
-        seed=seed,
-        group_by=tuple(options.group_by),
-        n_identities=int(np.count_nonzero(census.n_genuine + census.n_impostor)),
-        n_genuine=len(census.genuine_scores),
-        n_impostor=len(census.impostor_scores),
-        excluded_identities=census.excluded,
-        unassigned_identities=membership.unassigned,
-        skipped_identities=census.skipped_identities,
-        analyses=tuple(analyses),
-        notes={"multiple_comparison_correction": "none"},
-    )
-
+    return {
+        "tool": {"name": "faceaudit", "version": __version__},
+        "seed": seed,
+        "group_by": list(options.group_by),
+        "census": {
+            "n_identities": int(np.count_nonzero(census.n_genuine + census.n_impostor)),
+            "n_genuine_pairs": len(census.genuine_scores),
+            "n_impostor_pairs": len(census.impostor_scores),
+        },
+        "exclusions": {
+            "no_usable_trials": list(census.excluded),
+            "unassigned": list(membership.unassigned),
+            "skipped_identities": list(census.skipped_identities),
+        },
+        "notes": {"multiple_comparison_correction": "none"},
+        "analyses": analyses,
+    }

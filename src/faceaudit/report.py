@@ -1,7 +1,10 @@
-"""Render audit results: delimited tables, SVG heatmaps, JSON bundle.
+"""Render the report document: delimited tables, SVG heatmaps, JSON bundle.
 
-Rendering is a pure function of the computed results; nothing is
-recomputed here.  All numeric table formatting is three decimals with
+``pipeline.run_audit`` builds the document, calling the ``*_payload``
+builders here, the one place where an analysis record becomes JSON;
+``emit_bundle`` writes it as report.json and renders the tables and
+figures from it.  Rendering is a pure function of the document; nothing
+is recomputed here.  All numeric table formatting is three decimals with
 round-half-even; undefined cells render as an em dash.  The JSON bundle
 uses sorted keys and repr-style floats so identical results serialize
 byte-identically; NaN becomes null.
@@ -26,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from faceaudit.errors import DataError
-from faceaudit.pipeline import AuditResults
 
 EMPTY_CELL = "—"
 GLYPH_POLICY = ((0.05, "o"), (0.01, "\\"))
@@ -201,7 +203,7 @@ def op_payload(op):
     return {"policy": op.policy, "tau": op.tau, "far": op.far, "frr": op.frr}
 
 
-def _group_payload(g):
+def group_payload(g):
     return {
         "attributes": list(g.group.attributes),
         "levels": list(g.group.levels),
@@ -212,11 +214,11 @@ def _group_payload(g):
     }
 
 
-def _delta_payload(d):
-    return None if d is None else dataclasses.asdict(d)  # group_a/b, delta_far/frr
+def delta_payload(d):
+    return dataclasses.asdict(d)  # group_a/b, delta_far/frr
 
 
-def _kruskal_payload(tests):
+def kruskal_payload(tests):
     return {
         "labels": list(tests.labels),
         "h": tests.h_values.tolist(),
@@ -240,7 +242,7 @@ def _fit_payload(fit):
     }
 
 
-def _explain_payload(rep):
+def explain_payload(rep):
     return {
         "metric": rep.metric,
         "operating_point": op_payload(rep.operating_point),
@@ -256,41 +258,6 @@ def _explain_payload(rep):
         "regression": None if rep.regression is None else _fit_payload(rep.regression),
         "dropped_columns": list(rep.dropped_columns),
         "incomplete_identities": list(rep.incomplete_identities),
-    }
-
-
-def to_payload(results: AuditResults) -> dict:
-    """The documented report.json structure, ready for json.dump."""
-    return {
-        "tool": {"name": "faceaudit", "version": results.tool_version},
-        "seed": results.seed,
-        "group_by": list(results.group_by),
-        "census": {
-            "n_identities": results.n_identities,
-            "n_genuine_pairs": results.n_genuine,
-            "n_impostor_pairs": results.n_impostor,
-        },
-        "exclusions": {
-            "no_usable_trials": list(results.excluded_identities),
-            "unassigned": list(results.unassigned_identities),
-            "skipped_identities": list(results.skipped_identities),
-        },
-        "notes": dict(results.notes),
-        "analyses": [
-            {
-                "operating_point": op_payload(a.operating_point),
-                "groups": [_group_payload(g) for g in a.groups],
-                "deltas": {
-                    "extreme_far": _delta_payload(a.deltas.extreme_far),
-                    "extreme_frr": _delta_payload(a.deltas.extreme_frr),
-                    "one_axis": [_delta_payload(d) for d in a.deltas.one_axis],
-                },
-                "kruskal": {m: _kruskal_payload(t) for m, t in sorted(a.kruskal.items())},
-                "explain": {m: _explain_payload(r) for m, r in sorted(a.explain.items())},
-                "skipped_analyses": dict(a.skipped_analyses),
-            }
-            for a in results.analyses
-        ],
     }
 
 
@@ -365,20 +332,19 @@ def render_figures(payload: dict, outdir: Path) -> list[Path]:
     return written
 
 
-def emit_bundle(outdir: str | Path, results: AuditResults) -> dict[str, object]:
-    """Write report.json plus per-policy tables and figures.
+def emit_bundle(outdir: str | Path, report: dict) -> dict[str, object]:
+    """Write ``report``, the document ``pipeline.run_audit`` returns, as
+    report.json, then render the per-policy tables and figures from it.
 
-    Refuses to emit a bundle with no analyses.  Identical results
+    Refuses to emit a bundle with no analyses.  Identical documents
     produce byte-identical bundles.
     """
-    if not results.analyses:
+    if not report["analyses"]:
         raise DataError("refusing to emit a bundle with no analyses")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = to_payload(results)
     report_path = outdir / "report.json"
-    report_path.write_text(dump_payload(payload), encoding="utf-8")
-    tables = render_tables(payload, outdir)
-    figures = render_figures(payload, outdir)
+    report_path.write_text(dump_payload(report), encoding="utf-8")
+    tables = render_tables(report, outdir)
+    figures = render_figures(report, outdir)
     return {"report": report_path, "tables": tables, "figures": figures}
-

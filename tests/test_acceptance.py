@@ -24,7 +24,6 @@ from faceaudit.metrics import (
     trial_census,
 )
 from faceaudit.pipeline import AuditOptions, run_audit
-from faceaudit.report import to_payload
 from faceaudit.schema import default_schema
 from faceaudit.stats import (
     DesignMatrix,
@@ -228,9 +227,8 @@ def test_criterion_07_composition_reversal():
         trials = generate_trials(cohort, TrialPolicy(), seed=seed)
         scores = score_trials(cohort, trials)
         census = trial_census(trials, scores)
-        results = run_audit(census, result.profiles, schema, AuditOptions(policies=("eer",)))
-        payload = to_payload(results)
-        deltas = payload["analyses"][0]["deltas"]["one_axis"]
+        report = run_audit(census, result.profiles, schema, AuditOptions(policies=("eer",)))
+        deltas = report["analyses"][0]["deltas"]["one_axis"]
         marginal = next(
             d for d in deltas if d["group_a"] == "man,all" and d["group_b"] == "woman,all"
         )

@@ -22,14 +22,17 @@ from hypothesis import strategies as st
 from faceaudit import stats
 from faceaudit.calibration import calibrate
 from faceaudit.errors import DataError, NumericalError, RankDeficiencyError
-from faceaudit.explain import build_design, run_correlations
+from faceaudit.explain import ExplanatoryReport, build_design, run_correlations
 from faceaudit.metrics import (
+    group_membership,
+    group_rates,
     individual_rates,
     kruskal_pairwise,
     table_grid,
     trial_census,
 )
 from faceaudit.pipeline import AuditOptions, run_audit
+from faceaudit.report import explain_payload
 from faceaudit.schema import AttributeSchema, Variable
 
 SCHEMA = AttributeSchema(
@@ -181,12 +184,13 @@ class TestColumnarAudit:
         trials, scores, profiles = case
         results = _audit(trials, scores, profiles, explain=False)
         cells, unassigned = _ref_membership(profile_rows(profiles, SCHEMA))
-        assert results.unassigned_identities == unassigned
+        assert results["exclusions"]["unassigned"] == list(unassigned)
         census = trial_census(trials, scores)
-        for analysis in results.analyses:
-            tau = analysis.operating_point.tau
+        membership = group_membership(profiles, GROUP_BY, SCHEMA)
+        for analysis in results["analyses"]:
+            tau = analysis["operating_point"]["tau"]
             rates, excluded = _ref_individual_rates(trials, scores, tau)
-            assert results.excluded_identities == excluded
+            assert results["exclusions"]["no_usable_trials"] == list(excluded)
 
             far, frr = individual_rates(census, tau)
             for code, identity in enumerate(trials.identities):
@@ -194,14 +198,22 @@ class TestColumnarAudit:
                 assert _same(far[code], want[0]) and _same(frr[code], want[1])
 
             want_groups = _ref_group_rates(rates, cells)
-            for got, (group, cell_far, cell_frr, ids) in zip(analysis.groups, want_groups):
-                assert got.group == group
-                assert tuple(profiles.identities[r] for r in got.members.tolist()) == ids
-                assert got.n_members == len(ids)
-                assert _same(got.far, cell_far) and _same(got.frr, cell_frr)
+            # report.json lists no members: they come from group_rates at the reference rates
+            nan_pair = (math.nan, math.nan)
+            row_rates = np.array([rates.get(i, nan_pair) for i in profiles.identities]).reshape(-1, 2)
+            direct = group_rates(row_rates[:, 0], row_rates[:, 1], membership)
+            for got, rated, (group, cell_far, cell_frr, ids) in zip(
+                analysis["groups"], direct, want_groups, strict=True
+            ):
+                assert rated.group == group
+                assert (got["attributes"], got["levels"]) == (list(group.attributes), list(group.levels))
+                assert tuple(profiles.identities[r] for r in rated.members.tolist()) == ids
+                assert got["n_members"] == rated.n_members == len(ids)
+                assert _same(got["far"], cell_far) and _same(got["frr"], cell_frr)
+                assert _same(rated.far, cell_far) and _same(rated.frr, cell_frr)
 
             testable = [w for w in want_groups if None not in w[0].levels and len(w[3]) >= 2]
-            assert ("kruskal" in analysis.skipped_analyses) == (len(testable) < 2)
+            assert ("kruskal" in analysis["skipped_analyses"]) == (len(testable) < 2)
             for i, metric in enumerate(("far", "frr")):
                 if len(testable) < 2:
                     continue
@@ -211,10 +223,10 @@ class TestColumnarAudit:
                 }
                 with mock.patch.object(stats, "_midranks", _ref_midranks):
                     want = kruskal_pairwise(samples)
-                got = analysis.kruskal[metric]
-                assert got.labels == want.labels
-                assert np.array_equal(got.h_values, want.h_values)
-                assert np.array_equal(got.p_values, want.p_values)
+                got = analysis["kruskal"][metric]
+                assert got["labels"] == list(want.labels)
+                assert np.array_equal(got["h"], want.h_values)
+                assert np.array_equal(got["p"], want.p_values)
 
     @given(_audit_cases())
     @settings(max_examples=150, deadline=None)
@@ -225,9 +237,9 @@ class TestColumnarAudit:
         try:
             design = build_design(profiles, SCHEMA, rows=np.array(rows, dtype=np.intp))
         except DataError as exc:
-            for analysis in _audit(trials, scores, profiles, explain=True).analyses:
-                assert analysis.skipped_analyses["explain_far"] == str(exc)
-                assert analysis.skipped_analyses["explain_frr"] == str(exc)
+            for analysis in _audit(trials, scores, profiles, explain=True)["analyses"]:
+                assert analysis["skipped_analyses"]["explain_far"] == str(exc)
+                assert analysis["skipped_analyses"]["explain_frr"] == str(exc)
             return
         census = trial_census(trials, scores)
         for policy in POLICIES:
@@ -249,26 +261,29 @@ class TestColumnarAudit:
                 want[metric] = (len(y), correlations, fit)
             options = AuditOptions(policies=(policy,), explain=True)
             try:
-                (analysis,) = run_audit(census, profiles, SCHEMA, options).analyses
+                (analysis,) = run_audit(census, profiles, SCHEMA, options)["analyses"]
             except NumericalError as exc:
                 assert str(exc) == failure
                 continue
             assert failure is None
             for metric, expected in want.items():
                 if isinstance(expected, str):
-                    assert metric not in analysis.explain
-                    assert analysis.skipped_analyses[f"explain_{metric}"] == expected
+                    assert metric not in analysis["explain"]
+                    assert analysis["skipped_analyses"][f"explain_{metric}"] == expected
                     continue
                 n_cases, correlations, fit = expected
-                report = analysis.explain[metric]
-                assert report.n_cases == n_cases
-                assert report.incomplete_identities == design.incomplete
-                assert repr(report.correlations) == repr(correlations)
-                if fit is None:
-                    assert report.regression is None
-                    continue
-                assert report.dropped_columns == design.constant
-                assert repr(report.regression) == repr(fit)
+                report = analysis["explain"][metric]
+                assert report["n_cases"] == n_cases
+                assert report["incomplete_identities"] == list(design.incomplete)
+                assert (report["regression"] is None) == (fit is None)
+                if fit is not None:
+                    assert report["dropped_columns"] == list(design.constant)
+                # the correlations and the fit bit for bit, as the report builder writes them
+                dropped = () if fit is None else design.constant
+                want_report = ExplanatoryReport(
+                    metric, op, n_cases, correlations, fit, dropped, design.incomplete
+                )
+                assert repr(report) == repr(explain_payload(want_report))
 
 
 _TIED = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=60)

@@ -9,6 +9,8 @@ import re
 import shlex
 import subprocess
 import sys
+import typing
+import warnings
 import weakref
 from pathlib import Path
 
@@ -19,8 +21,9 @@ from conftest import schema_document
 from faceaudit import cli
 from faceaudit.cli import build_parser, main
 from faceaudit.cohort import load_cohort, write_embeddings_binary
-from faceaudit.schema import load_schema
-from faceaudit.trials import read_trials_csv
+from faceaudit.schema import Variable, load_schema
+from faceaudit.synth import AttributeEffect, SynthConfig
+from faceaudit.trials import TrialPolicy, generate_trials, read_trials_csv, write_trials_csv
 
 
 def _walk_bytes(root):
@@ -394,6 +397,22 @@ class TestDataErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'nosuch'" in err
+
+    @pytest.mark.parametrize("command", ["audit", "explain"])
+    def test_default_group_by_named(self, workspace, tmp_path, capsys, command):
+        # no --group-by: the message names the default it tried, not the flag
+        schema = tmp_path / "schema.json"
+        document = schema_document({"protected": ["ethnicity", "age"]}, name="sex")
+        schema.write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / "out"
+        inputs = ["--scores", workspace["scored"], "--attributes", workspace["attributes"]]
+        argv = [command, *map(str, inputs), "--schema", str(schema), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"faceaudit {command}: default group-by gender,ethnicity (--group-by overrides it): "
+            "unknown attribute 'gender'\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("policies", "eer"), ("group_by", "gender")])
     def test_run_all_bare_string_rejected(self, tmp_path, capsys, key, value):
@@ -902,6 +921,73 @@ class TestJsonLimits:
         assert main(["run-all", "--config", str(config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"faceaudit run-all: {message}\n"
         assert not out.exists()
+
+
+_EFFECT = {"variable": "blur", "target": "far", "strength": 0.5}
+_RANGE = {"kind": "continuous_range", "levels": None, "lo": 0.0, "hi": 2.0}
+# key path -> (the synth section's keys, the --schema document) with the key set to x
+_FLOAT_KEYS = {
+    "synth.base_margin": lambda x: ({"base_margin": x}, None),
+    "synth.noise_scale": lambda x: ({"noise_scale": x}, None),
+    "synth.group_margin_shift['man,asian']": lambda x: ({"group_margin_shift": {"man,asian": x}}, None),
+    "synth.group_noise_shift['man,asian']": lambda x: ({"group_noise_shift": {"man,asian": x}}, None),
+    "synth.attribute_effects[0].strength": lambda x: (
+        {"attribute_effects": [{**_EFFECT, "strength": x}]}, None
+    ),
+    "schema.variables[0].lo": lambda x: ({}, schema_document(**{**_RANGE, "lo": x})),
+    "schema.variables[0].hi": lambda x: ({}, schema_document(**{**_RANGE, "hi": x})),
+}
+
+
+class TestNonFiniteNumbers:
+    """Python's JSON reader takes NaN, Infinity and -Infinity as numbers;
+    a number key refuses them."""
+
+    def test_every_float_key_listed(self):
+        fields = {
+            name
+            for cls in (SynthConfig, AttributeEffect, Variable)
+            for name, hint in typing.get_type_hints(cls).items()
+            if float in (hint, *typing.get_args(hint))
+        }
+        assert fields == {re.findall(r"\.(\w+)", path)[-1] for path in _FLOAT_KEYS}
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("path", list(_FLOAT_KEYS))
+    def test_one_line_exit_2(self, tmp_path, capsys, path, literal):
+        synth, schema = _FLOAT_KEYS[path](float(literal))
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps({"synth": {"identities_per_group": _CELLS, **synth}}), "utf-8")
+        argv = ["run-all", "--config", str(config), "--out", str(out)]
+        if schema is not None:
+            (tmp_path / "schema.json").write_text(json.dumps(schema), "utf-8")
+            argv += ["--schema", str(tmp_path / "schema.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"faceaudit run-all: {path} must be a finite number, got {literal}\n"
+        assert not out.exists()  # rejected before any work
+
+
+class TestWarnings:
+    def test_one_stderr_line_per_warning(self, tmp_path, capsys):
+        rows = [("a0", "id0"), ("b0", "id1"), ("b1", "id1"), ("c0", "id2"), ("c1", "id2")]
+        embeddings = tmp_path / "emb.csv"
+        text = "".join(f"{image},{identity},{k},1,0.5\n" for k, (image, identity) in enumerate(rows))
+        embeddings.write_text(text, encoding="utf-8")
+        out = tmp_path / "pairs.csv"
+        shown, filters = warnings.showwarning, list(warnings.filters)
+        argv = ["pairs", "--embeddings", str(embeddings), "--negatives", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "faceaudit pairs: warning: identity 'id0' has fewer than two images; skipped\n"
+        )
+        assert (warnings.showwarning, warnings.filters) == (shown, filters)  # the caller's state
+        # the library still warns, and the trial file is the library's
+        cohort = load_cohort(embeddings)
+        with pytest.warns(UserWarning, match="'id0' has fewer than two images"):
+            trials = generate_trials(cohort, TrialPolicy(negatives_per_identity=2), 0)
+        write_trials_csv(tmp_path / "library.csv", trials, None)
+        assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
 def _readme():

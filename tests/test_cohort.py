@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from faceaudit.cohort import (
     WRITE_CELLS,
+    WRITE_RECORDS,
     aggregate_profiles,
     aggregate_table,
     build_cohort,
@@ -62,7 +63,53 @@ class TestEmbeddingRecord:
             build_cohort(("a", "b", "c"), ("x",) * 3, [[1.0, 2.0], [1.0, np.nan], [np.inf, 0]])
 
 
+def _write_per_record(path, cohort):
+    """The binary writer with five writes per record, as it was before it
+    wrote blocks: the reference of ``write_embeddings_binary``."""
+    rows = cohort.vectors.astype("<f4", copy=False)
+    identity_ids = map(cohort.identities.__getitem__, cohort.identity_codes.tolist())
+    with open(path, "wb") as fh:
+        fh.write(b"FREB")
+        fh.write(bytes([1]))
+        fh.write(struct.pack("<II", *rows.shape))
+        for image_id, identity_id, row in zip(cohort.image_ids, identity_ids, rows):
+            for text in (image_id, identity_id):
+                raw = text.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+            fh.write(row.tobytes())
+
+
 class TestBinaryFormat:
+    @pytest.mark.parametrize(
+        "n_images",
+        [1, WRITE_RECORDS - 1, WRITE_RECORDS, WRITE_RECORDS + 1, 2 * WRITE_RECORDS + 3],
+    )
+    def test_blocks_write_the_per_record_bytes(self, tmp_path, n_images):
+        # multi-byte ids of varying length, so records differ in size across a block seam
+        image_ids = [f"{'ø' * (k % 5)}képmás_{k:05d}" for k in range(n_images)]
+        identity_ids = [f"személy_{'€' * (k % 3)}{k % 37}" for k in range(n_images)]
+        vectors = np.random.default_rng(n_images).normal(size=(n_images, 3))
+        cohort = build_cohort(image_ids, identity_ids, vectors)
+        blocks, reference = tmp_path / "blocks.freb", tmp_path / "reference.freb"
+        write_embeddings_binary(blocks, cohort)
+        _write_per_record(reference, cohort)
+        assert blocks.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("at", [0, WRITE_RECORDS + 1])
+    def test_id_over_65535_bytes_rejected(self, tmp_path, at):
+        image_ids = [f"img{k:05d}" for k in range(WRITE_RECORDS + 2)]
+        image_ids[at] = f"img{at:05d}" + "é" * 32766  # 65,540 bytes
+        cohort = build_cohort(image_ids, ["x"] * len(image_ids), np.ones((len(image_ids), 2)))
+        with pytest.raises(DataError, match="^id too long for format: 'img"):
+            write_embeddings_binary(tmp_path / "long.freb", cohort)
+
+    def test_id_of_65535_bytes_round_trips(self, tmp_path):
+        longest = "a" + "é" * 32767  # 65,535 bytes
+        path = tmp_path / "longest.freb"
+        write_embeddings_binary(path, build_cohort((longest, "b"), ("x", "x"), np.ones((2, 2))))
+        assert read_embeddings_binary(path)[0] == (longest, "b")
+
     def test_round_trip(self, tmp_path):
         image_ids, identity_ids, vectors = records = _records()
         path = tmp_path / "emb.freb"

@@ -18,9 +18,9 @@ from conftest import (
 )
 from faceaudit.cohort import aggregate_profiles
 from faceaudit.errors import DataError
-from faceaudit.metrics import trial_census
+from faceaudit.metrics import group_membership, individual_rates, trial_census
 from faceaudit.pipeline import AuditOptions, profiles_from_rows, run_audit
-from faceaudit.report import dump_payload, to_payload
+from faceaudit.report import dump_payload
 from faceaudit.schema import default_schema
 from faceaudit.trials import TrialPolicy, TrialSet
 
@@ -91,57 +91,58 @@ class TestRunAudit:
     def test_result_census(self, cohort_and_scores):
         result, trials, scores = cohort_and_scores
         results = cohort_audit(result, trials, scores, AuditOptions(), seed=5)
-        assert results.n_identities == 28
-        assert results.n_genuine == 28 * 6
-        assert results.n_impostor == 28 * 50
-        assert results.seed == 5
-        assert len(results.analyses) == 1
-        assert results.notes["multiple_comparison_correction"] == "none"
+        assert results["census"] == {
+            "n_identities": 28, "n_genuine_pairs": 28 * 6, "n_impostor_pairs": 28 * 50
+        }
+        assert results["seed"] == 5
+        assert len(results["analyses"]) == 1
+        assert results["notes"]["multiple_comparison_correction"] == "none"
 
     def test_seed_defaults_to_none(self, cohort_and_scores):
         result, trials, scores = cohort_and_scores
         census = trial_census(trials, scores)
         results = run_audit(census, result.profiles, default_schema(), AuditOptions())
-        assert results.seed is None
+        assert results["seed"] is None
 
     def test_one_analysis_per_policy(self, cohort_and_scores):
         result, trials, scores = cohort_and_scores
         options = AuditOptions(policies=("eer", "far@0.01", "far@0.001"))
         results = cohort_audit(result, trials, scores, options)
-        assert [a.operating_point.policy for a in results.analyses] == [
+        assert [a["operating_point"]["policy"] for a in results["analyses"]] == [
             "eer",
             "far@0.01",
             "far@0.001",
         ]
 
     def test_group_rates_match_manual_recount(self, cohort_and_scores):
-        from faceaudit.metrics import individual_rates, trial_census
-
         result, trials, scores = cohort_and_scores
         results = cohort_audit(result, trials, scores, AuditOptions())
-        analysis = results.analyses[0]
+        analysis = results["analyses"][0]
         census = trial_census(trials, scores)
-        far, _ = individual_rates(census, analysis.operating_point.tau)
+        far, _ = individual_rates(census, analysis["operating_point"]["tau"])
         by_id = dict(zip(census.identities, far))
         profiles = result.profiles
-        for g in analysis.groups:
-            if g.is_empty:
+        # every profiled identity is rated, so each cell's members are its rows
+        membership = group_membership(profiles, ("gender", "ethnicity"), default_schema())
+        for g, (group, members) in zip(analysis["groups"], membership.cells, strict=True):
+            assert g["label"] == group.label and g["n_members"] == len(members)
+            if not len(members):
                 continue
-            want = np.mean([by_id[profiles.identities[i]] for i in g.members])
-            assert g.far == pytest.approx(want, abs=1e-12)
+            want = np.mean([by_id[profiles.identities[i]] for i in members])
+            assert g["far"] == pytest.approx(want, abs=1e-12)
 
     def test_explain_disabled_by_default(self, cohort_and_scores):
         result, trials, scores = cohort_and_scores
         results = cohort_audit(result, trials, scores, AuditOptions())
-        assert results.analyses[0].explain == {}
+        assert results["analyses"][0]["explain"] == {}
 
     def test_explain_reports_when_enabled(self, cohort_and_scores):
         result, trials, scores = cohort_and_scores
         options = AuditOptions(explain=True)
         results = cohort_audit(result, trials, scores, options)
-        explain = results.analyses[0].explain
+        explain = results["analyses"][0]["explain"]
         assert set(explain) == {"far", "frr"}
-        assert explain["far"].n_cases == 28
+        assert explain["far"]["n_cases"] == 28
 
     def test_explain_failure_recorded_not_fatal(self):
         # eight identities cannot support a 22-column design
@@ -154,9 +155,9 @@ class TestRunAudit:
         )
         options = AuditOptions(explain=True)
         results = cohort_audit(result, trials, scores, options)
-        skipped = results.analyses[0].skipped_analyses
+        skipped = results["analyses"][0]["skipped_analyses"]
         assert "explain_far" in skipped and "explain_frr" in skipped
-        assert results.analyses[0].explain == {}
+        assert results["analyses"][0]["explain"] == {}
 
     def test_rank_deficiency_recorded_not_fatal(self):
         # two cells that differ in both gender and ethnicity: the design's
@@ -165,16 +166,16 @@ class TestRunAudit:
         trials, scores = scored_trials(cohort)
         options = AuditOptions(policies=("eer", "far@0.01"), explain=True)
         results = cohort_audit(result, trials, scores, options)
-        for analysis in results.analyses:
-            assert analysis.explain == {}
+        for analysis in results["analyses"]:
+            assert analysis["explain"] == {}
             for metric in ("far", "frr"):
-                message = analysis.skipped_analyses[f"explain_{metric}"]
+                message = analysis["skipped_analyses"][f"explain_{metric}"]
                 assert message == (
                     "design matrix is rank deficient; dependent column(s): ethnicity=caucasian"
                 )
-            assert set(analysis.kruskal) == {"far", "frr"}
-            cells = [g for g in analysis.groups if not g.group.is_union and not g.is_empty]
-            assert [g.n_members for g in cells] == [12, 12]
+            assert set(analysis["kruskal"]) == {"far", "frr"}
+            cells = [g for g in analysis["groups"] if None not in g["levels"] and g["n_members"]]
+            assert [g["n_members"] for g in cells] == [12, 12]
 
     def test_missing_scores_rejected(self, cohort_and_scores):
         result, trials, scores = cohort_and_scores
@@ -201,11 +202,12 @@ class TestRunAudit:
         profiles = profiles_from_rows(result.attributes, trials, schema)
         direct = run_audit(trial_census(trials, scores), profiles, schema, AuditOptions())
         wrapped = cohort_audit(result, trials, scores, AuditOptions())
-        assert direct.analyses[0].operating_point == wrapped.analyses[0].operating_point
-        for a, b in zip(direct.analyses[0].groups, wrapped.analyses[0].groups):
-            assert a.n_members == b.n_members
-            if not a.is_empty:
-                assert a.far == pytest.approx(b.far, abs=1e-15)
+        (direct,), (wrapped,) = direct["analyses"], wrapped["analyses"]
+        assert direct["operating_point"] == wrapped["operating_point"]
+        for a, b in zip(direct["groups"], wrapped["groups"]):
+            assert a["n_members"] == b["n_members"]
+            if a["n_members"]:
+                assert a["far"] == pytest.approx(b["far"], abs=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -255,11 +257,11 @@ class TestHoistedState:
         trials, scores, profiles, _ = mixed_audit
         schema = default_schema()
         options = AuditOptions(policies=tuple(reversed(BENCH_POLICIES)), explain=True)
-        together = to_payload(run_audit(trial_census(trials, scores), profiles, schema, options))
+        together = run_audit(trial_census(trials, scores), profiles, schema, options)
         by_policy = {a["operating_point"]["policy"]: a for a in together["analyses"]}
         for policy in BENCH_POLICIES:
             one = dataclasses.replace(options, policies=(policy,))
-            alone = to_payload(run_audit(trial_census(trials, scores), profiles, schema, one))
+            alone = run_audit(trial_census(trials, scores), profiles, schema, one)
             assert dump_payload(alone["analyses"][0]) == dump_payload(by_policy[policy])
             assert alone["exclusions"] == together["exclusions"]
 
@@ -267,15 +269,16 @@ class TestHoistedState:
         trials, scores, profiles, excluded = mixed_audit
         options = AuditOptions(policies=BENCH_POLICIES, explain=True)
         results = run_audit(trial_census(trials, scores), profiles, default_schema(), options)
-        assert results.excluded_identities == (excluded,)
-        assert results.unassigned_identities == (profiles.identities[5],)
-        assert len(results.skipped_identities) == 1
-        incomplete = profiles.identities[5:7]
-        for analysis in results.analyses:
-            report = analysis.explain["far"]
-            assert report.incomplete_identities == incomplete
+        exclusions = results["exclusions"]
+        assert exclusions["no_usable_trials"] == [excluded]
+        assert exclusions["unassigned"] == [profiles.identities[5]]
+        assert len(exclusions["skipped_identities"]) == 1
+        incomplete = list(profiles.identities[5:7])
+        for analysis in results["analyses"]:
+            report = analysis["explain"]["far"]
+            assert report["incomplete_identities"] == incomplete
             # the excluded and the skipped identities have no rates
-            assert report.n_cases == len(profiles.identities) - 4
+            assert report["n_cases"] == len(profiles.identities) - 4
 
     def test_design_failure_reaches_every_policy(self):
         config = small_config(
@@ -288,8 +291,8 @@ class TestHoistedState:
         options = AuditOptions(policies=("eer", "far@0.1", "far@0.01"), explain=True)
         results = cohort_audit(result, trials, scores, options)
         messages = {
-            (a.skipped_analyses["explain_far"], a.skipped_analyses["explain_frr"])
-            for a in results.analyses
+            (a["skipped_analyses"]["explain_far"], a["skipped_analyses"]["explain_frr"])
+            for a in results["analyses"]
         }
         assert len(messages) == 1
         (far_message, frr_message), = messages

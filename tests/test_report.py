@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import cohort_audit, scored_trials, small_config, synth_cohort
 from faceaudit.errors import DataError
-from faceaudit.pipeline import AuditOptions, AuditResults
+from faceaudit.pipeline import AuditOptions
 from faceaudit.report import (
     EMPTY_CELL,
     dump_payload,
     emit_bundle,
     render_group_table,
     render_heatmap_svg,
-    to_payload,
 )
 from faceaudit.schema import default_schema
 
@@ -39,7 +38,7 @@ def _parse_table(text):
 
 
 @pytest.fixture(scope="module")
-def audit_results():
+def report():
     config = small_config(
         identities_per_group={("man", "asian"): 14, ("woman", "asian"): 14}
     )
@@ -213,20 +212,18 @@ class TestHeatmapSvg:
 
 
 class TestPayload:
-    def test_structure(self, audit_results):
-        payload = to_payload(audit_results)
-        assert payload["tool"]["name"] == "faceaudit"
-        assert payload["group_by"] == ["gender", "ethnicity"]
-        assert payload["census"]["n_identities"] == 28
-        assert payload["census"]["n_genuine_pairs"] == 28 * 6
-        assert payload["census"]["n_impostor_pairs"] == 28 * 50
-        assert len(payload["analyses"]) == 2
-        policies = [a["operating_point"]["policy"] for a in payload["analyses"]]
+    def test_structure(self, report):
+        assert report["tool"]["name"] == "faceaudit"
+        assert report["group_by"] == ["gender", "ethnicity"]
+        assert report["census"]["n_identities"] == 28
+        assert report["census"]["n_genuine_pairs"] == 28 * 6
+        assert report["census"]["n_impostor_pairs"] == 28 * 50
+        assert len(report["analyses"]) == 2
+        policies = [a["operating_point"]["policy"] for a in report["analyses"]]
         assert policies == ["eer", "far@0.01"]
 
-    def test_analysis_contents(self, audit_results):
-        payload = to_payload(audit_results)
-        analysis = payload["analyses"][0]
+    def test_analysis_contents(self, report):
+        analysis = report["analyses"][0]
         assert len(analysis["groups"]) == 12
         assert analysis["deltas"]["extreme_far"] is not None
         assert "far" in analysis["kruskal"] and "frr" in analysis["kruskal"]
@@ -236,8 +233,8 @@ class TestPayload:
             assert fit["columns"][0] == "intercept"
             assert "residual_rms" in fit
 
-    def test_dump_is_sorted_json_with_nulls(self, audit_results):
-        text = dump_payload(to_payload(audit_results))
+    def test_dump_is_sorted_json_with_nulls(self, report):
+        text = dump_payload(report)
         assert text.endswith("\n")
         assert "NaN" not in text
         data = json.loads(text)  # strict JSON: would reject bare NaN
@@ -251,10 +248,10 @@ class TestPayload:
 
 
 class TestEmitBundle:
-    def test_files_written(self, audit_results, tmp_path):
-        out = emit_bundle(tmp_path / "bundle", audit_results)
+    def test_files_written(self, report, tmp_path):
+        out = emit_bundle(tmp_path / "bundle", report)
         assert out["report"].name == "report.json"
-        assert out["report"].exists()
+        assert out["report"].read_text(encoding="utf-8") == dump_payload(report)
         table_names = sorted(p.name for p in out["tables"])
         assert table_names == [
             "eer_far.csv",
@@ -267,17 +264,17 @@ class TestEmitBundle:
         assert "eer_coefficients.svg" in figure_names
         assert "eer_kruskal_far.svg" in figure_names
 
-    def test_repeat_emission_is_byte_identical(self, audit_results, tmp_path):
-        a = emit_bundle(tmp_path / "a", audit_results)
-        b = emit_bundle(tmp_path / "b", audit_results)
+    def test_repeat_emission_is_byte_identical(self, report, tmp_path):
+        a = emit_bundle(tmp_path / "a", report)
+        b = emit_bundle(tmp_path / "b", report)
         assert a["report"].read_bytes() == b["report"].read_bytes()
         for pa, pb in zip(sorted(a["tables"]), sorted(b["tables"])):
             assert pa.read_bytes() == pb.read_bytes()
         for pa, pb in zip(sorted(a["figures"]), sorted(b["figures"])):
             assert pa.read_bytes() == pb.read_bytes()
 
-    def test_table_matches_payload_groups(self, audit_results, tmp_path):
-        out = emit_bundle(tmp_path / "bundle", audit_results)
+    def test_table_matches_payload_groups(self, report, tmp_path):
+        out = emit_bundle(tmp_path / "bundle", report)
         payload = json.loads(out["report"].read_text(encoding="utf-8"))
         far_csv = next(p for p in out["tables"] if p.name == "eer_far.csv")
         rows = _parse_table(far_csv.read_text(encoding="utf-8"))
@@ -289,18 +286,7 @@ class TestEmitBundle:
         # empty grid cells render as the em dash
         assert EMPTY_CELL in {c for row in rows for c in row}
 
-    def test_empty_results_rejected(self, tmp_path):
-        empty = AuditResults(
-            tool_version="0",
-            seed=0,
-            group_by=("gender",),
-            n_identities=0,
-            n_genuine=0,
-            n_impostor=0,
-            excluded_identities=(),
-            unassigned_identities=(),
-            skipped_identities=(),
-            analyses=(),
-        )
+    def test_empty_results_rejected(self, report, tmp_path):
+        empty = {**report, "analyses": []}
         with pytest.raises(DataError):
             emit_bundle(tmp_path / "nope", empty)
