@@ -17,6 +17,12 @@ CLI's own, in its order:
 * traced: ``tracemalloc`` started after the imports, and each stage's
   traced peak and the traced size left when it returns.
 
+``explain`` reads the attribute file in a forked child, the attribute
+reader, where ``os.fork`` exists.  A stage run there writes its figures
+to the run's temporary directory, since the child ends without
+returning; its figures are that process's own, and it is labelled
+``(reader)``.  Stages are listed in the order they started.
+
 Last come the stage with the highest traced peak and the stage after
 which ``VmHWM`` reads its final value.  ``VmHWM`` readings carry about
 0.1 MB of slack, so when more than one stage reads within ``SLACK_MB``
@@ -34,6 +40,7 @@ import io
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -82,7 +89,8 @@ def _stages(inputs: Path, traced: bool) -> dict:
     figures of each stage."""
     from faceaudit import cli
 
-    figures: dict[str, dict[str, float]] = {}
+    figures: dict[str, dict] = {}
+    main_pid, work = os.getpid(), Path(tempfile.mkdtemp())
 
     def stage(name, fn):
         def timed(*args, **kwargs):
@@ -96,6 +104,10 @@ def _stages(inputs: Path, traced: bool) -> dict:
                 figures[name] = {"traced_peak_mb": peak / MB, "traced_current_mb": current / MB}
             else:
                 figures[name] = {"wall_s": wall, "vmhwm_mb": _vmhwm_mb()}
+            figures[name] |= {"process": "main", "start": began}
+            if os.getpid() != main_pid:  # the attribute reader: it never returns to explain
+                figures[name]["process"] = "reader"
+                (work / f"{name}.json").write_text(json.dumps(figures[name]), encoding="utf-8")
             return result
 
         return timed
@@ -107,14 +119,20 @@ def _stages(inputs: Path, traced: bool) -> dict:
     start = _vmhwm_mb()
     if traced:
         tracemalloc.start()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["explain", *files, *policies, "--out", out])
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["explain", *files, *policies, "--out", str(work / "out")])
+        for path in work.glob("*.json"):
+            figures[path.stem] = json.loads(path.read_text(encoding="utf-8"))
+    finally:
+        shutil.rmtree(work)
     if code:
         sys.exit(f"stage_memory: explain exited with {code}")
     for name in STAGES:
         if name not in figures:
             sys.exit(f"stage_memory: explain never called the stage {name}")
-    return {"vmhwm_start_mb": start, "stages": figures}  # in the order explain called them
+    order = sorted(figures, key=lambda name: figures[name].pop("start"))
+    return {"vmhwm_start_mb": start, "stages": {name: figures[name] for name in order}}
 
 
 def _child(inputs: Path, mode: str) -> dict:
@@ -161,16 +179,17 @@ def main() -> int:
     if args.json:
         print(json.dumps({"vmhwm_start_mb": plain["vmhwm_start_mb"], "stages": stages, "peak": peaks}))
         return 0
-    print(f"{'stage':<20} {'wall_s':>7} {'traced_peak_mb':>15} {'traced_current_mb':>18} {'vmhwm_mb':>9}")
-    print(f"{'(imports)':<20} {'':>7} {'':>15} {'':>18} {plain['vmhwm_start_mb']:>9.1f}")
+    label = {name: name + " (reader)" * (f["process"] == "reader") for name, f in stages.items()}
+    print(f"{'stage':<26} {'wall_s':>7} {'traced_peak_mb':>15} {'traced_current_mb':>18} {'vmhwm_mb':>9}")
+    print(f"{'(imports)':<26} {'':>7} {'':>15} {'':>18} {plain['vmhwm_start_mb']:>9.1f}")
     for name, f in stages.items():
         print(
-            f"{name:<20} {f['wall_s']:>7.3f} {f['traced_peak_mb']:>15.1f} "
+            f"{label[name]:<26} {f['wall_s']:>7.3f} {f['traced_peak_mb']:>15.1f} "
             f"{f['traced_current_mb']:>18.1f} {f['vmhwm_mb']:>9.1f}"
         )
-    near = peaks["vmhwm"]
+    near = [label[name] for name in peaks["vmhwm"]]
     reached = near[0] if len(near) == 1 else f"one of {', '.join(near)} (within {SLACK_MB} MB)"
-    print(f"traced peak in: {peaks['traced']}; VmHWM reached in: {reached}")
+    print(f"traced peak in: {label[peaks['traced']]}; VmHWM reached in: {reached}")
     return 0
 
 

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
+import pickle
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -70,10 +73,6 @@ def _at_least(text: str, least: int, alternative: str = "") -> int:
     return value
 
 
-def _non_negative_arg(text: str) -> int:
-    return _at_least(text, 0)
-
-
 def _positives_arg(text: str) -> int | None:
     return None if text == "all" else _at_least(text, 1, " or 'all'")
 
@@ -88,10 +87,10 @@ def _group_by_arg(text: str) -> tuple[str, ...]:
 # Every flag a command may take, with its argparse settings.
 _FLAGS = {
     "--config": {"metavar": "PATH", "help": "config JSON"},
-    "--seed": {"type": _non_negative_arg, "help": "generator seed (default: the config's, or 0)"},
+    "--seed": {"type": partial(_at_least, least=0), "help": "generator seed (default: the config's, or 0)"},
     "--embeddings": {"metavar": "PATH", "help": "embedding file"},
     "--positives": {"type": _positives_arg, "default": 6, "metavar": "N|all"},
-    "--negatives": {"type": _non_negative_arg, "default": 50, "metavar": "N"},
+    "--negatives": {"type": partial(_at_least, least=0), "default": 50, "metavar": "N"},
     "--pairs": {"metavar": "PATH", "help": "pair file"},
     "--scores": {"metavar": "PATH", "help": "scored pair file"},
     "--attributes": {"metavar": "PATH", "help": "attribute file"},
@@ -202,10 +201,12 @@ def _images(table: ImageTable) -> ImageTable:
     return ImageTable(table.image_ids, table.identity_codes, table.identities)
 
 
-def _read_census(path, identities: ImageTable | None = None) -> tuple[TrialCensus, ImageTable]:
+def _read_census(path, embeddings=None) -> tuple[TrialCensus, ImageTable]:
     """The census of the scored trials in ``path`` and the image table of
-    their identities: ``identities`` if given, else the trial file's own;
-    the pairs and scores are freed when it returns."""
+    their identities: the ``embeddings`` file's if given (its vectors are
+    freed at once), else the trial file's; the pairs and scores are freed
+    when it returns."""
+    identities = _images(load_cohort(embeddings)) if embeddings else None
     trials, scores = read_trials_csv(path, identities)
     if np.isnan(scores).any():
         raise DataError(f"{path}: contains unscored pairs; run score first")
@@ -228,20 +229,58 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def _beside_attributes(path, schema, work):
+    """``work()`` and ``read_attributes(path, schema)``, read in a forked child as ``work`` runs."""
+    if not hasattr(os, "fork"):
+        return work(), read_attributes(path, schema)
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when a process with threads (OpenBLAS's) forks.  The
+        # child is safe: it makes no BLAS call, starts no thread, and ends in os._exit.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if not pid:
+        try:
+            os.close(read)
+            try:
+                result = True, read_attributes(path, schema)
+            except Exception as exc:
+                result = False, exc
+            with open(write, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            done = work()
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child ended without a result
+                ok = None
+        finally:  # the child has sent its result, or work raised: its faults come first
+            os.kill(pid, 9)  # SIGKILL, so that no command pays for importing signal
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if ok is None:
+        raise DataError(f"{path}: the attribute reader ended without a result (exit status {status})")
+    if not ok:
+        raise value
+    return done, value
+
+
 def _audit_like(args, options: AuditOptions) -> int:
     schema = _load_schema(args)
     options = _with_flags(options, args)
     default = f"default group-by {','.join(options.group_by)} (--group-by overrides it)"
     schema.check_grouping(options.group_by, group_key="--group-by" if args.group_by else default)
-    # The embedding file serves as an identity map: its vectors are freed at once.
-    identities = _images(load_cohort(args.embeddings)) if args.embeddings else None
-    census, images = _read_census(args.scores, identities)
-    table = read_attributes(args.attributes, schema)
+    read_census = partial(_read_census, args.scores, args.embeddings)
+    (census, images), table = _beside_attributes(args.attributes, schema, read_census)
     if set(images.image_ids).isdisjoint(table.image_ids):  # rows of other images are ignored
         source = args.embeddings or args.scores
         raise DataError(f"{args.attributes}: no attribute row names an image of {source}")
     profiles = profiles_from_rows(table, images, schema)
-    del table, images, identities  # the audit reads only the census and the profiles
+    del table, images  # the audit reads only the census and the profiles
     return _finish(args.out, run_audit(census, profiles, schema, options))
 
 

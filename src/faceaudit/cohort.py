@@ -41,7 +41,7 @@ import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn
@@ -129,6 +129,9 @@ Records = tuple[tuple[str, ...], tuple[str, ...], np.ndarray]
 
 def write_embeddings_binary(path: str | Path, cohort: Cohort) -> None:
     """Write ``cohort`` in the binary format, ``WRITE_RECORDS`` records a write."""
+    for text in chain(cohort.image_ids, cohort.identities):  # before the file is opened
+        if len(text.encode("utf-8")) > 0xFFFF:
+            raise DataError(f"id too long for format: {text[:32]!r}...")
     rows = cohort.vectors.astype("<f4", copy=False)
     identity_ids = map(cohort.identities.__getitem__, cohort.identity_codes.tolist())
     records = zip(cohort.image_ids, identity_ids, rows)
@@ -138,10 +141,7 @@ def write_embeddings_binary(path: str | Path, cohort: Cohort) -> None:
         for k, (image_id, identity_id, row) in enumerate(records, 1):
             for text in (image_id, identity_id):
                 raw = text.encode("utf-8")
-                if len(raw) > 0xFFFF:
-                    raise DataError(f"id too long for format: {text[:32]!r}...")
-                block += struct.pack("<H", len(raw))
-                block += raw
+                block += struct.pack("<H", len(raw)) + raw
             block += row.tobytes()
             if k % WRITE_RECORDS == 0:
                 fh.write(block)

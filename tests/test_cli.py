@@ -4,11 +4,14 @@ import codecs
 import csv
 import dataclasses
 import json
+import os
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import typing
 import warnings
 import weakref
@@ -1604,6 +1607,144 @@ class TestTrialRowsFreed:
                 workspace["attributes"], "--embeddings", workspace["embeddings"]]
         assert main([*map(str, argv), "--out", str(tmp_path / "out")]) == 0
         assert len(reads) == 1
+
+
+_ATTRIBUTE_FAULTS = (
+    "header", "unknown-column", "duplicate-column", "duplicate-image", "bad-level", "bad-flag",
+    "cell-count", "not-a-number", "header-only", "empty", "not-utf-8", "missing",
+)
+
+
+def _attribute_faults(text):
+    """Fault name -> (file text, or None for no file; the line after the path)."""
+    header, first, second, *rest = text.splitlines(keepends=True)
+    rest = "".join(rest)
+    number = second.replace(",0.", ",x0.", 1)
+    appended = text.count("\n") + 1  # the file line of a row added at the end
+    return {
+        "header": ("who" + text[len("image_id"):], ": first attribute column must be image_id"),
+        "unknown-column": (
+            text.replace(",blur,", ",blurry,", 1), ": unknown attribute column 'blurry'"
+        ),
+        "duplicate-column": (
+            text.replace(",blur,", ",age,", 1), ": duplicate attribute column 'age'"
+        ),
+        "duplicate-image": (text + first, f":{appended}: duplicate image_id 'u00000_00'"),
+        "bad-level": (
+            header + first.replace(",man,", ",robot,", 1) + second + rest,
+            ":2: image 'u00000_00': variable 'gender': cannot parse value 'robot'",
+        ),
+        "bad-flag": (
+            header + first.replace(",0,0,0,", ",0,7,0,", 1) + second + rest,
+            ":2: image 'u00000_00': variable 'eyes_occluded': 7.0 is not a valid flag",
+        ),
+        "cell-count": (
+            header + first[:-1] + ",1\n" + second + rest, ":2: expected 21 cells, got 22"
+        ),
+        "not-a-number": (
+            header + first + number + rest,
+            f":3: image 'u00000_01': variable 'mustache': cannot parse value "
+            f"'{number.split(',')[4]}'",
+        ),
+        "header-only": (header, ": no attribute row names an image of {scores}"),
+        "empty": ("", ": empty attribute file"),
+        "not-utf-8": (
+            header + "\udcff" + first + second + rest, ": not UTF-8 text: invalid start byte"
+        ),
+        "missing": (None, ": No such file or directory"),
+    }
+
+
+class TestAttributeReader:
+    """``audit`` and ``explain`` read the attribute file in a forked child
+    while they read the trial file; the faults, their order and the bundle
+    are those of an in-process read, and no child outlives the command."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _explain(workspace, out, attributes=None, scores=None):
+        argv = ["explain", "--scores", scores or workspace["scored"], "--attributes",
+                attributes or workspace["attributes"], "--out", out]
+        return main(list(map(str, argv)))
+
+    @pytest.mark.parametrize("reader", ["faulty-file", "still-reading"])
+    def test_trial_fault_named_first(self, workspace, tmp_path, capsys, monkeypatch, reader):
+        lines = workspace["scored"].read_text(encoding="utf-8").splitlines(keepends=True)
+        scores, attributes = tmp_path / "scores.csv", tmp_path / "attributes.csv"
+        scores.write_text("".join([*lines[:4], "a,b,impostor,high\n", *lines[4:]]), "utf-8")
+        attributes.write_text("who,gender\na,man\n", encoding="utf-8")
+        if reader == "still-reading":  # the reader is killed, not waited for
+            monkeypatch.setattr(cli, "read_attributes", lambda *args: time.sleep(60))
+        began = time.monotonic()
+        assert self._explain(workspace, tmp_path / "o", attributes, scores) == 2
+        assert time.monotonic() - began < 30
+        assert capsys.readouterr().err == f"faceaudit explain: {scores}:5: bad score 'high'\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault", _ATTRIBUTE_FAULTS)
+    def test_attribute_fault_unchanged(self, workspace, tmp_path, capsys, fault):
+        # each line as the in-process read printed it
+        text = workspace["attributes"].read_text(encoding="utf-8")
+        body, message = _attribute_faults(text)[fault]
+        attributes = tmp_path / f"{fault}.csv"
+        if body is not None:
+            attributes.write_bytes(body.encode("utf-8", "surrogateescape"))
+        assert self._explain(workspace, tmp_path / "o", attributes) == 2
+        message = message.format(scores=workspace["scored"])
+        assert capsys.readouterr().err == f"faceaudit explain: {attributes}{message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the patched reader would end pytest")
+    @pytest.mark.parametrize("how, status", [("exit", "3"), ("kill", "-9")])
+    def test_reader_without_result(self, workspace, tmp_path, capsys, monkeypatch, how, status):
+        def end(*args):
+            if how == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "read_attributes", end)
+        assert self._explain(workspace, tmp_path / "o") == 2
+        captured = capsys.readouterr()
+        want = f"the attribute reader ended without a result (exit status {status})"
+        assert captured.err == f"faceaudit explain: {workspace['attributes']}: {want}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_fork_warning_not_printed(self, workspace, tmp_path, capsys, monkeypatch):
+        # Python 3.12+ warns when a process with threads, such as OpenBLAS's, forks
+        fork = os.fork
+
+        def warning_fork():
+            message = "This process is multi-threaded, use of fork() may lead to deadlocks"
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert self._explain(workspace, tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_same_bundle_without_fork(self, workspace, tmp_path, monkeypatch):
+        pids, read_attributes = [], cli.read_attributes
+
+        def reading(*args):
+            pids.append(os.getpid())
+            return read_attributes(*args)
+
+        monkeypatch.setattr(cli, "read_attributes", reading)
+        assert self._explain(workspace, tmp_path / "forked") == 0
+        assert pids == []  # the call, and its record, stayed in the child
+        monkeypatch.delattr(os, "fork")
+        assert self._explain(workspace, tmp_path / "in-process") == 0
+        assert pids == [os.getpid()]
+        forked, in_process = (_walk_bytes(tmp_path / d) for d in ("forked", "in-process"))
+        assert forked == in_process and "report.json" in forked
 
 
 class TestModuleEntryPoint:

@@ -101,8 +101,21 @@ class TestBinaryFormat:
         image_ids = [f"img{k:05d}" for k in range(WRITE_RECORDS + 2)]
         image_ids[at] = f"img{at:05d}" + "é" * 32766  # 65,540 bytes
         cohort = build_cohort(image_ids, ["x"] * len(image_ids), np.ones((len(image_ids), 2)))
+        path = tmp_path / "long.freb"
         with pytest.raises(DataError, match="^id too long for format: 'img"):
-            write_embeddings_binary(tmp_path / "long.freb", cohort)
+            write_embeddings_binary(path, cohort)
+        assert not path.exists()  # the ids are checked before the file is opened
+        path.write_bytes(b"an earlier file")
+        with pytest.raises(DataError, match="^id too long for format: 'img"):
+            write_embeddings_binary(path, cohort)
+        assert path.read_bytes() == b"an earlier file"
+
+    def test_identity_id_over_65535_bytes_rejected(self, tmp_path):
+        cohort = build_cohort(("a", "b"), ("x", "y" * 65536), np.ones((2, 2)))
+        path = tmp_path / "long.freb"
+        with pytest.raises(DataError, match="^id too long for format: 'yyy"):
+            write_embeddings_binary(path, cohort)
+        assert not path.exists()
 
     def test_id_of_65535_bytes_round_trips(self, tmp_path):
         longest = "a" + "é" * 32767  # 65,535 bytes
