@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import pickle
 import sys
@@ -364,4 +365,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    # Frozen objects are never collected: the import's are spared every full
+    # collection of the run, and all are spared the exit's collection, which
+    # would free them one by one.  main closes every file it writes.
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -412,7 +412,8 @@ def aggregate_table(
             # Groups with k values form a C-contiguous (m, k) block, whose
             # mean(axis=1) sums each row as np.mean sums one group.
             starts = np.cumsum(counts) - counts
-            for size in np.unique(counts[counts > 0]).tolist():
+            # The distinct sizes, ascending: np.unique would import numpy.ma.
+            for size in np.flatnonzero(np.bincount(counts[counts > 0])).tolist():
                 which = np.flatnonzero(counts == size)
                 block = column[starts[which, None] + np.arange(size)]
                 # Rounding can put the mean of near-equal values just

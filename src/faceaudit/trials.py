@@ -361,7 +361,7 @@ def read_trials_csv(
     else:
         at = positions(table.image_ids, names)
         labels = np.where(at >= 0, table.identity_codes[at], -1)
-        used = np.unique(labels[at >= 0])
+        used = np.flatnonzero(np.bincount(labels[at >= 0]))  # as np.unique, without numpy.ma
         identities = tuple(map(table.identities.__getitem__, used.tolist()))
         codes = np.where(at >= 0, np.searchsorted(used, labels), -1).astype(np.int32)
         source = "the identity map"

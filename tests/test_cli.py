@@ -3,6 +3,7 @@
 import codecs
 import csv
 import dataclasses
+import gc
 import json
 import os
 import random
@@ -1747,12 +1748,79 @@ class TestAttributeReader:
         assert forked == in_process and "report.json" in forked
 
 
+_NUMPY_MA_PROBE = """
+import sys
+from faceaudit.cli import main
+config, run, explained = sys.argv[1:]
+loaded = "numpy.ma" in sys.modules  # numpy 1.x imports it with numpy
+assert main(["run-all", "--config", config, "--out", run]) == 0
+assert main(["explain", "--scores", f"{run}/trials.csv",
+             "--attributes", f"{run}/data/attributes.csv", "--out", explained]) == 0
+print(loaded, "numpy.ma" in sys.modules)
+"""
+
+
 class TestModuleEntryPoint:
-    def test_python_dash_m(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "faceaudit", "--version"],
-            capture_output=True,
-            text=True,
+    """``python -m faceaudit`` runs ``cli.run``, which freezes the collector's
+    objects before and after ``main``; ``main`` itself freezes nothing."""
+
+    @staticmethod
+    def _faceaudit(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "faceaudit", *map(str, argv)], capture_output=True, text=True
         )
+
+    @staticmethod
+    def _config(tmp_path, document=None):
+        if document is None:
+            synth = {"identities_per_group": {"man,asian": 6, "woman,asian": 6}, "dim": 16, "seed": 3}
+            document = {"synth": synth, "audit": {"policies": ["eer", "far@0.1"]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        return path
+
+    def test_python_dash_m(self):
+        proc = self._faceaudit("--version")
         assert proc.returncode == 0
         assert "faceaudit" in proc.stdout
+
+    def test_success_writes_every_line_and_file(self, tmp_path, capsys):
+        # the bundle and the summary lines of a frozen process are those of main
+        config = self._config(tmp_path)
+        assert main(["run-all", "--config", str(config), "--out", str(tmp_path / "main")]) == 0
+        expected = capsys.readouterr().out
+        proc = self._faceaudit("run-all", "--config", config, "--out", tmp_path / "module")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected.replace(str(tmp_path / "main"), str(tmp_path / "module"))
+        assert len(proc.stdout.splitlines()) == 3  # two policies and the report line
+        assert (tmp_path / "module" / "report.json").is_file()
+        assert _walk_bytes(tmp_path / "module") == _walk_bytes(tmp_path / "main")
+
+    def test_data_fault_exits_2_with_one_line(self, tmp_path):
+        config = self._config(tmp_path, {"audit": {}})
+        proc = self._faceaudit("run-all", "--config", config, "--out", tmp_path / "out")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        line = f"faceaudit run-all: {config}: run-all config needs a 'synth' section\n"
+        assert proc.stderr == line
+
+    def test_usage_error_exits_1(self, tmp_path):
+        proc = self._faceaudit("run-all", "--out", tmp_path / "out")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert len(proc.stderr.splitlines()) == 1 and "--config" in proc.stderr
+
+    def test_main_freezes_nothing(self, tmp_path):
+        before = gc.get_freeze_count()
+        config = self._config(tmp_path)
+        assert main(["run-all", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_numpy_ma_stays_unloaded(self, tmp_path):
+        # numpy 2.x's np.unique(x) imports numpy.ma, a 1.3 MB import, for its masked-array check
+        config = self._config(tmp_path)
+        argv = [config, tmp_path / "run", tmp_path / "explain"]
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_MA_PROBE, *map(str, argv)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, after = proc.stdout.split()[-2:]
+        assert after == loaded
